@@ -2,7 +2,10 @@
 
 End-to-end metrics come from untraced operations (`--trace 0`); per-layer
 metrics come from spans of traced operations (`--trace 1`).  Each
-per-layer metric is a median over the traced operations of a run.
+per-layer metric is a median over the traced operations of a run.  Layer
+times are reported as shares of the traced operation's wall time, because
+a shared machine's speed drifts between runs and a share mostly cancels
+the drift; `trace.wall_s` gives the scale.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ END_TO_END = (
 #                                  result was all zero
 #   ("tag_max", span)              largest tag value (basis dimension)
 #   ("layer", layer)               self time of all spans of a layer
+# A time read from "fn", "caller" or "layer" is divided by the operation's
+# wall time; its metric has the unit "share".
 #   ("out", key)                   an output of the operation
 #   ("run", key)                   computed over the whole run
 FIRST = "wall_s on flow_sigx"
@@ -33,41 +38,43 @@ FLOWS = "wall_s on flow_sigx and flow_sigz"
 MATRIX = "wall_s on matrix_ref, nothing on the flow workloads"
 PER_LAYER = (
     ("firststep.initial_kernels.calls", "count", ("fn", "firststep.initial_kernels", "calls"), FIRST),
-    ("firststep.initial_kernels.time_s", "s", ("fn", "firststep.initial_kernels", "time_s"), FIRST),
-    ("firststep.initial_kernels.self_s", "s", ("fn", "firststep.initial_kernels", "self_s"), FIRST),
-    ("firststep.initial_kernels.per_call_s", "s", ("fn", "firststep.initial_kernels", "per_call_s"), FIRST),
-    *[(f"wick.assemble_target.{caller}.{field}", unit,
+    ("firststep.initial_kernels.time_share", "share", ("fn", "firststep.initial_kernels", "time_s"), FIRST),
+    ("firststep.initial_kernels.self_share", "share", ("fn", "firststep.initial_kernels", "self_s"), FIRST),
+    ("firststep.initial_kernels.per_call_share", "share", ("fn", "firststep.initial_kernels", "per_call_s"), FIRST),
+    *[(f"wick.assemble_target.{caller}.{metric}", unit,
        ("caller", "wick.assemble_target", caller, field),
        "wall_s on matrix_ref" if caller == "selfcheck" else FLOWS)
       for caller in ("firststep", "rgflow", "selfcheck")
-      for field, unit in (("calls", "count"), ("time_s", "s"), ("self_s", "s"))],
+      for metric, unit, field in (("calls", "count", "calls"),
+                                  ("time_share", "share", "time_s"),
+                                  ("self_share", "share", "self_s"))],
     ("wick.assemble_target.zero_share", "share", ("zero", "wick.assemble_target", "share"), FLOWS),
     ("wick.assemble_target.zero_time_share", "share", ("zero", "wick.assemble_target", "time"), FLOWS),
     ("wick.pull_shifts.calls", "count", ("fn", "wick.pull_shifts", "calls"), FLOWS),
     ("rgflow.renormalize.calls", "count", ("fn", "rgflow.renormalize", "calls"), STAGE),
-    ("rgflow.renormalize.time_s", "s", ("fn", "rgflow.renormalize", "time_s"), STAGE),
-    ("rgflow.renormalize.self_s", "s", ("fn", "rgflow.renormalize", "self_s"), STAGE),
-    ("rgflow.interpolate_family.time_s", "s", ("fn", "rgflow.interpolate_family", "time_s"), STAGE),
+    ("rgflow.renormalize.time_share", "share", ("fn", "rgflow.renormalize", "time_s"), STAGE),
+    ("rgflow.renormalize.self_share", "share", ("fn", "rgflow.renormalize", "self_s"), STAGE),
+    ("rgflow.interpolate_family.time_share", "share", ("fn", "rgflow.interpolate_family", "time_s"), STAGE),
     ("rgflow.stages", "count", ("out", "stages"), STAGE),
     ("rgflow.StageMap.inverse.calls", "count", ("fn", "rgflow.StageMap.inverse", "calls"), STAGE),
     ("kernels.interp_product.calls", "count", ("fn", "kernels.interp_product", "calls"), STAGE),
-    ("kernels.interp_product.time_s", "s", ("fn", "kernels.interp_product", "time_s"), STAGE),
+    ("kernels.interp_product.time_share", "share", ("fn", "kernels.interp_product", "time_s"), STAGE),
     ("oracle.ground_energy.calls", "count", ("fn", "oracle.ground_energy", "calls"), MATRIX),
-    ("oracle.ground_energy.self_s", "s", ("fn", "oracle.ground_energy", "self_s"), MATRIX),
-    ("oracle.build_fiber_hamiltonian.time_s", "s", ("fn", "oracle.build_fiber_hamiltonian", "time_s"), MATRIX),
-    ("fockspace.FockBasis.time_s", "s", ("fn", "fockspace.FockBasis", "time_s"), MATRIX),
+    ("oracle.ground_energy.self_share", "share", ("fn", "oracle.ground_energy", "self_s"), MATRIX),
+    ("oracle.build_fiber_hamiltonian.time_share", "share", ("fn", "oracle.build_fiber_hamiltonian", "time_s"), MATRIX),
+    ("fockspace.FockBasis.time_share", "share", ("fn", "fockspace.FockBasis", "time_s"), MATRIX),
     ("fockspace.basis_dim", "count", ("tag_max", "fockspace.FockBasis"), MATRIX),
     ("fockspace.ladder.calls", "count", ("fn", "fockspace.ladder", "calls"), MATRIX),
-    ("fockspace.ladder.time_s", "s", ("fn", "fockspace.ladder", "time_s"), MATRIX),
+    ("fockspace.ladder.time_share", "share", ("fn", "fockspace.ladder", "time_s"), MATRIX),
     ("feshbach.feshbach_map.calls", "count", ("fn", "feshbach.feshbach_map", "calls"), "wall_s on matrix_ref"),
-    ("feshbach.feshbach_map.time_s", "s", ("fn", "feshbach.feshbach_map", "time_s"), "wall_s on matrix_ref"),
-    ("rgflow.ground_state.time_s", "s", ("fn", "rgflow.ground_state", "time_s"), "wall_s on matrix_ref"),
+    ("feshbach.feshbach_map.time_share", "share", ("fn", "feshbach.feshbach_map", "time_s"), "wall_s on matrix_ref"),
+    ("rgflow.ground_state.time_share", "share", ("fn", "rgflow.ground_state", "time_s"), "wall_s on matrix_ref"),
     ("kernels.assemble_operator.calls", "count", ("fn", "kernels.assemble_operator", "calls"), "wall_s on matrix_ref"),
-    ("kernels.assemble_operator.time_s", "s", ("fn", "kernels.assemble_operator", "time_s"), "wall_s on matrix_ref"),
-    ("selfcheck.wick_reassembly_defect.time_s", "s", ("fn", "selfcheck.wick_reassembly_defect", "time_s"), "wall_s on matrix_ref"),
-    ("kernels.KernelGrid.time_s", "s", ("fn", "kernels.KernelGrid", "time_s"), "setup_s on every workload"),
-    ("kernels.polydisc_measure.time_s", "s", ("fn", "kernels.polydisc_measure", "time_s"), FLOWS),
-    *[(f"layer.{layer}.self_s", "s", ("layer", layer), "wall_s on the workloads that call it")
+    ("kernels.assemble_operator.time_share", "share", ("fn", "kernels.assemble_operator", "time_s"), "wall_s on matrix_ref"),
+    ("selfcheck.wick_reassembly_defect.time_share", "share", ("fn", "selfcheck.wick_reassembly_defect", "time_s"), "wall_s on matrix_ref"),
+    ("kernels.KernelGrid.time_share", "share", ("fn", "kernels.KernelGrid", "time_s"), "setup_s on every workload"),
+    ("kernels.polydisc_measure.time_share", "share", ("fn", "kernels.polydisc_measure", "time_s"), FLOWS),
+    *[(f"layer.{layer}.self_share", "share", ("layer", layer), "wall_s on the workloads that call it")
       for layer in LAYERS],
     ("trace.wall_s", "s", ("run", "traced_wall_s"), "tracing overhead: compare with wall_s"),
     ("trace.overhead_s", "s", ("run", "overhead_s"), "traced minus untraced wall_s, paired operations"),
@@ -117,9 +124,12 @@ def per_layer(traced_ops: list[dict], tracer) -> dict:
     coverage = []
     for op in done:
         summary = op_summary(tracer.spans(*op["span_range"]))
-        for name, _unit, source, _why in PER_LAYER:
+        for name, unit, source, _why in PER_LAYER:
             if source[0] != "run":
-                values.setdefault(name, []).append(_value(source, summary, op["out"]))
+                v = _value(source, summary, op["out"])
+                if unit == "share" and source[0] in ("fn", "caller", "layer"):
+                    v /= op["wall_s"]
+                values.setdefault(name, []).append(v)
         coverage.append(sum(summary["layers"].values()) / op["wall_s"])
     run = {
         "traced_wall_s": statistics.median(op["wall_s"] for op in done),
