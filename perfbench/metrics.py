@@ -15,7 +15,8 @@ import statistics
 from spans import LAYERS, op_summary
 
 END_TO_END = (
-    ("wall_s", "s", "median wall time of one operation, tracing off"),
+    ("wall_norm_s", "s", "wall time of one operation scaled to the reference host speed, tracing off: "
+                         "mean over configurations of the median over their operations"),
     ("setup_s", "s", "import dipolerg + ModelParams + KernelGrid + FockBasis, median of probes"),
     ("peak_rss_mb", "MB", "peak resident set size of the measuring process"),
     ("energy_err_rel", "share", "largest |E - E_ref| / |E_ref| against oracle references"),
@@ -32,10 +33,10 @@ END_TO_END = (
 # wall time; its metric has the unit "share".
 #   ("out", key)                   an output of the operation
 #   ("run", key)                   computed over the whole run
-FIRST = "wall_s on flow_sigx"
-STAGE = "wall_s on flow_sigz, about a fifth of it on flow_sigx"
-FLOWS = "wall_s on flow_sigx and flow_sigz"
-MATRIX = "wall_s on matrix_ref, nothing on the flow workloads"
+FIRST = "wall_norm_s on flow_sigx"
+STAGE = "wall_norm_s on flow_sigz, about a fifth of it on flow_sigx"
+FLOWS = "wall_norm_s on flow_sigx and flow_sigz"
+MATRIX = "wall_norm_s on matrix_ref, nothing on the flow workloads"
 PER_LAYER = (
     ("firststep.initial_kernels.calls", "count", ("fn", "firststep.initial_kernels", "calls"), FIRST),
     ("firststep.initial_kernels.time_share", "share", ("fn", "firststep.initial_kernels", "time_s"), FIRST),
@@ -43,7 +44,7 @@ PER_LAYER = (
     ("firststep.initial_kernels.per_call_share", "share", ("fn", "firststep.initial_kernels", "per_call_s"), FIRST),
     *[(f"wick.assemble_target.{caller}.{metric}", unit,
        ("caller", "wick.assemble_target", caller, field),
-       "wall_s on matrix_ref" if caller == "selfcheck" else FLOWS)
+       "wall_norm_s on matrix_ref" if caller == "selfcheck" else FLOWS)
       for caller in ("firststep", "rgflow", "selfcheck")
       for metric, unit, field in (("calls", "count", "calls"),
                                   ("time_share", "share", "time_s"),
@@ -66,17 +67,17 @@ PER_LAYER = (
     ("fockspace.basis_dim", "count", ("tag_max", "fockspace.FockBasis"), MATRIX),
     ("fockspace.ladder.calls", "count", ("fn", "fockspace.ladder", "calls"), MATRIX),
     ("fockspace.ladder.time_share", "share", ("fn", "fockspace.ladder", "time_s"), MATRIX),
-    ("feshbach.feshbach_map.calls", "count", ("fn", "feshbach.feshbach_map", "calls"), "wall_s on matrix_ref"),
-    ("feshbach.feshbach_map.time_share", "share", ("fn", "feshbach.feshbach_map", "time_s"), "wall_s on matrix_ref"),
-    ("rgflow.ground_state.time_share", "share", ("fn", "rgflow.ground_state", "time_s"), "wall_s on matrix_ref"),
-    ("kernels.assemble_operator.calls", "count", ("fn", "kernels.assemble_operator", "calls"), "wall_s on matrix_ref"),
-    ("kernels.assemble_operator.time_share", "share", ("fn", "kernels.assemble_operator", "time_s"), "wall_s on matrix_ref"),
-    ("selfcheck.wick_reassembly_defect.time_share", "share", ("fn", "selfcheck.wick_reassembly_defect", "time_s"), "wall_s on matrix_ref"),
+    ("feshbach.feshbach_map.calls", "count", ("fn", "feshbach.feshbach_map", "calls"), "wall_norm_s on matrix_ref"),
+    ("feshbach.feshbach_map.time_share", "share", ("fn", "feshbach.feshbach_map", "time_s"), "wall_norm_s on matrix_ref"),
+    ("rgflow.ground_state.time_share", "share", ("fn", "rgflow.ground_state", "time_s"), "wall_norm_s on matrix_ref"),
+    ("kernels.assemble_operator.calls", "count", ("fn", "kernels.assemble_operator", "calls"), "wall_norm_s on matrix_ref"),
+    ("kernels.assemble_operator.time_share", "share", ("fn", "kernels.assemble_operator", "time_s"), "wall_norm_s on matrix_ref"),
+    ("selfcheck.wick_reassembly_defect.time_share", "share", ("fn", "selfcheck.wick_reassembly_defect", "time_s"), "wall_norm_s on matrix_ref"),
     ("kernels.KernelGrid.time_share", "share", ("fn", "kernels.KernelGrid", "time_s"), "setup_s on every workload"),
     ("kernels.polydisc_measure.time_share", "share", ("fn", "kernels.polydisc_measure", "time_s"), FLOWS),
-    *[(f"layer.{layer}.self_share", "share", ("layer", layer), "wall_s on the workloads that call it")
+    *[(f"layer.{layer}.self_share", "share", ("layer", layer), "wall_norm_s on the workloads that call it")
       for layer in LAYERS],
-    ("trace.wall_s", "s", ("run", "traced_wall_s"), "tracing overhead: compare with wall_s"),
+    ("trace.wall_s", "s", ("run", "traced_wall_s"), "tracing overhead: compare with the untraced wall_s of the report"),
     ("trace.overhead_s", "s", ("run", "overhead_s"), "traced minus untraced wall_s, paired operations"),
     ("trace.coverage", "share", ("run", "coverage"), "layer self times over traced wall_s; should stay >= 0.9"),
 )

@@ -11,8 +11,9 @@ is one JSON object:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 With --trace 0 the metrics are the end-to-end metrics, measured with
-tracing off.  With --trace 1 each operation runs twice, untraced and then
-traced, and the metrics are the per-layer metrics taken from the spans of
+tracing off; operation and set-up times are scaled to a fixed host speed
+measured by the reference kernel in yardstick.py.  With --trace 1 each
+operation runs twice, untraced and then traced, and the metrics are the per-layer metrics taken from the spans of
 the traced runs (see spans.py); their spans are written to
 .perfbench/spans-WORKLOAD.tsv.  --grid tiny shrinks every grid for a smoke
 test.  The exit code is 0 only when every check passed.
@@ -21,6 +22,7 @@ test.  The exit code is 0 only when every check passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -41,12 +43,13 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def cap_blas_threads() -> int:
-    """Cap BLAS threads at the CPUs this process may use; returns the cap."""
-    nproc = len(os.sched_getaffinity(0))
-    cap = nproc
-    cur = os.environ.get("OMP_NUM_THREADS", "")
-    if cur.isdigit() and 0 < int(cur) < nproc:
-        cap = int(cur)
+    """Run BLAS on one thread; returns the cap.
+
+    The benchmark is one closed-loop caller; on a host that lends it a few
+    shared CPUs, a BLAS thread per CPU makes its times depend on how the
+    host schedules those threads.
+    """
+    cap = 1
     for var in BLAS_VARS:
         os.environ[var] = str(cap)
     return cap
@@ -99,9 +102,17 @@ def main(argv=None) -> int:
     blas_cap = cap_blas_threads()
     sys.path.insert(0, str(SRC))
 
+    from yardstick import Yardstick, scaled
+    yardstick = Yardstick()
     try:
-        probes = [float(child("setup", args.workload, args.grid, timeout=60))
-                  for _ in range(SETUP_PROBES)]
+        # each probe is scaled by the reference kernel timed around it
+        probes, raw_probes = [], []
+        slice_before = yardstick.slice_time()
+        for _ in range(SETUP_PROBES):
+            raw_probes.append(float(child("setup", args.workload, args.grid, timeout=60)))
+            slice_after = yardstick.slice_time()
+            probes.append(scaled(raw_probes[-1], 0.5 * (slice_before + slice_after)))
+            slice_before = slice_after
         refs = json.loads(child("refs", args.workload, str(args.seed), args.grid,
                                 timeout=120))
     except (RuntimeError, subprocess.TimeoutExpired, ValueError) as exc:
@@ -119,16 +130,21 @@ def main(argv=None) -> int:
     tracer = Tracer() if args.trace else None
     clock = time.perf_counter
 
-    def run_one(k: int) -> dict:
+    def run_one(k: int, sampled: bool) -> dict:
+        """One operation; a sampled one is timed and scaled by the yardstick."""
         op = {"config": k}
         t0 = clock()
         try:
             if "error" in refs[k]:
                 raise wl.FlowError(f"reference failed: {refs[k]['error']}")
-            op["out"] = wl.run_op(args.workload, params[k], refs[k])
+            call = functools.partial(wl.run_op, args.workload, params[k], refs[k])
+            if sampled:
+                op["out"], op["wall_s"], op["norm_s"] = yardstick.run(call)
+            else:
+                op["out"] = call()
         except (wl.FlowError, wl.FirstStepError) as exc:
             op["error"] = f"{type(exc).__name__}: {exc}"
-        op["wall_s"] = clock() - t0
+        op.setdefault("wall_s", clock() - t0)
         return op
 
     ops, traced = [], []
@@ -136,12 +152,12 @@ def main(argv=None) -> int:
     i = 0
     while i < len(configs) or clock() - t_begin < args.seconds:
         k = i % len(configs)
-        ops.append(run_one(k))
+        ops.append(run_one(k, sampled=tracer is None))
         if tracer is not None:
             tracer.op_id = i
             a = len(tracer)
             with tracer:
-                op = run_one(k)
+                op = run_one(k, sampled=False)
             op.update(span_range=(a, len(tracer)),
                       untraced_wall_s=ops[-1]["wall_s"])
             traced.append(op)
@@ -193,8 +209,19 @@ def main(argv=None) -> int:
     print(f"operations: {len(ops)} untraced, {len(traced)} traced; "
           f"wall_s median {statistics.median(walls):.4f} "
           f"min {min(walls):.4f} max {max(walls):.4f}")
-    print(f"setup probes: {len(probes)}; setup_s median {statistics.median(probes):.4f} "
-          f"min {min(probes):.4f} max {max(probes):.4f}")
+    norms: dict[int, list] = {}
+    for op in ops:
+        if "norm_s" in op:
+            norms.setdefault(op["config"], []).append(op["norm_s"])
+    # the configurations differ in cost and a run may stop part way through
+    # a pass over them, so each configuration's median counts once
+    wall_norm_s = statistics.fmean(statistics.median(v) for v in norms.values()) if norms else 0.0
+    for k, v in sorted(norms.items()):
+        print(f"config {k}: wall_norm_s median {statistics.median(v):.4f} "
+              f"min {min(v):.4f} max {max(v):.4f} over {len(v)} operations")
+    print(f"setup probes: {len(probes)}; unscaled median {statistics.median(raw_probes):.4f} "
+          f"min {min(raw_probes):.4f} max {max(raw_probes):.4f}; setup_s median "
+          f"{statistics.median(probes):.4f} min {min(probes):.4f} max {max(probes):.4f}")
     print(f"failed_share {failed / attempted:.6g} ({failed}/{attempted})")
     if drifts:
         print("drift from stored energies (diagnostic): " + ", ".join(
@@ -205,7 +232,7 @@ def main(argv=None) -> int:
     if not errs:
         metrics = {}
     elif tracer is None:
-        values = {"wall_s": statistics.median(walls), "setup_s": statistics.median(probes),
+        values = {"wall_norm_s": wall_norm_s, "setup_s": statistics.median(probes),
                   "peak_rss_mb": peak_rss_mb, "energy_err_rel": max(errs)}
         metrics = {name: {"value": values[name], "unit": unit}
                    for name, unit, _what in END_TO_END}

@@ -22,10 +22,10 @@ from dipolerg.model import ModelParams, SIGMA_Z
 from dipolerg.rgflow import FlowError
 from dipolerg.firststep import FirstStepError
 
-# configurations drawn per run; operations cycle through them
-N_CONFIGS = 4
-# p = p_star is drawn from this set; lam0 within +-10 % of nominal
+# p = p_star is drawn from this set; lam0 within +-10 % of nominal.  A run
+# draws one configuration per value of p; operations cycle through them.
 P_SET = (0.0, 0.1, 0.2)
+N_CONFIGS = len(P_SET)
 LAM_JITTER = 0.10
 
 # frozen tolerances of the repository's tests
@@ -69,8 +69,10 @@ def draw_configs(workload: str, seed: int) -> list[dict]:
     """Seeded configurations: a lam0 factor and p = p_star.
 
     Seed 0 reproduces the nominal configurations.  Other seeds draw one
-    lam0 factor per stratum of [1 - LAM_JITTER, 1 + LAM_JITTER], so every
-    run spans the whole interval, and shuffle the strata.
+    lam0 factor per stratum of [1 - LAM_JITTER, 1 + LAM_JITTER] and pair
+    the strata with the values of P_SET in a seeded order, so every run
+    spans the whole interval and every p, and the cost of a run's
+    operations varies little from seed to seed.
     """
     if seed == 0:
         ps = (0.0, 0.2) if workload == "matrix_ref" else (0.0,)
@@ -78,8 +80,10 @@ def draw_configs(workload: str, seed: int) -> list[dict]:
     rng = random.Random(seed)
     width = 2.0 * LAM_JITTER / N_CONFIGS
     factors = [1.0 - LAM_JITTER + width * (k + rng.random()) for k in range(N_CONFIGS)]
+    ps = list(P_SET)
     rng.shuffle(factors)
-    return [{"lam_factor": f, "p": rng.choice(P_SET)} for f in factors]
+    rng.shuffle(ps)
+    return [{"lam_factor": f, "p": p} for f, p in zip(factors, ps)]
 
 
 def _spin(coupling: str):
