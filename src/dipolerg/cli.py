@@ -2,7 +2,8 @@
 
 Plain key=value configuration files, deterministic output, and exit codes
 that scripts can branch on: 0 success, 1 configuration error, 2 first
-decimation failure, 3 flow failure, 4 validation failure.
+decimation failure, 3 flow failure, 4 validation failure.  Codes 1-3 follow
+the type of the exception that ended the command (see _ExitCodes).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import click
 import numpy as np
 
 from .model import (ModelParams, ConfigError, parse_config_text, config_defaults,
-                    config_dump_text, params_from_config)
+                    config_dump_text, params_from_config, apply_config_line)
 from .kernels import polydisc_measure, sequence_to_json
 from .firststep import (initial_kernels, FirstStepError, lambda_critical_estimate,
                         PolydiscTargets)
@@ -35,8 +36,7 @@ def _load_config(config_path, sets):
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
-        text = "\n".join(f"{k} = {v}" for k, v in cfg.items()) + f"\n{item}\n"
-        cfg = parse_config_text(text)
+        apply_config_line(cfg, item, "--set")
     return cfg
 
 
@@ -45,9 +45,25 @@ def _params(config_path, sets) -> tuple[ModelParams, dict]:
     return params_from_config(cfg), cfg
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _ExitCodes(click.Group):
+    """Maps the exception that ends a command to its exit code.
+
+    The message goes to stderr as one line.  A FlowError caused by a
+    FirstStepError is a first decimation failure.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, FirstStepError, FlowError) as exc:
+            if isinstance(exc, ConfigError):
+                code = EXIT_CONFIG
+            elif isinstance(exc, FirstStepError) or isinstance(exc.__cause__, FirstStepError):
+                code = EXIT_FIRST_STEP
+            else:
+                code = EXIT_FLOW
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(code)
 
 
 common_options = [
@@ -64,7 +80,7 @@ def with_common(f):
     return f
 
 
-@click.group()
+@click.group(cls=_ExitCodes)
 def main():
     """Dispersion of a field-coupled dipole by spectral renormalization."""
 
@@ -73,11 +89,8 @@ def main():
 @with_common
 def config_dump(config_path, sets):
     """Print the effective configuration with documentation."""
-    try:
-        cfg = _load_config(config_path, sets)
-        params_from_config(cfg)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    cfg = _load_config(config_path, sets)
+    params_from_config(cfg)
     click.echo(config_dump_text(cfg), nl=False)
 
 
@@ -88,14 +101,8 @@ def config_dump(config_path, sets):
 @click.option("--dump-kernels", is_flag=True, help="emit the full kernel arrays")
 def first_step(config_path, sets, z_value, dump_kernels):
     """Run the first decimation and report its summary."""
-    try:
-        params, _ = _params(config_path, sets)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        seq = initial_kernels(params, z_value)
-    except (FirstStepError, ConfigError) as exc:
-        _fail(EXIT_FIRST_STEP, str(exc))
+    params, _ = _params(config_path, sets)
+    seq = initial_kernels(params, z_value)
     led = polydisc_measure(seq)
     payload = {
         "z": z_value,
@@ -113,16 +120,8 @@ def first_step(config_path, sets, z_value, dump_kernels):
 @with_common
 def flow_cmd(config_path, sets):
     """Run the full flow at the configured momentum; print the energy."""
-    try:
-        params, cfg = _params(config_path, sets)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        res = run_flow(params, n_max=cfg["n_flow_max"],
-                       tol_factor=cfg["tol_factor"])
-    except FlowError as exc:
-        code = EXIT_FIRST_STEP if "first decimation" in str(exc) else EXIT_FLOW
-        _fail(code, str(exc))
+    params, cfg = _params(config_path, sets)
+    res = run_flow(params, n_max=cfg["n_flow_max"], tol_factor=cfg["tol_factor"])
     alpha, beta = extract_alpha_beta(res.final_seqs[len(res.z_nodes) // 2])
     payload = {
         "energy": res.energy,
@@ -142,10 +141,7 @@ def flow_cmd(config_path, sets):
 @with_common
 def oracle_cmd(config_path, sets):
     """Ground energy by direct diagonalization, with the perturbative value."""
-    try:
-        params, cfg = _params(config_path, sets)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    params, cfg = _params(config_path, sets)
     e = oracle_mod.ground_energy(params, seed=cfg["seed"])
     payload = {"energy": e, "pt2": oracle_mod.pt2_energy(params)}
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
@@ -159,22 +155,16 @@ def oracle_cmd(config_path, sets):
               help="write CSV here instead of stdout")
 def dispersion(config_path, sets, method, output):
     """Sweep the conserved momentum and print a CSV dispersion table."""
-    try:
-        params, cfg = _params(config_path, sets)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    params, cfg = _params(config_path, sets)
     npts = cfg["p_sweep_points"]
     if npts < 3 or npts % 2 == 0:
-        _fail(EXIT_CONFIG, "p_sweep_points must be odd and >= 3")
+        raise ConfigError("p_sweep_points must be odd and >= 3")
     pmax = cfg["p_sweep_max"] * params.m
     p_values = np.linspace(-pmax, pmax, npts)
-    try:
-        records = oracle_mod.dispersion_sweep(
-            params, p_values, method=method,
-            flow_fn=lambda pp: run_flow(pp, n_max=cfg["n_flow_max"],
-                                        tol_factor=cfg["tol_factor"]).energy)
-    except FlowError as exc:
-        _fail(EXIT_FLOW, str(exc))
+    records = oracle_mod.dispersion_sweep(
+        params, p_values, method=method,
+        flow_fn=lambda pp: run_flow(pp, n_max=cfg["n_flow_max"],
+                                    tol_factor=cfg["tol_factor"]).energy)
     text = oracle_mod.sweep_to_csv(records)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -189,16 +179,9 @@ def dispersion(config_path, sets, method, output):
 @click.option("--abs-tol", type=float, default=1e-8)
 def validate(config_path, sets, rel_tol, abs_tol):
     """Compare the flow against direct diagonalization at one momentum."""
-    try:
-        params, cfg = _params(config_path, sets)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        e_flow = run_flow(params, n_max=cfg["n_flow_max"],
-                          tol_factor=cfg["tol_factor"]).energy
-    except FlowError as exc:
-        code = EXIT_FIRST_STEP if "first decimation" in str(exc) else EXIT_FLOW
-        _fail(code, str(exc))
+    params, cfg = _params(config_path, sets)
+    e_flow = run_flow(params, n_max=cfg["n_flow_max"],
+                      tol_factor=cfg["tol_factor"]).energy
     e_oracle = oracle_mod.ground_energy(params, seed=cfg["seed"])
     diff = abs(e_flow - e_oracle)
     tol = max(rel_tol * abs(e_oracle), abs_tol * params.m)
@@ -214,10 +197,7 @@ def validate(config_path, sets, rel_tol, abs_tol):
 @click.option("--tol", type=float, default=1e-11)
 def wick_check(config_path, sets, tol):
     """Operator-identity self-test of the contraction machinery."""
-    try:
-        params, _ = _params(config_path, sets)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    params, _ = _params(config_path, sets)
     from .selfcheck import wick_reassembly_defect
     defect = wick_reassembly_defect(params)
     payload = {"defect": defect, "tolerance": tol, "pass": bool(defect <= tol)}
@@ -230,14 +210,8 @@ def wick_check(config_path, sets, tol):
 @with_common
 def lambda_critical(config_path, sets):
     """Estimate the largest admissible coupling for the configured model."""
-    try:
-        params, _ = _params(config_path, sets)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        lam = lambda_critical_estimate(params, PolydiscTargets())
-    except FirstStepError as exc:
-        _fail(EXIT_FIRST_STEP, str(exc))
+    params, _ = _params(config_path, sets)
+    lam = lambda_critical_estimate(params, PolydiscTargets())
     click.echo(json.dumps({"lambda_critical": lam}, sort_keys=True, indent=2))
 
 

@@ -88,11 +88,6 @@ def feshbach_map(H: np.ndarray, T: np.ndarray, chi_d, *,
     return DecimationResult(F=F, Q=Q, Q_sharp=Q_sharp, H_chi=H_chi, margin=margin)
 
 
-def q_operators(H: np.ndarray, T: np.ndarray, chi_d, **kw):
-    res = feshbach_map(H, T, chi_d, **kw)
-    return res.Q, res.Q_sharp
-
-
 def isospectral_test(H: np.ndarray, T: np.ndarray, chi_d, *,
                      min_margin: float = 1e-12) -> dict:
     """Residuals of the isospectrality identities for one instance.

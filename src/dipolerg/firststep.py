@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, ConfigError, chibar
-from .kernels import Kernel, KernelGrid, KernelSequence, symmetrize, polydisc_measure
+from .model import ModelParams, ConfigError, chi, chibar
+from .kernels import (Kernel, KernelGrid, KernelSequence, symmetrize, polydisc_measure,
+                      _l_sums)
 from . import wick
 from . import oracle as oracle_mod
 from . import feshbach
-from .fockspace import FockBasis, build_modes, dilation
+from .fockspace import FockBasis, dilation
 
 
 class FirstStepError(RuntimeError):
@@ -46,13 +47,7 @@ class TwoLevelResolventData:
         dim = len(lqs)
         shape = (len(rq),) + tuple(len(q) for q in lqs)
         r = np.asarray(rq).reshape((-1,) + (1,) * dim)
-        l2 = np.zeros(shape[1:])
-        pl = np.zeros(shape[1:])
-        for a, q in enumerate(lqs):
-            s = [1] * dim
-            s[a] = len(q)
-            l2 = l2 + np.square(q).reshape(s)
-            pl = pl + p.p[a] * np.asarray(q).reshape(s)
+        l2, pl = _l_sums(lqs, p.p)
         b1 = r + l2 / (2.0 * p.m) - pl / p.m - self.z_phys
         b2 = b1 + p.omega0
         cb2 = chibar(rq, p.rho0).reshape((-1,) + (1,) * dim) ** 2
@@ -104,19 +99,13 @@ def _vertex_closures(params: ModelParams, grid: KernelGrid):
 
 def _free_part(params: ModelParams, grid: KernelGrid, z: complex) -> np.ndarray:
     """Rescaled lower-level free symbol: r + rho0 l^2/2m - p.l/m - z."""
-    dim = len(grid.l_axes)
-    r = grid.r_nodes.reshape((-1,) + (1,) * dim).astype(complex)
-    out = np.broadcast_to(r, grid.base_shape).copy()
-    for a, ax in enumerate(grid.l_axes):
-        s = [1] * (1 + dim)
-        s[1 + a] = len(ax)
-        out = out + (params.rho0 * np.square(ax) / (2.0 * params.m)
-                     - params.p[a] * ax / params.m).reshape(s)
-    return out - z
+    r = grid.r_nodes.reshape((-1,) + (1,) * len(grid.l_axes)).astype(complex)
+    l2, pl = _l_sums(grid.l_axes, params.p)
+    return r + (params.rho0 * l2 / (2.0 * params.m) - pl / params.m) - z
 
 
-def initial_kernels(params: ModelParams, z, grid: KernelGrid | None = None,
-                    trace: dict | None = None) -> KernelSequence:
+def initial_kernels(params: ModelParams, z,
+                    grid: KernelGrid | None = None) -> KernelSequence:
     """Kernel sequence produced by the first decimation, rescaled to scale 1.
 
     z is the rescaled spectral parameter; the decimation itself happens at
@@ -148,8 +137,7 @@ def initial_kernels(params: ModelParams, z, grid: KernelGrid | None = None,
                for m in range(t + 1) for n in [t - m]]
     for (m, n) in targets:
         ids = grid.mode_ids() if m + n <= 1 else grid.pair_mode_ids()
-        vals, per_L = wick.assemble_target(m, n, ctx, ext_mode_ids=ids,
-                                           trace=trace)
+        vals, per_L = wick.assemble_target(m, n, ctx, ext_mode_ids=ids)
         ratio = max(ratio, wick.series_ratio(per_L))
         if m == 0 and n == 0:
             vals = vals + _free_part(params, grid, z)
@@ -218,31 +206,35 @@ def lambda_critical_estimate(params: ModelParams,
 # ---------------------------------------------------------------------------
 # dense cross-representation check
 
+def spin_fock_decimation(params: ModelParams, z_phys: complex,
+                         basis: FockBasis | None = None):
+    """Decimate H(p) - z_phys on spin (x) Fock with the first-step partition.
+
+    The partition keeps the lower level with field energy below rho0 (soft
+    cutoff chi) and removes the upper level entirely; the reference T is the
+    diagonal of H, since the coupling has no diagonal part.  Returns
+    (dense H, basis, DecimationResult).
+    """
+    H, basis = oracle_mod.build_fiber_hamiltonian(params, basis, z=z_phys)
+    Hd = H.toarray()
+    chi_vec = np.concatenate([chi(basis.r, params.rho0), np.zeros(len(basis))])
+    return Hd, basis, feshbach.feshbach_map(Hd, H.diagonal(), chi_vec)
+
+
 def matrix_first_step(params: ModelParams, z, basis: FockBasis | None = None):
     """Dense-route first decimation on the spin-Fock matrix representation.
 
-    Builds H(p) - rho0*z explicitly, decimates with the soft partition
-    (lower level only, field content below the band edge), then rescales by
-    conjugation with the grid dilation.  Returns the rescaled lower-level
-    block and the basis, for comparison against assembling the kernel
-    sequence into an operator.
+    Decimates H(p) - rho0*z with the soft partition (lower level only,
+    field content below the band edge), then rescales by conjugation with
+    the grid dilation.  Returns the rescaled lower-level block and the
+    basis, for comparison against assembling the kernel sequence into an
+    operator.
     """
     steps = params.rho0_power()
     if steps is None:
         raise ConfigError("rho0 must be an integer power of rho for the grid")
-    z_phys = params.rho0 * complex(z)
-    H, basis = oracle_mod.build_fiber_hamiltonian(params, basis, z=z_phys)
-    Hd = H.toarray()
+    _, basis, res = spin_fock_decimation(params, params.rho0 * complex(z), basis)
     nf = len(basis)
-    from .model import chi as chi_fn
-    chi_low = chi_fn(basis.r, params.rho0)
-    chi_vec = np.concatenate([chi_low, np.zeros(nf)])
-    p = params.p
-    kin = np.einsum("sd,sd->s", basis.l, basis.l) / (2.0 * params.m) \
-        - (basis.l @ p) / params.m + basis.r
-    T = np.concatenate([kin, kin + params.omega0]) - z_phys
-    res = feshbach.feshbach_map(Hd, T, chi_vec)
-    F_low = res.F[:nf, :nf]
     gamma = dilation(basis, steps=steps).dense()
-    F_hat = (gamma @ F_low @ gamma.conj().T) / params.rho0
+    F_hat = (gamma @ res.F[:nf, :nf] @ gamma.conj().T) / params.rho0
     return F_hat, basis, res

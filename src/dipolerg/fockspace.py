@@ -12,7 +12,6 @@ exactly by rho^3 under one grid shift.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -138,25 +137,6 @@ class FockBasis:
     def vacuum_index(self) -> int:
         return self.index[tuple([0] * len(self.modes))]
 
-    def vacuum_vector(self) -> np.ndarray:
-        v = np.zeros(len(self), dtype=complex)
-        v[self.vacuum_index] = 1.0
-        return v
-
-    def dump_json(self) -> str:
-        payload = {
-            "version": 1,
-            "n_max": self.n_max,
-            "energy_cap": self.energy_cap,
-            "modes": [
-                {"index": m.index, "j": m.j, "k": [float(x) for x in m.k],
-                 "weight": float(m.weight), "pol": m.pol}
-                for m in self.modes
-            ],
-            "states": [list(s) for s in self.states],
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 @dataclasses.dataclass(eq=False)
 class FockOperator:
@@ -167,22 +147,6 @@ class FockOperator:
         if sp.issparse(self.mat):
             return self.mat.toarray()
         return np.asarray(self.mat)
-
-    def adjoint(self) -> "FockOperator":
-        return FockOperator(self.mat.conj().T, self.basis)
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOperator):
-            if other.basis is not self.basis:
-                raise ConfigError("operator bases do not match")
-            return FockOperator(self.mat @ other.mat, self.basis)
-        return self.mat @ other
-
-    def __add__(self, other):
-        return FockOperator(self.mat + other.mat, self.basis)
-
-    def __sub__(self, other):
-        return FockOperator(self.mat - other.mat, self.basis)
 
 
 def ladder(basis: FockBasis, mode_index: int, kind: str) -> FockOperator:

@@ -75,10 +75,46 @@ def interp_scatter(values: np.ndarray, nodes_list, points_list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # grids
 
-class KernelGrid:
-    """Bundles the discrete mode grid with the (r, l) sample grid."""
+def _l_sums(lqs, vec=None):
+    """|l|^2 and vec.l over the product grid of the l-axis vectors `lqs`.
 
-    def __init__(self, params: ModelParams, modes=None):
+    Both have the l-grid shape; the dot product is 0.0 when vec is None.
+    """
+    l2 = pl = 0.0
+    for a, q in enumerate(lqs):
+        s = [1] * len(lqs)
+        s[a] = len(q)
+        q = np.asarray(q).reshape(s)
+        l2 = l2 + np.square(q)
+        if vec is not None:
+            pl = pl + vec[a] * q
+    return l2, pl
+
+
+def _default_layout(params: ModelParams):
+    """r-grid and l-axes: geometric nodes plus uniform fill."""
+    rho = params.rho
+    geo = [rho ** j for j in range(params.j_max + 1)]
+    uni = list(np.linspace(0.0, 1.0, params.n_r_uniform + 1)[1:])
+    r_nodes = np.unique(np.concatenate([[0.0], geo, uni]))
+    if params.dim == 1:
+        pos = sorted(set(geo) | set(np.linspace(0, 1, params.n_l_uniform + 1)[1:]))
+        return r_nodes, [np.array([-x for x in reversed(pos)] + [0.0] + pos)]
+    na = max(3, params.n_l_axis_d3)
+    if na % 2 == 0:
+        na += 1
+    ax = np.linspace(-1.0, 1.0, na)
+    return r_nodes, [ax, ax, ax]
+
+
+class KernelGrid:
+    """Bundles the discrete mode grid with the (r, l) sample grid.
+
+    `layout` = (r_nodes, l_axes) replaces the default sample grid; both the
+    r-grid and every l-axis must contain 0.
+    """
+
+    def __init__(self, params: ModelParams, modes=None, layout=None):
         self.params = params
         self.rho = params.rho
         self.dim = params.dim
@@ -91,20 +127,9 @@ class KernelGrid:
         self.shift_up = np.array(
             [self._find_shift(i, +1) for i in range(n)], dtype=int)
 
-        rho = params.rho
-        geo = [rho ** j for j in range(params.j_max + 1)]
-        uni = list(np.linspace(0.0, 1.0, params.n_r_uniform + 1)[1:])
-        self.r_nodes = np.unique(np.concatenate([[0.0], geo, uni]))
-        pos = sorted(set(geo) | set(np.linspace(0, 1, params.n_l_uniform + 1)[1:]))
-        if params.dim == 1:
-            ax = np.array([-x for x in reversed(pos)] + [0.0] + pos)
-            self.l_axes = [ax]
-        else:
-            na = max(3, params.n_l_axis_d3)
-            if na % 2 == 0:
-                na += 1
-            ax = np.linspace(-1.0, 1.0, na)
-            self.l_axes = [ax, ax, ax]
+        r_nodes, l_axes = layout if layout is not None else _default_layout(params)
+        self.r_nodes = np.asarray(r_nodes, dtype=float)
+        self.l_axes = [np.asarray(ax, dtype=float) for ax in l_axes]
         self.l0_idx = tuple(int(np.argmin(np.abs(ax))) for ax in self.l_axes)
         self.r0_idx = int(np.argmin(self.r_nodes))
         if self.r_nodes[self.r0_idx] != 0.0:
@@ -112,23 +137,14 @@ class KernelGrid:
         for ax, i0 in zip(self.l_axes, self.l0_idx):
             if ax[i0] != 0.0:
                 raise ConfigError("every l-axis must contain 0")
-        self._mask = self._base_mask()
+        # base set |l| <= r
+        l2, _ = _l_sums(self.l_axes)
+        r = self.r_nodes.reshape((-1,) + (1,) * len(self.l_axes))
+        self.mask = np.sqrt(l2) <= r + 1e-12
 
     def _find_shift(self, i: int, steps: int) -> int:
         t = fockspace.shifted_mode_index(self.modes, i, steps)
         return -1 if t is None else t
-
-    def _base_mask(self) -> np.ndarray:
-        """Boolean array over (r, l...) selecting the base set |l| <= r."""
-        shape = (len(self.r_nodes),) + tuple(len(ax) for ax in self.l_axes)
-        l2 = np.zeros(shape[1:])
-        for a, ax in enumerate(self.l_axes):
-            s = [1] * len(self.l_axes)
-            s[a] = len(ax)
-            l2 = l2 + np.square(ax).reshape(s)
-        lnorm = np.sqrt(l2)
-        r = self.r_nodes.reshape((-1,) + (1,) * len(self.l_axes))
-        return lnorm <= r + 1e-12
 
     @property
     def base_shape(self):
@@ -138,13 +154,8 @@ class KernelGrid:
     def base_axes(self):
         return [self.r_nodes] + list(self.l_axes)
 
-    @property
-    def mask(self) -> np.ndarray:
-        return self._mask
-
     def pair_mode_ids(self) -> list[int]:
-        cap = getattr(self.params, "j_max_pair", self.params.j_max)
-        return [m.index for m in self.modes if m.j <= cap]
+        return [m.index for m in self.modes if m.j <= self.params.j_max_pair]
 
     def mode_ids(self) -> list[int]:
         return list(range(len(self.modes)))
@@ -214,11 +225,6 @@ class Kernel:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def symmetrized(self) -> "Kernel":
-        return Kernel(self.m, self.n, self.grid,
-                      symmetrize(self.values, self.m, self.n, self.n_base_axes),
-                      self.mode_ids)
 
 
 def symmetrize(values: np.ndarray, m: int, n: int, n_base_axes: int) -> np.ndarray:
@@ -306,7 +312,6 @@ def _photon_factor(kernel: Kernel) -> np.ndarray:
 
 
 def _masked_sup(kernel: Kernel, arr: np.ndarray) -> float:
-    nb = kernel.n_base_axes
     mask = kernel.grid.mask.reshape(kernel.grid.base_shape + (1,) * (kernel.m + kernel.n))
     return float(np.max(np.where(mask, np.abs(arr), 0.0)))
 
@@ -367,13 +372,9 @@ def polydisc_measure(seq: KernelSequence, p=None, z=None) -> NormLedger:
     g = seq.grid
     p = seq.p if p is None else np.atleast_1d(np.asarray(p, dtype=float))
     z = seq.z if z is None else complex(z)
-    params = g.params
     w00 = seq.w00.values
-    marginal = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes)).astype(complex)
-    for a, ax in enumerate(g.l_axes):
-        s = [1] * (1 + len(g.l_axes))
-        s[1 + a] = len(ax)
-        marginal = marginal - (p[a] / params.m) * ax.reshape(s)
+    _, pl = _l_sums(g.l_axes, p / g.params.m)
+    marginal = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes)).astype(complex) - pl
     diff = w00 - seq.w00_origin() - marginal
     gamma = norm_sharp(Kernel(0, 0, g, diff))
     delta = abs(seq.w00_origin() + z)

@@ -22,9 +22,6 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 CHI_PLATEAU = 0.75
 CHI_SUPPORT = 1.0
 
-# max |chi'| of the cos^2 ramp below; reported as the C_chi diagnostic
-CHI_RAMP_SLOPE_MAX = 2.0 * math.pi
-
 XI_MAX = 1.0 / (4.0 * math.sqrt(8.0 * math.pi))
 
 
@@ -141,15 +138,17 @@ class ModelParams:
             raise ConfigError("dimension must be 1 or 3")
         object.__setattr__(self, "p_star", _as_vec(self.p_star, self.dim))
         object.__setattr__(self, "p", _as_vec(self.p, self.dim))
-        if self.spin_coupling is None:
-            object.__setattr__(self, "spin_coupling", SIGMA_X.copy())
-        else:
-            g = np.asarray(self.spin_coupling, dtype=complex)
-            if g.shape != (2, 2):
-                raise ConfigError("spin coupling must be a 2x2 matrix")
-            if not np.allclose(g, g.conj().T, atol=1e-12):
-                raise ConfigError("spin coupling must be Hermitian")
-            object.__setattr__(self, "spin_coupling", g)
+        g = (SIGMA_X.copy() if self.spin_coupling is None
+             else np.asarray(self.spin_coupling, dtype=complex))
+        if g.shape != (2, 2):
+            raise ConfigError("spin coupling must be a 2x2 matrix")
+        object.__setattr__(self, "spin_coupling", g)
+        # comparisons below let NaN through, so reject non-finite values first
+        for f in dataclasses.fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite")
+        if not np.allclose(g, g.conj().T, atol=1e-12):
+            raise ConfigError("spin coupling must be Hermitian")
         if self.m <= 0.0:
             raise ConfigError("mass m must be positive")
         if self.omega0 <= 0.0:
@@ -181,14 +180,8 @@ class ModelParams:
     def mu(self) -> float:
         return (self.m - float(np.linalg.norm(self.p_star))) / (2.0 * self.m)
 
-    @property
-    def n_pol(self) -> int:
-        return 1 if self.dim == 1 else 2
-
     def with_updates(self, **kw) -> "ModelParams":
-        cur = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        cur.update(kw)
-        return ModelParams(**cur)
+        return dataclasses.replace(self, **kw)
 
     def rho0_power(self) -> int | None:
         """If rho0 is (numerically) an integer power of rho, return it."""
@@ -230,38 +223,37 @@ _SCHEMA = {
     "p_sweep_points": (int, 9, "dispersion sweep point count (odd, symmetric)"),
 }
 
-_PARAM_KEYS = {
-    "m", "omega0", "lam0", "p", "p_star", "rho", "rho0", "xi", "dim",
-    "spin_coupling", "uv_cutoff", "M_max", "L_max", "N_max", "j_max",
-    "j_max_pair", "n_r_uniform", "n_l_uniform", "n_l_axis_d3", "n_z_samples",
-}
-
 
 def config_defaults() -> dict:
     return {k: v[1] for k, v in _SCHEMA.items()}
 
 
-def config_schema() -> dict:
-    return dict(_SCHEMA)
+def apply_config_line(cfg: dict, raw: str, where: str) -> None:
+    """Set the key of one key=value line (comments allowed) in cfg.
+
+    Unknown keys and unparsable values raise ConfigError, prefixed by
+    `where` (the line's origin).
+    """
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return
+    if "=" not in line:
+        raise ConfigError(f"{where}: expected key=value, got {raw!r}")
+    key, val = (s.strip() for s in line.split("=", 1))
+    if key not in _SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    typ = _SCHEMA[key][0]
+    try:
+        cfg[key] = typ(val)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {val!r}") from exc
 
 
 def parse_config_text(text: str) -> dict:
     """Parse a key=value config file body; unknown keys are rejected."""
     cfg = config_defaults()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        typ = _SCHEMA[key][0]
-        try:
-            cfg[key] = typ(val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
+        apply_config_line(cfg, raw, f"line {lineno}")
     return cfg
 
 
@@ -280,7 +272,7 @@ def _spin_matrix(tag: str) -> np.ndarray:
 
 
 def params_from_config(cfg: dict) -> ModelParams:
-    kw = {k: cfg[k] for k in _PARAM_KEYS if k in cfg}
+    kw = {f.name: cfg[f.name] for f in dataclasses.fields(ModelParams) if f.name in cfg}
     if "spin_coupling" in kw and isinstance(kw["spin_coupling"], str):
         kw["spin_coupling"] = _spin_matrix(kw["spin_coupling"])
     return ModelParams(**kw)

@@ -15,14 +15,16 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, ConfigError, chi, chibar
+from .model import ModelParams, chibar
 from .kernels import (Kernel, KernelGrid, KernelSequence, interp_product,
-                      symmetrize, polydisc_measure, norm_xi)
+                      symmetrize, polydisc_measure, _l_sums)
 from . import wick
-from .firststep import initial_kernels, FirstStepError
-from . import feshbach
-from . import oracle as oracle_mod
-from .fockspace import FockBasis, build_modes
+from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
+from .fockspace import FockBasis
+
+
+# chain shapes whose a-priori magnitude bound falls below this are skipped
+_PRUNE = 1e-14
 
 
 class FlowError(RuntimeError):
@@ -51,11 +53,7 @@ def _band_denominator(seq: KernelSequence):
         live_r = (cb2 > 0.0) & inside
         vals = w00.eval_product((), rq, lqs)
         # physical region only: field momentum cannot exceed field energy
-        l2 = np.zeros(shape[1:])
-        for a, q in enumerate(lqs):
-            s = [1] * len(lqs)
-            s[a] = len(q)
-            l2 = l2 + np.square(np.asarray(q)).reshape(s)
+        l2, _ = _l_sums(lqs)
         rcol = np.asarray(rq).reshape((-1,) + (1,) * len(lqs))
         live = (live_r.reshape((-1,) + (1,) * len(lqs))
                 & (np.sqrt(l2) <= rcol + 1e-9))
@@ -81,8 +79,7 @@ def _band_margin(seq: KernelSequence) -> float:
     return float(vals.min())
 
 
-def renormalize(seq: KernelSequence, params: ModelParams,
-                prune: float = 1e-14, trace: dict | None = None) -> KernelSequence:
+def renormalize(seq: KernelSequence, params: ModelParams) -> KernelSequence:
     """One flow step: soft decimation of the top shell, then rescale.
 
     The (0,0) part passes through as the rescaled symbol plus closed chain
@@ -117,7 +114,7 @@ def renormalize(seq: KernelSequence, params: ModelParams,
         grid=grid, available=set(kernel_lookup.keys()), L_max=params.L_max,
         scale=rho, ext_shift_steps=1,
         kernel_eval=kernel_eval, F_eval=F_eval, kernel_max=kernel_max,
-        F_max=f_max, spin_dim=1, prune=prune)
+        F_max=f_max, spin_dim=1, prune=_PRUNE)
 
     new_kernels = {}
     ratio = 0.0
@@ -129,8 +126,7 @@ def renormalize(seq: KernelSequence, params: ModelParams,
         for m in range(total + 1):
             n = total - m
             ids = grid.mode_ids() if total <= 1 else grid.pair_mode_ids()
-            vals, per_L = wick.assemble_target(m, n, ctx, ext_mode_ids=ids,
-                                               trace=trace)
+            vals, per_L = wick.assemble_target(m, n, ctx, ext_mode_ids=ids)
             ratio = max(ratio, wick.series_ratio(per_L))
             if total == 0:
                 w00_new = w00_new + vals
@@ -178,14 +174,13 @@ def _lagrange_weights(nodes: np.ndarray, x: float) -> np.ndarray:
 class StageMap:
     """Polynomial model of one stage's spectral reparameterization."""
     nodes: np.ndarray
-    values: np.ndarray     # E(node) per node
     coef: np.ndarray       # polynomial fit, ascending powers
 
     @classmethod
     def fit(cls, nodes, values):
         deg = len(nodes) - 1
         coef = np.polynomial.polynomial.polyfit(nodes, values, deg)
-        return cls(nodes=np.asarray(nodes), values=np.asarray(values), coef=coef)
+        return cls(nodes=np.asarray(nodes), coef=coef)
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coef)
@@ -208,10 +203,6 @@ class StageMap:
         if abs(z) > lim:
             raise FlowError("spectral parameter left the sample window")
         return complex(z)
-
-
-def e_rho_inverse(stage: StageMap, target, rho: float, tol: float) -> complex:
-    return stage.inverse(complex(target), rho, tol)
 
 
 def interpolate_family(seqs: list[KernelSequence], nodes: np.ndarray,
@@ -247,12 +238,6 @@ class FlowResult:
     final_seqs: list
     z_nodes: np.ndarray
 
-    @property
-    def converged(self) -> bool:
-        if len(self.e_chain) < 2:
-            return False
-        return True
-
 
 def _compose_chain(stage_maps: list[StageMap], rho: float, tol: float) -> complex:
     """e = h_0(h_1(... h_n(0))): pull 0 back through every stage map."""
@@ -264,8 +249,7 @@ def _compose_chain(stage_maps: list[StageMap], rho: float, tol: float) -> comple
 
 def run_flow(params: ModelParams, n_max: int | None = None,
              tol_factor: float = 1e-10, z_half_width_frac: float = 0.45,
-             collect_ledgers: bool = True, min_stages: int = 2,
-             prune: float = 1e-14) -> FlowResult:
+             min_stages: int = 2) -> FlowResult:
     """Iterate the flow from the first decimation until the energy chain
     is Cauchy at tol_factor * mu.  Returns the composed ground energy in
     physical units (rho0 times the limiting rescaled value).
@@ -292,8 +276,7 @@ def run_flow(params: ModelParams, n_max: int | None = None,
         stage_maps.append(sm)
         e = _compose_chain(stage_maps, rho, newton_tol)
         e_chain.append(e)
-        if collect_ledgers:
-            ledgers.append(polydisc_measure(seqs[len(nodes) // 2]))
+        ledgers.append(polydisc_measure(seqs[len(nodes) // 2]))
         ratios.append(seqs[len(nodes) // 2].meta.get("series_ratio", 0.0))
         if stage >= max(min_stages, 2) and abs(e_chain[-1] - e_chain[-2]) < tol:
             break
@@ -303,7 +286,7 @@ def run_flow(params: ModelParams, n_max: int | None = None,
         for zk in nodes:
             z_src = sm.inverse(complex(zk), rho, newton_tol)
             member = interpolate_family(seqs, nodes, z_src)
-            nxt = renormalize(member, params, prune=prune)
+            nxt = renormalize(member, params)
             nxt.z = complex(zk)       # relabel to the new spectral parameter
             new_seqs.append(nxt)
         seqs = new_seqs
@@ -311,10 +294,6 @@ def run_flow(params: ModelParams, n_max: int | None = None,
     return FlowResult(energy=energy, e_chain=e_chain, stages=len(e_chain) - 1,
                       ledgers=ledgers, series_ratios=ratios,
                       stage_maps=stage_maps, final_seqs=seqs, z_nodes=nodes)
-
-
-def dispersion_energy(params: ModelParams, **kw) -> float:
-    return run_flow(params, **kw).energy
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +321,8 @@ def ground_state(params: ModelParams, energy: float,
     of the order of the post-decimation kernel norms.  Returns (vector,
     residual, basis) with the residual |(H - E) psi| / |psi|.
     """
-    if basis is None:
-        basis = FockBasis(build_modes(params), params.N_max)
-    H, basis = oracle_mod.build_fiber_hamiltonian(params, basis, z=energy)
-    Hd = H.toarray()
-    nf = len(basis)
-    chi_low = chi(basis.r, params.rho0)
-    chi_vec = np.concatenate([chi_low, np.zeros(nf)])
-    kin = np.einsum("sd,sd->s", basis.l, basis.l) / (2.0 * params.m) \
-        - (basis.l @ params.p) / params.m + basis.r
-    T = np.concatenate([kin, kin + params.omega0]) - energy
-    res = feshbach.feshbach_map(Hd, T, chi_vec)
-    vac = np.zeros(2 * nf, dtype=complex)
+    Hd, basis, res = spin_fock_decimation(params, energy, basis)
+    vac = np.zeros(2 * len(basis), dtype=complex)
     vac[basis.vacuum_index] = 1.0      # lower level block comes first
     psi = res.Q @ vac
     nrm = np.linalg.norm(psi)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import ModelParams, SIGMA_X, chi
 from .fockspace import Mode, FockBasis, functional_calculus
-from .kernels import Kernel, KernelGrid, KernelSequence, assemble_operator
+from .kernels import Kernel, KernelGrid, KernelSequence, assemble_operator, _l_sums
 from . import wick
 
 
@@ -29,15 +29,9 @@ def _toy_grid(params: ModelParams):
         Mode(index=1, j=1, k=np.array([-0.45]), k_abs=0.45, weight=0.7,
              coupling=SIGMA_X.copy(), pol=0),
     ]
-    grid = KernelGrid(params, modes=modes)
-    # resample exactly on the reachable field configurations
-    grid.r_nodes = np.array([0.0, 0.45, 0.9, 1.0])
-    ax = np.array([-1.0, -0.9, -0.45, 0.0, 0.45, 0.9, 1.0])
-    grid.l_axes = [ax]
-    grid.l0_idx = (int(np.argmin(np.abs(ax))),)
-    grid.r0_idx = 0
-    grid._mask = grid._base_mask()
-    return grid
+    # sampled exactly on the reachable field configurations
+    layout = ([0.0, 0.45, 0.9, 1.0], [[-1.0, -0.9, -0.45, 0.0, 0.45, 0.9, 1.0]])
+    return KernelGrid(params, modes=modes, layout=layout)
 
 
 def _closures(grid, rng):
@@ -56,10 +50,7 @@ def _closures(grid, rng):
             r = np.asarray(rq).reshape((-1,) + (1,) * len(lqs))
             out = np.full(shape, c[0], dtype=complex)
             out = out + c[1] * r
-            for a, q in enumerate(lqs):
-                s = [1] * (1 + len(lqs))
-                s[1 + a] = len(q)
-                out = out + c[2] * np.asarray(q).reshape(s)
+            out = out + _l_sums(lqs, [c[2]] * len(lqs))[1]
             phot = sum(c[3] + c[4] * k_signed[g] for g in create_ids)
             phot = phot + sum(np.conj(c[3] + c[4] * k_signed[g])
                               for g in annih_ids)
@@ -73,11 +64,7 @@ def _f_factor(rq, lqs):
     """Diagonal chain factor, analytic below the cap and zero above."""
     shape = (len(rq),) + tuple(len(q) for q in lqs)
     r = np.asarray(rq).reshape((-1,) + (1,) * len(lqs))
-    l2 = np.zeros(shape[1:])
-    for a, q in enumerate(lqs):
-        s = [1] * len(lqs)
-        s[a] = len(q)
-        l2 = l2 + np.square(np.asarray(q)).reshape(s)
+    l2, _ = _l_sums(lqs)
     vals = 1.0 / (0.7 + r + 0.2 * l2)
     inside = (r <= 1.0 + 1e-12)
     return np.where(inside, vals, 0.0) + np.zeros(shape)

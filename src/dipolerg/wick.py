@@ -25,10 +25,6 @@ from .model import ConfigError, chi
 from .kernels import KernelGrid
 
 
-class SeriesError(RuntimeError):
-    """Chain series fails to decay, or a resolvent factor left its domain."""
-
-
 # ---------------------------------------------------------------------------
 # term shapes
 
@@ -120,43 +116,6 @@ def combinatorial_weight(spec: TermSpec) -> int:
     return w
 
 
-# ---------------------------------------------------------------------------
-# contraction schemes (generic operator patterns)
-
-@dataclasses.dataclass(frozen=True)
-class ContractionScheme:
-    """Uncontracted positions plus a pairing of the rest.
-
-    pattern positions hold '+' (creation) or '-' (annihilation); each paired
-    annihilation sits left of its creation partner, as required for a
-    nonzero vacuum expectation of the contracted part.
-    """
-    uncontracted: tuple
-    pairs: tuple          # ((annih_pos, create_pos), ...)
-
-
-def enumerate_contractions(pattern) -> list[ContractionScheme]:
-    """All schemes with a nonzero vacuum expectation of the contracted part."""
-    pattern = list(pattern)
-    if not pattern:
-        raise ConfigError("pattern must be nonempty")
-    if any(s not in ("+", "-") for s in pattern):
-        raise ConfigError("pattern entries must be '+' or '-'")
-    npos = len(pattern)
-    schemes = []
-    for keep_mask in itertools.product((False, True), repeat=npos):
-        kept = tuple(i for i in range(npos) if keep_mask[i])
-        rest = [i for i in range(npos) if not keep_mask[i]]
-        ann = [i for i in rest if pattern[i] == "-"]
-        cre = [i for i in rest if pattern[i] == "+"]
-        if len(ann) != len(cre):
-            continue
-        for perm in itertools.permutations(cre):
-            if all(a < c for a, c in zip(ann, perm)):
-                schemes.append(ContractionScheme(kept, tuple(zip(ann, perm))))
-    return schemes
-
-
 def internal_pairings(spec: TermSpec) -> list[tuple]:
     """Pairings of internal legs: each annihilator pairs a later creator.
 
@@ -229,11 +188,6 @@ def pull_shifts(spec: TermSpec, create_ids, annih_ids, k_abs, k_vec) -> ShiftRec
     return ShiftRecord(r=r, l=l, rt=rt, lt=lt)
 
 
-def symmetrize_axes(values: np.ndarray, M: int, N: int, n_base_axes: int) -> np.ndarray:
-    from .kernels import symmetrize
-    return symmetrize(values, M, N, n_base_axes)
-
-
 # ---------------------------------------------------------------------------
 # chain assembly
 
@@ -260,11 +214,8 @@ class WickContext:
     spin_dim: int = 1
     single_leg: bool = False
     prune: float = 0.0
-    boundary_chi: object = None   # unit-scale cutoff; default model.chi
 
     def __post_init__(self):
-        if self.boundary_chi is None:
-            self.boundary_chi = lambda x: chi(x, 1.0)
         steps = self.ext_shift_steps
         shift = np.arange(len(self.grid.modes))
         up = self.grid.shift_up
@@ -332,8 +283,7 @@ def _chain_value(ctx: WickContext, spec: TermSpec, shifts: ShiftRecord,
     return chain
 
 
-def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids=None,
-                    trace: dict | None = None):
+def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids=None):
     """Sum of all chain contributions to the (M, N) output kernel.
 
     Returns (values, per_L) where values has base-grid shape plus M+N
@@ -375,8 +325,8 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids=None,
             create_ids = [cre[m_off[v]:m_off[v + 1]] for v in range(spec.L)]
             annih_ids = [ann[n_off[v]:n_off[v + 1]] for v in range(spec.L)]
             shifts = pull_shifts(spec, create_ids, annih_ids, g.k_abs, g.k_vec)
-            boundary = (ctx.boundary_chi(r_col + shifts.rt[0])
-                        * ctx.boundary_chi(r_col + shifts.rt[spec.L]))
+            boundary = (chi(r_col + shifts.rt[0], 1.0)
+                        * chi(r_col + shifts.rt[spec.L], 1.0))
             if not np.any(boundary):
                 continue
             cre_scaled = [[ctx.scaled(i) for i in idsv] for idsv in create_ids]
@@ -400,9 +350,6 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids=None,
             out[(Ellipsis,) + tup] += contrib
             mag = float(np.max(np.abs(contrib)))
             per_L[spec.L] = max(per_L.get(spec.L, 0.0), mag)
-            if trace is not None:
-                key = f"L={spec.L} m={spec.m} p={spec.p} n={spec.n} q={spec.q}"
-                trace[key] = trace.get(key, 0.0) + mag
     return out, per_L
 
 

@@ -2,8 +2,11 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from dipolerg.cli import main, EXIT_CONFIG, EXIT_FIRST_STEP, EXIT_VALIDATION
+from dipolerg import rgflow
+from dipolerg.cli import main, EXIT_CONFIG, EXIT_FIRST_STEP, EXIT_FLOW, EXIT_VALIDATION
+from dipolerg.firststep import FirstStepError
 
 
 @pytest.fixture()
@@ -34,6 +37,63 @@ def test_bad_config_exit_code(runner):
     assert out.exit_code == EXIT_CONFIG
     out = runner.invoke(main, ["first-step", "--set", "oops"])
     assert out.exit_code == EXIT_CONFIG
+
+
+_FLOAT_TEXT = st.tuples(st.floats(min_value=0.0, max_value=1e3),
+                        st.sampled_from(["{!r}", "{:g}", "{:.3e}"])).map(
+    lambda vf: vf[1].format(vf[0]))
+_SETS = st.one_of(
+    st.tuples(st.sampled_from(["lam0", "tol_factor", "p_sweep_max"]), _FLOAT_TEXT),
+    st.tuples(st.sampled_from(["seed", "n_flow_max", "p_sweep_points", "j_max"]),
+              st.integers(min_value=1, max_value=10 ** 6).map(str)),
+    st.tuples(st.just("spin_coupling"), st.one_of(
+        st.sampled_from(["sigma_x", "sigma_z"]),
+        st.tuples(_FLOAT_TEXT, _FLOAT_TEXT).map(lambda ab: f"mix:{ab[0]},{ab[1]}"))),
+).map(lambda kv: f"{kv[0]}={kv[1]}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_SETS, min_size=1, max_size=3))
+def test_config_dump_set_roundtrip(tmp_path_factory, sets):
+    runner = CliRunner()
+    args = ["config-dump"] + [a for item in sets for a in ("--set", item)]
+    out = runner.invoke(main, args)
+    assert out.exit_code == 0, out.output
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text(out.stdout)
+    again = runner.invoke(main, ["config-dump", "--config", str(cfg)])
+    assert again.exit_code == 0
+    assert again.stdout == out.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["flow", "--set", "lam0=nan"],           # rejected by ModelParams
+    ["first-step", "--set", "rho0=0.05"],    # rejected by the first decimation
+])
+def test_config_errors_exit_1_with_one_line(runner, args):
+    out = runner.invoke(main, args)
+    assert out.exit_code == EXIT_CONFIG
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["flow"], ["dispersion", "--method", "flow"]])
+def test_failed_first_decimation_exits_2(runner, monkeypatch, command):
+    def fail(params, z, grid=None):
+        raise FirstStepError("lower-level gap below its floor")
+
+    monkeypatch.setattr(rgflow, "initial_kernels", fail)
+    out = runner.invoke(main, command + ["--set", "j_max=3"])
+    assert out.exit_code == EXIT_FIRST_STEP
+    assert "first decimation failed" in out.stderr
+
+
+def test_flow_failure_exits_3(runner):
+    # far outside the coupling window the stage map cannot be inverted
+    out = runner.invoke(main, ["flow", "--set", "lam0=30", "--set", "j_max=3",
+                               "--set", "j_max_pair=2", "--set", "n_z_samples=3"])
+    assert out.exit_code == EXIT_FLOW
 
 
 def test_first_step_json_and_determinism(runner):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dipolerg.model import ConfigError
-from dipolerg.feshbach import (feshbach_map, q_operators, isospectral_test,
+from dipolerg.feshbach import (feshbach_map, isospectral_test,
                                planted_instance, DecimationError)
 
 
@@ -46,9 +46,9 @@ def test_isospectral_report_planted(rng):
 
 def test_q_operators_shapes(rng):
     H, t, chi, _psi = planted_instance(9, rng)
-    Q, Qs = q_operators(H, t, chi)
-    assert Q.shape == (9, 9)
-    assert Qs.shape == (9, 9)
+    res = feshbach_map(H, t, chi)
+    assert res.Q.shape == (9, 9)
+    assert res.Q_sharp.shape == (9, 9)
 
 
 def test_rejects_nondiagonal_reference(rng):

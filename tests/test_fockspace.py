@@ -131,8 +131,3 @@ def test_dilation_scales_field_energy(modes, small_params):
     rng_proj = G @ G.conj().T
     np.testing.assert_allclose(lhs, rng_proj @ scaled @ rng_proj, atol=1e-13)
 
-
-def test_dump_json_deterministic(modes):
-    a = FockBasis(modes[:3], 2).dump_json()
-    b = FockBasis(modes[:3], 2).dump_json()
-    assert a == b

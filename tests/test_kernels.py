@@ -78,6 +78,24 @@ def test_grid_mask_base_set(grid):
     np.testing.assert_array_equal(mask, np.abs(l) <= r + 1e-12)
 
 
+def test_grid_layout_derives_origin_and_mask():
+    layout = ([0.0, 0.5, 1.0], [[-1.0, -0.5, 0.0, 0.5, 1.0]])
+    grid = KernelGrid(ModelParams(j_max=2), layout=layout)
+    assert grid.r0_idx == 0 and grid.l0_idx == (2,)
+    assert grid.base_shape == (3, 5)
+    r = grid.r_nodes.reshape(-1, 1)
+    np.testing.assert_array_equal(grid.mask, np.abs(grid.l_axes[0]) <= r + 1e-12)
+
+
+@pytest.mark.parametrize("layout", [
+    ([0.1, 0.5, 1.0], [[-1.0, 0.0, 1.0]]),           # r-grid without 0
+    ([0.0, 0.5, 1.0], [[-1.0, -0.5, 0.5, 1.0]]),     # l-axis without 0
+])
+def test_grid_layout_must_contain_zero(layout):
+    with pytest.raises(ConfigError):
+        KernelGrid(ModelParams(j_max=2), layout=layout)
+
+
 def test_pair_mode_ids_subset(grid):
     pair = set(grid.pair_mode_ids())
     assert pair <= set(grid.mode_ids())

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from dipolerg.model import (ModelParams, ConfigError, chi, chibar, form_factor,
                             polarization, parse_config_text, params_from_config,
                             config_defaults, config_dump_text,
-                            CHI_PLATEAU, CHI_SUPPORT)
+                            CHI_PLATEAU, CHI_SUPPORT, SIGMA_X)
 
 
 @given(st.floats(min_value=-2.0, max_value=4.0))
@@ -75,6 +75,31 @@ def test_params_rejects_bad_rho():
 def test_params_rejects_negative_mass():
     with pytest.raises(ConfigError):
         ModelParams(m=-1.0)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(st.sampled_from(["m", "omega0", "lam0", "rho", "rho0", "xi", "uv_cutoff",
+                        "p", "p_star"]), _NON_FINITE)
+def test_params_reject_non_finite_scalars(name, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        ModelParams(**{name: bad})
+
+
+@given(st.sampled_from(["p", "p_star", "spin_coupling"]), st.integers(0, 3),
+       _NON_FINITE, st.booleans())
+def test_params_reject_non_finite_entries(name, i, bad, imag):
+    if name == "spin_coupling":
+        value = SIGMA_X.copy()
+        value.flat[i] = complex(0.0, bad) if imag else bad
+        kw = {name: value}
+    else:
+        value = np.zeros(3)
+        value[i % 3] = bad
+        kw = {name: value, "dim": 3}
+    with pytest.raises(ConfigError, match="finite"):
+        ModelParams(**kw)
 
 
 def test_with_updates_keeps_frozen():

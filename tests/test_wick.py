@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,8 +8,44 @@ from hypothesis import given, settings, strategies as st
 from dipolerg.model import ConfigError
 from dipolerg import wick
 from dipolerg.wick import (TermSpec, enumerate_term_specs, combinatorial_weight,
-                           enumerate_contractions, internal_pairings,
-                           pull_shifts, series_ratio)
+                           internal_pairings, pull_shifts, series_ratio)
+
+
+# Counting reference: contraction schemes of a literal operator pattern,
+# enumerated independently of the term-shape machinery in wick.
+
+@dataclasses.dataclass(frozen=True)
+class ContractionScheme:
+    """Uncontracted positions plus a pairing of the rest.
+
+    pattern positions hold '+' (creation) or '-' (annihilation); each paired
+    annihilation sits left of its creation partner, as required for a
+    nonzero vacuum expectation of the contracted part.
+    """
+    uncontracted: tuple
+    pairs: tuple          # ((annih_pos, create_pos), ...)
+
+
+def enumerate_contractions(pattern) -> list[ContractionScheme]:
+    """All schemes with a nonzero vacuum expectation of the contracted part."""
+    pattern = list(pattern)
+    if not pattern:
+        raise ConfigError("pattern must be nonempty")
+    if any(s not in ("+", "-") for s in pattern):
+        raise ConfigError("pattern entries must be '+' or '-'")
+    npos = len(pattern)
+    schemes = []
+    for keep_mask in itertools.product((False, True), repeat=npos):
+        kept = tuple(i for i in range(npos) if keep_mask[i])
+        rest = [i for i in range(npos) if not keep_mask[i]]
+        ann = [i for i in rest if pattern[i] == "-"]
+        cre = [i for i in rest if pattern[i] == "+"]
+        if len(ann) != len(cre):
+            continue
+        for perm in itertools.permutations(cre):
+            if all(a < c for a, c in zip(ann, perm)):
+                schemes.append(ContractionScheme(kept, tuple(zip(ann, perm))))
+    return schemes
 
 
 def test_contraction_counts_small_patterns():
