@@ -17,8 +17,7 @@ import numpy as np
 from .model import (ModelParams, ConfigError, parse_config_text, config_defaults,
                     config_dump_text, params_from_config, apply_config_line)
 from .kernels import polydisc_measure, sequence_to_json
-from .firststep import (initial_kernels, FirstStepError, lambda_critical_estimate,
-                        PolydiscTargets)
+from .firststep import initial_kernels, FirstStepError, lambda_critical_estimate
 from .rgflow import run_flow, FlowError, extract_alpha_beta
 from . import oracle as oracle_mod
 
@@ -211,7 +210,7 @@ def wick_check(config_path, sets, tol):
 def lambda_critical(config_path, sets):
     """Estimate the largest admissible coupling for the configured model."""
     params, _ = _params(config_path, sets)
-    lam = lambda_critical_estimate(params, PolydiscTargets())
+    lam = lambda_critical_estimate(params)
     click.echo(json.dumps({"lambda_critical": lam}, sort_keys=True, indent=2))
 
 

@@ -15,6 +15,9 @@ import numpy as np
 
 from .model import ConfigError
 
+# smallest singular value the off-band block may have on supp(chibar)
+_MIN_MARGIN = 1e-12
+
 
 class DecimationError(RuntimeError):
     """The off-band block is not invertible where chibar is supported."""
@@ -38,7 +41,7 @@ def _as_diag(chi_d, n: int) -> np.ndarray:
     return np.clip(d, 0.0, 1.0)
 
 
-def _offband_solve(T, W, chibar, rhs, min_margin: float):
+def _offband_solve(T, W, chibar, rhs):
     """Solve (T + chibar W chibar) y = rhs on the support of chibar."""
     n = T.shape[0]
     supp = chibar > 1e-14
@@ -47,16 +50,15 @@ def _offband_solve(T, W, chibar, rhs, min_margin: float):
     A_ss = A[np.ix_(supp, supp)]
     sv = np.linalg.svd(A_ss, compute_uv=False)
     margin = float(sv.min()) if sv.size else np.inf
-    if margin < min_margin:
+    if margin < _MIN_MARGIN:
         raise DecimationError(
-            f"off-band block margin {margin:.3e} below {min_margin:.3e}")
+            f"off-band block margin {margin:.3e} below {_MIN_MARGIN:.3e}")
     y = np.zeros_like(rhs)
     y[supp] = np.linalg.solve(A_ss, rhs[supp])
     return y, margin
 
 
-def feshbach_map(H: np.ndarray, T: np.ndarray, chi_d, *,
-                 min_margin: float = 1e-12) -> DecimationResult:
+def feshbach_map(H: np.ndarray, T: np.ndarray, chi_d) -> DecimationResult:
     """Decimate H = T + W with the soft partition chi (diagonal vector).
 
     T must be diagonal in the working basis (passed as a matrix or vector)
@@ -79,24 +81,23 @@ def feshbach_map(H: np.ndarray, T: np.ndarray, chi_d, *,
     W = H - T
     H_chi = T + chi[:, None] * W * chi[None, :]
     WC = W * chi[None, :]                      # W chi
-    B, margin = _offband_solve(T, W, chibar, chibar[:, None] * WC, min_margin)
+    B, margin = _offband_solve(T, W, chibar, chibar[:, None] * WC)
     # B = H_chibar^{-1} chibar W chi  (supported on supp chibar)
     F = H_chi - (chi[:, None] * W) @ (chibar[:, None] * B)
     Q = np.diag(chi).astype(complex) - chibar[:, None] * B
-    Y, _ = _offband_solve(T, W, chibar, np.diag(chibar).astype(complex), min_margin)
+    Y, _ = _offband_solve(T, W, chibar, np.diag(chibar).astype(complex))
     Q_sharp = np.diag(chi).astype(complex) - (chi[:, None] * W) @ (chibar[:, None] * Y)
     return DecimationResult(F=F, Q=Q, Q_sharp=Q_sharp, H_chi=H_chi, margin=margin)
 
 
-def isospectral_test(H: np.ndarray, T: np.ndarray, chi_d, *,
-                     min_margin: float = 1e-12) -> dict:
+def isospectral_test(H: np.ndarray, T: np.ndarray, chi_d) -> dict:
     """Residuals of the isospectrality identities for one instance.
 
     Returns kernel-transport residuals in both directions (via the smallest
     singular vectors of H and F) and, when H is invertible, the resolvent
     splitting residual |H^{-1} - chibar Hcb^{-1} chibar - Q F^{-1} Q#|.
     """
-    res = feshbach_map(H, T, chi_d, min_margin=min_margin)
+    res = feshbach_map(H, T, chi_d)
     H = np.asarray(H, dtype=complex)
     n = H.shape[0]
     chi = _as_diag(chi_d, n)

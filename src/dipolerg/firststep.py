@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from .model import ModelParams, ConfigError, chi, chibar
-from .kernels import (Kernel, KernelGrid, KernelSequence, symmetrize, polydisc_measure,
-                      _l_sums)
+from .kernels import KernelGrid, KernelSequence, polydisc_measure, _l_sums
 from . import wick
 from . import oracle as oracle_mod
 from . import feshbach
@@ -68,33 +67,25 @@ class TwoLevelResolventData:
         high = np.broadcast_to(1.0 / b2, shape)
         return np.stack([low, high], axis=-1)
 
-    def max_abs(self) -> float:
-        p = self.params
-        return 4.0 / (p.mu * p.rho0) + 4.0 / p.omega0
 
+class _SpinVertex:
+    """One-photon vertex of the first decimation: the 2x2 spin matrix
+    sign * i * lam0 * sqrt(|k|) * g(k), constant over the (r, l) grid.
+    Creation (1, 0) carries sign -1, annihilation (0, 1) sign +1.
+    """
 
-def _vertex_closures(params: ModelParams, grid: KernelGrid):
-    lam = params.lam0
+    def __init__(self, sign: float, params: ModelParams, grid: KernelGrid):
+        self.sign = sign
+        self.lam = params.lam0
+        self.grid = grid
 
-    def kernel_eval(a, b, create_ids, annih_ids, rq, lqs):
-        ids = list(create_ids) + list(annih_ids)
-        if len(ids) != 1 or a + b != 1:
-            raise ConfigError("first decimation vertices carry exactly one leg")
+    def eval_product(self, global_ids, rq, lqs):
+        (gid,) = global_ids
         shape = (len(rq),) + tuple(len(q) for q in lqs) + (2, 2)
-        gid = ids[0]
-        if gid < 0:
-            return np.zeros(shape, dtype=complex)
-        sign = -1.0 if a == 1 else 1.0
-        coef = sign * 1j * lam * math.sqrt(grid.k_abs[gid])
+        coef = self.sign * 1j * self.lam * math.sqrt(self.grid.k_abs[gid])
         out = np.empty(shape, dtype=complex)
-        out[...] = coef * grid.coupling[gid]
+        out[...] = coef * self.grid.coupling[gid]
         return out
-
-    def kernel_max(a, b):
-        gmax = float(np.max(np.abs(grid.coupling))) if len(grid.modes) else 0.0
-        return lam * math.sqrt(float(grid.k_abs.max())) * gmax
-
-    return kernel_eval, kernel_max
 
 
 def _free_part(params: ModelParams, grid: KernelGrid, z: complex) -> np.ndarray:
@@ -109,8 +100,10 @@ def initial_kernels(params: ModelParams, z,
     """Kernel sequence produced by the first decimation, rescaled to scale 1.
 
     z is the rescaled spectral parameter; the decimation itself happens at
-    physical parameter rho0 * z.  Raises FirstStepError when the chain
-    series fails to decay or a gap margin is violated.
+    physical parameter rho0 * z.  Raises FirstStepError when a gap margin
+    is violated or the chain series ratio reaches 1.  The ratio needs two
+    live chain lengths: sigma_x coupling at L_max=3 never has them (its odd
+    targets vanish), so there only the gap margins guard the decimation.
     """
     steps = params.rho0_power()
     if steps is None:
@@ -123,29 +116,13 @@ def initial_kernels(params: ModelParams, z,
             f"spectral parameter {z} outside the half-gap window "
             f"|z| <= {0.5 * params.mu:.4g}")
     z_phys = params.rho0 * z
-    kernel_eval, kernel_max = _vertex_closures(params, grid)
     F = TwoLevelResolventData(params, z_phys)
-    ctx = wick.WickContext(
-        grid=grid, available={(1, 0), (0, 1)}, L_max=params.L_max,
-        scale=params.rho0, ext_shift_steps=steps,
-        kernel_eval=kernel_eval, F_eval=F, kernel_max=kernel_max,
-        F_max=F.max_abs(), spin_dim=2, single_leg=True)
-
-    kernels = {}
-    ratio = 0.0
-    targets = [(m, n) for t in range(params.M_max + 1)
-               for m in range(t + 1) for n in [t - m]]
-    for (m, n) in targets:
-        ids = grid.mode_ids() if m + n <= 1 else grid.pair_mode_ids()
-        vals, per_L = wick.assemble_target(m, n, ctx, ext_mode_ids=ids)
-        ratio = max(ratio, wick.series_ratio(per_L))
-        if m == 0 and n == 0:
-            vals = vals + _free_part(params, grid, z)
-        else:
-            vals = symmetrize(vals, m, n, 1 + len(grid.l_axes))
-            if not np.any(vals):
-                continue
-        kernels[(m, n)] = Kernel(m, n, grid, vals, ids)
+    vertices = {(1, 0): _SpinVertex(-1.0, params, grid),
+                (0, 1): _SpinVertex(1.0, params, grid)}
+    ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=params.L_max,
+                           scale=params.rho0, ext_shift_steps=steps, F_eval=F)
+    kernels, ratio = wick._assemble_kernels(ctx, params.M_max,
+                                            _free_part(params, grid, z))
     if ratio >= 1.0:
         raise FirstStepError(f"first decimation diverges: chain ratio {ratio:.3f}")
     meta = {"stage": 0, "series_ratio": ratio,
@@ -156,47 +133,45 @@ def initial_kernels(params: ModelParams, z,
 # ---------------------------------------------------------------------------
 # coupling window
 
-@dataclasses.dataclass(frozen=True)
-class PolydiscTargets:
-    """Acceptance region for the starting sequence, in units of the model."""
-    gamma_frac: float = 0.5     # of mu; the decoupled baseline already sits at rho0/mu
-    delta_frac: float = 0.5     # of mu
-    eps_max: float = 0.5
-    ratio_max: float = 0.5
+# acceptance region for the starting sequence, in units of the model
+GAMMA_FRAC = 0.5     # of mu; the decoupled baseline already sits at rho0/mu
+DELTA_FRAC = 0.5     # of mu
+EPS_MAX = 0.5
+RATIO_MAX = 0.5
+# bisection bracket and step count of lambda_critical_estimate
+_LAM_HI = 2.0
+_N_BISECT = 30
 
 
-def first_step_admissible(params: ModelParams, targets: PolydiscTargets,
+def first_step_admissible(params: ModelParams,
                           grid: KernelGrid | None = None) -> bool:
     try:
         seq = initial_kernels(params, 0.0, grid=grid)
     except FirstStepError:
         return False
-    if seq.meta["series_ratio"] > targets.ratio_max:
+    if seq.meta["series_ratio"] > RATIO_MAX:
         return False
     led = polydisc_measure(seq)
     mu = params.mu
-    return (led.gamma <= targets.gamma_frac * mu
-            and led.delta <= targets.delta_frac * mu
-            and led.eps <= targets.eps_max)
+    return (led.gamma <= GAMMA_FRAC * mu
+            and led.delta <= DELTA_FRAC * mu
+            and led.eps <= EPS_MAX)
 
 
-def lambda_critical_estimate(params: ModelParams,
-                             targets: PolydiscTargets | None = None,
-                             lam_hi: float = 2.0, n_iter: int = 30) -> float:
+def lambda_critical_estimate(params: ModelParams) -> float:
     """Largest coupling whose starting sequence meets the polydisc targets.
 
     Empirical bisection; a conservative stand-in for the analytic window.
     """
-    targets = targets or PolydiscTargets()
     grid = KernelGrid(params)
-    if not first_step_admissible(params.with_updates(lam0=0.0), targets, grid):
+    if not first_step_admissible(params.with_updates(lam0=0.0), grid):
         raise FirstStepError("even the decoupled model misses the targets")
-    lo, hi = 0.0, lam_hi
-    if first_step_admissible(params.with_updates(lam0=lam_hi), targets, grid):
-        return lam_hi
-    for _ in range(n_iter):
+    lo, hi = 0.0, _LAM_HI
+    if first_step_admissible(params.with_updates(lam0=_LAM_HI), grid):
+        return _LAM_HI
+    for _ in range(_N_BISECT):
         mid = 0.5 * (lo + hi)
-        if first_step_admissible(params.with_updates(lam0=mid), targets, grid):
+        if first_step_admissible(params.with_updates(lam0=mid), grid):
             lo = mid
         else:
             hi = mid

@@ -89,14 +89,12 @@ def _same_dir(a: Mode, b: Mode) -> bool:
 class FockBasis:
     """Occupation-number states over the discrete modes.
 
-    States are tuples of occupation numbers; total photons <= n_max, total
-    energy <= energy_cap (None disables the cap).
+    States are tuples of occupation numbers with total photons <= n_max.
     """
 
-    def __init__(self, modes: list[Mode], n_max: int, energy_cap: float | None = None):
+    def __init__(self, modes: list[Mode], n_max: int):
         self.modes = modes
         self.n_max = n_max
-        self.energy_cap = energy_cap
         self.dim_space = modes[0].k.shape[0]
         self.states: list[tuple[int, ...]] = []
         self._enumerate()
@@ -111,22 +109,17 @@ class FockBasis:
 
     def _enumerate(self):
         n_modes = len(self.modes)
-        cap = math.inf if self.energy_cap is None else self.energy_cap
 
-        def rec(mode_i, remaining, energy, current):
+        def rec(mode_i, remaining, current):
             if mode_i == n_modes:
                 self.states.append(tuple(current))
                 return
-            e = self.modes[mode_i].k_abs
-            max_here = remaining
-            if e > 0 and math.isfinite(cap):
-                max_here = min(max_here, max(int((cap - energy) / e + 1e-12), 0))
-            for occ in range(max_here + 1):
+            for occ in range(remaining + 1):
                 current.append(occ)
-                rec(mode_i + 1, remaining - occ, energy + occ * e, current)
+                rec(mode_i + 1, remaining - occ, current)
                 current.pop()
 
-        rec(0, self.n_max, 0.0, [])
+        rec(0, self.n_max, [])
         # vacuum first, then by (photon count, energy) for reproducibility
         self.states.sort(key=lambda s: (sum(s), sum(n * self.modes[i].k_abs for i, n in enumerate(s)), s))
 
@@ -149,16 +142,14 @@ class FockOperator:
         return np.asarray(self.mat)
 
 
-def ladder(basis: FockBasis, mode_index: int, kind: str) -> FockOperator:
-    """Unit-normalized discrete ladder operator on the truncated basis.
+def ladder(basis: FockBasis, mode_index: int) -> FockOperator:
+    """Unit-normalized discrete annihilator on the truncated basis.
 
-    kind: "annihilate" maps |..n..> to sqrt(n)|..n-1..>; "create" is its
-    adjoint.  Matrix elements leaving the truncated basis are dropped.
+    Maps |..n..> to sqrt(n)|..n-1..>; its adjoint is the creator.  Matrix
+    elements leaving the truncated basis are dropped.
     """
     if not (0 <= mode_index < len(basis.modes)):
         raise ConfigError(f"unknown mode index {mode_index}")
-    if kind not in ("create", "annihilate"):
-        raise ConfigError("kind must be 'create' or 'annihilate'")
     rows, cols, vals = [], [], []
     for i, s in enumerate(basis.states):
         n = s[mode_index]
@@ -174,8 +165,6 @@ def ladder(basis: FockBasis, mode_index: int, kind: str) -> FockOperator:
         cols.append(i)
         vals.append(math.sqrt(n))
     a = sp.csr_matrix((vals, (rows, cols)), shape=(len(basis), len(basis)), dtype=complex)
-    if kind == "create":
-        a = a.conj().T.tocsr()
     return FockOperator(a, basis)
 
 

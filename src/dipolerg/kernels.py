@@ -12,6 +12,7 @@ are always grid modes, so they index, never interpolate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -40,6 +41,19 @@ def _axis_weights(nodes: np.ndarray, q: np.ndarray):
     return idx - 1, idx, w0, w1
 
 
+@functools.lru_cache(maxsize=512)
+def _product_weights(nodes: bytes, q: bytes):
+    """_axis_weights keyed by the bytes of float64 node and query vectors.
+
+    Chain assembly asks for a few dozen distinct query vectors thousands of
+    times, so the weights are computed once and shared read-only.
+    """
+    out = _axis_weights(np.frombuffer(nodes), np.frombuffer(q))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def interp_product(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
     """Interpolate leading axes of `values` at per-axis query vectors.
 
@@ -48,11 +62,13 @@ def interp_product(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
     """
     out = values
     for ax, (nodes, q) in enumerate(zip(nodes_list, queries_list)):
-        i0, i1, w0, w1 = _axis_weights(np.asarray(nodes), q)
+        q = np.asarray(q, dtype=float)
+        i0, i1, w0, w1 = _product_weights(
+            np.asarray(nodes, dtype=float).tobytes(), q.tobytes())
         a = np.take(out, i0, axis=ax)
         b = np.take(out, i1, axis=ax)
         shape = [1] * out.ndim
-        shape[ax] = len(np.atleast_1d(q))
+        shape[ax] = len(i0)
         out = a * w0.reshape(shape) + b * w1.reshape(shape)
     return out
 
@@ -367,17 +383,15 @@ def norm_xi(seq: KernelSequence, xi: float | None = None) -> tuple[float, float]
     return total, dropped
 
 
-def polydisc_measure(seq: KernelSequence, p=None, z=None) -> NormLedger:
+def polydisc_measure(seq: KernelSequence) -> NormLedger:
     """Distance of the sequence from the marginal manifold (gamma, delta, eps)."""
     g = seq.grid
-    p = seq.p if p is None else np.atleast_1d(np.asarray(p, dtype=float))
-    z = seq.z if z is None else complex(z)
     w00 = seq.w00.values
-    _, pl = _l_sums(g.l_axes, p / g.params.m)
+    _, pl = _l_sums(g.l_axes, seq.p / g.params.m)
     marginal = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes)).astype(complex) - pl
     diff = w00 - seq.w00_origin() - marginal
     gamma = norm_sharp(Kernel(0, 0, g, diff))
-    delta = abs(seq.w00_origin() + z)
+    delta = abs(seq.w00_origin() + seq.z)
     eps, dropped = norm_xi(seq)
     sharps = {mn: norm_sharp(seq.kernel(*mn)) for mn in seq.indices()}
     return NormLedger(gamma=gamma, delta=delta, eps=eps,
@@ -387,16 +401,15 @@ def polydisc_measure(seq: KernelSequence, p=None, z=None) -> NormLedger:
 # ---------------------------------------------------------------------------
 # scale transformation on sampled kernels
 
-def scale_transform(seq: KernelSequence, rho: float | None = None) -> KernelSequence:
+def scale_transform(seq: KernelSequence) -> KernelSequence:
     """s_rho(w)_{m,n}(r,l,K) = rho^{3(m+n)/2-1} w(rho r, rho l, rho K).
 
-    Photon arguments shift one geometric step; content at the infrared floor
-    node has no pre-image and is dropped (reported in meta).
+    rho is the grid's geometric ratio.  Photon arguments shift one geometric
+    step; content at the infrared floor node has no pre-image and is dropped
+    (reported in meta).
     """
     g = seq.grid
-    rho = g.rho if rho is None else rho
-    if abs(rho - g.rho) > 1e-12:
-        raise ConfigError("scale factor must match the geometric grid ratio")
+    rho = g.rho
     new = {}
     dropped = 0.0
     for (m, n), ker in seq.kernels.items():
@@ -426,13 +439,12 @@ def scale_transform(seq: KernelSequence, rho: float | None = None) -> KernelSequ
 # ---------------------------------------------------------------------------
 # assembly into a Fock operator
 
-def assemble_operator(seq: KernelSequence, basis: FockBasis,
-                      energy_cap: float = 1.0) -> FockOperator:
+def assemble_operator(seq: KernelSequence, basis: FockBasis) -> FockOperator:
     """Sum of Wick monomials W_{m,n}(w) on the truncated basis.
 
     For each (m, n) and each ordered mode tuple, creation block x diagonal
     functional calculus x annihilation block, weighted by the quadrature
-    weights, projected to total field energy <= energy_cap on both sides.
+    weights, projected to total field energy <= 1 on both sides.
     """
     g = seq.grid
     if [m.index for m in basis.modes] != [m.index for m in g.modes]:
@@ -441,7 +453,7 @@ def assemble_operator(seq: KernelSequence, basis: FockBasis,
     r_pts = basis.r
     l_pts = basis.l
     total = sp.csr_matrix((nstates, nstates), dtype=complex)
-    b_ops = [ladder(basis, i, "annihilate").mat for i in range(len(g.modes))]
+    b_ops = [ladder(basis, i).mat for i in range(len(g.modes))]
     for (m, n), ker in sorted(seq.kernels.items()):
         ids = ker.mode_ids
         for tup in itertools.product(ids, repeat=m + n):
@@ -456,7 +468,7 @@ def assemble_operator(seq: KernelSequence, basis: FockBasis,
             for i in reversed(create):
                 op = b_ops[i].conj().T @ op
             total = total + w * op
-    proj = number_projection(basis, energy_cap).mat
+    proj = number_projection(basis, 1.0).mat
     return FockOperator(proj @ total @ proj, basis)
 
 

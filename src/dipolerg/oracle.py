@@ -42,7 +42,7 @@ def build_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
     if params.lam0 != 0.0:
         for mode in basis.modes:
             c = 1j * params.lam0 * math.sqrt(mode.weight * mode.k_abs)
-            b = ladder(basis, mode.index, "annihilate").mat
+            b = ladder(basis, mode.index).mat
             term = sp.kron(sp.csr_matrix(mode.coupling), b, format="csr")
             H = H + c * term + (c * term).conj().T
     return H, basis

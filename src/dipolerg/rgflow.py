@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import ModelParams, chibar
 from .kernels import (Kernel, KernelGrid, KernelSequence, interp_product,
-                      symmetrize, polydisc_measure, _l_sums)
+                      polydisc_measure, _l_sums)
 from . import wick
 from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
 from .fockspace import FockBasis
@@ -92,50 +92,14 @@ def renormalize(seq: KernelSequence, params: ModelParams) -> KernelSequence:
     margin = _band_margin(seq)
     if margin < mu * rho / 8.0:
         raise FlowError(f"band margin {margin:.3e} below {mu * rho / 8.0:.3e}")
-    F_eval = _band_denominator(seq)
-    kernel_lookup = {mn: seq.kernel(*mn) for mn in seq.perturbative_indices()}
-
-    def kernel_eval(a, b, create_ids, annih_ids, rq, lqs):
-        ker = kernel_lookup.get((a, b))
-        shape = (len(rq),) + tuple(len(q) for q in lqs)
-        if ker is None:
-            return np.zeros(shape, dtype=complex)
-        ids = list(create_ids) + list(annih_ids)
-        if any(g < 0 for g in ids):
-            return np.zeros(shape, dtype=complex)
-        return ker.eval_product(ids, rq, lqs)
-
-    def kernel_max(a, b):
-        ker = kernel_lookup.get((a, b))
-        return 0.0 if ker is None else ker.max_abs()
-
-    f_max = 4.0 / max(margin, 1e-300)
     ctx = wick.WickContext(
-        grid=grid, available=set(kernel_lookup.keys()), L_max=params.L_max,
-        scale=rho, ext_shift_steps=1,
-        kernel_eval=kernel_eval, F_eval=F_eval, kernel_max=kernel_max,
-        F_max=f_max, spin_dim=1, prune=_PRUNE)
-
-    new_kernels = {}
-    ratio = 0.0
-    n_base = 1 + len(grid.l_axes)
+        grid=grid, vertices=seq.kernels, L_max=params.L_max, scale=rho,
+        ext_shift_steps=1, F_eval=_band_denominator(seq),
+        F_max=4.0 / max(margin, 1e-300), prune=_PRUNE)
     # rescaled passthrough of the band symbol, no boundary factors
     queries = [rho * grid.r_nodes] + [rho * ax for ax in grid.l_axes]
-    w00_new = interp_product(seq.w00.values, grid.base_axes, queries) / rho
-    for total in range(params.M_max + 1):
-        for m in range(total + 1):
-            n = total - m
-            ids = grid.mode_ids() if total <= 1 else grid.pair_mode_ids()
-            vals, per_L = wick.assemble_target(m, n, ctx, ext_mode_ids=ids)
-            ratio = max(ratio, wick.series_ratio(per_L))
-            if total == 0:
-                w00_new = w00_new + vals
-                continue
-            vals = symmetrize(vals, m, n, n_base)
-            if float(np.max(np.abs(vals))) < 1e-18:
-                continue
-            new_kernels[(m, n)] = Kernel(m, n, grid, vals, ids)
-    new_kernels[(0, 0)] = Kernel(0, 0, grid, w00_new)
+    w00_base = interp_product(seq.w00.values, grid.base_axes, queries) / rho
+    new_kernels, ratio = wick._assemble_kernels(ctx, params.M_max, w00_base)
     if ratio >= 1.0:
         raise FlowError(f"chain series diverges: ratio {ratio:.3f}")
     meta = {"stage": int(seq.meta.get("stage", 0)) + 1,
@@ -247,7 +211,7 @@ def _compose_chain(stage_maps: list[StageMap], rho: float, tol: float) -> comple
     return e
 
 
-def run_flow(params: ModelParams, n_max: int | None = None,
+def run_flow(params: ModelParams, n_max: int = 40,
              tol_factor: float = 1e-10, z_half_width_frac: float = 0.45,
              min_stages: int = 2) -> FlowResult:
     """Iterate the flow from the first decimation until the energy chain
@@ -257,7 +221,6 @@ def run_flow(params: ModelParams, n_max: int | None = None,
     mu = params.mu
     rho = params.rho
     tol = tol_factor * mu
-    n_max = n_max if n_max is not None else 40
     nodes = cheb_nodes(params.n_z_samples, z_half_width_frac * mu)
     grid = KernelGrid(params)
     try:

@@ -8,9 +8,10 @@ argument shifts, the combinatorial weights, and finally assembles the
 resulting kernels by quadrature over the internal momenta, vectorized over
 the (r, l) sample grid.
 
-The same assembler serves three callers: the RG step (scale rho, scalar
-kernels), the first decimation (scale rho0, 2x2 spin-matrix vertices), and
-the small-Fock-space operator-identity test suite.
+The same assembler serves three callers, each passing its vertices as
+data: the RG step (scale rho, its sampled kernels), the first decimation
+(scale rho0, 2x2 spin-matrix vertices), and the small-Fock-space
+operator-identity self-check (sampled toy kernels).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .model import ConfigError, chi
-from .kernels import KernelGrid
+from .kernels import Kernel, KernelGrid, symmetrize
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +71,7 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def enumerate_term_specs(M: int, N: int, L_max: int, available,
-                         single_leg: bool = False) -> list[TermSpec]:
+def enumerate_term_specs(M: int, N: int, L_max: int, available) -> list[TermSpec]:
     """All chain shapes producing an (M, N) monomial from the given kernels.
 
     `available` is the set of kernel indices (a, b) usable at a vertex; the
@@ -90,8 +90,7 @@ def enumerate_term_specs(M: int, N: int, L_max: int, available,
                 ok = True
                 for i in range(L):
                     ci = [(a, b) for (a, b) in avail
-                          if a >= mvec[i] and b >= nvec[i]
-                          and (not single_leg or a + b == 1)]
+                          if a >= mvec[i] and b >= nvec[i]]
                     if not ci:
                         ok = False
                         break
@@ -195,31 +194,27 @@ def pull_shifts(spec: TermSpec, create_ids, annih_ids, k_abs, k_vec) -> ShiftRec
 class WickContext:
     """Everything the assembler needs about one chain family.
 
-    kernel_eval(a, b, create_ids, annih_ids, rq, lqs) evaluates the vertex
-    kernel on the (r, l) product grid defined by the query vectors; ids are
-    global mode indices, -1 meaning "below the grid" (evaluates to 0).
-    Scalar chains return arrays of base-grid shape; spin chains append
+    `vertices` maps a kernel index (a, b) to a vertex with the Kernel
+    interface: eval_product(global_ids, rq, lqs) evaluates it on the (r, l)
+    product grid of the query vectors, ids being global mode indices
+    (creators first), and max_abs() bounds it (read only when prune > 0).
+    Scalar vertices return arrays of base-grid shape; spin vertices append
     (s, s) axes.  F_eval(rq, lqs) returns the diagonal resolvent factor
     (base shape, or base shape + (s,)), already masked to its domain.
     """
     grid: KernelGrid
-    available: set
+    vertices: dict
     L_max: int
     scale: float
     ext_shift_steps: int
-    kernel_eval: object
     F_eval: object
-    kernel_max: object
-    F_max: float
-    spin_dim: int = 1
-    single_leg: bool = False
+    F_max: float = 0.0
     prune: float = 0.0
 
     def __post_init__(self):
-        steps = self.ext_shift_steps
         shift = np.arange(len(self.grid.modes))
         up = self.grid.shift_up
-        for _ in range(steps):
+        for _ in range(self.ext_shift_steps):
             shift = np.array([up[s] if s >= 0 else -1 for s in shift])
         self.scaled_ids = shift
 
@@ -254,17 +249,19 @@ def _chain_value(ctx: WickContext, spec: TermSpec, shifts: ShiftRecord,
         int_ann[ia].append(x)
 
     chain = None
+    spin = False
     for v in range(L):
-        a, b = spec.vertex_kernel(v)
         rq = ctx.scale * (R + shifts.r[v]) + span_r[v]
         lqs = [ctx.scale * (laxes[ax] + shifts.l[v][ax]) + span_l[v][ax]
                for ax in range(dim)]
-        val = ctx.kernel_eval(a, b, list(create_ids[v]) + int_cre[v],
-                              list(annih_ids[v]) + int_ann[v], rq, lqs)
+        val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
+            list(create_ids[v]) + int_cre[v] + list(annih_ids[v]) + int_ann[v],
+            rq, lqs)
         if chain is None:
             chain = val
+            spin = val.ndim > 1 + dim
         else:
-            chain = chain @ val if ctx.spin_dim > 1 else chain * val
+            chain = chain @ val if spin else chain * val
         if not np.any(chain):
             return None
         if v < L - 1:
@@ -272,18 +269,13 @@ def _chain_value(ctx: WickContext, spec: TermSpec, shifts: ShiftRecord,
             lqgs = [ctx.scale * (laxes[ax] + shifts.lt[v + 1][ax]) + gap_l[v][ax]
                     for ax in range(dim)]
             f = ctx.F_eval(rqg, lqgs)
-            if ctx.spin_dim > 1:
-                chain = chain * f[..., None, :]
-            else:
-                chain = chain * f
+            chain = chain * (f[..., None, :] if spin else f)
             if not np.any(chain):
                 return None
-    if ctx.spin_dim > 1:
-        chain = chain[..., 0, 0]
-    return chain
+    return chain[..., 0, 0] if spin else chain
 
 
-def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids=None):
+def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
     """Sum of all chain contributions to the (M, N) output kernel.
 
     Returns (values, per_L) where values has base-grid shape plus M+N
@@ -292,13 +284,13 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids=None):
     yet symmetrized over the photon axes.
     """
     g = ctx.grid
-    ids = list(ext_mode_ids) if ext_mode_ids is not None else g.mode_ids()
+    ids = list(ext_mode_ids)
     nE = len(ids)
     out = np.zeros(g.base_shape + (nE,) * (M + N), dtype=complex)
     per_L: dict[int, float] = {}
     ldim = len(g.l_axes)
     r_col = g.r_nodes.reshape((-1,) + (1,) * ldim)
-    specs = enumerate_term_specs(M, N, ctx.L_max, ctx.available, ctx.single_leg)
+    specs = enumerate_term_specs(M, N, ctx.L_max, ctx.vertices)
     for spec in specs:
         has_internal = sum(spec.p) > 0
         pairings = internal_pairings(spec) if has_internal else [()]
@@ -308,7 +300,7 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids=None):
             bound = (combinatorial_weight(spec) * (ctx.F_max ** (spec.L - 1))
                      * ctx.scale ** (1.5 * (M + N) - 1.0))
             for v in range(spec.L):
-                bound *= ctx.kernel_max(*spec.vertex_kernel(v))
+                bound *= ctx.vertices[spec.vertex_kernel(v)].max_abs()
             n_lines = sum(spec.p)
             bound *= (float(np.sum(g.weight)) ** n_lines) * len(pairings)
             if bound < ctx.prune:
@@ -369,3 +361,28 @@ def series_ratio(per_L: dict) -> float:
     if top == peak:
         return live[top] / live[ls[-2]]
     return (live[top] / live[peak]) ** (1.0 / (top - peak))
+
+
+def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
+    """Every target kernel with m + n <= M_max, and the worst series ratio.
+
+    The (0,0) kernel is w00_base plus its closed chains.  Targets with
+    m + n >= 2 run over the pair mode grid.  Every other target is
+    symmetrized over its photon axes and dropped when exactly zero.
+    """
+    g = ctx.grid
+    kernels = {}
+    ratio = 0.0
+    for total in range(M_max + 1):
+        ids = g.mode_ids() if total <= 1 else g.pair_mode_ids()
+        for m in range(total + 1):
+            n = total - m
+            vals, per_L = assemble_target(m, n, ctx, ids)
+            ratio = max(ratio, series_ratio(per_L))
+            if total == 0:
+                kernels[(0, 0)] = Kernel(0, 0, g, w00_base + vals)
+                continue
+            vals = symmetrize(vals, m, n, 1 + len(g.l_axes))
+            if np.any(vals):
+                kernels[(m, n)] = Kernel(m, n, g, vals, ids)
+    return kernels, ratio

@@ -111,8 +111,8 @@ def test_scale_transformation_exactness():
     seq = initial_kernels(params, 0.0, grid=grid)
     scaled = scale_transform(seq)
     basis = FockBasis(grid.modes, 2)
-    A = assemble_operator(seq, basis, energy_cap=1.0).dense()
-    B = assemble_operator(scaled, basis, energy_cap=1.0).dense()
+    A = assemble_operator(seq, basis).dense()
+    B = assemble_operator(scaled, basis).dense()
     G = dilation(basis, steps=1).dense()
     # conjugated-dilation route, restricted to on-node states of at most
     # one photon that survive the dilation

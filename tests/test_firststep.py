@@ -6,7 +6,7 @@ from dipolerg.kernels import KernelGrid, assemble_operator
 from dipolerg.fockspace import FockBasis, dilation, number_projection
 from dipolerg.firststep import (initial_kernels, matrix_first_step,
                                 TwoLevelResolventData, FirstStepError,
-                                first_step_admissible, PolydiscTargets,
+                                first_step_admissible,
                                 lambda_critical_estimate)
 from dipolerg.oracle import pt2_energy
 
@@ -68,7 +68,6 @@ def test_two_level_resolvent_values():
     b1 = 0.5 + 0.1 ** 2 / 2 - 0.01
     assert out[0, 0, 0] == pytest.approx(1.0 / b1)          # chibar = 1 there
     assert out[0, 0, 1] == pytest.approx(1.0 / (b1 + 1.0))
-    assert F.max_abs() >= np.max(np.abs(out))
 
 
 def test_two_level_resolvent_gap_guard():
@@ -87,7 +86,7 @@ def test_matrix_cross_check_quartic(small_params):
         grid = KernelGrid(params)
         basis = FockBasis(grid.modes, params.N_max)
         seq = initial_kernels(params, 0.0, grid=grid)
-        A = assemble_operator(seq, basis, energy_cap=1.0).dense()
+        A = assemble_operator(seq, basis).dense()
         F_hat, basis, _ = matrix_first_step(params, 0.0, basis)
         G = dilation(basis, steps=params.rho0_power()).dense()
         P = (G @ G.conj().T) @ number_projection(basis, 1.0).dense()
@@ -99,20 +98,16 @@ def test_matrix_cross_check_quartic(small_params):
 
 
 def test_admissibility_window(small_params):
-    targets = PolydiscTargets()
-    assert first_step_admissible(small_params.with_updates(lam0=0.0), targets)
-    assert first_step_admissible(small_params, targets)
-    assert not first_step_admissible(small_params.with_updates(lam0=1.0), targets)
+    assert first_step_admissible(small_params.with_updates(lam0=0.0))
+    assert first_step_admissible(small_params)
+    assert not first_step_admissible(small_params.with_updates(lam0=1.0))
 
 
 def test_lambda_critical_bracketing(small_params):
-    lam_c = lambda_critical_estimate(small_params, PolydiscTargets())
+    lam_c = lambda_critical_estimate(small_params)
     assert 0.02 < lam_c < 0.08
-    targets = PolydiscTargets()
-    assert first_step_admissible(small_params.with_updates(lam0=0.9 * lam_c),
-                                 targets)
-    assert not first_step_admissible(small_params.with_updates(lam0=1.1 * lam_c),
-                                     targets)
+    assert first_step_admissible(small_params.with_updates(lam0=0.9 * lam_c))
+    assert not first_step_admissible(small_params.with_updates(lam0=1.1 * lam_c))
 
 
 def test_diagonal_coupling_first_step():

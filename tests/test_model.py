@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from dipolerg.model import (ModelParams, ConfigError, chi, chibar, form_factor,
                             polarization, parse_config_text, params_from_config,
                             config_defaults, config_dump_text,
                             CHI_PLATEAU, CHI_SUPPORT, SIGMA_X)
+from dipolerg.rgflow import run_flow
 
 
 @given(st.floats(min_value=-2.0, max_value=4.0))
@@ -138,3 +141,16 @@ def test_config_spin_tags():
 def test_mu_uses_reference_momentum():
     p = ModelParams(p=0.3, p_star=0.3)
     assert p.mu == pytest.approx((1.0 - 0.3) / 2.0)
+
+
+def test_config_defaults_match_api_defaults():
+    # the config schema repeats every ModelParams default and run_flow's
+    # stage cap and tolerance
+    cfg = config_defaults()
+    from_cfg = params_from_config(cfg)
+    default = ModelParams()
+    for f in dataclasses.fields(ModelParams):
+        assert np.array_equal(getattr(from_cfg, f.name), getattr(default, f.name)), f.name
+    flow_args = inspect.signature(run_flow).parameters
+    assert flow_args["n_max"].default == cfg["n_flow_max"]
+    assert flow_args["tol_factor"].default == cfg["tol_factor"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dipolerg.model import ModelParams, SIGMA_Z
+from dipolerg import firststep
+from dipolerg.model import ModelParams, SIGMA_X, SIGMA_Z
 from dipolerg.kernels import Kernel, KernelGrid, KernelSequence
 from dipolerg.firststep import initial_kernels
 from dipolerg.rgflow import (renormalize, FlowError, cheb_nodes, StageMap,
@@ -138,3 +139,30 @@ def test_ground_state_reconstruction(small_params):
     assert resid < 1e-5
     e0, vec, _b = ground_energy(small_params, return_vector=True)
     assert abs(np.vdot(vec, psi)) > 0.9999
+
+
+def test_no_vertex_sees_a_below_floor_mode(monkeypatch):
+    # rho0 = rho^3 shifts the first-step external modes three grid steps and
+    # each RG step shifts them one: on j_max=5 the deepest modes fall below
+    # the floor, and the assembler must drop those terms before any vertex
+    # is evaluated
+    params = ModelParams(lam0=0.02, rho0=0.45 ** 3, j_max=5, j_max_pair=3,
+                         spin_coupling=0.6 * SIGMA_X + 0.8 * SIGMA_Z)
+    grid = KernelGrid(params)
+    assert min(grid.shift_up) < 0
+    seen = []
+
+    def checked(orig):
+        def eval_product(self, global_ids, rq, lqs):
+            assert all(g >= 0 for g in global_ids), global_ids
+            seen.append(type(self))
+            return orig(self, global_ids, rq, lqs)
+        return eval_product
+
+    monkeypatch.setattr(Kernel, "eval_product", checked(Kernel.eval_product))
+    monkeypatch.setattr(firststep._SpinVertex, "eval_product",
+                        checked(firststep._SpinVertex.eval_product))
+    seq = initial_kernels(params, 0.0, grid=grid)
+    assert seq.kernel(1, 0) is not None
+    renormalize(seq, params)
+    assert firststep._SpinVertex in seen and Kernel in seen

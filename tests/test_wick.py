@@ -81,7 +81,7 @@ def test_term_spec_validation():
 
 
 def test_enumerate_specs_respects_available():
-    specs = enumerate_term_specs(1, 1, 2, {(1, 0), (0, 1)}, single_leg=True)
+    specs = enumerate_term_specs(1, 1, 2, {(1, 0), (0, 1)})
     for s in specs:
         for i in range(s.L):
             assert s.vertex_kernel(i) in {(1, 0), (0, 1)}
