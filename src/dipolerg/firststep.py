@@ -117,8 +117,9 @@ def initial_kernels(params: ModelParams, z,
             f"|z| <= {0.5 * params.mu:.4g}")
     z_phys = params.rho0 * z
     F = TwoLevelResolventData(params, z_phys)
-    vertices = {(1, 0): _SpinVertex(-1.0, params, grid),
-                (0, 1): _SpinVertex(1.0, params, grid)}
+    # the decoupled model has no vertices, hence no chains
+    vertices = ({(1, 0): _SpinVertex(-1.0, params, grid),
+                 (0, 1): _SpinVertex(1.0, params, grid)} if params.lam0 else {})
     ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=params.L_max,
                            scale=params.rho0, ext_shift_steps=steps, F_eval=F)
     kernels, ratio = wick._assemble_kernels(ctx, params.M_max,

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, chibar
+from .model import ConfigError, ModelParams, chibar
 from .kernels import (Kernel, KernelGrid, KernelSequence, interp_product,
                       polydisc_measure, _l_sums)
 from . import wick
@@ -216,8 +216,13 @@ def run_flow(params: ModelParams, n_max: int = 40,
              min_stages: int = 2) -> FlowResult:
     """Iterate the flow from the first decimation until the energy chain
     is Cauchy at tol_factor * mu.  Returns the composed ground energy in
-    physical units (rho0 times the limiting rescaled value).
+    physical units (rho0 times the limiting rescaled value).  Raises
+    FlowError when n_max stages pass without meeting the criterion, and
+    ConfigError when n_max leaves no stage at which it can be met.
     """
+    if n_max < max(min_stages, 2):
+        raise ConfigError(f"n_max={n_max} is below the {max(min_stages, 2)} "
+                          "stages the convergence criterion needs")
     mu = params.mu
     rho = params.rho
     tol = tol_factor * mu
@@ -244,7 +249,8 @@ def run_flow(params: ModelParams, n_max: int = 40,
         if stage >= max(min_stages, 2) and abs(e_chain[-1] - e_chain[-2]) < tol:
             break
         if stage == n_max:
-            break
+            raise FlowError(f"energy chain not Cauchy after {n_max} stages: last step "
+                            f"{abs(e_chain[-1] - e_chain[-2]):.3e}, tolerance {tol:.3e}")
         new_seqs = []
         for zk in nodes:
             z_src = sm.inverse(complex(zk), rho, newton_tol)

@@ -3,10 +3,15 @@
 A chain of Wick monomials interleaved with diagonal resolvent factors is
 rewritten as a sum of normal-ordered monomials.  This module enumerates the
 term shapes (how many external/internal legs each chain vertex carries),
-the internal pairings allowed in a vacuum expectation, the pull-through
-argument shifts, the combinatorial weights, and finally assembles the
-resulting kernels by quadrature over the internal momenta, vectorized over
-the (r, l) sample grid.
+the internal pairings allowed in a vacuum expectation and the combinatorial
+weights, and assembles the resulting kernels by quadrature over the
+internal momenta, vectorized over the (r, l) sample grid.
+
+Every photon of a chain is a leg (mode, opened, closed): an external
+creator at vertex c is (x, -1, c), an external annihilator at vertex a is
+(x, a, L), an internal line from a to c is (x, a, c).  One pull-through
+rule serves all three: a leg shifts the argument of every vertex and
+resolvent it spans.
 
 The same assembler serves three callers, each passing its vertices as
 data: the RG step (scale rho, its sampled kernels), the first decimation
@@ -142,53 +147,25 @@ def internal_pairings(spec: TermSpec) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# pull-through shifts
-
-@dataclasses.dataclass
-class ShiftRecord:
-    """Partial sums of external photon energies/momenta along the chain.
-
-    r[v] shifts the kernel argument of vertex v (0-based); rt[t], t = 0..L,
-    shifts the resolvent between vertices t-1 and t (ends are the boundary
-    cutoff arguments).  l/lt are the matching momentum-vector sums.
-    """
-    r: np.ndarray
-    l: np.ndarray
-    rt: np.ndarray
-    lt: np.ndarray
-
-
-def pull_shifts(spec: TermSpec, create_ids, annih_ids, k_abs, k_vec) -> ShiftRecord:
-    """Exact shift sums for one assignment of external momenta to vertices.
-
-    create_ids / annih_ids: per-vertex lists of mode indices, multiplicities
-    matching spec.m / spec.n.
-    """
-    L = spec.L
-    dim = k_vec.shape[1]
-    if [len(c) for c in create_ids] != list(spec.m):
-        raise ConfigError("creation assignment does not match spec.m")
-    if [len(c) for c in annih_ids] != list(spec.n):
-        raise ConfigError("annihilation assignment does not match spec.n")
-    ce = np.array([sum(k_abs[i] for i in ids) for ids in create_ids])
-    ae = np.array([sum(k_abs[i] for i in ids) for ids in annih_ids])
-    cv = np.array([sum((k_vec[i] for i in ids), start=np.zeros(dim)) for ids in create_ids])
-    av = np.array([sum((k_vec[i] for i in ids), start=np.zeros(dim)) for ids in annih_ids])
-    r = np.zeros(L)
-    l = np.zeros((L, dim))
-    for v in range(L):
-        r[v] = ae[:v].sum() + ce[v + 1:].sum()
-        l[v] = av[:v].sum(axis=0) + cv[v + 1:].sum(axis=0)
-    rt = np.zeros(L + 1)
-    lt = np.zeros((L + 1, dim))
-    for t in range(L + 1):
-        rt[t] = ae[:t].sum() + ce[t:].sum()
-        lt[t] = av[:t].sum(axis=0) + cv[t:].sum(axis=0)
-    return ShiftRecord(r=r, l=l, rt=rt, lt=lt)
-
-
-# ---------------------------------------------------------------------------
 # chain assembly
+
+def _leg_sums(legs, L: int, k_abs, k_vec):
+    """Photon energy and momentum carried past every slot of a length-L chain.
+
+    The slots alternate resolvents and vertices: slot 2t is the resolvent
+    in front of vertex t (slot 2L: behind the chain), slot 2v + 1 is
+    vertex v.  A leg (mode, opened, closed) is a photon annihilated at
+    vertex `opened` and created at vertex `closed`, so it spans the slots
+    strictly between 2 opened + 1 and 2 closed + 1: the vertices with
+    opened < v < closed and the resolvents with opened < t <= closed.  An
+    external creator opens at -1, an external annihilator closes at L.
+    Returns the sums, shape (2L + 1, 1 + dim), energy first.
+    """
+    x, opened, closed = np.array(legs, dtype=int).reshape(-1, 3).T
+    slot = np.arange(2 * L + 1)[:, None]
+    spans = (2 * opened + 1 < slot) & (slot < 2 * closed + 1)
+    return spans @ np.column_stack([k_abs[x], k_vec[x]])
+
 
 @dataclasses.dataclass
 class WickContext:
@@ -218,57 +195,35 @@ class WickContext:
             shift = np.array([up[s] if s >= 0 else -1 for s in shift])
         self.scaled_ids = shift
 
-    def scaled(self, gid: int) -> int:
-        return int(self.scaled_ids[gid])
 
+def _chain_value(ctx: WickContext, spec: TermSpec, legs, frame):
+    """Value of one fully-assigned chain over the (r, l) product grid.
 
-def _chain_value(ctx: WickContext, spec: TermSpec, shifts: ShiftRecord,
-                 create_ids, annih_ids, lines, line_modes):
-    """Value of one fully-assigned chain over the (r, l) product grid."""
+    `legs` holds the spec.M + spec.N external legs, with the mode ids the
+    vertices see, then the internal lines.  Vertex v creates the legs it
+    closes and annihilates the legs it opens.  `frame` holds the query
+    axes of every slot (see _leg_sums) with the external photons already
+    pulled through; the internal lines add their own sums on top.
+    """
     g = ctx.grid
-    R = g.r_nodes
-    laxes = g.l_axes
-    dim = len(laxes)
     L = spec.L
-    span_r = np.zeros(L)
-    span_l = np.zeros((L, dim))
-    gap_r = np.zeros(max(L - 1, 0))
-    gap_l = np.zeros((max(L - 1, 0), dim))
-    for (ia, jc, _slot), x in zip(lines, line_modes):
-        for v in range(ia + 1, jc):
-            span_r[v] += g.k_abs[x]
-            span_l[v] += g.k_vec[x]
-        for t in range(ia, jc):
-            gap_r[t] += g.k_abs[x]
-            gap_l[t] += g.k_vec[x]
-    # per-vertex internal photon arguments
-    int_cre = [[] for _ in range(L)]
-    int_ann = [[] for _ in range(L)]
-    for (ia, jc, _slot), x in zip(lines, line_modes):
-        int_cre[jc].append(x)
-        int_ann[ia].append(x)
-
+    lines = _leg_sums(legs[spec.M + spec.N:], L, g.k_abs, g.k_vec)
     chain = None
     spin = False
     for v in range(L):
-        rq = ctx.scale * (R + shifts.r[v]) + span_r[v]
-        lqs = [ctx.scale * (laxes[ax] + shifts.l[v][ax]) + span_l[v][ax]
-               for ax in range(dim)]
-        val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
-            list(create_ids[v]) + int_cre[v] + list(annih_ids[v]) + int_ann[v],
-            rq, lqs)
+        ids = [x for x, _, c in legs if c == v] + [x for x, o, _ in legs if o == v]
+        rq, *lqs = [q + s for q, s in zip(frame[2 * v + 1], lines[2 * v + 1])]
+        val = ctx.vertices[spec.vertex_kernel(v)].eval_product(ids, rq, lqs)
         if chain is None:
             chain = val
-            spin = val.ndim > 1 + dim
+            spin = val.ndim > 1 + len(lqs)
         else:
             chain = chain @ val if spin else chain * val
         if not np.any(chain):
             return None
         if v < L - 1:
-            rqg = ctx.scale * (R + shifts.rt[v + 1]) + gap_r[v]
-            lqgs = [ctx.scale * (laxes[ax] + shifts.lt[v + 1][ax]) + gap_l[v][ax]
-                    for ax in range(dim)]
-            f = ctx.F_eval(rqg, lqgs)
+            rq, *lqs = [q + s for q, s in zip(frame[2 * v + 2], lines[2 * v + 2])]
+            f = ctx.F_eval(rq, lqs)
             chain = chain * (f[..., None, :] if spin else f)
             if not np.any(chain):
                 return None
@@ -288,51 +243,53 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
     nE = len(ids)
     out = np.zeros(g.base_shape + (nE,) * (M + N), dtype=complex)
     per_L: dict[int, float] = {}
-    ldim = len(g.l_axes)
-    r_col = g.r_nodes.reshape((-1,) + (1,) * ldim)
-    specs = enumerate_term_specs(M, N, ctx.L_max, ctx.vertices)
-    for spec in specs:
-        has_internal = sum(spec.p) > 0
-        pairings = internal_pairings(spec) if has_internal else [()]
-        if has_internal and not pairings:
+    scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
+    shapes = []
+    for spec in enumerate_term_specs(M, N, ctx.L_max, ctx.vertices):
+        pairings = internal_pairings(spec)
+        if not pairings:
             continue
+        weight = combinatorial_weight(spec)
         if ctx.prune > 0.0:
-            bound = (combinatorial_weight(spec) * (ctx.F_max ** (spec.L - 1))
-                     * ctx.scale ** (1.5 * (M + N) - 1.0))
+            bound = weight * (ctx.F_max ** (spec.L - 1)) * scale_pow
             for v in range(spec.L):
                 bound *= ctx.vertices[spec.vertex_kernel(v)].max_abs()
-            n_lines = sum(spec.p)
-            bound *= (float(np.sum(g.weight)) ** n_lines) * len(pairings)
+            bound *= (float(np.sum(g.weight)) ** sum(spec.p)) * len(pairings)
             if bound < ctx.prune:
                 continue
-        sign = (-1.0) ** (spec.L - 1)
-        pref = sign * combinatorial_weight(spec) * ctx.scale ** (1.5 * (M + N) - 1.0)
-        # split points of the external tuple into per-vertex blocks
-        m_off = np.cumsum((0,) + spec.m)
-        n_off = np.cumsum((0,) + spec.n)
-        n_lines = sum(spec.p)
-        for tup in itertools.product(range(nE), repeat=M + N):
-            cre = [ids[t] for t in tup[:M]]
-            ann = [ids[t] for t in tup[M:]]
-            create_ids = [cre[m_off[v]:m_off[v + 1]] for v in range(spec.L)]
-            annih_ids = [ann[n_off[v]:n_off[v + 1]] for v in range(spec.L)]
-            shifts = pull_shifts(spec, create_ids, annih_ids, g.k_abs, g.k_vec)
-            boundary = (chi(r_col + shifts.rt[0], 1.0)
-                        * chi(r_col + shifts.rt[spec.L], 1.0))
-            if not np.any(boundary):
-                continue
-            cre_scaled = [[ctx.scaled(i) for i in idsv] for idsv in create_ids]
-            ann_scaled = [[ctx.scaled(i) for i in idsv] for idsv in annih_ids]
-            # a rescaled external mode below the grid floor kills the term
-            if any(s < 0 for idsv in cre_scaled + ann_scaled for s in idsv):
-                continue
+        pref = (-1.0) ** (spec.L - 1) * weight * scale_pow
+        # (opened, closed) of each external leg, in tuple order
+        ends = ([(-1, v) for v in range(spec.L) for _ in range(spec.m[v])]
+                + [(v, spec.L) for v in range(spec.L) for _ in range(spec.n[v])])
+        shapes.append((spec, pref, ends, pairings))
+    if not shapes:
+        return out, per_L
+    r_col = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes))
+    for tup in itertools.product(range(nE), repeat=M + N):
+        ext_ids = [ids[t] for t in tup]
+        # boundary cutoffs (slots 0, 2L): all external creators, resp. annihilators
+        boundary = (chi(r_col + g.k_abs[ext_ids[:M]].sum(), 1.0)
+                    * chi(r_col + g.k_abs[ext_ids[M:]].sum(), 1.0))
+        if not np.any(boundary):
+            continue
+        # a rescaled external mode below the grid floor kills the term
+        scaled = [int(ctx.scaled_ids[x]) for x in ext_ids]
+        if any(x < 0 for x in scaled):
+            continue
+        for spec, pref, ends, pairings in shapes:
+            # external photons come in the rescaled frame, lines in the vertex frame
+            sums = _leg_sums([(x, a, c) for x, (a, c) in zip(ext_ids, ends)],
+                             spec.L, g.k_abs, g.k_vec)
+            frame = [[ctx.scale * (ax + s) for ax, s in zip(g.base_axes, row)]
+                     for row in sums]
+            ext = [(x, a, c) for x, (a, c) in zip(scaled, ends)]
             acc = None
             for pairing in pairings:
                 for line_modes in itertools.product(range(len(g.modes)),
-                                                    repeat=n_lines):
-                    wts = float(np.prod(g.weight[list(line_modes)])) if n_lines else 1.0
-                    val = _chain_value(ctx, spec, shifts, cre_scaled, ann_scaled,
-                                       pairing, line_modes)
+                                                    repeat=len(pairing)):
+                    wts = float(np.prod(g.weight[list(line_modes)])) if line_modes else 1.0
+                    legs = ext + [(x, a, c) for x, (a, c, _) in zip(line_modes, pairing)]
+                    val = _chain_value(ctx, spec, legs, frame)
                     if val is None:
                         continue
                     acc = wts * val if acc is None else acc + wts * val
@@ -368,7 +325,8 @@ def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
 
     The (0,0) kernel is w00_base plus its closed chains.  Targets with
     m + n >= 2 run over the pair mode grid.  Every other target is
-    symmetrized over its photon axes and dropped when exactly zero.
+    dropped when exactly zero and otherwise symmetrized over its photon
+    axes.
     """
     g = ctx.grid
     kernels = {}
@@ -382,7 +340,7 @@ def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
             if total == 0:
                 kernels[(0, 0)] = Kernel(0, 0, g, w00_base + vals)
                 continue
-            vals = symmetrize(vals, m, n, 1 + len(g.l_axes))
             if np.any(vals):
+                vals = symmetrize(vals, m, n, 1 + len(g.l_axes))
                 kernels[(m, n)] = Kernel(m, n, g, vals, ids)
     return kernels, ratio

@@ -96,6 +96,18 @@ def test_flow_failure_exits_3(runner):
     assert out.exit_code == EXIT_FLOW
 
 
+def test_flow_stage_cap_exit_codes(runner):
+    # one stage can never meet the criterion: a configuration error
+    out = runner.invoke(main, ["flow", "--set", "n_flow_max=1"])
+    assert out.exit_code == EXIT_CONFIG
+    # this sigma_z grid needs three stages (see tests/test_rgflow.py)
+    sets = ["lam0=0.02", "j_max=5", "j_max_pair=1", "n_z_samples=3", "n_r_uniform=4",
+            "n_l_uniform=2", "L_max=2", "spin_coupling=sigma_z", "n_flow_max=2"]
+    out = runner.invoke(main, ["flow"] + [a for kv in sets for a in ("--set", kv)])
+    assert out.exit_code == EXIT_FLOW
+    assert "not Cauchy" in out.output
+
+
 def test_first_step_json_and_determinism(runner):
     args = ["first-step", "--set", "lam0=0.02", "--set", "j_max=5",
             "--set", "j_max_pair=4"]

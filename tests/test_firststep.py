@@ -4,6 +4,7 @@ import pytest
 from dipolerg.model import ModelParams, SIGMA_Z
 from dipolerg.kernels import KernelGrid, assemble_operator
 from dipolerg.fockspace import FockBasis, dilation, number_projection
+from dipolerg import firststep
 from dipolerg.firststep import (initial_kernels, matrix_first_step,
                                 TwoLevelResolventData, FirstStepError,
                                 first_step_admissible,
@@ -27,6 +28,18 @@ def test_decoupled_sequence_is_free_symbol():
               - params.p[0] * l / params.m - 0.05)
     np.testing.assert_allclose(seq.w00.values, expect, atol=1e-14)
     assert seq.meta["series_ratio"] == 0.0
+
+
+def test_decoupled_first_step_evaluates_no_vertex(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a vertex was evaluated at zero coupling")
+
+    monkeypatch.setattr(firststep._SpinVertex, "eval_product", fail)
+    params = ModelParams(lam0=0.0, p=0.2, j_max=5, j_max_pair=4)
+    grid = KernelGrid(params)
+    seq = initial_kernels(params, 0.05, grid=grid)
+    assert seq.indices() == [(0, 0)]
+    assert np.array_equal(seq.w00.values, firststep._free_part(params, grid, 0.05))
 
 
 def test_origin_matches_second_order_theory(small_params):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dipolerg import firststep
-from dipolerg.model import ModelParams, SIGMA_X, SIGMA_Z
+from dipolerg.model import ConfigError, ModelParams, SIGMA_X, SIGMA_Z
 from dipolerg.kernels import Kernel, KernelGrid, KernelSequence
 from dipolerg.firststep import initial_kernels
 from dipolerg.rgflow import (renormalize, FlowError, cheb_nodes, StageMap,
@@ -110,6 +110,23 @@ def test_run_flow_deterministic(small_params):
     a = run_flow(small_params).energy
     b = run_flow(small_params).energy
     assert a == b
+
+
+# sigma_z on this coarse grid needs three stages: the energy chain steps
+# are 1.1e-6, 1.0e-7 and 0, against a tolerance of 5e-11
+_THREE_STAGE = dict(lam0=0.02, j_max=5, j_max_pair=1, n_z_samples=3,
+                    n_r_uniform=4, n_l_uniform=2, L_max=2, spin_coupling=SIGMA_Z)
+
+
+def test_run_flow_raises_when_not_cauchy():
+    params = ModelParams(**_THREE_STAGE)
+    with pytest.raises(FlowError, match="not Cauchy after 2 stages"):
+        run_flow(params, n_max=2)
+    assert run_flow(params, n_max=3).stages == 3
+    # too few stages for the criterion at all: rejected before any work
+    for n_max, min_stages in [(1, 2), (0, 2), (3, 4)]:
+        with pytest.raises(ConfigError):
+            run_flow(params, n_max=n_max, min_stages=min_stages)
 
 
 def test_run_flow_reports_first_step_failure():

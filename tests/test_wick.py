@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dipolerg.model import ConfigError
+from dipolerg.model import ConfigError, ModelParams
 from dipolerg import wick
+from dipolerg.kernels import Kernel, KernelGrid
 from dipolerg.wick import (TermSpec, enumerate_term_specs, combinatorial_weight,
-                           internal_pairings, pull_shifts, series_ratio)
+                           internal_pairings, series_ratio, _leg_sums)
 
 
 # Counting reference: contraction schemes of a literal operator pattern,
@@ -185,30 +186,72 @@ def test_scheme_count_identity(M, N, L):
     assert raw == predicted
 
 
-def test_pull_shifts_telescoping():
-    """Gap shifts interleave vertex shifts: rt[t] - rt[t+1] swaps vertex t's
-    created external energy for its annihilated one."""
-    spec = TermSpec(m=(1, 2, 0), p=(1, 0, 0), n=(0, 1, 1), q=(0, 0, 1))
+def test_leg_sums_telescoping():
+    """Resolvent sums interleave vertex sums: at vertex t the external
+    energy it creates is swapped for the energy it annihilates."""
+    L = 3
     k_abs = np.array([1.0, 0.45, 0.2025, 0.0911])
     k_vec = np.array([[1.0], [-0.45], [0.2025], [-0.0911]])
     create_ids = [[0], [1, 2], []]
     annih_ids = [[], [3], [0]]
-    rec = pull_shifts(spec, create_ids, annih_ids, k_abs, k_vec)
-    ce = [sum(k_abs[i] for i in ids) for ids in create_ids]
-    ae = [sum(k_abs[i] for i in ids) for ids in annih_ids]
-    for t in range(spec.L):
-        assert rec.rt[t] - rec.rt[t + 1] == pytest.approx(ce[t] - ae[t])
-        # vertex shift sits between its neighbouring gap shifts
-        assert rec.r[t] == pytest.approx(rec.rt[t] - ce[t])
-        assert rec.r[t] == pytest.approx(rec.rt[t + 1] - ae[t])
-    assert rec.rt[0] == pytest.approx(sum(ce))
-    assert rec.rt[-1] == pytest.approx(sum(ae))
+    legs = ([(x, -1, v) for v in range(L) for x in create_ids[v]]
+            + [(x, v, L) for v in range(L) for x in annih_ids[v]])
+    sums = _leg_sums(legs, L, k_abs, k_vec)
+    assert sums.shape == (2 * L + 1, 2)
+    at_vertex, at_resolvent = sums[1::2], sums[0::2]
+    k = np.column_stack([k_abs, k_vec])
+    ce = [k[ids].sum(axis=0) for ids in create_ids]
+    ae = [k[ids].sum(axis=0) for ids in annih_ids]
+    for t in range(L):
+        np.testing.assert_allclose(at_resolvent[t] - at_resolvent[t + 1], ce[t] - ae[t],
+                                   atol=1e-15)
+        # vertex sum sits between its neighbouring resolvent sums
+        np.testing.assert_allclose(at_vertex[t], at_resolvent[t] - ce[t], atol=1e-15)
+        np.testing.assert_allclose(at_vertex[t], at_resolvent[t + 1] - ae[t], atol=1e-15)
+    np.testing.assert_allclose(at_resolvent[0], sum(ce))
+    np.testing.assert_allclose(at_resolvent[-1], sum(ae))
 
 
-def test_pull_shifts_validates_assignment():
-    spec = TermSpec(m=(1,), p=(1,), n=(0,), q=(0,))
-    with pytest.raises(ConfigError):
-        pull_shifts(spec, [[]], [[]], np.array([1.0]), np.array([[1.0]]))
+def test_leg_sums_internal_line_spans_only_its_interior():
+    """A line from vertex a to vertex c shifts the vertices strictly between
+    its ends and the resolvents behind a up to the one in front of c."""
+    k_abs = np.array([0.45, 0.2025, 0.0911])
+    k_vec = np.array([[0.45], [-0.2025], [0.0911]])
+    L = 5
+    sums = _leg_sums([(1, 1, 3)], L, k_abs, k_vec)
+    k, o = [0.2025, -0.2025], [0.0, 0.0]
+    assert np.array_equal(sums[1::2], [o, o, k, o, o])         # vertices
+    assert np.array_equal(sums[0::2], [o, o, k, k, o, o])      # resolvents
+    assert not np.any(_leg_sums([], L, k_abs, k_vec))
+    # mixed external and internal legs against the rule written as a loop
+    legs = [(0, -1, 2), (2, -1, 4), (1, 0, 5), (2, 3, 5), (0, 0, 2), (1, 1, 4)]
+    sums = _leg_sums(legs, L, k_abs, k_vec)
+    for v in range(L):
+        expect = sum((np.r_[k_abs[x], k_vec[x]] for x, a, c in legs if a < v < c),
+                     start=np.zeros(2))
+        np.testing.assert_allclose(sums[2 * v + 1], expect, atol=1e-15)
+    for t in range(L + 1):
+        expect = sum((np.r_[k_abs[x], k_vec[x]] for x, a, c in legs if a < t <= c),
+                     start=np.zeros(2))
+        np.testing.assert_allclose(sums[2 * t], expect, atol=1e-15)
+
+
+def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
+    # every shape is pruned (zero vertices): no boundary cutoff is evaluated
+    params = ModelParams(j_max=2, j_max_pair=1)
+    grid = KernelGrid(params)
+    n = len(grid.modes)
+    zero = {(a, b): Kernel(a, b, grid, np.zeros(grid.base_shape + (n,) * (a + b)))
+            for (a, b) in [(1, 0), (0, 1), (1, 1)]}
+    ctx = wick.WickContext(grid=grid, vertices=zero, L_max=3, scale=params.rho,
+                           ext_shift_steps=1, F_eval=None, F_max=1.0, prune=1e-14)
+    assert enumerate_term_specs(1, 1, ctx.L_max, ctx.vertices)
+    calls = []
+    monkeypatch.setattr(wick, "chi", lambda *a: calls.append(a) or 1.0)
+    vals, per_L = wick.assemble_target(1, 1, ctx, grid.mode_ids())
+    assert calls == []
+    assert vals.shape == grid.base_shape + (n, n)
+    assert not np.any(vals) and per_L == {}
 
 
 def test_series_ratio_decay_from_peak():
