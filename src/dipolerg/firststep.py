@@ -87,6 +87,12 @@ class _SpinVertex:
         out[...] = coef * self.grid.coupling[gid]
         return out
 
+    def live_modes(self):
+        return np.flatnonzero(np.any(self.grid.coupling != 0, axis=(1, 2)))
+
+    def spin_pattern(self) -> np.ndarray:
+        return np.any(self.grid.coupling != 0, axis=0)
+
 
 def _free_part(params: ModelParams, grid: KernelGrid, z: complex) -> np.ndarray:
     """Rescaled lower-level free symbol: r + rho0 l^2/2m - p.l/m - z."""

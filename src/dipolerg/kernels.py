@@ -242,6 +242,18 @@ class Kernel:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
+    def live_modes(self) -> list[int]:
+        """Global modes on which some photon slice is not identically zero."""
+        nz = np.any(self.values != 0, axis=tuple(range(self.n_base_axes)))
+        live = np.zeros(len(self.mode_ids), dtype=bool)
+        for a in range(nz.ndim):
+            live |= np.any(nz, axis=tuple(b for b in range(nz.ndim) if b != a))
+        return [g for g, on in zip(self.mode_ids, live) if on]
+
+    def spin_pattern(self) -> np.ndarray:
+        """A scalar kernel is a 1x1 spin block."""
+        return np.ones((1, 1), dtype=bool)
+
 
 def symmetrize(values: np.ndarray, m: int, n: int, n_base_axes: int) -> np.ndarray:
     """Average over permutations of the m creation and n annihilation axes."""

@@ -13,6 +13,10 @@ creator at vertex c is (x, -1, c), an external annihilator at vertex a is
 rule serves all three: a leg shifts the argument of every vertex and
 resolvent it spans.
 
+A chain is linear in each vertex, so a chain with a leg on a mode where
+no vertex is non-zero, or whose spin product has a structurally zero
+(0, 0) entry, is exactly zero: such chains are skipped, not evaluated.
+
 The same assembler serves three callers, each passing its vertices as
 data: the RG step (scale rho, its sampled kernels), the first decimation
 (scale rho0, 2x2 spin-matrix vertices), and the small-Fock-space
@@ -22,6 +26,7 @@ operator-identity self-check (sampled toy kernels).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -76,7 +81,7 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def enumerate_term_specs(M: int, N: int, L_max: int, available) -> list[TermSpec]:
+def enumerate_term_specs(M: int, N: int, L_max: int, available) -> tuple[TermSpec, ...]:
     """All chain shapes producing an (M, N) monomial from the given kernels.
 
     `available` is the set of kernel indices (a, b) usable at a vertex; the
@@ -84,6 +89,11 @@ def enumerate_term_specs(M: int, N: int, L_max: int, available) -> list[TermSpec
     The passthrough L=1 shape for (M, N) = (0, 0) is excluded: it is the
     diagonal part, not a chain term.
     """
+    return _term_specs(M, N, L_max, frozenset(available))
+
+
+@functools.lru_cache(maxsize=None)
+def _term_specs(M: int, N: int, L_max: int, available: frozenset) -> tuple:
     avail = sorted((a, b) for (a, b) in available if a + b >= 1)
     specs = []
     for L in range(1, L_max + 1):
@@ -108,7 +118,7 @@ def enumerate_term_specs(M: int, N: int, L_max: int, available) -> list[TermSpec
                     if sum(p) != sum(q):
                         continue
                     specs.append(TermSpec(mvec, p, nvec, q))
-    return specs
+    return tuple(specs)
 
 
 def combinatorial_weight(spec: TermSpec) -> int:
@@ -120,7 +130,8 @@ def combinatorial_weight(spec: TermSpec) -> int:
     return w
 
 
-def internal_pairings(spec: TermSpec) -> list[tuple]:
+@functools.lru_cache(maxsize=None)
+def internal_pairings(spec: TermSpec) -> tuple:
     """Pairings of internal legs: each annihilator pairs a later creator.
 
     Returned as tuples of lines (annih_vertex, create_vertex, creator_slot);
@@ -143,7 +154,7 @@ def internal_pairings(spec: TermSpec) -> list[tuple]:
             acc.pop()
 
     rec(0, frozenset(), [])
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +185,13 @@ class WickContext:
     `vertices` maps a kernel index (a, b) to a vertex with the Kernel
     interface: eval_product(global_ids, rq, lqs) evaluates it on the (r, l)
     product grid of the query vectors, ids being global mode indices
-    (creators first), and max_abs() bounds it (read only when prune > 0).
-    Scalar vertices return arrays of base-grid shape; spin vertices append
-    (s, s) axes.  F_eval(rq, lqs) returns the diagonal resolvent factor
-    (base shape, or base shape + (s,)), already masked to its domain.
+    (creators first), max_abs() bounds it (read only when prune > 0),
+    live_modes() lists the global modes it is not identically zero on, and
+    spin_pattern() is the boolean sparsity of its spin block (1x1 for a
+    scalar vertex).  Scalar vertices return arrays of base-grid shape; spin
+    vertices append (s, s) axes.  F_eval(rq, lqs) returns the diagonal
+    resolvent factor (base shape, or base shape + (s,)), already masked to
+    its domain.
     """
     grid: KernelGrid
     vertices: dict
@@ -194,6 +208,12 @@ class WickContext:
         for _ in range(self.ext_shift_steps):
             shift = np.array([up[s] if s >= 0 else -1 for s in shift])
         self.scaled_ids = shift
+        # a leg on a mode outside the union makes its chain exactly zero
+        self.live_modes = tuple(sorted({int(x) for v in self.vertices.values()
+                                        for x in v.live_modes()}))
+        self.spin_patterns = {k: v.spin_pattern() for k, v in self.vertices.items()}
+        self.max_abs = ({k: v.max_abs() for k, v in self.vertices.items()}
+                        if self.prune > 0.0 else {})
 
 
 def _chain_value(ctx: WickContext, spec: TermSpec, legs, frame):
@@ -249,11 +269,15 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
         pairings = internal_pairings(spec)
         if not pairings:
             continue
+        keys = [spec.vertex_kernel(v) for v in range(spec.L)]
+        # the resolvent is diagonal: the vertices' spin patterns decide <0|chain|0>
+        if not functools.reduce(np.matmul, (ctx.spin_patterns[k] for k in keys))[0, 0]:
+            continue
         weight = combinatorial_weight(spec)
         if ctx.prune > 0.0:
             bound = weight * (ctx.F_max ** (spec.L - 1)) * scale_pow
-            for v in range(spec.L):
-                bound *= ctx.vertices[spec.vertex_kernel(v)].max_abs()
+            for k in keys:
+                bound *= ctx.max_abs[k]
             bound *= (float(np.sum(g.weight)) ** sum(spec.p)) * len(pairings)
             if bound < ctx.prune:
                 continue
@@ -267,14 +291,15 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
     r_col = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes))
     for tup in itertools.product(range(nE), repeat=M + N):
         ext_ids = [ids[t] for t in tup]
+        # a rescaled external mode below the grid floor (-1) or on no
+        # vertex's support kills the term
+        scaled = [int(ctx.scaled_ids[x]) for x in ext_ids]
+        if not all(x in ctx.live_modes for x in scaled):
+            continue
         # boundary cutoffs (slots 0, 2L): all external creators, resp. annihilators
         boundary = (chi(r_col + g.k_abs[ext_ids[:M]].sum(), 1.0)
                     * chi(r_col + g.k_abs[ext_ids[M:]].sum(), 1.0))
         if not np.any(boundary):
-            continue
-        # a rescaled external mode below the grid floor kills the term
-        scaled = [int(ctx.scaled_ids[x]) for x in ext_ids]
-        if any(x < 0 for x in scaled):
             continue
         for spec, pref, ends, pairings in shapes:
             # external photons come in the rescaled frame, lines in the vertex frame
@@ -285,7 +310,7 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
             ext = [(x, a, c) for x, (a, c) in zip(scaled, ends)]
             acc = None
             for pairing in pairings:
-                for line_modes in itertools.product(range(len(g.modes)),
+                for line_modes in itertools.product(ctx.live_modes,
                                                     repeat=len(pairing)):
                     wts = float(np.prod(g.weight[list(line_modes)])) if line_modes else 1.0
                     legs = ext + [(x, a, c) for x, (a, c, _) in zip(line_modes, pairing)]

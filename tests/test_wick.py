@@ -120,7 +120,7 @@ def test_internal_pairings_orientation():
     assert len(pairings) == 1
     # flipped orientation has no admissible pairing at all
     flipped = TermSpec(m=(0, 0, 0), p=(1, 1, 0), n=(0, 0, 0), q=(0, 1, 1))
-    assert internal_pairings(flipped) == []
+    assert internal_pairings(flipped) == ()
 
 
 def test_internal_pairings_count_factorial():
