@@ -140,8 +140,8 @@ def flow_cmd(config_path, sets):
 @with_common
 def oracle_cmd(config_path, sets):
     """Ground energy by direct diagonalization, with the perturbative value."""
-    params, cfg = _params(config_path, sets)
-    e = oracle_mod.ground_energy(params, seed=cfg["seed"])
+    params, _ = _params(config_path, sets)
+    e = oracle_mod.ground_energy(params)
     payload = {"energy": e, "pt2": oracle_mod.pt2_energy(params)}
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -181,7 +181,7 @@ def validate(config_path, sets, rel_tol, abs_tol):
     params, cfg = _params(config_path, sets)
     e_flow = run_flow(params, n_max=cfg["n_flow_max"],
                       tol_factor=cfg["tol_factor"]).energy
-    e_oracle = oracle_mod.ground_energy(params, seed=cfg["seed"])
+    e_oracle = oracle_mod.ground_energy(params)
     diff = abs(e_flow - e_oracle)
     tol = max(rel_tol * abs(e_oracle), abs_tol * params.m)
     payload = {"energy_flow": e_flow, "energy_oracle": e_oracle,

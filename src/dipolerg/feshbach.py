@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.linalg as sla
 
 from .model import ConfigError
 
@@ -41,21 +42,16 @@ def _as_diag(chi_d, n: int) -> np.ndarray:
     return np.clip(d, 0.0, 1.0)
 
 
-def _offband_solve(T, W, chibar, rhs):
-    """Solve (T + chibar W chibar) y = rhs on the support of chibar."""
-    n = T.shape[0]
+def _offband_factor(T, W, chibar):
+    """(supp chibar, LU, smallest singular value) of T + chibar W chibar there."""
     supp = chibar > 1e-14
-    A = np.diag(np.asarray(np.diag(T), dtype=complex)) if T.ndim == 1 else np.asarray(T, dtype=complex).copy()
-    A = A + chibar[:, None] * W * chibar[None, :]
-    A_ss = A[np.ix_(supp, supp)]
+    A_ss = (T + chibar[:, None] * W * chibar[None, :])[np.ix_(supp, supp)]
     sv = np.linalg.svd(A_ss, compute_uv=False)
     margin = float(sv.min()) if sv.size else np.inf
     if margin < _MIN_MARGIN:
         raise DecimationError(
             f"off-band block margin {margin:.3e} below {_MIN_MARGIN:.3e}")
-    y = np.zeros_like(rhs)
-    y[supp] = np.linalg.solve(A_ss, rhs[supp])
-    return y, margin
+    return supp, sla.lu_factor(A_ss), margin
 
 
 def feshbach_map(H: np.ndarray, T: np.ndarray, chi_d) -> DecimationResult:
@@ -81,11 +77,14 @@ def feshbach_map(H: np.ndarray, T: np.ndarray, chi_d) -> DecimationResult:
     W = H - T
     H_chi = T + chi[:, None] * W * chi[None, :]
     WC = W * chi[None, :]                      # W chi
-    B, margin = _offband_solve(T, W, chibar, chibar[:, None] * WC)
+    supp, lu, margin = _offband_factor(T, W, chibar)
     # B = H_chibar^{-1} chibar W chi  (supported on supp chibar)
+    B = np.zeros((n, n), dtype=complex)
+    B[supp] = sla.lu_solve(lu, (chibar[:, None] * WC)[supp])
     F = H_chi - (chi[:, None] * W) @ (chibar[:, None] * B)
     Q = np.diag(chi).astype(complex) - chibar[:, None] * B
-    Y, _ = _offband_solve(T, W, chibar, np.diag(chibar).astype(complex))
+    Y = np.zeros((n, n), dtype=complex)
+    Y[supp] = sla.lu_solve(lu, np.diag(chibar)[supp])
     Q_sharp = np.diag(chi).astype(complex) - (chi[:, None] * W) @ (chibar[:, None] * Y)
     return DecimationResult(F=F, Q=Q, Q_sharp=Q_sharp, H_chi=H_chi, margin=margin)
 

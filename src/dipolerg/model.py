@@ -216,7 +216,6 @@ _SCHEMA = {
     "n_l_uniform": (int, 4, "extra uniform |l|-grid nodes (d=1)"),
     "n_l_axis_d3": (int, 3, "l-grid nodes per axis in d=3 validation mode"),
     "n_z_samples": (int, 9, "Chebyshev samples of the spectral parameter"),
-    "seed": (int, 7, "RNG seed for deterministic solver starts"),
     "n_flow_max": (int, 40, "max RG iterations"),
     "tol_factor": (float, 1e-10, "flow convergence tolerance, in units of mu"),
     "p_sweep_max": (float, 0.4, "dispersion sweep half-width, in units of m"),

@@ -49,10 +49,14 @@ def build_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
 
 
 def ground_energy(params: ModelParams, basis: FockBasis | None = None,
-                  seed: int = 7, return_vector: bool = False):
+                  return_vector: bool = False):
     """Lowest eigenvalue of the truncated fiber Hamiltonian.
 
-    Dense below _DENSE_DIM, else Lanczos with a deterministic start vector.
+    Dense below _DENSE_DIM, else Lanczos from the free ground state (lower
+    level, no photons): its Krylov space, what the coupling reaches from the
+    vacuum, holds the dressed ground state but not the near-degenerate
+    soft-photon levels just above it.  At lam0 == 0, H is diagonal and the
+    lowest level is read off the diagonal.
     """
     H, basis = build_fiber_hamiltonian(params, basis)
     dim = H.shape[0]
@@ -61,12 +65,14 @@ def ground_energy(params: ModelParams, basis: FockBasis | None = None,
         e0 = float(w[0])
         vec = v[:, 0]
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.normal(size=dim)
-        v0 /= np.linalg.norm(v0)
-        w, v = spla.eigsh(H, k=1, which="SA", v0=v0)
-        e0 = float(w[0])
-        vec = v[:, 0]
+        vec = np.zeros(dim, dtype=complex)
+        if params.lam0 == 0.0:
+            vec[int(np.argmin(H.diagonal().real))] = 1.0
+        else:
+            vec[basis.vacuum_index] = 1.0
+            vec = spla.eigsh(H, k=1, which="SA", v0=vec)[1][:, 0]
+        # Rayleigh quotient: the Ritz value's last digits follow the Krylov path
+        e0 = float(np.vdot(vec, H @ vec).real)
     if return_vector:
         return e0, vec, basis
     return e0

@@ -44,7 +44,7 @@ _FLOAT_TEXT = st.tuples(st.floats(min_value=0.0, max_value=1e3),
     lambda vf: vf[1].format(vf[0]))
 _SETS = st.one_of(
     st.tuples(st.sampled_from(["lam0", "tol_factor", "p_sweep_max"]), _FLOAT_TEXT),
-    st.tuples(st.sampled_from(["seed", "n_flow_max", "p_sweep_points", "j_max"]),
+    st.tuples(st.sampled_from(["n_flow_max", "p_sweep_points", "j_max"]),
               st.integers(min_value=1, max_value=10 ** 6).map(str)),
     st.tuples(st.just("spin_coupling"), st.one_of(
         st.sampled_from(["sigma_x", "sigma_z"]),

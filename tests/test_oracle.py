@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from dipolerg.model import ModelParams, ConfigError, SIGMA_Z
+from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z
 from dipolerg.fockspace import FockBasis, build_modes
-from dipolerg.oracle import (build_fiber_hamiltonian, ground_energy, pt2_energy,
-                             dispersion_sweep, effective_mass, sweep_to_csv)
+from dipolerg.oracle import (_DENSE_DIM, build_fiber_hamiltonian, ground_energy,
+                             pt2_energy, dispersion_sweep, effective_mass,
+                             sweep_to_csv)
 
 
 @pytest.fixture()
@@ -25,6 +27,45 @@ def test_decoupled_ground_energy_zero():
     # with momentum the zero point p^2/2m is already subtracted
     assert ground_energy(ModelParams(lam0=0.0, p=0.2, j_max=4)) == \
         pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_decoupled_ground_energy_zero_sparse_route(p):
+    # dim 2660: past the dense route, where the vacuum is an exact eigenvector
+    params = ModelParams(lam0=0.0, p=p, j_max=8, j_max_pair=6)
+    assert build_fiber_hamiltonian(params)[0].shape[0] >= _DENSE_DIM
+    assert ground_energy(params) == pytest.approx(0.0, abs=1e-15)
+
+
+def _shift_invert_ground_energy(params):
+    """Lowest eigenvalue by shift-invert below a Gershgorin lower bound."""
+    H, _ = build_fiber_hamiltonian(params)
+    radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(H.diagonal())
+    shift = float(np.min(H.diagonal().real - radius))
+    shift -= 1e-3 * (1.0 + abs(shift))
+    w = spla.eigsh(H.tocsc(), k=1, sigma=shift, which="LM",
+                   return_eigenvectors=False)
+    return float(np.min(w.real)), H.shape[0]
+
+
+_BIG = dict(j_max=8, j_max_pair=6)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(lam0=0.004, p=0.0, **_BIG),
+    dict(lam0=0.004, p=0.2, **_BIG),
+    dict(lam0=0.02, spin_coupling=SIGMA_Z, **_BIG),
+    dict(lam0=0.02, p=0.1, spin_coupling=0.6 * SIGMA_X + 0.8 * SIGMA_Z, **_BIG),
+    dict(lam0=0.05, **_BIG),
+    dict(lam0=0.004, dim=3, j_max=3, N_max=2),
+], ids=["sx-p0", "sx-p0.2", "sz", "mix-p0.1", "lam0.05", "d3"])
+def test_vacuum_start_reaches_ground_state(kw):
+    # the Lanczos start is the free vacuum, so the ground state must overlap
+    # it; a second eigensolver route finds the lowest level without that
+    params = ModelParams(**kw)
+    e_ref, dim = _shift_invert_ground_energy(params)
+    assert dim >= _DENSE_DIM
+    assert abs(ground_energy(params) - e_ref) <= 1e-12
 
 
 def test_ground_energy_negative_when_coupled(small_params):
