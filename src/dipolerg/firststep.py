@@ -42,15 +42,16 @@ class TwoLevelResolventData:
     min_gap_high: float = math.inf
 
     def __call__(self, rq, lqs):
+        """Resolvent on each row's (r, l) product grid: rq has shape
+        (rows, n_r), every l-query (rows, n_l); returns (rows, n_r, n_l, 2)."""
         p = self.params
-        dim = len(lqs)
-        shape = (len(rq),) + tuple(len(q) for q in lqs)
-        r = np.asarray(rq).reshape((-1,) + (1,) * dim)
+        rq = np.asarray(rq)
+        r = rq.reshape(rq.shape + (1,) * len(lqs))
         l2, pl = _l_sums(lqs, p.p)
         b1 = r + l2 / (2.0 * p.m) - pl / p.m - self.z_phys
         b2 = b1 + p.omega0
-        cb2 = chibar(rq, p.rho0).reshape((-1,) + (1,) * dim) ** 2
-        active = np.broadcast_to(cb2 > 0.0, shape)
+        cb2 = chibar(r, p.rho0) ** 2
+        active = np.broadcast_to(cb2 > 0.0, b1.shape)
         floor_low = p.mu * p.rho0 / 4.0
         if np.any(active):
             gap_low = float(np.min(np.where(active, b1.real, np.inf)))
@@ -64,7 +65,7 @@ class TwoLevelResolventData:
             raise FirstStepError(
                 f"upper-level gap {gap_high:.3e} below {p.omega0 / 4.0:.3e}")
         low = np.where(active, cb2 / np.where(active, b1, 1.0), 0.0)
-        high = np.broadcast_to(1.0 / b2, shape)
+        high = 1.0 / b2
         return np.stack([low, high], axis=-1)
 
 
@@ -80,12 +81,14 @@ class _SpinVertex:
         self.grid = grid
 
     def eval_product(self, global_ids, rq, lqs):
-        (gid,) = global_ids
-        shape = (len(rq),) + tuple(len(q) for q in lqs) + (2, 2)
-        coef = self.sign * 1j * self.lam * math.sqrt(self.grid.k_abs[gid])
-        out = np.empty(shape, dtype=complex)
-        out[...] = coef * self.grid.coupling[gid]
-        return out
+        """The (rows, 2, 2) spin matrices of each row's mode, broadcast
+        (read-only) over that row's (r, l) query grid."""
+        (gid,) = np.asarray(global_ids, dtype=int).T
+        coef = self.sign * 1j * self.lam * np.sqrt(self.grid.k_abs[gid])
+        mats = coef[:, None, None] * self.grid.coupling[gid]
+        grid_shape = (np.shape(rq)[1],) + tuple(np.shape(q)[1] for q in lqs)
+        mats = mats.reshape((len(gid),) + (1,) * len(grid_shape) + (2, 2))
+        return np.broadcast_to(mats, (len(gid),) + grid_shape + (2, 2))
 
     def live_modes(self):
         return np.flatnonzero(np.any(self.grid.coupling != 0, axis=(1, 2)))

@@ -12,7 +12,6 @@ are always grid modes, so they index, never interpolate.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -41,16 +40,22 @@ def _axis_weights(nodes: np.ndarray, q: np.ndarray):
     return idx - 1, idx, w0, w1
 
 
-@functools.lru_cache(maxsize=512)
-def _product_weights(nodes: bytes, q: bytes):
-    """_axis_weights keyed by the bytes of float64 node and query vectors.
+def interp_rows(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
+    """Interpolate axes 1, 2, ... of `values` at per-row query vectors.
 
-    Chain assembly asks for a few dozen distinct query vectors thousands of
-    times, so the weights are computed once and shared read-only.
+    Row i of the result interpolates values[i] (a length-1 leading axis is
+    shared by every row) at queries_list[a][i] on axis a + 1, so the query
+    arrays have shape (rows, n_a) and the result (rows, n_0, n_1, ..., rest);
+    points outside a grid range evaluate to 0 (kernel support convention).
     """
-    out = _axis_weights(np.frombuffer(nodes), np.frombuffer(q))
-    for arr in out:
-        arr.flags.writeable = False
+    out = values
+    for ax, (nodes, q) in enumerate(zip(nodes_list, queries_list), start=1):
+        i0, i1, w0, w1 = _axis_weights(np.asarray(nodes, dtype=float), q)
+        shape = [len(i0)] + [1] * (out.ndim - 1)
+        shape[ax] = i0.shape[1]
+        a = np.take_along_axis(out, i0.reshape(shape), axis=ax)
+        b = np.take_along_axis(out, i1.reshape(shape), axis=ax)
+        out = a * w0.reshape(shape) + b * w1.reshape(shape)
     return out
 
 
@@ -60,17 +65,8 @@ def interp_product(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
     Returns an array whose leading axes have the query lengths; points
     outside a grid range evaluate to 0 (kernel support convention).
     """
-    out = values
-    for ax, (nodes, q) in enumerate(zip(nodes_list, queries_list)):
-        q = np.asarray(q, dtype=float)
-        i0, i1, w0, w1 = _product_weights(
-            np.asarray(nodes, dtype=float).tobytes(), q.tobytes())
-        a = np.take(out, i0, axis=ax)
-        b = np.take(out, i1, axis=ax)
-        shape = [1] * out.ndim
-        shape[ax] = len(i0)
-        out = a * w0.reshape(shape) + b * w1.reshape(shape)
-    return out
+    queries = [np.asarray(q, dtype=float)[None] for q in queries_list]
+    return interp_rows(values[None], nodes_list, queries)[0]
 
 
 def interp_scatter(values: np.ndarray, nodes_list, points_list) -> np.ndarray:
@@ -94,13 +90,17 @@ def interp_scatter(values: np.ndarray, nodes_list, points_list) -> np.ndarray:
 def _l_sums(lqs, vec=None):
     """|l|^2 and vec.l over the product grid of the l-axis vectors `lqs`.
 
-    Both have the l-grid shape; the dot product is 0.0 when vec is None.
+    Each vector may carry leading row axes, shape (..., n_a); the results
+    have shape (..., 1, n_0, ..., n_{d-1}), the 1 standing for the r-axis,
+    so they broadcast against the (r, l) base grid.  The dot product is 0.0
+    when vec is None.
     """
     l2 = pl = 0.0
     for a, q in enumerate(lqs):
-        s = [1] * len(lqs)
-        s[a] = len(q)
-        q = np.asarray(q).reshape(s)
+        q = np.asarray(q)
+        s = [1] * (1 + len(lqs))
+        s[1 + a] = q.shape[-1]
+        q = q.reshape(q.shape[:-1] + tuple(s))
         l2 = l2 + np.square(q)
         if vec is not None:
             pl = pl + vec[a] * q
@@ -225,11 +225,28 @@ class Kernel:
         return self.values[idx]
 
     def eval_product(self, global_ids, rq, l_queries) -> np.ndarray:
-        block = self.slice_values(global_ids)
-        shape = tuple(len(np.atleast_1d(q)) for q in [rq] + list(l_queries))
-        if block is None:
-            return np.zeros(shape, dtype=complex)
-        return interp_product(block, self.grid.base_axes, [rq] + list(l_queries))
+        """Values on each row's (r, l) product grid of query vectors.
+
+        global_ids has shape (rows, m + n), rq (rows, n_r) and every l-query
+        (rows, n_l); the result has shape (rows, n_r, n_l, ...).  A row with
+        a photon argument outside mode_ids evaluates to 0.
+        """
+        rq = np.asarray(rq, dtype=float)
+        lookup = np.full(len(self.grid.modes), -1)
+        lookup[self.mode_ids] = np.arange(len(self.mode_ids))
+        loc = lookup[np.asarray(global_ids, dtype=int)]
+        ok = np.all(loc >= 0, axis=1)
+        # (rows, base...) blocks at each row's photon arguments; a kernel
+        # without photon axes shares its one block with every row
+        blocks = np.moveaxis(self.values[(Ellipsis,) + tuple(loc[ok].T)], -1, 0) \
+            if self.m + self.n else self.values[None]
+        queries = [q[ok] for q in [rq] + [np.asarray(q, dtype=float) for q in l_queries]]
+        vals = interp_rows(blocks, self.grid.base_axes, queries)
+        if np.all(ok):
+            return vals
+        out = np.zeros((len(rq),) + vals.shape[1:], dtype=complex)
+        out[ok] = vals
+        return out
 
     def eval_points(self, global_ids, r_pts, l_pts) -> np.ndarray:
         """Scattered evaluation; l_pts has shape (npts, dim)."""

@@ -47,24 +47,21 @@ def _band_denominator(seq: KernelSequence):
     w00 = seq.w00
 
     def F_eval(rq, lqs):
-        cb2 = chibar(rq, rho) ** 2
-        inside = np.asarray(rq) <= 1.0 + 1e-12
-        shape = (len(rq),) + tuple(len(q) for q in lqs)
-        live_r = (cb2 > 0.0) & inside
-        vals = w00.eval_product((), rq, lqs)
+        # rq has shape (rows, n_r), every l-query (rows, n_l)
+        rq = np.asarray(rq)
+        rcol = rq.reshape(rq.shape + (1,) * len(lqs))
+        cb2 = chibar(rcol, rho) ** 2
+        inside = rcol <= 1.0 + 1e-12
+        vals = w00.eval_product(np.zeros((len(rq), 0), dtype=int), rq, lqs)
         # physical region only: field momentum cannot exceed field energy
         l2, _ = _l_sums(lqs)
-        rcol = np.asarray(rq).reshape((-1,) + (1,) * len(lqs))
-        live = (live_r.reshape((-1,) + (1,) * len(lqs))
-                & (np.sqrt(l2) <= rcol + 1e-9))
-        live = np.broadcast_to(live, shape)
+        live = (cb2 > 0.0) & inside & (np.sqrt(l2) <= rcol + 1e-9)
         floor = 1e-12
         bad = live & (np.abs(vals) < floor)
         if np.any(bad):
             raise FlowError("band symbol vanishes inside the decimation region")
         denom = np.where(live, vals, 1.0)
-        num = (cb2 * inside).reshape((-1,) + (1,) * len(lqs))
-        return np.where(live, num / denom, 0.0)
+        return np.where(live, (cb2 * inside) / denom, 0.0)
 
     return F_eval
 

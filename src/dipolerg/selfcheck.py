@@ -54,13 +54,15 @@ def _toy_kernels(grid, rng):
 
 
 def _f_factor(rq, lqs):
-    """Diagonal chain factor, analytic below the cap and zero above."""
-    shape = (len(rq),) + tuple(len(q) for q in lqs)
-    r = np.asarray(rq).reshape((-1,) + (1,) * len(lqs))
+    """Diagonal chain factor, analytic below the cap and zero above.
+
+    rq has shape (rows, n_r), every l-query (rows, n_l)."""
+    rq = np.asarray(rq)
+    r = rq.reshape(rq.shape + (1,) * len(lqs))
     l2, _ = _l_sums(lqs)
     vals = 1.0 / (0.7 + r + 0.2 * l2)
     inside = (r <= 1.0 + 1e-12)
-    return np.where(inside, vals, 0.0) + np.zeros(shape)
+    return np.where(inside, vals, 0.0)
 
 
 def wick_reassembly_defect(params: ModelParams | None = None,
@@ -74,9 +76,9 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     vertices = _toy_kernels(grid, rng)
     seq_in = KernelSequence(grid, {**vertices, (0, 0): zero00}, p=params.p, z=0.0)
     W = assemble_operator(seq_in, basis).dense()
+    # one row per basis state, each querying its own (r, l)
     F = functional_calculus(
-        lambda r, l: np.array([_f_factor(np.array([rv]), [np.array([lv[0]])])[0, 0]
-                               for rv, lv in zip(r, l)]), basis).dense()
+        lambda r, l: _f_factor(r[:, None], [l[:, :1]])[:, 0, 0], basis).dense()
     chi_d = functional_calculus(lambda r, l: chi(r, 1.0) + 0.0 * r, basis).dense()
     lhs = np.zeros_like(W)
     term = W.copy()

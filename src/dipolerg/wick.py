@@ -5,7 +5,11 @@ rewritten as a sum of normal-ordered monomials.  This module enumerates the
 term shapes (how many external/internal legs each chain vertex carries),
 the internal pairings allowed in a vacuum expectation and the combinatorial
 weights, and assembles the resulting kernels by quadrature over the
-internal momenta, vectorized over the (r, l) sample grid.
+internal momenta.  The chains of one term shape and pairing are evaluated
+as one batch: a leading row axis runs over every external mode tuple
+times every internal line-mode assignment, and each vertex and resolvent
+is queried once per batch with stacked (rows, ...) arguments, vectorized
+over the (r, l) sample grid.
 
 Every photon of a chain is a leg (mode, opened, closed): an external
 creator at vertex c is (x, -1, c), an external annihilator at vertex a is
@@ -160,22 +164,26 @@ def internal_pairings(spec: TermSpec) -> tuple:
 # ---------------------------------------------------------------------------
 # chain assembly
 
-def _leg_sums(legs, L: int, k_abs, k_vec):
-    """Photon energy and momentum carried past every slot of a length-L chain.
+def _leg_sums(modes, ends, L: int, k_abs, k_vec):
+    """Photon energy and momentum carried past every slot of length-L chains.
 
     The slots alternate resolvents and vertices: slot 2t is the resolvent
     in front of vertex t (slot 2L: behind the chain), slot 2v + 1 is
-    vertex v.  A leg (mode, opened, closed) is a photon annihilated at
-    vertex `opened` and created at vertex `closed`, so it spans the slots
+    vertex v.  A leg (opened, closed) is a photon annihilated at vertex
+    `opened` and created at vertex `closed`, so it spans the slots
     strictly between 2 opened + 1 and 2 closed + 1: the vertices with
     opened < v < closed and the resolvents with opened < t <= closed.  An
     external creator opens at -1, an external annihilator closes at L.
-    Returns the sums, shape (2L + 1, 1 + dim), energy first.
+    Row i of `modes` (rows, legs) puts leg j, with ends[j] = (opened,
+    closed), on mode modes[i, j]; the incidence depends on the ends only,
+    so one 0/1 product serves every row.  Returns the sums, shape
+    (rows, 2L + 1, 1 + dim), energy first.
     """
-    x, opened, closed = np.array(legs, dtype=int).reshape(-1, 3).T
+    opened, closed = np.array(ends, dtype=int).reshape(-1, 2).T
     slot = np.arange(2 * L + 1)[:, None]
     spans = (2 * opened + 1 < slot) & (slot < 2 * closed + 1)
-    return spans @ np.column_stack([k_abs[x], k_vec[x]])
+    modes = np.asarray(modes, dtype=int)
+    return spans @ np.concatenate([k_abs[modes][..., None], k_vec[modes]], axis=-1)
 
 
 @dataclasses.dataclass
@@ -183,15 +191,17 @@ class WickContext:
     """Everything the assembler needs about one chain family.
 
     `vertices` maps a kernel index (a, b) to a vertex with the Kernel
-    interface: eval_product(global_ids, rq, lqs) evaluates it on the (r, l)
-    product grid of the query vectors, ids being global mode indices
-    (creators first), max_abs() bounds it (read only when prune > 0),
-    live_modes() lists the global modes it is not identically zero on, and
-    spin_pattern() is the boolean sparsity of its spin block (1x1 for a
-    scalar vertex).  Scalar vertices return arrays of base-grid shape; spin
-    vertices append (s, s) axes.  F_eval(rq, lqs) returns the diagonal
-    resolvent factor (base shape, or base shape + (s,)), already masked to
-    its domain.
+    interface, evaluated on a batch of rows at once:
+    eval_product(ids, rq, lqs) takes global mode indices ids (rows, a + b)
+    (creators first), rq (rows, n_r) and one (rows, n_l) array per l-axis,
+    and returns each row's values on the (r, l) product grid of its query
+    vectors, with a leading row axis; max_abs() bounds it (read only when
+    prune > 0), live_modes() lists the global modes it is not identically
+    zero on, and spin_pattern() is the boolean sparsity of its spin block
+    (1x1 for a scalar vertex).  Scalar vertices return (rows, *base)
+    arrays; spin vertices append (s, s) axes.  F_eval(rq, lqs) takes the
+    same stacked queries and returns the diagonal resolvent factor (rows,
+    *base), or (rows, *base, s), already masked to its domain.
     """
     grid: KernelGrid
     vertices: dict
@@ -216,38 +226,54 @@ class WickContext:
                         if self.prune > 0.0 else {})
 
 
-def _chain_value(ctx: WickContext, spec: TermSpec, legs, frame):
-    """Value of one fully-assigned chain over the (r, l) product grid.
+def _tuples(values, k: int) -> np.ndarray:
+    """Every k-tuple of `values`, in itertools.product order: shape (n^k, k)."""
+    combos = list(itertools.product(values, repeat=k))
+    return np.array(combos, dtype=int).reshape(len(combos), k)
 
-    `legs` holds the spec.M + spec.N external legs, with the mode ids the
-    vertices see, then the internal lines.  Vertex v creates the legs it
-    closes and annihilates the legs it opens.  `frame` holds the query
-    axes of every slot (see _leg_sums) with the external photons already
-    pulled through; the internal lines add their own sums on top.
+
+def _drop_zero_rows(rows, chain):
+    live = np.any(chain, axis=tuple(range(1, chain.ndim)))
+    return (rows, chain) if np.all(live) else (rows[live], chain[live])
+
+
+def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
+    """Values of a batch of same-shape chains over their (r, l) grids.
+
+    Row i of `modes` (rows, legs) puts leg j, with ends[j] = (opened,
+    closed), on the mode id its vertices see: the spec.M + spec.N external
+    legs, then the internal lines.  Vertex v creates the legs it closes
+    and annihilates the legs it opens.  queries[a] (rows, 2L + 1, n_a)
+    holds query axis a of every slot (see _leg_sums), photons already
+    pulled through.  A row whose partial chain vanishes is dropped at
+    once: no later vertex or resolvent is evaluated on it.  A spin chain
+    carries only its row <0|, the one its (0, 0) value depends on, the
+    diagonal resolvent scaling each entry.  Returns the indices of the
+    surviving rows and their values.
     """
-    g = ctx.grid
-    L = spec.L
-    lines = _leg_sums(legs[spec.M + spec.N:], L, g.k_abs, g.k_vec)
+    rows = np.arange(len(modes))
     chain = None
     spin = False
-    for v in range(L):
-        ids = [x for x, _, c in legs if c == v] + [x for x, o, _ in legs if o == v]
-        rq, *lqs = [q + s for q, s in zip(frame[2 * v + 1], lines[2 * v + 1])]
-        val = ctx.vertices[spec.vertex_kernel(v)].eval_product(ids, rq, lqs)
+    for v in range(spec.L):
+        cols = ([j for j, (_, c) in enumerate(ends) if c == v]
+                + [j for j, (o, _) in enumerate(ends) if o == v])
+        rq, *lqs = [q[rows, 2 * v + 1] for q in queries]
+        val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
+            modes[np.ix_(rows, cols)], rq, lqs)
         if chain is None:
-            chain = val
-            spin = val.ndim > 1 + len(lqs)
+            spin = val.ndim > 2 + len(lqs)
+            chain = val[..., 0, :] if spin else val
+        elif spin:
+            chain = chain[..., 0, None] * val[..., 0, :] + chain[..., 1, None] * val[..., 1, :]
         else:
-            chain = chain @ val if spin else chain * val
-        if not np.any(chain):
-            return None
-        if v < L - 1:
-            rq, *lqs = [q + s for q, s in zip(frame[2 * v + 2], lines[2 * v + 2])]
-            f = ctx.F_eval(rq, lqs)
-            chain = chain * (f[..., None, :] if spin else f)
-            if not np.any(chain):
-                return None
-    return chain[..., 0, 0] if spin else chain
+            chain = chain * val
+        rows, chain = _drop_zero_rows(rows, chain)
+        if v < spec.L - 1 and len(rows):
+            rq, *lqs = [q[rows, 2 * v + 2] for q in queries]
+            rows, chain = _drop_zero_rows(rows, chain * ctx.F_eval(rq, lqs))
+        if not len(rows):
+            break
+    return rows, chain[..., 0] if spin else chain
 
 
 def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
@@ -256,12 +282,13 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
     Returns (values, per_L) where values has base-grid shape plus M+N
     photon axes over ext_mode_ids, and per_L maps chain length to the max
     magnitude contributed (the series-decay monitor).  The result is NOT
-    yet symmetrized over the photon axes.
+    yet symmetrized over the photon axes.  The chains of one term shape
+    and pairing are evaluated as one batch whose rows run over every live
+    external tuple times every internal line-mode assignment.
     """
     g = ctx.grid
-    ids = list(ext_mode_ids)
-    nE = len(ids)
-    out = np.zeros(g.base_shape + (nE,) * (M + N), dtype=complex)
+    ids = np.asarray(list(ext_mode_ids), dtype=int)
+    out = np.zeros(g.base_shape + (len(ids),) * (M + N), dtype=complex)
     per_L: dict[int, float] = {}
     scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
     shapes = []
@@ -288,42 +315,54 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
         shapes.append((spec, pref, ends, pairings))
     if not shapes:
         return out, per_L
-    r_col = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes))
-    for tup in itertools.product(range(nE), repeat=M + N):
-        ext_ids = [ids[t] for t in tup]
-        # a rescaled external mode below the grid floor (-1) or on no
-        # vertex's support kills the term
-        scaled = [int(ctx.scaled_ids[x]) for x in ext_ids]
-        if not all(x in ctx.live_modes for x in scaled):
-            continue
-        # boundary cutoffs (slots 0, 2L): all external creators, resp. annihilators
-        boundary = (chi(r_col + g.k_abs[ext_ids[:M]].sum(), 1.0)
-                    * chi(r_col + g.k_abs[ext_ids[M:]].sum(), 1.0))
-        if not np.any(boundary):
-            continue
-        for spec, pref, ends, pairings in shapes:
-            # external photons come in the rescaled frame, lines in the vertex frame
-            sums = _leg_sums([(x, a, c) for x, (a, c) in zip(ext_ids, ends)],
-                             spec.L, g.k_abs, g.k_vec)
-            frame = [[ctx.scale * (ax + s) for ax, s in zip(g.base_axes, row)]
-                     for row in sums]
-            ext = [(x, a, c) for x, (a, c) in zip(scaled, ends)]
-            acc = None
-            for pairing in pairings:
-                for line_modes in itertools.product(ctx.live_modes,
-                                                    repeat=len(pairing)):
-                    wts = float(np.prod(g.weight[list(line_modes)])) if line_modes else 1.0
-                    legs = ext + [(x, a, c) for x, (a, c, _) in zip(line_modes, pairing)]
-                    val = _chain_value(ctx, spec, legs, frame)
-                    if val is None:
-                        continue
-                    acc = wts * val if acc is None else acc + wts * val
-            if acc is None:
+    ext = ids[_tuples(range(len(ids)), M + N)]
+    # a rescaled external mode below the grid floor (-1) or on no vertex's
+    # support kills the term
+    keep = np.flatnonzero(np.all(np.isin(ctx.scaled_ids[ext], ctx.live_modes), axis=1))
+    nb = len(g.base_shape)
+    r_col = g.r_nodes.reshape((1, -1) + (1,) * (nb - 1))
+
+    def cutoff(legs):
+        return chi(r_col + g.k_abs[legs].sum(axis=1).reshape((-1,) + (1,) * nb), 1.0)
+
+    # boundary cutoffs (slots 0, 2L): all external creators, resp. annihilators
+    boundary = cutoff(ext[keep, :M]) * cutoff(ext[keep, M:])
+    live = np.any(boundary, axis=tuple(range(1, nb + 1)))
+    keep, boundary = keep[live], boundary[live]
+    if not len(keep):
+        return out, per_L
+    ext = ext[keep]
+    scaled = ctx.scaled_ids[ext]
+    flat_out = out.reshape(g.base_shape + (-1,))
+    for spec, pref, ends, pairings in shapes:
+        # external photons come in the rescaled frame, lines in the vertex frame
+        sums = _leg_sums(ext, ends, spec.L, g.k_abs, g.k_vec)
+        frame = [ctx.scale * (ax + sums[:, :, a, None]) for a, ax in enumerate(g.base_axes)]
+        acc = np.zeros((len(keep),) + g.base_shape, dtype=complex)
+        hit = np.zeros(len(keep), dtype=bool)
+        for pairing in pairings:
+            lines = _tuples(ctx.live_modes, len(pairing))
+            if not len(lines):
                 continue
-            contrib = pref * boundary * acc
-            out[(Ellipsis,) + tup] += contrib
-            mag = float(np.max(np.abs(contrib)))
-            per_L[spec.L] = max(per_L.get(spec.L, 0.0), mag)
+            line_ends = [(a, c) for a, c, _ in pairing]
+            line_sums = _leg_sums(lines, line_ends, spec.L, g.k_abs, g.k_vec)
+            # row (t, j): external tuple t, line modes j
+            t_of = np.repeat(np.arange(len(keep)), len(lines))
+            j_of = np.tile(np.arange(len(lines)), len(keep))
+            queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
+            rows, vals = _chain_rows(ctx, spec, np.concatenate([scaled[t_of], lines[j_of]], axis=1),
+                                     ends + line_ends, queries)
+            if not len(rows):
+                continue
+            wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]
+            # accumulates row by row, in the order of the rows
+            np.add.at(acc, t_of[rows], wts.reshape((-1,) + (1,) * nb) * vals)
+            hit[t_of[rows]] = True
+        if not np.any(hit):
+            continue
+        contrib = pref * boundary[hit] * acc[hit]
+        flat_out[..., keep[hit]] += np.moveaxis(contrib, 0, -1)
+        per_L[spec.L] = max(per_L.get(spec.L, 0.0), float(np.max(np.abs(contrib))))
     return out, per_L
 
 

@@ -75,6 +75,17 @@ def test_flow_matches_oracle_across_momenta(lam_c):
         assert abs(e_flow - e_oracle) <= tol
 
 
+def test_flow_matches_oracle_coarse_3d():
+    # the 3-d flow (three l-axes, polarized couplings) on a coarse grid, at
+    # the sigma_x tolerance of the momentum sweep above
+    params = ModelParams(dim=3, j_max=3, j_max_pair=2, N_max=2, n_z_samples=3,
+                         lam0=0.004)
+    e_flow = run_flow(params).energy
+    e_oracle = ground_energy(params)
+    tol = max(1e-3 * abs(e_oracle), 1e-8 * params.m)
+    assert abs(e_flow - e_oracle) <= tol
+
+
 def test_oracle_minus_pt2_is_fourth_order(lam_c):
     lams = [lam_c / 40.0, lam_c / 20.0, lam_c / 10.0]
     diffs = []

@@ -29,15 +29,16 @@ def _switch_off_pruning(monkeypatch):
 
 
 def _count_chains(monkeypatch):
-    """Record the term shape of every chain the assembler evaluates."""
+    """Record the term shape of every chain the assembler evaluates: one
+    entry per row of each evaluated batch."""
     shapes = []
-    orig = wick._chain_value
+    orig = wick._chain_rows
 
-    def counted(ctx, spec, legs, frame):
-        shapes.append(spec)
-        return orig(ctx, spec, legs, frame)
+    def counted(ctx, spec, modes, ends, queries):
+        shapes.extend([spec] * len(modes))
+        return orig(ctx, spec, modes, ends, queries)
 
-    monkeypatch.setattr(wick, "_chain_value", counted)
+    monkeypatch.setattr(wick, "_chain_rows", counted)
     return shapes
 
 

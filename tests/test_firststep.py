@@ -75,19 +75,19 @@ def test_z_window_guard(small_params):
 def test_two_level_resolvent_values():
     params = ModelParams()
     F = TwoLevelResolventData(params, z_phys=0.01)
-    rq = np.array([0.5])
-    lqs = [np.array([0.1])]
+    rq = np.array([[0.5]])
+    lqs = [np.array([[0.1]])]
     out = F(rq, lqs)
     b1 = 0.5 + 0.1 ** 2 / 2 - 0.01
-    assert out[0, 0, 0] == pytest.approx(1.0 / b1)          # chibar = 1 there
-    assert out[0, 0, 1] == pytest.approx(1.0 / (b1 + 1.0))
+    assert out[0, 0, 0, 0] == pytest.approx(1.0 / b1)          # chibar = 1 there
+    assert out[0, 0, 0, 1] == pytest.approx(1.0 / (b1 + 1.0))
 
 
 def test_two_level_resolvent_gap_guard():
     params = ModelParams()
     F = TwoLevelResolventData(params, z_phys=0.4)
     with pytest.raises(FirstStepError):
-        F(np.array([0.3]), [np.array([0.0])])
+        F(np.array([[0.3]]), [np.array([[0.0]])])
 
 
 def test_matrix_cross_check_quartic(small_params):

@@ -10,7 +10,7 @@ from dipolerg.kernels import (interp_product, interp_scatter, KernelGrid, Kernel
                               KernelSequence, symmetrize, norm_half, norm_sharp,
                               norm_xi, polydisc_measure, scale_transform,
                               assemble_operator, sequence_to_json,
-                              sequence_from_json, _axis_weights)
+                              sequence_from_json)
 
 
 @pytest.fixture()
@@ -50,22 +50,23 @@ def test_interp_outside_range_is_zero(grid):
     assert out[0, 0] == 0.0
 
 
-def test_interp_product_cache_matches_uncached_weights(grid, rng):
-    # the cached per-axis weights give the same bits as computing them afresh,
-    # on a repeated query and with non-contiguous query views
-    vals = rng.normal(size=grid.base_shape) + 1j * rng.normal(size=grid.base_shape)
-    rq = np.linspace(-0.1, 1.1, 14)[::2]
-    lq = 0.37 * grid.l_axes[0] + 0.05
-    ref = vals
-    for ax, (nodes, q) in enumerate(zip(grid.base_axes, [rq, lq])):
-        i0, i1, w0, w1 = _axis_weights(nodes, q)
-        shape = [1] * ref.ndim
-        shape[ax] = len(q)
-        ref = (np.take(ref, i0, axis=ax) * w0.reshape(shape)
-               + np.take(ref, i1, axis=ax) * w1.reshape(shape))
-    for _ in range(2):
-        out = interp_product(vals, grid.base_axes, [rq, lq])
-        assert np.array_equal(out, ref)
+def test_eval_product_rows_match_per_row_interpolation(grid, rng):
+    # each row interpolates its own photon slice at its own query vectors;
+    # a row with a photon argument off the kernel's modes evaluates to 0
+    ids = grid.mode_ids()[:3]
+    vals = (rng.normal(size=grid.base_shape + (3, 3))
+            + 1j * rng.normal(size=grid.base_shape + (3, 3)))
+    ker = Kernel(1, 1, grid, vals, ids)
+    rows = np.array([[ids[0], ids[2]], [ids[1], ids[1]], [ids[2], grid.mode_ids()[-1]]])
+    rq = np.array([np.linspace(0.0, 1.1, 5), np.linspace(0.2, 0.9, 5), np.linspace(0, 1, 5)])
+    lq = np.array([np.linspace(-1.0, 1.0, 4), np.linspace(-0.3, 0.5, 4), np.zeros(4)])
+    out = ker.eval_product(rows, rq, [lq])
+    assert out.shape == (3, 5, 4)
+    for i in range(2):
+        loc = [ids.index(g) for g in rows[i]]
+        expect = interp_product(vals[:, :, loc[0], loc[1]], grid.base_axes, [rq[i], lq[i]])
+        assert np.array_equal(out[i], expect)
+    assert not np.any(out[2])
 
 
 def test_interp_scatter_matches_product(grid):

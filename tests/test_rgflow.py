@@ -171,7 +171,7 @@ def test_no_vertex_sees_a_below_floor_mode(monkeypatch):
 
     def checked(orig):
         def eval_product(self, global_ids, rq, lqs):
-            assert all(g >= 0 for g in global_ids), global_ids
+            assert np.all(np.asarray(global_ids) >= 0), global_ids
             seen.append(type(self))
             return orig(self, global_ids, rq, lqs)
         return eval_product

@@ -196,7 +196,8 @@ def test_leg_sums_telescoping():
     annih_ids = [[], [3], [0]]
     legs = ([(x, -1, v) for v in range(L) for x in create_ids[v]]
             + [(x, v, L) for v in range(L) for x in annih_ids[v]])
-    sums = _leg_sums(legs, L, k_abs, k_vec)
+    sums = _leg_sums([[x for x, _, _ in legs]], [(a, c) for _, a, c in legs],
+                     L, k_abs, k_vec)[0]
     assert sums.shape == (2 * L + 1, 2)
     at_vertex, at_resolvent = sums[1::2], sums[0::2]
     k = np.column_stack([k_abs, k_vec])
@@ -218,22 +219,27 @@ def test_leg_sums_internal_line_spans_only_its_interior():
     k_abs = np.array([0.45, 0.2025, 0.0911])
     k_vec = np.array([[0.45], [-0.2025], [0.0911]])
     L = 5
-    sums = _leg_sums([(1, 1, 3)], L, k_abs, k_vec)
+    sums = _leg_sums([[1]], [(1, 3)], L, k_abs, k_vec)[0]
     k, o = [0.2025, -0.2025], [0.0, 0.0]
     assert np.array_equal(sums[1::2], [o, o, k, o, o])         # vertices
     assert np.array_equal(sums[0::2], [o, o, k, k, o, o])      # resolvents
-    assert not np.any(_leg_sums([], L, k_abs, k_vec))
-    # mixed external and internal legs against the rule written as a loop
-    legs = [(0, -1, 2), (2, -1, 4), (1, 0, 5), (2, 3, 5), (0, 0, 2), (1, 1, 4)]
-    sums = _leg_sums(legs, L, k_abs, k_vec)
-    for v in range(L):
-        expect = sum((np.r_[k_abs[x], k_vec[x]] for x, a, c in legs if a < v < c),
-                     start=np.zeros(2))
-        np.testing.assert_allclose(sums[2 * v + 1], expect, atol=1e-15)
-    for t in range(L + 1):
-        expect = sum((np.r_[k_abs[x], k_vec[x]] for x, a, c in legs if a < t <= c),
-                     start=np.zeros(2))
-        np.testing.assert_allclose(sums[2 * t], expect, atol=1e-15)
+    assert not np.any(_leg_sums(np.zeros((2, 0), dtype=int), [], L, k_abs, k_vec))
+    # mixed external and internal legs against the rule written as a loop,
+    # one row per mode assignment of the same legs
+    ends = [(-1, 2), (-1, 4), (0, 5), (3, 5), (0, 2), (1, 4)]
+    modes = [[0, 2, 1, 2, 0, 1], [1, 0, 2, 2, 1, 0]]
+    stacked = _leg_sums(modes, ends, L, k_abs, k_vec)
+    assert stacked.shape == (2, 2 * L + 1, 2)
+    for row, sums in zip(modes, stacked):
+        legs = [(x, a, c) for x, (a, c) in zip(row, ends)]
+        for v in range(L):
+            expect = sum((np.r_[k_abs[x], k_vec[x]] for x, a, c in legs if a < v < c),
+                         start=np.zeros(2))
+            np.testing.assert_allclose(sums[2 * v + 1], expect, atol=1e-15)
+        for t in range(L + 1):
+            expect = sum((np.r_[k_abs[x], k_vec[x]] for x, a, c in legs if a < t <= c),
+                         start=np.zeros(2))
+            np.testing.assert_allclose(sums[2 * t], expect, atol=1e-15)
 
 
 def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
