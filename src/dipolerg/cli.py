@@ -101,7 +101,7 @@ def config_dump(config_path, sets):
 def first_step(config_path, sets, z_value, dump_kernels):
     """Run the first decimation and report its summary."""
     params, _ = _params(config_path, sets)
-    seq = initial_kernels(params, z_value)
+    seq = initial_kernels(params, [z_value])[0]
     led = polydisc_measure(seq)
     payload = {
         "z": z_value,

@@ -5,7 +5,8 @@ band edge in a single soft decimation at scale rho0, expanding the
 off-band inverse as a finite chain series.  The output is a sequence of
 scalar kernels in rescaled variables, the starting point of the flow.
 The spectral parameter is passed in rescaled units: the physical value is
-rho0 * z.
+rho0 * z.  Only the resolvent depends on it, so one assembler pass builds
+the sequences at every z-node.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from .model import ModelParams, ConfigError, chi, chibar
-from .kernels import KernelGrid, KernelSequence, polydisc_measure, _l_sums
+from .kernels import KernelFamily, KernelGrid, polydisc_measure, _l_sums
 from . import wick
 from . import oracle as oracle_mod
 from . import feshbach
@@ -33,40 +34,50 @@ class TwoLevelResolventData:
 
     Lower-level entry carries the squared soft-cutoff complement; the upper
     level is entirely off-band.  Arguments arrive in original (unscaled)
-    units.  Tracks the worst gap margins seen, raising once the inversion
-    leaves its safe region.
+    units, and z_phys holds the spectral parameter of every family member.
+    Tracks the worst gap margins seen at each member, raising once the
+    inversion leaves its safe region at any of them.
     """
     params: ModelParams
-    z_phys: complex
-    min_gap_low: float = math.inf
-    min_gap_high: float = math.inf
+    z_phys: np.ndarray
+
+    def __post_init__(self):
+        self.z_phys = np.atleast_1d(np.asarray(self.z_phys, dtype=complex))
+        self.min_gap_low = np.full(len(self.z_phys), math.inf)
+        self.min_gap_high = np.full(len(self.z_phys), math.inf)
 
     def __call__(self, rq, lqs):
-        """Resolvent on each row's (r, l) product grid: rq has shape
-        (rows, n_r), every l-query (rows, n_l); returns (rows, n_r, n_l, 2)."""
+        """Resolvent on each row's (r, l) product grid at every member: rq
+        has shape (rows, n_r), every l-query (rows, n_l); returns (rows,
+        n_z, n_r, n_l, 2)."""
         p = self.params
         rq = np.asarray(rq)
-        r = rq.reshape(rq.shape + (1,) * len(lqs))
+        r = rq.reshape((len(rq), 1) + rq.shape[1:] + (1,) * len(lqs))
         l2, pl = _l_sums(lqs, p.p)
-        b1 = r + l2 / (2.0 * p.m) - pl / p.m - self.z_phys
+        l2, pl = l2[:, None], pl[:, None]
+        z = self.z_phys.reshape((1, -1) + (1,) * (1 + len(lqs)))
+        b1 = r + l2 / (2.0 * p.m) - pl / p.m - z
         b2 = b1 + p.omega0
         cb2 = chibar(r, p.rho0) ** 2
         active = np.broadcast_to(cb2 > 0.0, b1.shape)
-        floor_low = p.mu * p.rho0 / 4.0
+        # per member: every axis but the family axis
+        axes = (0,) + tuple(range(2, b1.ndim))
         if np.any(active):
-            gap_low = float(np.min(np.where(active, b1.real, np.inf)))
-            self.min_gap_low = min(self.min_gap_low, gap_low)
-            if gap_low < floor_low:
-                raise FirstStepError(
-                    f"lower-level gap {gap_low:.3e} below {floor_low:.3e}")
-        gap_high = float(np.min(b2.real))
-        self.min_gap_high = min(self.min_gap_high, gap_high)
-        if gap_high < p.omega0 / 4.0:
-            raise FirstStepError(
-                f"upper-level gap {gap_high:.3e} below {p.omega0 / 4.0:.3e}")
+            gap_low = np.min(np.where(active, b1.real, np.inf), axis=axes)
+            self.min_gap_low = np.minimum(self.min_gap_low, gap_low)
+            self._check("lower-level", gap_low, p.mu * p.rho0 / 4.0)
+        gap_high = np.min(b2.real, axis=axes)
+        self.min_gap_high = np.minimum(self.min_gap_high, gap_high)
+        self._check("upper-level", gap_high, p.omega0 / 4.0)
         low = np.where(active, cb2 / np.where(active, b1, 1.0), 0.0)
         high = 1.0 / b2
         return np.stack([low, high], axis=-1)
+
+    def _check(self, level, gaps, floor):
+        k = int(np.argmin(gaps))
+        if gaps[k] < floor:
+            raise FirstStepError(f"{level} gap {gaps[k]:.3e} below {floor:.3e} "
+                                 f"at z_phys={self.z_phys[k]:.4g}")
 
 
 class _SpinVertex:
@@ -97,47 +108,53 @@ class _SpinVertex:
         return np.any(self.grid.coupling != 0, axis=0)
 
 
-def _free_part(params: ModelParams, grid: KernelGrid, z: complex) -> np.ndarray:
-    """Rescaled lower-level free symbol: r + rho0 l^2/2m - p.l/m - z."""
+def _free_part(params: ModelParams, grid: KernelGrid, zs: np.ndarray) -> np.ndarray:
+    """Rescaled lower-level free symbol r + rho0 l^2/2m - p.l/m - z at
+    every z of zs: shape (n_z, *base)."""
     r = grid.r_nodes.reshape((-1,) + (1,) * len(grid.l_axes)).astype(complex)
     l2, pl = _l_sums(grid.l_axes, params.p)
+    z = np.asarray(zs, dtype=complex).reshape((-1,) + (1,) * (1 + len(grid.l_axes)))
     return r + (params.rho0 * l2 / (2.0 * params.m) - pl / params.m) - z
 
 
-def initial_kernels(params: ModelParams, z,
-                    grid: KernelGrid | None = None) -> KernelSequence:
-    """Kernel sequence produced by the first decimation, rescaled to scale 1.
+def initial_kernels(params: ModelParams, zs,
+                    grid: KernelGrid | None = None) -> KernelFamily:
+    """Kernel sequences produced by the first decimation at every rescaled
+    spectral parameter of zs, rescaled to scale 1, as one family.
 
-    z is the rescaled spectral parameter; the decimation itself happens at
-    physical parameter rho0 * z.  Raises FirstStepError when a gap margin
-    is violated or the chain series ratio reaches 1.  The ratio needs two
-    live chain lengths: sigma_x coupling at L_max=3 never has them (its odd
-    targets vanish), so there only the gap margins guard the decimation.
+    The decimation itself happens at physical parameter rho0 * z; one
+    assembler pass serves every z.  Raises FirstStepError when any z is
+    outside the half-gap window, a gap margin is violated or a chain series
+    ratio reaches 1.  The ratio needs two live chain lengths: sigma_x
+    coupling at L_max=3 never has them (its odd targets vanish), so there
+    only the gap margins guard the decimation.
     """
     steps = params.rho0_power()
     if steps is None:
         raise ConfigError("rho0 must be an integer power of rho for the grid")
     if grid is None:
         grid = KernelGrid(params)
-    z = complex(z)
-    if abs(z) > 0.5 * params.mu:
-        raise FirstStepError(
-            f"spectral parameter {z} outside the half-gap window "
-            f"|z| <= {0.5 * params.mu:.4g}")
-    z_phys = params.rho0 * z
-    F = TwoLevelResolventData(params, z_phys)
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    for z in zs:
+        if abs(z) > 0.5 * params.mu:
+            raise FirstStepError(
+                f"spectral parameter {complex(z)} outside the half-gap window "
+                f"|z| <= {0.5 * params.mu:.4g}")
+    F = TwoLevelResolventData(params, params.rho0 * zs)
     # the decoupled model has no vertices, hence no chains
     vertices = ({(1, 0): _SpinVertex(-1.0, params, grid),
                  (0, 1): _SpinVertex(1.0, params, grid)} if params.lam0 else {})
     ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=params.L_max,
                            scale=params.rho0, ext_shift_steps=steps, F_eval=F)
-    kernels, ratio = wick._assemble_kernels(ctx, params.M_max,
-                                            _free_part(params, grid, z))
-    if ratio >= 1.0:
-        raise FirstStepError(f"first decimation diverges: chain ratio {ratio:.3f}")
-    meta = {"stage": 0, "series_ratio": ratio,
-            "gap_low": F.min_gap_low, "gap_high": F.min_gap_high}
-    return KernelSequence(grid, kernels, params.p, z, meta)
+    stacks, mode_ids, ratios = wick._assemble_kernels(ctx, params.M_max,
+                                                      _free_part(params, grid, zs))
+    for z, ratio in zip(zs, ratios):
+        if ratio >= 1.0:
+            raise FirstStepError(f"first decimation diverges at z={complex(z)}: "
+                                 f"chain ratio {ratio:.3f}")
+    metas = [{"stage": 0, "series_ratio": ratio, "gap_low": float(lo), "gap_high": float(hi)}
+             for ratio, lo, hi in zip(ratios, F.min_gap_low, F.min_gap_high)]
+    return KernelFamily(grid, stacks, mode_ids, params.p, zs, metas)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +173,7 @@ _N_BISECT = 30
 def first_step_admissible(params: ModelParams,
                           grid: KernelGrid | None = None) -> bool:
     try:
-        seq = initial_kernels(params, 0.0, grid=grid)
+        seq = initial_kernels(params, [0.0], grid=grid)[0]
     except FirstStepError:
         return False
     if seq.meta["series_ratio"] > RATIO_MAX:

@@ -51,11 +51,13 @@ def interp_rows(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
     out = values
     for ax, (nodes, q) in enumerate(zip(nodes_list, queries_list), start=1):
         i0, i1, w0, w1 = _axis_weights(np.asarray(nodes, dtype=float), q)
-        shape = [len(i0)] + [1] * (out.ndim - 1)
-        shape[ax] = i0.shape[1]
-        a = np.take_along_axis(out, i0.reshape(shape), axis=ax)
-        b = np.take_along_axis(out, i1.reshape(shape), axis=ax)
-        out = a * w0.reshape(shape) + b * w1.reshape(shape)
+        # row r reads row r of out, or the one row every row shares
+        r = np.arange(len(i0))[:, None] if len(out) > 1 else np.zeros((1, 1), dtype=int)
+        pre = (slice(None),) * (ax - 1)
+        shape = i0.shape + (1,) * (out.ndim - 2)
+        # the two index arrays' (rows, n) axes come first, then axes 1..ax-1
+        out = np.moveaxis(out[(r,) + pre + (i0,)] * w0.reshape(shape)
+                          + out[(r,) + pre + (i1,)] * w1.reshape(shape), 1, ax)
     return out
 
 
@@ -70,17 +72,23 @@ def interp_product(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
 
 
 def interp_scatter(values: np.ndarray, nodes_list, points_list) -> np.ndarray:
-    """Interpolate at scattered points (one coordinate array per axis)."""
+    """Interpolate at scattered points (one coordinate array per axis).
+
+    The points run over the leading len(nodes_list) axes of `values`; any
+    trailing axes are carried along, so the result has shape
+    (n_points, *values.shape[len(nodes_list):]).
+    """
     naxes = len(nodes_list)
     pts = [np.asarray(p, dtype=float) for p in points_list]
     per_axis = [_axis_weights(np.asarray(nodes_list[a]), pts[a]) for a in range(naxes)]
-    out = np.zeros(pts[0].shape, dtype=values.dtype)
+    trailing = (1,) * (values.ndim - naxes)
+    out = np.zeros(pts[0].shape + values.shape[naxes:], dtype=values.dtype)
     for corner in itertools.product((0, 1), repeat=naxes):
         idx = tuple(per_axis[a][corner[a]] for a in range(naxes))
         w = np.ones(pts[0].shape)
         for a in range(naxes):
             w = w * per_axis[a][2 + corner[a]]
-        out = out + values[idx] * w
+        out = out + values[idx] * w.reshape(w.shape + trailing)
     return out
 
 
@@ -207,23 +215,6 @@ class Kernel:
     def n_base_axes(self) -> int:
         return 1 + len(self.grid.l_axes)
 
-    def local_tuple(self, global_ids) -> tuple | None:
-        loc = []
-        for g in global_ids:
-            a = self._local.get(int(g))
-            if a is None:
-                return None
-            loc.append(a)
-        return tuple(loc)
-
-    def slice_values(self, global_ids) -> np.ndarray | None:
-        """(r, l...) block at fixed photon arguments; None if unsupported."""
-        loc = self.local_tuple(global_ids)
-        if loc is None:
-            return None
-        idx = (slice(None),) * self.n_base_axes + loc
-        return self.values[idx]
-
     def eval_product(self, global_ids, rq, l_queries) -> np.ndarray:
         """Values on each row's (r, l) product grid of query vectors.
 
@@ -247,14 +238,6 @@ class Kernel:
         out = np.zeros((len(rq),) + vals.shape[1:], dtype=complex)
         out[ok] = vals
         return out
-
-    def eval_points(self, global_ids, r_pts, l_pts) -> np.ndarray:
-        """Scattered evaluation; l_pts has shape (npts, dim)."""
-        block = self.slice_values(global_ids)
-        if block is None:
-            return np.zeros(np.shape(r_pts), dtype=complex)
-        pts = [r_pts] + [l_pts[:, a] for a in range(len(self.grid.l_axes))]
-        return interp_scatter(block, self.grid.base_axes, pts)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -289,7 +272,8 @@ def symmetrize(values: np.ndarray, m: int, n: int, n_base_axes: int) -> np.ndarr
                 perm[src] = dst
             acc += np.transpose(values, perm)
             count += 1
-    return acc / count
+    acc /= count
+    return acc
 
 
 @dataclasses.dataclass
@@ -338,6 +322,51 @@ class KernelSequence:
 
     def perturbative_indices(self):
         return [mn for mn in self.indices() if sum(mn) >= 1]
+
+
+class KernelFamily:
+    """Kernel sequences at the spectral nodes zs, stored kernel by kernel.
+
+    stacks[(m, n)] holds kernel (m, n) of every member as one array of
+    shape (n_z, *base, photons) over the modes mode_ids[(m, n)], zero where
+    a member lacks it.  Member k is a KernelSequence whose kernels are views
+    of row k; it lacks every kernel but (0, 0) that is exactly zero at its
+    node.  Indexing, len() and iteration run over the members.
+    """
+
+    def __init__(self, grid: KernelGrid, stacks: dict, mode_ids: dict, p, zs, metas):
+        self.grid = grid
+        self.stacks = stacks
+        self.mode_ids = mode_ids
+        self.members = []
+        for k, (z, meta) in enumerate(zip(zs, metas)):
+            kernels = {mn: Kernel(mn[0], mn[1], grid, v[k], mode_ids[mn])
+                       for mn, v in stacks.items() if mn == (0, 0) or np.any(v[k])}
+            self.members.append(KernelSequence(grid, kernels, p, z, meta))
+
+    @classmethod
+    def gather(cls, members, zs) -> "KernelFamily":
+        """The family of sequences built one at a time, relabelled to the
+        nodes zs.  Each member is copied into the stacks as it arrives, so
+        at most one member is held twice."""
+        stacks, mode_ids, metas = {}, {}, []
+        for k, seq in enumerate(members):
+            for mn, ker in seq.kernels.items():
+                if mn not in stacks:
+                    stacks[mn] = np.zeros((len(zs),) + ker.values.shape, dtype=complex)
+                    mode_ids[mn] = ker.mode_ids
+                stacks[mn][k] = ker.values
+            metas.append(seq.meta)
+        return cls(seq.grid, stacks, mode_ids, seq.p, zs, metas)
+
+    def __len__(self):
+        return len(self.members)
+
+    def __getitem__(self, k) -> KernelSequence:
+        return self.members[k]
+
+    def __iter__(self):
+        return iter(self.members)
 
 
 # ---------------------------------------------------------------------------
@@ -479,23 +508,25 @@ def assemble_operator(seq: KernelSequence, basis: FockBasis) -> FockOperator:
     if [m.index for m in basis.modes] != [m.index for m in g.modes]:
         raise ConfigError("basis and kernel grid use different modes")
     nstates = len(basis)
-    r_pts = basis.r
-    l_pts = basis.l
+    points = [basis.r] + [basis.l[:, a] for a in range(len(g.l_axes))]
     total = sp.csr_matrix((nstates, nstates), dtype=complex)
     b_ops = [ladder(basis, i).mat for i in range(len(g.modes))]
+    b_adj = [b.conj().T for b in b_ops]
     for (m, n), ker in sorted(seq.kernels.items()):
         ids = ker.mode_ids
-        for tup in itertools.product(ids, repeat=m + n):
-            create, annih = tup[:m], tup[m:]
-            diag = ker.eval_points(tup, r_pts, l_pts)
+        # (states, n_loc, ..., n_loc): the diagonal of every photon tuple
+        diags = interp_scatter(ker.values, g.base_axes, points)
+        for loc in itertools.product(range(len(ids)), repeat=m + n):
+            diag = diags[(slice(None),) + loc]
             if not np.any(diag):
                 continue
-            w = math.sqrt(float(np.prod(g.weight[list(tup)]))) if tup else 1.0
+            tup = [ids[a] for a in loc]
+            w = math.sqrt(float(np.prod(g.weight[tup]))) if tup else 1.0
             op = sp.diags(diag).tocsr()
-            for i in annih:
+            for i in tup[m:]:
                 op = op @ b_ops[i]
-            for i in reversed(create):
-                op = b_ops[i].conj().T @ op
+            for i in reversed(tup[:m]):
+                op = b_adj[i] @ op
             total = total + w * op
     proj = number_projection(basis, 1.0).mat
     return FockOperator(proj @ total @ proj, basis)

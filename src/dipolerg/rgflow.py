@@ -3,9 +3,10 @@
 Each stage removes the top field-energy shell with a soft partition,
 re-expands the off-band inverse as a chain series over the current
 kernels, and rescales back to the unit band.  The spectral parameter is
-tracked as an analytic family over Chebyshev sample nodes; its per-stage
-reparameterization is inverted numerically and composed into the energy
-chain whose limit is the fiber ground energy.
+tracked as an analytic family over Chebyshev sample nodes, stored as one
+KernelFamily per stage; its per-stage reparameterization is inverted
+numerically and composed into the energy chain whose limit is the fiber
+ground energy.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import math
 import numpy as np
 
 from .model import ConfigError, ModelParams, chibar
-from .kernels import (Kernel, KernelGrid, KernelSequence, interp_product,
-                      polydisc_measure, _l_sums)
+from .kernels import (Kernel, KernelFamily, KernelGrid, KernelSequence,
+                      interp_product, polydisc_measure, _l_sums)
 from . import wick
 from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
 from .fockspace import FockBasis
@@ -61,7 +62,8 @@ def _band_denominator(seq: KernelSequence):
         if np.any(bad):
             raise FlowError("band symbol vanishes inside the decimation region")
         denom = np.where(live, vals, 1.0)
-        return np.where(live, (cb2 * inside) / denom, 0.0)
+        # a family of one
+        return np.where(live, (cb2 * inside) / denom, 0.0)[:, None]
 
     return F_eval
 
@@ -96,12 +98,12 @@ def renormalize(seq: KernelSequence, params: ModelParams) -> KernelSequence:
     # rescaled passthrough of the band symbol, no boundary factors
     queries = [rho * grid.r_nodes] + [rho * ax for ax in grid.l_axes]
     w00_base = interp_product(seq.w00.values, grid.base_axes, queries) / rho
-    new_kernels, ratio = wick._assemble_kernels(ctx, params.M_max, w00_base)
+    stacks, mode_ids, (ratio,) = wick._assemble_kernels(ctx, params.M_max, w00_base[None])
     if ratio >= 1.0:
         raise FlowError(f"chain series diverges: ratio {ratio:.3f}")
     meta = {"stage": int(seq.meta.get("stage", 0)) + 1,
             "series_ratio": ratio, "band_margin": margin}
-    return KernelSequence(grid, new_kernels, seq.p, seq.z, meta)
+    return KernelFamily(grid, stacks, mode_ids, seq.p, [seq.z], [meta])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +118,19 @@ def cheb_nodes(n: int, half_width: float) -> np.ndarray:
     return half_width * x
 
 
-def _lagrange_weights(nodes: np.ndarray, x: float) -> np.ndarray:
-    """Barycentric interpolation weights at a point."""
-    d = x - nodes
-    hit = np.abs(d) < 1e-300
-    if np.any(hit):
-        w = np.zeros_like(nodes)
-        w[np.argmax(hit)] = 1.0
-        return w
-    bw = np.ones_like(nodes)
-    for i in range(len(nodes)):
-        bw[i] = 1.0 / np.prod(nodes[i] - np.delete(nodes, i))
-    t = bw / d
-    return t / t.sum()
+def _lagrange_weights(nodes: np.ndarray, targets) -> np.ndarray:
+    """Barycentric interpolation weights: row i interpolates at targets[i]."""
+    bw = np.array([1.0 / np.prod(x - np.delete(nodes, i)) for i, x in enumerate(nodes)])
+    rows = []
+    for x in targets:
+        d = x - nodes
+        hit = np.abs(d) < 1e-300
+        if np.any(hit):
+            rows.append(hit.astype(float))
+        else:
+            t = bw / d
+            rows.append(t / t.sum())
+    return np.array(rows)
 
 
 @dataclasses.dataclass
@@ -166,23 +168,16 @@ class StageMap:
         return complex(z)
 
 
-def interpolate_family(seqs: list[KernelSequence], nodes: np.ndarray,
+def interpolate_family(family: KernelFamily, weights: np.ndarray,
                        z: complex) -> KernelSequence:
-    """Kernel family member at an off-node spectral parameter (Lagrange)."""
-    w = _lagrange_weights(nodes, complex(z))
-    grid = seqs[0].grid
-    indices = sorted({mn for s in seqs for mn in s.indices()})
-    out = {}
-    for mn in indices:
-        ref = next(s.kernel(*mn) for s in seqs if s.kernel(*mn) is not None)
-        acc = np.zeros_like(ref.values)
-        for wk, s in zip(w, seqs):
-            ker = s.kernel(*mn)
-            if ker is not None:
-                acc = acc + wk * ker.values
-        out[mn] = Kernel(mn[0], mn[1], grid, acc, ref.mode_ids)
-    meta = dict(seqs[0].meta)
-    return KernelSequence(grid, out, seqs[0].p, z, meta)
+    """Family member at an off-node spectral parameter z, given its row of
+    Lagrange weights (see _lagrange_weights): each kernel is one contraction
+    of its node stack with the weights."""
+    grid = family.grid
+    out = {mn: Kernel(mn[0], mn[1], grid, np.tensordot(weights, stack, axes=1),
+                      family.mode_ids[mn])
+           for mn, stack in family.stacks.items()}
+    return KernelSequence(grid, out, family[0].p, z, dict(family[0].meta))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +221,7 @@ def run_flow(params: ModelParams, n_max: int = 40,
     nodes = cheb_nodes(params.n_z_samples, z_half_width_frac * mu)
     grid = KernelGrid(params)
     try:
-        seqs = [initial_kernels(params, zk, grid=grid) for zk in nodes]
+        family = initial_kernels(params, nodes, grid=grid)
     except FirstStepError as exc:
         raise FlowError(f"first decimation failed: {exc}") from exc
 
@@ -236,30 +231,29 @@ def run_flow(params: ModelParams, n_max: int = 40,
     ratios = []
     newton_tol = 1e-12 * mu
     for stage in range(n_max + 1):
-        origins = np.array([s.w00_origin() for s in seqs])
+        origins = np.array([s.w00_origin() for s in family])
         sm = StageMap.fit(nodes, -origins / rho)
         stage_maps.append(sm)
         e = _compose_chain(stage_maps, rho, newton_tol)
         e_chain.append(e)
-        ledgers.append(polydisc_measure(seqs[len(nodes) // 2]))
-        ratios.append(seqs[len(nodes) // 2].meta.get("series_ratio", 0.0))
+        ledgers.append(polydisc_measure(family[len(nodes) // 2]))
+        ratios.append(family[len(nodes) // 2].meta.get("series_ratio", 0.0))
         if stage >= max(min_stages, 2) and abs(e_chain[-1] - e_chain[-2]) < tol:
             break
         if stage == n_max:
             raise FlowError(f"energy chain not Cauchy after {n_max} stages: last step "
                             f"{abs(e_chain[-1] - e_chain[-2]):.3e}, tolerance {tol:.3e}")
-        new_seqs = []
-        for zk in nodes:
-            z_src = sm.inverse(complex(zk), rho, newton_tol)
-            member = interpolate_family(seqs, nodes, z_src)
-            nxt = renormalize(member, params)
-            nxt.z = complex(zk)       # relabel to the new spectral parameter
-            new_seqs.append(nxt)
-        seqs = new_seqs
+        sources = [sm.inverse(complex(zk), rho, newton_tol) for zk in nodes]
+        weights = _lagrange_weights(nodes, sources)
+        # one member at a time, each labelled with the node whose pull-back it was built at
+        prev = family
+        family = KernelFamily.gather(
+            (renormalize(interpolate_family(prev, w, z), params)
+             for w, z in zip(weights, sources)), nodes)
     energy = params.rho0 * complex(e_chain[-1]).real
     return FlowResult(energy=energy, e_chain=e_chain, stages=len(e_chain) - 1,
                       ledgers=ledgers, series_ratios=ratios,
-                      stage_maps=stage_maps, final_seqs=seqs, z_nodes=nodes)
+                      stage_maps=stage_maps, final_seqs=list(family), z_nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

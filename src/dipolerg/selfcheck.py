@@ -56,13 +56,14 @@ def _toy_kernels(grid, rng):
 def _f_factor(rq, lqs):
     """Diagonal chain factor, analytic below the cap and zero above.
 
-    rq has shape (rows, n_r), every l-query (rows, n_l)."""
+    rq has shape (rows, n_r), every l-query (rows, n_l); the result is a
+    family of one, (rows, 1, n_r, n_l)."""
     rq = np.asarray(rq)
     r = rq.reshape(rq.shape + (1,) * len(lqs))
     l2, _ = _l_sums(lqs)
     vals = 1.0 / (0.7 + r + 0.2 * l2)
     inside = (r <= 1.0 + 1e-12)
-    return np.where(inside, vals, 0.0)
+    return np.where(inside, vals, 0.0)[:, None]
 
 
 def wick_reassembly_defect(params: ModelParams | None = None,
@@ -78,7 +79,7 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     W = assemble_operator(seq_in, basis).dense()
     # one row per basis state, each querying its own (r, l)
     F = functional_calculus(
-        lambda r, l: _f_factor(r[:, None], [l[:, :1]])[:, 0, 0], basis).dense()
+        lambda r, l: _f_factor(r[:, None], [l[:, :1]])[:, 0, 0, 0], basis).dense()
     chi_d = functional_calculus(lambda r, l: chi(r, 1.0) + 0.0 * r, basis).dense()
     lhs = np.zeros_like(W)
     term = W.copy()
@@ -95,7 +96,7 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     for total in range(0, max_ext + 1):
         for m in range(total + 1):
             n = total - m
-            vals, _ = wick.assemble_target(m, n, ctx, ext_mode_ids=[0, 1])
+            vals = wick.assemble_target(m, n, ctx, ext_mode_ids=[0, 1])[0][0]
             if total == 0:
                 out_kernels[(0, 0)] = Kernel(0, 0, grid, vals)
             elif np.any(vals):

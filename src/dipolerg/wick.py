@@ -9,7 +9,10 @@ internal momenta.  The chains of one term shape and pairing are evaluated
 as one batch: a leading row axis runs over every external mode tuple
 times every internal line-mode assignment, and each vertex and resolvent
 is queried once per batch with stacked (rows, ...) arguments, vectorized
-over the (r, l) sample grid.
+over the (r, l) sample grid.  A family axis follows the row axis: the
+resolvent may depend on the member of an analytic family (the first
+decimation's spectral parameter at every z-node) while the vertices do
+not, so one pass assembles every member.
 
 Every photon of a chain is a leg (mode, opened, closed): an external
 creator at vertex c is (x, -1, c), an external annihilator at vertex a is
@@ -38,6 +41,11 @@ import numpy as np
 
 from .model import ConfigError, chi
 from .kernels import Kernel, KernelGrid, symmetrize
+
+# a batch is evaluated in chunks of rows that hold at most this many (r, l)
+# grid points per family member: on the default grid a first-decimation
+# batch has hundreds of rows, each at every z-node
+_CHUNK_POINTS = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +208,9 @@ class WickContext:
     zero on, and spin_pattern() is the boolean sparsity of its spin block
     (1x1 for a scalar vertex).  Scalar vertices return (rows, *base)
     arrays; spin vertices append (s, s) axes.  F_eval(rq, lqs) takes the
-    same stacked queries and returns the diagonal resolvent factor (rows,
-    *base), or (rows, *base, s), already masked to its domain.
+    same stacked queries and returns the diagonal resolvent factor at every
+    family member, (rows, n_f, *base) or (rows, n_f, *base, s), already
+    masked to its domain; a family of one has n_f = 1.
     """
     grid: KernelGrid
     vertices: dict
@@ -216,7 +225,7 @@ class WickContext:
         shift = np.arange(len(self.grid.modes))
         up = self.grid.shift_up
         for _ in range(self.ext_shift_steps):
-            shift = np.array([up[s] if s >= 0 else -1 for s in shift])
+            shift = np.where(shift >= 0, up[shift], -1)
         self.scaled_ids = shift
         # a leg on a mode outside the union makes its chain exactly zero
         self.live_modes = tuple(sorted({int(x) for v in self.vertices.values()
@@ -248,8 +257,10 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
     pulled through.  A row whose partial chain vanishes is dropped at
     once: no later vertex or resolvent is evaluated on it.  A spin chain
     carries only its row <0|, the one its (0, 0) value depends on, the
-    diagonal resolvent scaling each entry.  Returns the indices of the
-    surviving rows and their values.
+    diagonal resolvent scaling each entry.  The chain takes a family axis
+    after the row axis from its first resolvent (length 1 before it).
+    Returns the indices of the surviving rows and their values, (rows, n_f,
+    *base).
     """
     rows = np.arange(len(modes))
     chain = None
@@ -259,9 +270,9 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
                 + [j for j, (o, _) in enumerate(ends) if o == v])
         rq, *lqs = [q[rows, 2 * v + 1] for q in queries]
         val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
-            modes[np.ix_(rows, cols)], rq, lqs)
+            modes[np.ix_(rows, cols)], rq, lqs)[:, None]
         if chain is None:
-            spin = val.ndim > 2 + len(lqs)
+            spin = val.ndim > 3 + len(lqs)
             chain = val[..., 0, :] if spin else val
         elif spin:
             chain = chain[..., 0, None] * val[..., 0, :] + chain[..., 1, None] * val[..., 1, :]
@@ -279,17 +290,20 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
 def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
     """Sum of all chain contributions to the (M, N) output kernel.
 
-    Returns (values, per_L) where values has base-grid shape plus M+N
-    photon axes over ext_mode_ids, and per_L maps chain length to the max
-    magnitude contributed (the series-decay monitor).  The result is NOT
-    yet symmetrized over the photon axes.  The chains of one term shape
-    and pairing are evaluated as one batch whose rows run over every live
-    external tuple times every internal line-mode assignment.
+    Returns (values, per_L) where values has a family axis, then the
+    base-grid shape plus M+N photon axes over ext_mode_ids, and per_L maps
+    chain length to the max magnitude contributed at each family member
+    (the series-decay monitor), an array over the family axis.  Both
+    family axes have length 1 when no contribution passes a resolvent.
+    The result is NOT yet symmetrized over the photon axes.  The chains
+    of one term shape and pairing are evaluated as one batch whose rows
+    run over every live external tuple times every internal line-mode
+    assignment.
     """
     g = ctx.grid
     ids = np.asarray(list(ext_mode_ids), dtype=int)
-    out = np.zeros(g.base_shape + (len(ids),) * (M + N), dtype=complex)
-    per_L: dict[int, float] = {}
+    out = np.zeros((1,) + g.base_shape + (len(ids),) * (M + N), dtype=complex)
+    per_L: dict[int, np.ndarray] = {}
     scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
     shapes = []
     for spec in enumerate_term_specs(M, N, ctx.L_max, ctx.vertices):
@@ -333,13 +347,14 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
         return out, per_L
     ext = ext[keep]
     scaled = ctx.scaled_ids[ext]
-    flat_out = out.reshape(g.base_shape + (-1,))
+    boundary = boundary[:, None]
+    flat_out = out.reshape(out.shape[:1 + nb] + (-1,))
+    chunk = max(1, _CHUNK_POINTS // math.prod(g.base_shape))
     for spec, pref, ends, pairings in shapes:
         # external photons come in the rescaled frame, lines in the vertex frame
         sums = _leg_sums(ext, ends, spec.L, g.k_abs, g.k_vec)
         frame = [ctx.scale * (ax + sums[:, :, a, None]) for a, ax in enumerate(g.base_axes)]
-        acc = np.zeros((len(keep),) + g.base_shape, dtype=complex)
-        hit = np.zeros(len(keep), dtype=bool)
+        acc = None
         for pairing in pairings:
             lines = _tuples(ctx.live_modes, len(pairing))
             if not len(lines):
@@ -347,22 +362,35 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
             line_ends = [(a, c) for a, c, _ in pairing]
             line_sums = _leg_sums(lines, line_ends, spec.L, g.k_abs, g.k_vec)
             # row (t, j): external tuple t, line modes j
-            t_of = np.repeat(np.arange(len(keep)), len(lines))
-            j_of = np.tile(np.arange(len(lines)), len(keep))
-            queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
-            rows, vals = _chain_rows(ctx, spec, np.concatenate([scaled[t_of], lines[j_of]], axis=1),
-                                     ends + line_ends, queries)
-            if not len(rows):
-                continue
-            wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]
-            # accumulates row by row, in the order of the rows
-            np.add.at(acc, t_of[rows], wts.reshape((-1,) + (1,) * nb) * vals)
-            hit[t_of[rows]] = True
-        if not np.any(hit):
+            t_all = np.repeat(np.arange(len(keep)), len(lines))
+            j_all = np.tile(np.arange(len(lines)), len(keep))
+            for lo in range(0, len(t_all), chunk):
+                t_of, j_of = t_all[lo:lo + chunk], j_all[lo:lo + chunk]
+                queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
+                rows, vals = _chain_rows(ctx, spec,
+                                         np.concatenate([scaled[t_of], lines[j_of]], axis=1),
+                                         ends + line_ends, queries)
+                if not len(rows):
+                    continue
+                wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]
+                if acc is None:
+                    acc = np.zeros((len(keep),) + vals.shape[1:], dtype=complex)
+                # accumulates row by row, in the order of the rows
+                np.add.at(acc, t_of[rows], wts.reshape((-1,) + (1,) * (nb + 1)) * vals)
+        if acc is None:
             continue
-        contrib = pref * boundary[hit] * acc[hit]
-        flat_out[..., keep[hit]] += np.moveaxis(contrib, 0, -1)
-        per_L[spec.L] = max(per_L.get(spec.L, 0.0), float(np.max(np.abs(contrib))))
+        # each tuple's contribution, in place; a tuple no chain reached adds 0
+        acc *= pref * boundary
+        if len(out) < acc.shape[1]:
+            # a contribution added so far is the same at every member
+            # (np.full writes every page now; the scattered += below would
+            # fault each lazily zeroed page twice, on the read and the write)
+            out = (np.repeat(out, acc.shape[1], axis=0) if per_L
+                   else np.full((acc.shape[1],) + out.shape[1:], 0j))
+            flat_out = out.reshape(out.shape[:1 + nb] + (-1,))
+        flat_out[..., keep] += np.moveaxis(acc, 0, -1)
+        mags = np.max(np.abs(acc), axis=(0,) + tuple(range(2, acc.ndim)))
+        per_L[spec.L] = np.maximum(per_L.get(spec.L, 0.0), mags)
     return out, per_L
 
 
@@ -385,26 +413,37 @@ def series_ratio(per_L: dict) -> float:
 
 
 def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
-    """Every target kernel with m + n <= M_max, and the worst series ratio.
+    """Every target kernel with m + n <= M_max at every family member.
 
-    The (0,0) kernel is w00_base plus its closed chains.  Targets with
-    m + n >= 2 run over the pair mode grid.  Every other target is
-    dropped when exactly zero and otherwise symmetrized over its photon
-    axes.
+    w00_base has a leading family axis, one row per member, and the (0,0)
+    kernel is w00_base plus its closed chains.  Targets with m + n >= 2
+    run over the pair mode grid.  Every other target is dropped when
+    exactly zero at every member and otherwise symmetrized over its photon
+    axes.  Returns (stacks, mode_ids, ratios): stacks[(m, n)] has shape
+    (n_f, *base, photons) over the modes mode_ids[(m, n)], and ratios[k] is
+    member k's worst series ratio.
     """
     g = ctx.grid
-    kernels = {}
-    ratio = 0.0
+    n_f = len(w00_base)
+    stacks, mode_ids = {}, {}
+    ratios = [0.0] * n_f
     for total in range(M_max + 1):
         ids = g.mode_ids() if total <= 1 else g.pair_mode_ids()
-        for m in range(total + 1):
+        # symmetrizing holds a second copy of the target: do it before the
+        # family holds the other targets of this total
+        for m in sorted(range(total + 1), key=lambda m: max(m, total - m) <= 1):
             n = total - m
             vals, per_L = assemble_target(m, n, ctx, ids)
-            ratio = max(ratio, series_ratio(per_L))
+            per_L = {L: np.broadcast_to(v, n_f) for L, v in per_L.items()}
+            ratios = [max(r, series_ratio({L: float(v[k]) for L, v in per_L.items()}))
+                      for k, r in enumerate(ratios)]
             if total == 0:
-                kernels[(0, 0)] = Kernel(0, 0, g, w00_base + vals)
+                stacks[(0, 0)] = w00_base + vals
+            elif np.any(vals):
+                vals = symmetrize(np.broadcast_to(vals, (n_f,) + vals.shape[1:]),
+                                  m, n, 2 + len(g.l_axes))
+                stacks[(m, n)] = np.ascontiguousarray(vals)
+            else:
                 continue
-            if np.any(vals):
-                vals = symmetrize(vals, m, n, 1 + len(g.l_axes))
-                kernels[(m, n)] = Kernel(m, n, g, vals, ids)
-    return kernels, ratio
+            mode_ids[(m, n)] = ids
+    return stacks, mode_ids, ratios

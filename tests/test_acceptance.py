@@ -119,7 +119,7 @@ def test_flow_contracts_perturbation(lam_c):
 def test_scale_transformation_exactness():
     params = ModelParams(lam0=0.02, j_max=6, j_max_pair=5)
     grid = KernelGrid(params)
-    seq = initial_kernels(params, 0.0, grid=grid)
+    seq = initial_kernels(params, [0.0], grid=grid)[0]
     scaled = scale_transform(seq)
     basis = FockBasis(grid.modes, 2)
     A = assemble_operator(seq, basis).dense()

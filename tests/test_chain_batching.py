@@ -21,7 +21,7 @@ import pytest
 from dipolerg import wick
 from dipolerg.firststep import initial_kernels
 from dipolerg.model import ModelParams, SIGMA_X, SIGMA_Z, chi
-from dipolerg.rgflow import renormalize
+from dipolerg.rgflow import cheb_nodes, renormalize
 from dipolerg.selfcheck import _f_factor, _toy_grid, _toy_kernels
 from dipolerg.wick import (combinatorial_weight, enumerate_term_specs,
                            internal_pairings)
@@ -61,7 +61,8 @@ def _chain_value(ctx, spec, legs, frame, product):
             return None
         if v < L - 1:
             rq, *lqs = [q + s for q, s in zip(frame[2 * v + 2], lines[2 * v + 2])]
-            f = ctx.F_eval(rq[None], [q[None] for q in lqs])[0]
+            # one row of a family of one
+            f = ctx.F_eval(rq[None], [q[None] for q in lqs])[0, 0]
             chain = chain * (f[..., None, :] if spin else f)
             if not np.any(chain):
                 return None
@@ -69,7 +70,8 @@ def _chain_value(ctx, spec, legs, frame, product):
 
 
 def reference_assemble_target(M, N, ctx, ext_mode_ids, product=np.matmul):
-    """The per-chain assembler (same signature and result as wick.assemble_target)."""
+    """The per-chain assembler (same signature and result as wick.assemble_target
+    on a family of one)."""
     g = ctx.grid
     ids = list(ext_mode_ids)
     nE = len(ids)
@@ -97,7 +99,7 @@ def reference_assemble_target(M, N, ctx, ext_mode_ids, product=np.matmul):
                 + [(v, spec.L) for v in range(spec.L) for _ in range(spec.n[v])])
         shapes.append((spec, pref, ends, pairings))
     if not shapes:
-        return out, per_L
+        return out[None], per_L
     r_col = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes))
     for tup in itertools.product(range(nE), repeat=M + N):
         ext_ids = [ids[t] for t in tup]
@@ -129,7 +131,7 @@ def reference_assemble_target(M, N, ctx, ext_mode_ids, product=np.matmul):
             out[(Ellipsis,) + tup] += contrib
             mag = float(np.max(np.abs(contrib)))
             per_L[spec.L] = max(per_L.get(spec.L, 0.0), mag)
-    return out, per_L
+    return out[None], {L: np.array([v]) for L, v in per_L.items()}
 
 
 def _both(monkeypatch, run, product=np.matmul):
@@ -168,12 +170,12 @@ def test_first_step_matches_per_chain_loop(monkeypatch, case):
     # meta carries series_ratio and the resolvent's gap minima: the batch
     # must query the resolvent on exactly the chains the loop queried
     params, bitwise = FIRST_STEPS[case]
-    batched, reference = _both(monkeypatch, lambda: initial_kernels(params, 0.03))
+    batched, reference = _both(monkeypatch, lambda: initial_kernels(params, [0.03])[0])
     assert set(batched.meta) >= {"gap_low", "gap_high", "series_ratio"}
     _assert_same_sequence(batched, reference, rtol=0.0 if bitwise else 1e-13)
     if not bitwise:
         # the difference is the stacked 2x2 matmul of the reference, nothing else
-        _, termwise = _both(monkeypatch, lambda: initial_kernels(params, 0.03),
+        _, termwise = _both(monkeypatch, lambda: initial_kernels(params, [0.03])[0],
                             product=_matmul_terms)
         _assert_same_sequence(batched, termwise)
 
@@ -181,7 +183,7 @@ def test_first_step_matches_per_chain_loop(monkeypatch, case):
 def test_sigz_renormalize_matches_per_chain_loop(monkeypatch):
     params = ModelParams(lam0=0.02, j_max=5, j_max_pair=3, n_z_samples=3,
                          spin_coupling=SIGMA_Z)
-    seq = initial_kernels(params, 0.01)
+    seq = initial_kernels(params, [0.01])[0]
     batched, reference = _both(monkeypatch, lambda: renormalize(seq, params))
     assert batched.perturbative_indices()
     _assert_same_sequence(batched, reference)
@@ -198,6 +200,22 @@ def test_wick_toy_matches_per_chain_loop():
             vals, per_L = wick.assemble_target(m, total - m, ctx, [0, 1])
             ref_vals, ref_per_L = reference_assemble_target(m, total - m, ctx, [0, 1])
             assert np.array_equal(vals, ref_vals), (m, total - m)
-            assert per_L == ref_per_L
+            assert per_L.keys() == ref_per_L.keys()
+            assert all(np.array_equal(per_L[L], ref_per_L[L]) for L in per_L)
             live += bool(np.any(vals))
     assert live >= 6      # at least every target with m + n <= 2
+
+
+def test_row_chunks_change_no_number(monkeypatch):
+    # one row per chunk against whole batches: the rows are accumulated in
+    # the same order and the resolvent sees the same queries
+    params = ModelParams(lam0=0.02, j_max=5, j_max_pair=3, n_z_samples=3,
+                         spin_coupling=SIGMA_Z)
+    nodes = cheb_nodes(3, 0.45 * params.mu)
+    whole = initial_kernels(params, nodes)
+    whole_next = renormalize(whole[1], params)
+    monkeypatch.setattr(wick, "_CHUNK_POINTS", 1)
+    chunked = initial_kernels(params, nodes)
+    for a, b in zip(chunked, whole):
+        _assert_same_sequence(a, b)
+    _assert_same_sequence(renormalize(chunked[1], params), whole_next)

@@ -55,9 +55,9 @@ def test_first_step_pruning_is_exact(monkeypatch, coupling):
     # meta carries the gap guard's minima: skipping chains skips resolvent
     # evaluations, and the minima must not move
     params = ModelParams(lam0=0.004, j_max=5, j_max_pair=4, spin_coupling=coupling)
-    pruned = initial_kernels(params, 0.05 * params.mu)
+    pruned = initial_kernels(params, [0.05 * params.mu])[0]
     _switch_off_pruning(monkeypatch)
-    full = initial_kernels(params, 0.05 * params.mu)
+    full = initial_kernels(params, [0.05 * params.mu])[0]
     _assert_same_sequence(pruned, full)
     assert set(pruned.meta) >= {"gap_low", "gap_high"}
 
@@ -65,7 +65,7 @@ def test_first_step_pruning_is_exact(monkeypatch, coupling):
 def test_sigz_renormalize_pruning_is_exact_and_skips_nearly_every_chain(monkeypatch):
     params = ModelParams(lam0=0.02, j_max=4, j_max_pair=3, n_z_samples=3,
                          spin_coupling=SIGMA_Z)
-    seq = initial_kernels(params, 0.0)
+    seq = initial_kernels(params, [0.0])[0]
     shapes = _count_chains(monkeypatch)
     pruned = renormalize(seq, params)
     n_pruned = len(shapes)
@@ -89,7 +89,7 @@ def test_odd_first_step_targets_follow_the_spin_pattern(monkeypatch, coupling, o
     # evaluate no chain and are dropped; any diagonal part keeps them
     shapes = _count_chains(monkeypatch)
     params = ModelParams(lam0=0.004, j_max=4, j_max_pair=4, spin_coupling=coupling)
-    seq = initial_kernels(params, 0.0)
+    seq = initial_kernels(params, [0.0])[0]
     odd = [s for s in shapes if s.M + s.N == 1]
     assert bool(odd) == odd_live
     assert (seq.kernel(1, 0) is not None) == odd_live

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dipolerg.model import ModelParams, SIGMA_Z
+from dipolerg.model import ModelParams, SIGMA_X, SIGMA_Z
 from dipolerg.kernels import KernelGrid, assemble_operator
 from dipolerg.fockspace import FockBasis, dilation, number_projection
 from dipolerg import firststep
@@ -10,6 +10,7 @@ from dipolerg.firststep import (initial_kernels, matrix_first_step,
                                 first_step_admissible,
                                 lambda_critical_estimate)
 from dipolerg.oracle import pt2_energy
+from dipolerg.rgflow import cheb_nodes
 
 
 @pytest.fixture()
@@ -20,7 +21,7 @@ def small_params():
 def test_decoupled_sequence_is_free_symbol():
     params = ModelParams(lam0=0.0, p=0.1)
     grid = KernelGrid(params)
-    seq = initial_kernels(params, 0.05, grid=grid)
+    seq = initial_kernels(params, [0.05], grid=grid)[0]
     assert seq.indices() == [(0, 0)]
     r = grid.r_nodes.reshape(-1, 1)
     l = grid.l_axes[0]
@@ -37,28 +38,28 @@ def test_decoupled_first_step_evaluates_no_vertex(monkeypatch):
     monkeypatch.setattr(firststep._SpinVertex, "eval_product", fail)
     params = ModelParams(lam0=0.0, p=0.2, j_max=5, j_max_pair=4)
     grid = KernelGrid(params)
-    seq = initial_kernels(params, 0.05, grid=grid)
+    seq = initial_kernels(params, [0.05], grid=grid)[0]
     assert seq.indices() == [(0, 0)]
-    assert np.array_equal(seq.w00.values, firststep._free_part(params, grid, 0.05))
+    assert np.array_equal(seq.w00.values, firststep._free_part(params, grid, [0.05])[0])
 
 
 def test_origin_matches_second_order_theory(small_params):
     # with the off-diagonal coupling every intermediate state is gapped by
     # omega0, so the diagonal origin must reproduce the full second-order sum
-    seq = initial_kernels(small_params, 0.0)
+    seq = initial_kernels(small_params, [0.0])[0]
     e2 = pt2_energy(small_params)
     assert small_params.rho0 * seq.w00_origin().real == pytest.approx(e2, rel=1e-12)
     assert abs(seq.w00_origin().imag) < 1e-15
 
 
 def test_origin_regression_default_grid():
-    seq = initial_kernels(ModelParams(lam0=0.02), 0.0)
+    seq = initial_kernels(ModelParams(lam0=0.02), [0.0])[0]
     assert seq.w00_origin().real == pytest.approx(-0.0071504298143817095,
                                                   rel=1e-11)
 
 
 def test_kernel_indices_and_symmetry(small_params):
-    seq = initial_kernels(small_params, 0.0)
+    seq = initial_kernels(small_params, [0.0])[0]
     assert (1, 1) in seq.kernels
     assert (2, 0) in seq.kernels
     # pair kernels are stored symmetrized
@@ -68,8 +69,8 @@ def test_kernel_indices_and_symmetry(small_params):
 
 def test_z_window_guard(small_params):
     with pytest.raises(FirstStepError):
-        initial_kernels(small_params, 0.3)
-    initial_kernels(small_params, 0.24)      # inside: fine
+        initial_kernels(small_params, [0.3])
+    initial_kernels(small_params, [0.24])      # inside: fine
 
 
 def test_two_level_resolvent_values():
@@ -79,8 +80,8 @@ def test_two_level_resolvent_values():
     lqs = [np.array([[0.1]])]
     out = F(rq, lqs)
     b1 = 0.5 + 0.1 ** 2 / 2 - 0.01
-    assert out[0, 0, 0, 0] == pytest.approx(1.0 / b1)          # chibar = 1 there
-    assert out[0, 0, 0, 1] == pytest.approx(1.0 / (b1 + 1.0))
+    assert out[0, 0, 0, 0, 0] == pytest.approx(1.0 / b1)          # chibar = 1 there
+    assert out[0, 0, 0, 0, 1] == pytest.approx(1.0 / (b1 + 1.0))
 
 
 def test_two_level_resolvent_gap_guard():
@@ -98,7 +99,7 @@ def test_matrix_cross_check_quartic(small_params):
         params = small_params.with_updates(lam0=lam)
         grid = KernelGrid(params)
         basis = FockBasis(grid.modes, params.N_max)
-        seq = initial_kernels(params, 0.0, grid=grid)
+        seq = initial_kernels(params, [0.0], grid=grid)[0]
         A = assemble_operator(seq, basis).dense()
         F_hat, basis, _ = matrix_first_step(params, 0.0, basis)
         G = dilation(basis, steps=params.rho0_power()).dense()
@@ -127,6 +128,50 @@ def test_diagonal_coupling_first_step():
     # sigma_z keeps intermediates near the band; the decimation still works
     params = ModelParams(lam0=0.02, j_max=6, j_max_pair=5,
                          spin_coupling=SIGMA_Z)
-    seq = initial_kernels(params, 0.0)
+    seq = initial_kernels(params, [0.0])[0]
     assert seq.w00_origin().real < 0.0
     assert seq.meta["gap_low"] > params.mu * params.rho0 / 4.0
+
+
+MIX = 0.6 * SIGMA_X + 0.8 * SIGMA_Z
+FAMILIES = {
+    "sigma_x_p02": ModelParams(lam0=0.02, p=0.2, p_star=0.2, j_max=5, j_max_pair=4),
+    "sigma_z": ModelParams(lam0=0.02, j_max=5, j_max_pair=4, spin_coupling=SIGMA_Z),
+    "mix": ModelParams(lam0=0.02, j_max=5, j_max_pair=4, spin_coupling=MIX),
+    "d3": ModelParams(dim=3, j_max=3, j_max_pair=2, N_max=2, lam0=0.004),
+    "decoupled": ModelParams(lam0=0.0, p=0.1, j_max=5, j_max_pair=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILIES))
+def test_family_matches_single_node_calls(case):
+    # one assembler pass over every z-node must give each node exactly the
+    # kernels, gap minima and series ratio of a decimation at that node alone
+    params = FAMILIES[case]
+    grid = KernelGrid(params)
+    nodes = cheb_nodes(5, 0.45 * params.mu)
+    family = initial_kernels(params, nodes, grid=grid)
+    assert len(family) == len(nodes)
+    for zk, member in zip(nodes, family):
+        alone = initial_kernels(params, [zk], grid=grid)[0]
+        assert member.z == alone.z == complex(zk)
+        assert member.indices() == alone.indices()
+        for mn in alone.indices():
+            assert member.kernel(*mn).mode_ids == alone.kernel(*mn).mode_ids
+            assert np.array_equal(member.kernel(*mn).values, alone.kernel(*mn).values), mn
+        assert member.meta == alone.meta
+        assert set(member.meta) >= {"series_ratio", "gap_low", "gap_high"}
+
+
+def test_family_fails_when_one_node_fails(small_params):
+    nodes = [0.0, 0.1, 0.24]
+    initial_kernels(small_params, nodes)
+    # one node outside the half-gap window
+    with pytest.raises(FirstStepError, match="half-gap window"):
+        initial_kernels(small_params, nodes + [0.3])
+    # one member's lower-level gap below its floor: the family raises and
+    # names that member, while the other member alone passes
+    F = TwoLevelResolventData(ModelParams(), z_phys=[0.01, 0.4])
+    with pytest.raises(FirstStepError, match="lower-level gap .* z_phys=0.4"):
+        F(np.array([[0.3]]), [np.array([[0.0]])])
+    TwoLevelResolventData(ModelParams(), z_phys=[0.01])(np.array([[0.3]]), [np.array([[0.0]])])

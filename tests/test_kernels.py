@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dipolerg.model import ModelParams, ConfigError
 from dipolerg.fockspace import FockBasis
-from dipolerg.kernels import (interp_product, interp_scatter, KernelGrid, Kernel,
+from dipolerg.kernels import (interp_product, interp_rows, interp_scatter, KernelGrid, Kernel,
                               KernelSequence, symmetrize, norm_half, norm_sharp,
                               norm_xi, polydisc_measure, scale_transform,
                               assemble_operator, sequence_to_json,
@@ -240,3 +240,79 @@ def test_assemble_operator_rejects_foreign_basis(grid):
         0, 0, grid, np.zeros(grid.base_shape, complex))}, p=0.0, z=0.0)
     with pytest.raises(ConfigError):
         assemble_operator(seq, basis)
+
+
+def _interp_rows_take_along_axis(values, nodes_list, queries_list):
+    """interp_rows as it gathered before: np.take_along_axis per axis."""
+    from dipolerg.kernels import _axis_weights
+    out = values
+    for ax, (nodes, q) in enumerate(zip(nodes_list, queries_list), start=1):
+        i0, i1, w0, w1 = _axis_weights(np.asarray(nodes, dtype=float), q)
+        shape = [len(i0)] + [1] * (out.ndim - 1)
+        shape[ax] = i0.shape[1]
+        a = np.take_along_axis(out, i0.reshape(shape), axis=ax)
+        b = np.take_along_axis(out, i1.reshape(shape), axis=ax)
+        out = a * w0.reshape(shape) + b * w1.reshape(shape)
+    return out
+
+
+def test_interp_rows_matches_take_along_axis(rng):
+    grid = KernelGrid(ModelParams(dim=3, j_max=2, n_l_axis_d3=5))
+    shape = grid.base_shape + (3,)
+    rows = 4
+    values = rng.normal(size=(rows,) + shape) + 1j * rng.normal(size=(rows,) + shape)
+    queries = [rng.uniform(-0.1, 1.1, size=(rows, 6)) for _ in grid.base_axes]
+    for vals in (values, values[:1]):          # per-row blocks, one shared block
+        out = interp_rows(vals, grid.base_axes, queries)
+        assert out.shape == (rows, 6, 6, 6, 6, 3)
+        assert np.array_equal(out, _interp_rows_take_along_axis(vals, grid.base_axes, queries))
+
+
+def _assemble_operator_per_tuple(seq, basis):
+    """assemble_operator as it was: one scattered interpolation, and the
+    adjoints of the ladders taken, per kernel and photon tuple."""
+    import itertools
+    import scipy.sparse as sp
+    from dipolerg.fockspace import ladder, number_projection
+    g = seq.grid
+    points = [basis.r] + [basis.l[:, a] for a in range(len(g.l_axes))]
+    total = sp.csr_matrix((len(basis), len(basis)), dtype=complex)
+    b_ops = [ladder(basis, i).mat for i in range(len(g.modes))]
+    for (m, n), ker in sorted(seq.kernels.items()):
+        for tup in itertools.product(ker.mode_ids, repeat=m + n):
+            loc = tuple(ker.mode_ids.index(x) for x in tup)
+            diag = interp_scatter(ker.values[(Ellipsis,) + loc], g.base_axes, points)
+            if not np.any(diag):
+                continue
+            w = math.sqrt(float(np.prod(g.weight[list(tup)]))) if tup else 1.0
+            op = sp.diags(diag).tocsr()
+            for i in tup[m:]:
+                op = op @ b_ops[i]
+            for i in reversed(tup[:m]):
+                op = b_ops[i].conj().T @ op
+            total = total + w * op
+    proj = number_projection(basis, 1.0).mat
+    return proj @ total @ proj
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_assemble_operator_matches_per_tuple_loop(dim, rng):
+    params = (ModelParams(j_max=4, j_max_pair=3) if dim == 1
+              else ModelParams(dim=3, j_max=2, n_l_axis_d3=3, N_max=2))
+    grid = KernelGrid(params)
+    basis = FockBasis(grid.modes, 2)
+    pair = grid.pair_mode_ids()
+    kernels = {}
+    # one photon axis on the 3-d grid: its 36 modes make pair kernels take seconds
+    shapes = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)] if dim == 1 else [(0, 0), (1, 0), (0, 1)]
+    for m, n in shapes:
+        ids = grid.mode_ids() if m + n <= 1 else pair
+        shape = grid.base_shape + (len(ids),) * (m + n)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if m + n:
+            vals[..., 0] = 0.0            # a photon slice that is exactly zero
+        kernels[(m, n)] = Kernel(m, n, grid, vals, ids)
+    seq = KernelSequence(grid, kernels, p=0.0, z=0.0)
+    W = assemble_operator(seq, basis).dense()
+    assert np.any(W)
+    assert np.array_equal(W, _assemble_operator_per_tuple(seq, basis).toarray())

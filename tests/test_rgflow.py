@@ -3,11 +3,11 @@ import pytest
 
 from dipolerg import firststep
 from dipolerg.model import ConfigError, ModelParams, SIGMA_X, SIGMA_Z
-from dipolerg.kernels import Kernel, KernelGrid, KernelSequence
+from dipolerg.kernels import Kernel, KernelFamily, KernelGrid, KernelSequence
 from dipolerg.firststep import initial_kernels
 from dipolerg.rgflow import (renormalize, FlowError, cheb_nodes, StageMap,
                              interpolate_family, run_flow, extract_alpha_beta,
-                             ground_state, _band_margin)
+                             ground_state, _band_margin, _lagrange_weights)
 from dipolerg.oracle import ground_energy
 
 
@@ -43,8 +43,8 @@ def test_stage_map_inverse_window_guard():
 def test_interpolate_family_reproduces_nodes(small_params):
     nodes = cheb_nodes(5, 0.45 * small_params.mu)
     grid = KernelGrid(small_params)
-    seqs = [initial_kernels(small_params, zk, grid=grid) for zk in nodes]
-    mid = interpolate_family(seqs, nodes, nodes[2])
+    seqs = initial_kernels(small_params, nodes, grid=grid)
+    mid = interpolate_family(seqs, _lagrange_weights(nodes, [nodes[2]])[0], nodes[2])
     for mn in seqs[2].indices():
         np.testing.assert_allclose(mid.kernel(*mn).values,
                                    seqs[2].kernel(*mn).values, atol=1e-13)
@@ -57,7 +57,9 @@ def test_interpolate_family_union_of_indices(small_params):
     one = Kernel(1, 0, grid, np.ones(grid.base_shape + (nmod,), complex))
     a = KernelSequence(grid, {(0, 0): z00}, p=0.0, z=-0.1)
     b = KernelSequence(grid, {(0, 0): z00, (1, 0): one}, p=0.0, z=0.1)
-    mid = interpolate_family([a, b], np.array([-0.1, 0.1]), 0.0)
+    nodes = np.array([-0.1, 0.1])
+    family = KernelFamily.gather([a, b], nodes)
+    mid = interpolate_family(family, _lagrange_weights(nodes, [0.0])[0], 0.0)
     assert (1, 0) in mid.kernels
     np.testing.assert_allclose(mid.kernel(1, 0).values, 0.5 * one.values,
                                atol=1e-15)
@@ -66,7 +68,7 @@ def test_interpolate_family_union_of_indices(small_params):
 def test_renormalize_free_passthrough():
     params = ModelParams(lam0=0.0, p=0.1)
     grid = KernelGrid(params)
-    seq = initial_kernels(params, 0.02, grid=grid)
+    seq = initial_kernels(params, [0.02], grid=grid)[0]
     out = renormalize(seq, params)
     rho = params.rho
     # origin scales exactly; marginal slopes are fixed points
@@ -179,7 +181,48 @@ def test_no_vertex_sees_a_below_floor_mode(monkeypatch):
     monkeypatch.setattr(Kernel, "eval_product", checked(Kernel.eval_product))
     monkeypatch.setattr(firststep._SpinVertex, "eval_product",
                         checked(firststep._SpinVertex.eval_product))
-    seq = initial_kernels(params, 0.0, grid=grid)
+    seq = initial_kernels(params, [0.0], grid=grid)[0]
     assert seq.kernel(1, 0) is not None
     renormalize(seq, params)
     assert firststep._SpinVertex in seen and Kernel in seen
+
+
+def _lagrange_loop(seqs, nodes, z):
+    """Family member at z as the flow built it before the family was one
+    array per kernel: the Lagrange sum written as one axpy per member and
+    kernel, a member without the kernel adding nothing."""
+    d = z - nodes
+    bw = np.array([1.0 / np.prod(x - np.delete(nodes, i)) for i, x in enumerate(nodes)])
+    w = (bw / d) / np.sum(bw / d)
+    out = {}
+    for mn in sorted({mn for s in seqs for mn in s.indices()}):
+        acc = 0.0
+        for wk, s in zip(w, seqs):
+            if s.kernel(*mn) is not None:
+                acc = acc + wk * s.kernel(*mn).values
+        out[mn] = acc
+    return out
+
+
+def test_interpolate_family_matches_member_loop():
+    params = ModelParams(lam0=0.02, j_max=5, j_max_pair=4, n_z_samples=5,
+                         spin_coupling=SIGMA_Z)
+    grid = KernelGrid(params)
+    nodes = cheb_nodes(5, 0.45 * params.mu)
+    members = list(initial_kernels(params, nodes, grid=grid))
+    # the last member lacks its (1, 0) kernel
+    members[-1] = KernelSequence(grid, {mn: k for mn, k in members[-1].kernels.items()
+                                        if mn != (1, 0)}, params.p, nodes[-1])
+    family = KernelFamily.gather(members, nodes)
+    assert family[-1].kernel(1, 0) is None and family[0].kernel(1, 0) is not None
+    targets = [0.3 * nodes[0] + 0.01j, 0.5 * (nodes[1] + nodes[2]), 0.95 * nodes[-1]]
+    weights = _lagrange_weights(nodes, targets)
+    for w, z in zip(weights, targets):
+        member = interpolate_family(family, w, z)
+        expect = _lagrange_loop(members, nodes, z)
+        assert member.indices() == sorted(expect) and member.z == z
+        for mn, ref in expect.items():
+            # the contraction sums the same n_z products in another order
+            scale = np.sum(np.abs(w)) * np.max(np.abs(family.stacks[mn]))
+            tol = 8 * len(nodes) * np.finfo(float).eps * scale
+            np.testing.assert_allclose(member.kernel(*mn).values, ref, rtol=0, atol=tol)

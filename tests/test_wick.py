@@ -256,7 +256,7 @@ def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
     monkeypatch.setattr(wick, "chi", lambda *a: calls.append(a) or 1.0)
     vals, per_L = wick.assemble_target(1, 1, ctx, grid.mode_ids())
     assert calls == []
-    assert vals.shape == grid.base_shape + (n, n)
+    assert vals.shape == (1,) + grid.base_shape + (n, n)
     assert not np.any(vals) and per_L == {}
 
 
@@ -266,3 +266,17 @@ def test_series_ratio_decay_from_peak():
     assert series_ratio({1: 1e-6, 2: 1.0, 3: 0.2}) == pytest.approx(0.2)
     assert series_ratio({1: 0.0, 2: 1.0}) == 0.0    # single live entry
     assert series_ratio({}) == 0.0
+
+
+def test_scaled_ids_follow_shift_up_steps():
+    # ext_shift_steps grid steps up, -1 once a mode falls below the floor
+    params = ModelParams(j_max=5, j_max_pair=3)
+    grid = KernelGrid(params)
+    for steps in range(4):
+        ctx = wick.WickContext(grid=grid, vertices={}, L_max=3, scale=params.rho,
+                               ext_shift_steps=steps, F_eval=None)
+        expect = list(range(len(grid.modes)))
+        for _ in range(steps):
+            expect = [int(grid.shift_up[s]) if s >= 0 else -1 for s in expect]
+        assert ctx.scaled_ids.tolist() == expect
+    assert -1 in expect and len(set(expect) - {-1}) > 1
