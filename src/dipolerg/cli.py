@@ -160,11 +160,12 @@ def dispersion(config_path, sets, method, output):
         raise ConfigError("p_sweep_points must be odd and >= 3")
     pmax = cfg["p_sweep_max"] * params.m
     p_values = np.linspace(-pmax, pmax, npts)
-    records = oracle_mod.dispersion_sweep(
-        params, p_values, method=method,
-        flow_fn=lambda pp: run_flow(pp, n_max=cfg["n_flow_max"],
-                                    tol_factor=cfg["tol_factor"]).energy)
-    text = oracle_mod.sweep_to_csv(records)
+    energy = {"oracle": oracle_mod.ground_energy,
+              "pt2": oracle_mod.pt2_energy,
+              "flow": lambda pp: run_flow(pp, n_max=cfg["n_flow_max"],
+                                          tol_factor=cfg["tol_factor"]).energy}[method]
+    energies = [energy(params.with_updates(p=pv)) for pv in p_values]
+    text = oracle_mod.sweep_to_csv(p_values, energies, method)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)

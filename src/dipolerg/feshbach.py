@@ -28,8 +28,6 @@ class DecimationError(RuntimeError):
 class DecimationResult:
     F: np.ndarray            # decimated operator
     Q: np.ndarray            # right isospectral factor (ker F -> ker H)
-    Q_sharp: np.ndarray      # left factor
-    H_chi: np.ndarray
     margin: float            # smallest singular value of the inverted block
 
 
@@ -83,10 +81,7 @@ def feshbach_map(H: np.ndarray, T: np.ndarray, chi_d) -> DecimationResult:
     B[supp] = sla.lu_solve(lu, (chibar[:, None] * WC)[supp])
     F = H_chi - (chi[:, None] * W) @ (chibar[:, None] * B)
     Q = np.diag(chi).astype(complex) - chibar[:, None] * B
-    Y = np.zeros((n, n), dtype=complex)
-    Y[supp] = sla.lu_solve(lu, np.diag(chibar)[supp])
-    Q_sharp = np.diag(chi).astype(complex) - (chi[:, None] * W) @ (chibar[:, None] * Y)
-    return DecimationResult(F=F, Q=Q, Q_sharp=Q_sharp, H_chi=H_chi, margin=margin)
+    return DecimationResult(F=F, Q=Q, margin=margin)
 
 
 def isospectral_test(H: np.ndarray, T: np.ndarray, chi_d) -> dict:
@@ -130,9 +125,11 @@ def isospectral_test(H: np.ndarray, T: np.ndarray, chi_d) -> dict:
         supp = chibar > 1e-14
         inv_cb = np.zeros_like(H)
         inv_cb[np.ix_(supp, supp)] = np.linalg.inv(Hcb[np.ix_(supp, supp)])
+        cb_inv_cb = chibar[:, None] * inv_cb * chibar[None, :]
+        # left factor Q# = chi - chi W chibar Hcb^{-1} chibar
+        Q_sharp = np.diag(chi).astype(complex) - (chi[:, None] * W) @ cb_inv_cb
         lhs = np.linalg.inv(H)
-        rhs = (chibar[:, None] * inv_cb * chibar[None, :]
-               + res.Q @ np.linalg.inv(res.F) @ res.Q_sharp)
+        rhs = cb_inv_cb + res.Q @ np.linalg.inv(res.F) @ Q_sharp
         out["resolvent_residual"] = float(np.max(np.abs(lhs - rhs))
                                           / max(np.max(np.abs(lhs)), 1e-300))
     return out

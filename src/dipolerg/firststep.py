@@ -91,10 +91,10 @@ class _SpinVertex:
         self.lam = params.lam0
         self.grid = grid
 
-    def eval_product(self, global_ids, rq, lqs):
+    def eval_product(self, ids, rq, lqs):
         """The (rows, 2, 2) spin matrices of each row's mode, broadcast
         (read-only) over that row's (r, l) query grid."""
-        (gid,) = np.asarray(global_ids, dtype=int).T
+        (gid,) = np.asarray(ids, dtype=int).T
         coef = self.sign * 1j * self.lam * np.sqrt(self.grid.k_abs[gid])
         mats = coef[:, None, None] * self.grid.coupling[gid]
         grid_shape = (np.shape(rq)[1],) + tuple(np.shape(q)[1] for q in lqs)
@@ -146,15 +146,14 @@ def initial_kernels(params: ModelParams, zs,
                  (0, 1): _SpinVertex(1.0, params, grid)} if params.lam0 else {})
     ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=params.L_max,
                            scale=params.rho0, ext_shift_steps=steps, F_eval=F)
-    stacks, mode_ids, ratios = wick._assemble_kernels(ctx, params.M_max,
-                                                      _free_part(params, grid, zs))
+    stacks, ratios = wick._assemble_kernels(ctx, params.M_max, _free_part(params, grid, zs))
     for z, ratio in zip(zs, ratios):
         if ratio >= 1.0:
             raise FirstStepError(f"first decimation diverges at z={complex(z)}: "
                                  f"chain ratio {ratio:.3f}")
     metas = [{"stage": 0, "series_ratio": ratio, "gap_low": float(lo), "gap_high": float(hi)}
              for ratio, lo, hi in zip(ratios, F.min_gap_low, F.min_gap_high)]
-    return KernelFamily(grid, stacks, mode_ids, params.p, zs, metas)
+    return KernelFamily(grid, stacks, params.p, zs, metas)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +236,6 @@ def matrix_first_step(params: ModelParams, z, basis: FockBasis | None = None):
         raise ConfigError("rho0 must be an integer power of rho for the grid")
     _, basis, res = spin_fock_decimation(params, params.rho0 * complex(z), basis)
     nf = len(basis)
-    gamma = dilation(basis, steps=steps).dense()
+    gamma = dilation(basis, steps=steps).toarray()
     F_hat = (gamma @ res.F[:nf, :nf] @ gamma.conj().T) / params.rho0
     return F_hat, basis, res

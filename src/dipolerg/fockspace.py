@@ -22,7 +22,6 @@ from .model import ModelParams, ConfigError, polarization
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Mode:
-    index: int
     j: int                  # radial index; |k| = rho^j * r_max
     k: np.ndarray           # momentum vector, length dim
     k_abs: float
@@ -32,7 +31,12 @@ class Mode:
 
 
 def build_modes(params: ModelParams) -> list[Mode]:
-    """Geometric mode grid shared by the oracle and the kernel engine."""
+    """Geometric mode grid shared by the oracle and the kernel engine.
+
+    The modes are laid out shell by shell, in increasing j, each shell in
+    the same order of direction and polarization; a mode is identified by
+    its position in the list.
+    """
     rho = params.rho
     r_max = params.uv_cutoff
     modes = []
@@ -43,8 +47,7 @@ def build_modes(params: ModelParams) -> list[Mode]:
             for s in (+1.0, -1.0):
                 k_abs = (rho ** j) * r_max
                 modes.append(Mode(
-                    index=len(modes), j=j,
-                    k=np.array([s * k_abs]), k_abs=k_abs,
+                    j=j, k=np.array([s * k_abs]), k_abs=k_abs,
                     weight=cell * (r_max ** 3) * (rho ** (3 * j)) * w_ang,
                     coupling=params.spin_coupling.copy(), pol=0,
                 ))
@@ -63,27 +66,30 @@ def build_modes(params: ModelParams) -> list[Mode]:
                     eps = polarization(kvec, lam)
                     g = sum(eps[a] * sigma[a] for a in range(3))
                     modes.append(Mode(
-                        index=len(modes), j=j, k=kvec, k_abs=k_abs,
+                        j=j, k=kvec, k_abs=k_abs,
                         weight=cell * (r_max ** 3) * (rho ** (3 * j)) * w_ang,
                         coupling=g, pol=lam,
                     ))
     return modes
 
 
-def shifted_mode_index(modes: list[Mode], i: int, steps: int) -> int | None:
-    """Index of the mode with the same direction and radial index j+steps."""
-    src = modes[i]
-    j_new = src.j + steps
-    for m in modes:
-        if m.j == j_new and m.pol == src.pol and _same_dir(m, src):
-            return m.index
-    return None
+def shift_index(modes: list[Mode], steps: int) -> np.ndarray:
+    """Position of the mode with the same direction and polarization at
+    radial index j + steps, for every mode; -1 where there is none.
 
-
-def _same_dir(a: Mode, b: Mode) -> bool:
-    na = a.k / max(a.k_abs, 1e-300)
-    nb = b.k / max(b.k_abs, 1e-300)
-    return bool(np.allclose(na, nb, atol=1e-12))
+    On a grid laid out as build_modes does, that mode sits `steps` shells
+    further along the list; a list laid out otherwise finds no target there.
+    """
+    j = np.array([m.j for m in modes])
+    pol = np.array([m.pol for m in modes])
+    k_abs = np.array([m.k_abs for m in modes])
+    unit = np.array([m.k for m in modes]) / np.maximum(k_abs, 1e-300)[:, None]
+    idx = np.arange(len(modes)) + steps * int(np.count_nonzero(j == j[0]))
+    tgt = idx % len(modes)
+    # the directions agree as np.allclose(atol=1e-12) would say, per mode
+    same_dir = np.all(np.abs(unit[tgt] - unit) <= 1e-12 + 1e-5 * np.abs(unit), axis=1)
+    ok = (idx == tgt) & (j[tgt] == j + steps) & (pol[tgt] == pol) & same_dir
+    return np.where(ok, idx, -1)
 
 
 class FockBasis:
@@ -95,7 +101,6 @@ class FockBasis:
     def __init__(self, modes: list[Mode], n_max: int):
         self.modes = modes
         self.n_max = n_max
-        self.dim_space = modes[0].k.shape[0]
         self.states: list[tuple[int, ...]] = []
         self._enumerate()
         self.index = {s: i for i, s in enumerate(self.states)}
@@ -131,18 +136,7 @@ class FockBasis:
         return self.index[tuple([0] * len(self.modes))]
 
 
-@dataclasses.dataclass(eq=False)
-class FockOperator:
-    mat: object            # ndarray or scipy sparse matrix
-    basis: FockBasis
-
-    def dense(self) -> np.ndarray:
-        if sp.issparse(self.mat):
-            return self.mat.toarray()
-        return np.asarray(self.mat)
-
-
-def ladder(basis: FockBasis, mode_index: int) -> FockOperator:
+def ladder(basis: FockBasis, mode_index: int) -> sp.csr_matrix:
     """Unit-normalized discrete annihilator on the truncated basis.
 
     Maps |..n..> to sqrt(n)|..n-1..>; its adjoint is the creator.  Matrix
@@ -164,27 +158,26 @@ def ladder(basis: FockBasis, mode_index: int) -> FockOperator:
         rows.append(jt)
         cols.append(i)
         vals.append(math.sqrt(n))
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(len(basis), len(basis)), dtype=complex)
-    return FockOperator(a, basis)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(basis), len(basis)), dtype=complex)
 
 
-def functional_calculus(f, basis: FockBasis) -> FockOperator:
+def functional_calculus(f, basis: FockBasis) -> sp.csr_matrix:
     """Diagonal operator f(H_f, P_f): entry f(sum |k_i|, sum k_i) per state."""
     vals = np.asarray(f(basis.r, basis.l), dtype=complex)
     if vals.shape != (len(basis),):
         raise ConfigError("functional_calculus: f must map (r, l) arrays to scalars")
     if not np.all(np.isfinite(vals)):
         raise ConfigError("functional_calculus: non-finite value")
-    return FockOperator(sp.diags(vals).tocsr(), basis)
+    return sp.diags(vals).tocsr()
 
 
-def number_projection(basis: FockBasis, cap: float) -> FockOperator:
+def number_projection(basis: FockBasis, cap: float) -> sp.csr_matrix:
     """Projection onto total field energy <= cap."""
     d = (basis.r <= cap + 1e-12).astype(complex)
-    return FockOperator(sp.diags(d).tocsr(), basis)
+    return sp.diags(d).tocsr()
 
 
-def dilation(basis: FockBasis, steps: int = 1) -> FockOperator:
+def dilation(basis: FockBasis, steps: int = 1) -> sp.csr_matrix:
     """Grid-exact dilation: shifts every photon's radial index down by `steps`.
 
     Scales H_f by rho^steps under conjugation.  Partial isometry: states
@@ -192,31 +185,21 @@ def dilation(basis: FockBasis, steps: int = 1) -> FockOperator:
     Refuses bases whose grid is not closed under the shift.
     """
     modes = basis.modes
-    shift_map = {}
-    for m in modes:
-        if m.j >= steps:
-            tgt = shifted_mode_index(modes, m.index, -steps)
-            if tgt is None:
-                raise ConfigError("mode grid is not geometric: dilation refused")
-            shift_map[m.index] = tgt
+    down = shift_index(modes, -steps)
+    if np.any((np.array([m.j for m in modes]) >= steps) & (down < 0)):
+        raise ConfigError("mode grid is not geometric: dilation refused")
     rows, cols, vals = [], [], []
     for i, s in enumerate(basis.states):
-        ok = True
-        t = [0] * len(modes)
-        for mi, n in enumerate(s):
-            if n == 0:
-                continue
-            if mi not in shift_map:
-                ok = False
-                break
-            t[shift_map[mi]] += n
-        if not ok:
+        occupied = [mi for mi, n in enumerate(s) if n]
+        if any(down[mi] < 0 for mi in occupied):
             continue
+        t = [0] * len(modes)
+        for mi in occupied:
+            t[down[mi]] += s[mi]
         jt = basis.index.get(tuple(t))
         if jt is None:
             continue
         rows.append(jt)
         cols.append(i)
         vals.append(1.0)
-    g = sp.csr_matrix((vals, (rows, cols)), shape=(len(basis), len(basis)), dtype=complex)
-    return FockOperator(g, basis)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(basis), len(basis)), dtype=complex)

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .model import ModelParams, ConfigError
 from . import fockspace
-from .fockspace import FockBasis, FockOperator, ladder, number_projection
+from .fockspace import FockBasis, ladder, number_projection
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,10 @@ def _default_layout(params: ModelParams):
 class KernelGrid:
     """Bundles the discrete mode grid with the (r, l) sample grid.
 
+    The modes must come in order of their radial index j, as build_modes
+    lays them out: a kernel's photon axes then run over a prefix of the
+    grid, the first n_pair modes for the pair kernels, and the dilation by
+    one shell is the position array shift_up (-1 below the grid floor).
     `layout` = (r_nodes, l_axes) replaces the default sample grid; both the
     r-grid and every l-axis must contain 0.
     """
@@ -143,13 +147,15 @@ class KernelGrid:
         self.rho = params.rho
         self.dim = params.dim
         self.modes = modes if modes is not None else fockspace.build_modes(params)
-        n = len(self.modes)
+        js = [m.j for m in self.modes]
+        if js != sorted(js):
+            raise ConfigError("grid modes must come in order of their radial index j")
+        self.n_pair = sum(j <= params.j_max_pair for j in js)
         self.k_abs = np.array([m.k_abs for m in self.modes])
         self.k_vec = np.array([m.k for m in self.modes])         # (n, dim)
         self.weight = np.array([m.weight for m in self.modes])
         self.coupling = np.array([m.coupling for m in self.modes])  # (n, 2, 2)
-        self.shift_up = np.array(
-            [self._find_shift(i, +1) for i in range(n)], dtype=int)
+        self.shift_up = fockspace.shift_index(self.modes, +1)
 
         r_nodes, l_axes = layout if layout is not None else _default_layout(params)
         self.r_nodes = np.asarray(r_nodes, dtype=float)
@@ -166,10 +172,6 @@ class KernelGrid:
         r = self.r_nodes.reshape((-1,) + (1,) * len(self.l_axes))
         self.mask = np.sqrt(l2) <= r + 1e-12
 
-    def _find_shift(self, i: int, steps: int) -> int:
-        t = fockspace.shifted_mode_index(self.modes, i, steps)
-        return -1 if t is None else t
-
     @property
     def base_shape(self):
         return (len(self.r_nodes),) + tuple(len(ax) for ax in self.l_axes)
@@ -177,12 +179,6 @@ class KernelGrid:
     @property
     def base_axes(self):
         return [self.r_nodes] + list(self.l_axes)
-
-    def pair_mode_ids(self) -> list[int]:
-        return [m.index for m in self.modes if m.j <= self.params.j_max_pair]
-
-    def mode_ids(self) -> list[int]:
-        return list(range(len(self.modes)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +188,20 @@ class Kernel:
     """One sampled kernel w_{m,n}.
 
     values has shape (n_r, *l_shape, n_loc, ..., n_loc) with m+n trailing
-    photon axes indexed by `mode_ids` (a sub-list of the global modes; photon
-    arguments outside it evaluate to 0).
+    photon axes over the first n_loc modes of the grid; photon arguments
+    beyond them evaluate to 0.
     """
 
-    def __init__(self, m: int, n: int, grid: KernelGrid, values: np.ndarray,
-                 mode_ids=None):
+    def __init__(self, m: int, n: int, grid: KernelGrid, values: np.ndarray):
         self.m = m
         self.n = n
         self.grid = grid
-        self.mode_ids = list(mode_ids) if mode_ids is not None else grid.mode_ids()
-        self._local = {g: a for a, g in enumerate(self.mode_ids)}
-        expect = grid.base_shape + (len(self.mode_ids),) * (m + n)
         values = np.asarray(values, dtype=complex)
-        if values.shape != expect:
-            raise ConfigError(f"kernel array shape {values.shape} != {expect}")
+        n_loc = values.shape[-1] if m + n else 0
+        expect = grid.base_shape + (n_loc,) * (m + n)
+        if values.shape != expect or n_loc > len(grid.modes):
+            raise ConfigError(f"kernel array shape {values.shape}: expected {expect}, "
+                              f"over at most {len(grid.modes)} modes")
         if not np.all(np.isfinite(values)):
             raise ConfigError("kernel contains non-finite values")
         self.values = values
@@ -215,21 +210,25 @@ class Kernel:
     def n_base_axes(self) -> int:
         return 1 + len(self.grid.l_axes)
 
-    def eval_product(self, global_ids, rq, l_queries) -> np.ndarray:
+    @property
+    def n_modes(self) -> int:
+        """Number of grid modes the photon axes run over (every mode for a
+        kernel without photon axes)."""
+        return self.values.shape[-1] if self.m + self.n else len(self.grid.modes)
+
+    def eval_product(self, ids, rq, l_queries) -> np.ndarray:
         """Values on each row's (r, l) product grid of query vectors.
 
-        global_ids has shape (rows, m + n), rq (rows, n_r) and every l-query
+        ids has shape (rows, m + n), rq (rows, n_r) and every l-query
         (rows, n_l); the result has shape (rows, n_r, n_l, ...).  A row with
-        a photon argument outside mode_ids evaluates to 0.
+        a photon argument beyond the first n_modes modes evaluates to 0.
         """
         rq = np.asarray(rq, dtype=float)
-        lookup = np.full(len(self.grid.modes), -1)
-        lookup[self.mode_ids] = np.arange(len(self.mode_ids))
-        loc = lookup[np.asarray(global_ids, dtype=int)]
-        ok = np.all(loc >= 0, axis=1)
+        ids = np.asarray(ids, dtype=int)
+        ok = np.all(ids < self.n_modes, axis=1)
         # (rows, base...) blocks at each row's photon arguments; a kernel
         # without photon axes shares its one block with every row
-        blocks = np.moveaxis(self.values[(Ellipsis,) + tuple(loc[ok].T)], -1, 0) \
+        blocks = np.moveaxis(self.values[(Ellipsis,) + tuple(ids[ok].T)], -1, 0) \
             if self.m + self.n else self.values[None]
         queries = [q[ok] for q in [rq] + [np.asarray(q, dtype=float) for q in l_queries]]
         vals = interp_rows(blocks, self.grid.base_axes, queries)
@@ -242,13 +241,13 @@ class Kernel:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def live_modes(self) -> list[int]:
-        """Global modes on which some photon slice is not identically zero."""
+    def live_modes(self) -> np.ndarray:
+        """Modes on which some photon slice is not identically zero."""
         nz = np.any(self.values != 0, axis=tuple(range(self.n_base_axes)))
-        live = np.zeros(len(self.mode_ids), dtype=bool)
+        live = np.zeros(self.n_modes, dtype=bool)
         for a in range(nz.ndim):
             live |= np.any(nz, axis=tuple(b for b in range(nz.ndim) if b != a))
-        return [g for g, on in zip(self.mode_ids, live) if on]
+        return np.flatnonzero(live)
 
     def spin_pattern(self) -> np.ndarray:
         """A scalar kernel is a 1x1 spin block."""
@@ -328,19 +327,18 @@ class KernelFamily:
     """Kernel sequences at the spectral nodes zs, stored kernel by kernel.
 
     stacks[(m, n)] holds kernel (m, n) of every member as one array of
-    shape (n_z, *base, photons) over the modes mode_ids[(m, n)], zero where
-    a member lacks it.  Member k is a KernelSequence whose kernels are views
-    of row k; it lacks every kernel but (0, 0) that is exactly zero at its
-    node.  Indexing, len() and iteration run over the members.
+    shape (n_z, *base, photons), zero where a member lacks it.  Member k is
+    a KernelSequence whose kernels are views of row k; it lacks every
+    kernel but (0, 0) that is exactly zero at its node.  Indexing, len()
+    and iteration run over the members.
     """
 
-    def __init__(self, grid: KernelGrid, stacks: dict, mode_ids: dict, p, zs, metas):
+    def __init__(self, grid: KernelGrid, stacks: dict, p, zs, metas):
         self.grid = grid
         self.stacks = stacks
-        self.mode_ids = mode_ids
         self.members = []
         for k, (z, meta) in enumerate(zip(zs, metas)):
-            kernels = {mn: Kernel(mn[0], mn[1], grid, v[k], mode_ids[mn])
+            kernels = {mn: Kernel(mn[0], mn[1], grid, v[k])
                        for mn, v in stacks.items() if mn == (0, 0) or np.any(v[k])}
             self.members.append(KernelSequence(grid, kernels, p, z, meta))
 
@@ -349,15 +347,14 @@ class KernelFamily:
         """The family of sequences built one at a time, relabelled to the
         nodes zs.  Each member is copied into the stacks as it arrives, so
         at most one member is held twice."""
-        stacks, mode_ids, metas = {}, {}, []
+        stacks, metas = {}, []
         for k, seq in enumerate(members):
             for mn, ker in seq.kernels.items():
                 if mn not in stacks:
                     stacks[mn] = np.zeros((len(zs),) + ker.values.shape, dtype=complex)
-                    mode_ids[mn] = ker.mode_ids
                 stacks[mn][k] = ker.values
             metas.append(seq.meta)
-        return cls(seq.grid, stacks, mode_ids, seq.p, zs, metas)
+        return cls(seq.grid, stacks, seq.p, zs, metas)
 
     def __len__(self):
         return len(self.members)
@@ -374,7 +371,7 @@ class KernelFamily:
 
 def _photon_factor(kernel: Kernel) -> np.ndarray:
     """Broadcastable product of |k_i|^{-1/2} over the photon axes."""
-    k_abs_loc = kernel.grid.k_abs[kernel.mode_ids]
+    k_abs_loc = kernel.grid.k_abs[:kernel.n_modes]
     nb = kernel.n_base_axes
     total = kernel.m + kernel.n
     fac = np.ones((1,) * nb + (1,) * total)
@@ -474,21 +471,21 @@ def scale_transform(seq: KernelSequence) -> KernelSequence:
         queries = [rho * g.r_nodes] + [rho * ax for ax in g.l_axes]
         base = interp_product(ker.values, g.base_axes, queries)
         nb = ker.n_base_axes
+        # photon axis a of the image reads the source one shell further out
+        loc = g.shift_up[:ker.n_modes]
+        valid = (loc >= 0) & (loc < ker.n_modes)
         for a in range(m + n):
             ax = nb + a
-            tgt = np.array([g.shift_up[gid] for gid in ker.mode_ids])
-            loc = np.array([ker._local.get(int(t), -1) if t >= 0 else -1 for t in tgt])
-            valid = loc >= 0
             if not np.all(valid):
                 sel = np.take(np.abs(base), np.where(~valid)[0], axis=ax)
                 dropped = max(dropped, float(sel.max(initial=0.0)))
-            base = np.take(base, np.clip(loc, 0, len(ker.mode_ids) - 1), axis=ax)
+            base = np.take(base, np.where(valid, loc, 0), axis=ax)
             if not np.all(valid):
                 shape = [1] * base.ndim
                 shape[ax] = len(loc)
                 base = base * valid.astype(float).reshape(shape)
         pref = rho ** (1.5 * (m + n) - 1.0)
-        new[(m, n)] = Kernel(m, n, g, pref * base, ker.mode_ids)
+        new[(m, n)] = Kernel(m, n, g, pref * base)
     meta = dict(seq.meta)
     meta["scale_dropped_floor"] = dropped
     return KernelSequence(g, new, seq.p, seq.z, meta)
@@ -497,7 +494,7 @@ def scale_transform(seq: KernelSequence) -> KernelSequence:
 # ---------------------------------------------------------------------------
 # assembly into a Fock operator
 
-def assemble_operator(seq: KernelSequence, basis: FockBasis) -> FockOperator:
+def assemble_operator(seq: KernelSequence, basis: FockBasis) -> sp.csr_matrix:
     """Sum of Wick monomials W_{m,n}(w) on the truncated basis.
 
     For each (m, n) and each ordered mode tuple, creation block x diagonal
@@ -505,31 +502,29 @@ def assemble_operator(seq: KernelSequence, basis: FockBasis) -> FockOperator:
     weights, projected to total field energy <= 1 on both sides.
     """
     g = seq.grid
-    if [m.index for m in basis.modes] != [m.index for m in g.modes]:
+    if not np.array_equal([m.k for m in basis.modes], g.k_vec):
         raise ConfigError("basis and kernel grid use different modes")
     nstates = len(basis)
     points = [basis.r] + [basis.l[:, a] for a in range(len(g.l_axes))]
     total = sp.csr_matrix((nstates, nstates), dtype=complex)
-    b_ops = [ladder(basis, i).mat for i in range(len(g.modes))]
+    b_ops = [ladder(basis, i) for i in range(len(g.modes))]
     b_adj = [b.conj().T for b in b_ops]
     for (m, n), ker in sorted(seq.kernels.items()):
-        ids = ker.mode_ids
         # (states, n_loc, ..., n_loc): the diagonal of every photon tuple
         diags = interp_scatter(ker.values, g.base_axes, points)
-        for loc in itertools.product(range(len(ids)), repeat=m + n):
-            diag = diags[(slice(None),) + loc]
+        for tup in itertools.product(range(ker.n_modes), repeat=m + n):
+            diag = diags[(slice(None),) + tup]
             if not np.any(diag):
                 continue
-            tup = [ids[a] for a in loc]
-            w = math.sqrt(float(np.prod(g.weight[tup]))) if tup else 1.0
+            w = math.sqrt(float(np.prod(g.weight[list(tup)]))) if tup else 1.0
             op = sp.diags(diag).tocsr()
             for i in tup[m:]:
                 op = op @ b_ops[i]
             for i in reversed(tup[:m]):
                 op = b_adj[i] @ op
             total = total + w * op
-    proj = number_projection(basis, 1.0).mat
-    return FockOperator(proj @ total @ proj, basis)
+    proj = number_projection(basis, 1.0)
+    return proj @ total @ proj
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +545,7 @@ def sequence_to_json(seq: KernelSequence) -> str:
         "kernels": [
             {
                 "m": m, "n": n,
-                "mode_ids": ker.mode_ids,
+                "mode_ids": list(range(ker.n_modes)),
                 "re": ker.values.real.ravel().tolist(),
                 "im": ker.values.imag.ravel().tolist(),
             }
@@ -567,8 +562,11 @@ def sequence_from_json(text: str, grid: KernelGrid) -> KernelSequence:
     kernels = {}
     for item in payload["kernels"]:
         m, n = item["m"], item["n"]
+        # photon axes run over a prefix of the grid's modes
+        if item["mode_ids"] != list(range(len(item["mode_ids"]))):
+            raise ConfigError("kernel dump mode_ids must be 0..n-1")
         shape = grid.base_shape + (len(item["mode_ids"]),) * (m + n)
         vals = (np.asarray(item["re"]) + 1j * np.asarray(item["im"])).reshape(shape)
-        kernels[(m, n)] = Kernel(m, n, grid, vals, item["mode_ids"])
+        kernels[(m, n)] = Kernel(m, n, grid, vals)
     z = complex(payload["z"][0], payload["z"][1])
     return KernelSequence(grid, kernels, payload["p"], z, payload.get("meta"))

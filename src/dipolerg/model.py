@@ -1,9 +1,8 @@
 """Physical model definition.
 
 Parameters of the two-level dipole coupled to a massless boson field, the
-smooth infrared cutoff profile chi and its complement, the coupling form
-factor, polarization frames for d=3, and the d=1 desk-mode reduction
-switches.  Everything here is immutable after construction and safe to
+smooth infrared cutoff profile chi and its complement, polarization
+frames for d=3, and the d=1 desk-mode reduction switches.  Everything here is immutable after construction and safe to
 share across workers.
 """
 
@@ -51,15 +50,6 @@ def chibar(x, rho_scale: float = 1.0):
     """Complement profile, chi^2 + chibar^2 = 1 pointwise."""
     c = chi(x, rho_scale)
     return np.sqrt(np.clip(1.0 - np.square(c), 0.0, 1.0))
-
-
-def form_factor(k_abs, cutoff: float = 1.0):
-    """|k|^{1/2} with a sharp ultraviolet cutoff at |k| = cutoff."""
-    a = np.abs(np.asarray(k_abs, dtype=float))
-    out = np.where(a <= cutoff, np.sqrt(a), 0.0)
-    if np.ndim(k_abs) == 0:
-        return float(out)
-    return out
 
 
 # fixed fallback frame for k parallel to e_z (declared tie-break)

@@ -10,7 +10,6 @@ renormalization flow; the two are compared, never mixed.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import math
 
@@ -40,9 +39,9 @@ def build_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
     diag = np.concatenate([kin, kin + params.omega0]) - z
     H = sp.diags(diag.astype(complex)).tocsr()
     if params.lam0 != 0.0:
-        for mode in basis.modes:
+        for i, mode in enumerate(basis.modes):
             c = 1j * params.lam0 * math.sqrt(mode.weight * mode.k_abs)
-            b = ladder(basis, mode.index).mat
+            b = ladder(basis, i)
             term = sp.kron(sp.csr_matrix(mode.coupling), b, format="csr")
             H = H + c * term + (c * term).conj().T
     return H, basis
@@ -103,34 +102,6 @@ def pt2_energy(params: ModelParams) -> float:
     return -params.lam0 ** 2 * total
 
 
-@dataclasses.dataclass
-class DispersionRecord:
-    p: float
-    energy: float
-    method: str
-
-
-def dispersion_sweep(params: ModelParams, p_values, method: str = "oracle",
-                     flow_fn=None) -> list[DispersionRecord]:
-    """Ground energy across momenta; `flow_fn(params) -> E` selects the flow."""
-    records = []
-    for pv in p_values:
-        pp = params.with_updates(p=pv)
-        if method == "oracle":
-            e = ground_energy(pp)
-        elif method == "pt2":
-            e = pt2_energy(pp)
-        elif method == "flow":
-            if flow_fn is None:
-                raise ConfigError("flow_fn required for method='flow'")
-            e = flow_fn(pp)
-        else:
-            raise ConfigError(f"unknown dispersion method {method!r}")
-        records.append(DispersionRecord(p=float(np.atleast_1d(pv)[0]),
-                                        energy=float(np.real(e)), method=method))
-    return records
-
-
 def effective_mass(p_values, e_values, m: float) -> dict:
     """Two independent curvature estimates of the dispersion at p = 0.
 
@@ -164,10 +135,12 @@ def effective_mass(p_values, e_values, m: float) -> dict:
     }
 
 
-def sweep_to_csv(records: list[DispersionRecord]) -> str:
+def sweep_to_csv(p_values, energies, method: str) -> str:
+    """CSV table of a dispersion sweep: one row (p, energy, method) per
+    momentum, p being the first component."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["p", "energy", "method"])
-    for r in records:
-        w.writerow([repr(r.p), repr(r.energy), r.method])
+    for pv, e in zip(p_values, energies):
+        w.writerow([repr(float(np.atleast_1d(pv)[0])), repr(float(np.real(e))), method])
     return buf.getvalue()

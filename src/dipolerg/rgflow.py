@@ -98,12 +98,12 @@ def renormalize(seq: KernelSequence, params: ModelParams) -> KernelSequence:
     # rescaled passthrough of the band symbol, no boundary factors
     queries = [rho * grid.r_nodes] + [rho * ax for ax in grid.l_axes]
     w00_base = interp_product(seq.w00.values, grid.base_axes, queries) / rho
-    stacks, mode_ids, (ratio,) = wick._assemble_kernels(ctx, params.M_max, w00_base[None])
+    stacks, (ratio,) = wick._assemble_kernels(ctx, params.M_max, w00_base[None])
     if ratio >= 1.0:
         raise FlowError(f"chain series diverges: ratio {ratio:.3f}")
     meta = {"stage": int(seq.meta.get("stage", 0)) + 1,
             "series_ratio": ratio, "band_margin": margin}
-    return KernelFamily(grid, stacks, mode_ids, seq.p, [seq.z], [meta])[0]
+    return KernelFamily(grid, stacks, seq.p, [seq.z], [meta])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +174,7 @@ def interpolate_family(family: KernelFamily, weights: np.ndarray,
     Lagrange weights (see _lagrange_weights): each kernel is one contraction
     of its node stack with the weights."""
     grid = family.grid
-    out = {mn: Kernel(mn[0], mn[1], grid, np.tensordot(weights, stack, axes=1),
-                      family.mode_ids[mn])
+    out = {mn: Kernel(mn[0], mn[1], grid, np.tensordot(weights, stack, axes=1))
            for mn, stack in family.stacks.items()}
     return KernelSequence(grid, out, family[0].p, z, dict(family[0].meta))
 

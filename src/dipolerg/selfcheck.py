@@ -24,9 +24,9 @@ from . import wick
 def _toy_grid(params: ModelParams):
     """Two modes at energy 0.45, opposite directions, unequal weights."""
     modes = [
-        Mode(index=0, j=1, k=np.array([0.45]), k_abs=0.45, weight=0.3,
+        Mode(j=1, k=np.array([0.45]), k_abs=0.45, weight=0.3,
              coupling=SIGMA_X.copy(), pol=0),
-        Mode(index=1, j=1, k=np.array([-0.45]), k_abs=0.45, weight=0.7,
+        Mode(j=1, k=np.array([-0.45]), k_abs=0.45, weight=0.7,
              coupling=SIGMA_X.copy(), pol=0),
     ]
     # sampled exactly on the reachable field configurations
@@ -36,7 +36,7 @@ def _toy_grid(params: ModelParams):
 
 def _toy_kernels(grid, rng):
     """Deterministic smooth vertex kernels, symmetric in the photon blocks,
-    sampled on the toy grid (mode ids 0 and 1)."""
+    sampled on the toy grid (modes 0 and 1)."""
     k_signed = grid.k_vec[:, 0]
     r = grid.r_nodes.reshape((-1,) + (1,) * len(grid.l_axes))
     out = {}
@@ -49,7 +49,7 @@ def _toy_kernels(grid, rng):
             phot = sum(c[3] + c[4] * k_signed[g] for g in tup[:m])
             phot = phot + sum(np.conj(c[3] + c[4] * k_signed[g]) for g in tup[m:])
             vals[(Ellipsis,) + tup] = base + phot
-        out[(m, n)] = Kernel(m, n, grid, vals, [0, 1])
+        out[(m, n)] = Kernel(m, n, grid, vals)
     return out
 
 
@@ -76,11 +76,11 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     zero00 = Kernel(0, 0, grid, np.zeros(grid.base_shape, dtype=complex))
     vertices = _toy_kernels(grid, rng)
     seq_in = KernelSequence(grid, {**vertices, (0, 0): zero00}, p=params.p, z=0.0)
-    W = assemble_operator(seq_in, basis).dense()
+    W = assemble_operator(seq_in, basis).toarray()
     # one row per basis state, each querying its own (r, l)
     F = functional_calculus(
-        lambda r, l: _f_factor(r[:, None], [l[:, :1]])[:, 0, 0, 0], basis).dense()
-    chi_d = functional_calculus(lambda r, l: chi(r, 1.0) + 0.0 * r, basis).dense()
+        lambda r, l: _f_factor(r[:, None], [l[:, :1]])[:, 0, 0, 0], basis).toarray()
+    chi_d = functional_calculus(lambda r, l: chi(r, 1.0) + 0.0 * r, basis).toarray()
     lhs = np.zeros_like(W)
     term = W.copy()
     for L in range(1, L_max + 1):
@@ -96,11 +96,11 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     for total in range(0, max_ext + 1):
         for m in range(total + 1):
             n = total - m
-            vals = wick.assemble_target(m, n, ctx, ext_mode_ids=[0, 1])[0][0]
+            vals = wick.assemble_target(m, n, ctx, n_ext=2)[0][0]
             if total == 0:
                 out_kernels[(0, 0)] = Kernel(0, 0, grid, vals)
             elif np.any(vals):
-                out_kernels[(m, n)] = Kernel(m, n, grid, vals, [0, 1])
+                out_kernels[(m, n)] = Kernel(m, n, grid, vals)
     seq_out = KernelSequence(grid, out_kernels, p=params.p, z=0.0)
-    rhs = assemble_operator(seq_out, basis).dense()
+    rhs = assemble_operator(seq_out, basis).toarray()
     return float(np.max(np.abs(lhs - rhs)))

@@ -40,7 +40,8 @@ import math
 import numpy as np
 
 from .model import ConfigError, chi
-from .kernels import Kernel, KernelGrid, symmetrize
+from .fockspace import shift_index
+from .kernels import KernelGrid, symmetrize
 
 # a batch is evaluated in chunks of rows that hold at most this many (r, l)
 # grid points per family member: on the default grid a first-decimation
@@ -200,12 +201,12 @@ class WickContext:
 
     `vertices` maps a kernel index (a, b) to a vertex with the Kernel
     interface, evaluated on a batch of rows at once:
-    eval_product(ids, rq, lqs) takes global mode indices ids (rows, a + b)
+    eval_product(ids, rq, lqs) takes grid mode positions ids (rows, a + b)
     (creators first), rq (rows, n_r) and one (rows, n_l) array per l-axis,
     and returns each row's values on the (r, l) product grid of its query
     vectors, with a leading row axis; max_abs() bounds it (read only when
-    prune > 0), live_modes() lists the global modes it is not identically
-    zero on, and spin_pattern() is the boolean sparsity of its spin block
+    prune > 0), live_modes() lists the modes it is not identically zero
+    on, and spin_pattern() is the boolean sparsity of its spin block
     (1x1 for a scalar vertex).  Scalar vertices return (rows, *base)
     arrays; spin vertices append (s, s) axes.  F_eval(rq, lqs) takes the
     same stacked queries and returns the diagonal resolvent factor at every
@@ -222,11 +223,7 @@ class WickContext:
     prune: float = 0.0
 
     def __post_init__(self):
-        shift = np.arange(len(self.grid.modes))
-        up = self.grid.shift_up
-        for _ in range(self.ext_shift_steps):
-            shift = np.where(shift >= 0, up[shift], -1)
-        self.scaled_ids = shift
+        self.scaled_ids = shift_index(self.grid.modes, self.ext_shift_steps)
         # a leg on a mode outside the union makes its chain exactly zero
         self.live_modes = tuple(sorted({int(x) for v in self.vertices.values()
                                         for x in v.live_modes()}))
@@ -287,13 +284,14 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
     return rows, chain[..., 0] if spin else chain
 
 
-def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
+def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
     """Sum of all chain contributions to the (M, N) output kernel.
 
     Returns (values, per_L) where values has a family axis, then the
-    base-grid shape plus M+N photon axes over ext_mode_ids, and per_L maps
-    chain length to the max magnitude contributed at each family member
-    (the series-decay monitor), an array over the family axis.  Both
+    base-grid shape plus M+N photon axes over the first n_ext modes of the
+    grid, and per_L maps chain length to the max magnitude contributed at
+    each family member (the series-decay monitor), an array over the
+    family axis.  Both
     family axes have length 1 when no contribution passes a resolvent.
     The result is NOT yet symmetrized over the photon axes.  The chains
     of one term shape and pairing are evaluated as one batch whose rows
@@ -301,8 +299,7 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
     assignment.
     """
     g = ctx.grid
-    ids = np.asarray(list(ext_mode_ids), dtype=int)
-    out = np.zeros((1,) + g.base_shape + (len(ids),) * (M + N), dtype=complex)
+    out = np.zeros((1,) + g.base_shape + (n_ext,) * (M + N), dtype=complex)
     per_L: dict[int, np.ndarray] = {}
     scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
     shapes = []
@@ -329,7 +326,7 @@ def assemble_target(M: int, N: int, ctx: WickContext, ext_mode_ids):
         shapes.append((spec, pref, ends, pairings))
     if not shapes:
         return out, per_L
-    ext = ids[_tuples(range(len(ids)), M + N)]
+    ext = _tuples(range(n_ext), M + N)
     # a rescaled external mode below the grid floor (-1) or on no vertex's
     # support kills the term
     keep = np.flatnonzero(np.all(np.isin(ctx.scaled_ids[ext], ctx.live_modes), axis=1))
@@ -417,23 +414,22 @@ def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
 
     w00_base has a leading family axis, one row per member, and the (0,0)
     kernel is w00_base plus its closed chains.  Targets with m + n >= 2
-    run over the pair mode grid.  Every other target is dropped when
-    exactly zero at every member and otherwise symmetrized over its photon
-    axes.  Returns (stacks, mode_ids, ratios): stacks[(m, n)] has shape
-    (n_f, *base, photons) over the modes mode_ids[(m, n)], and ratios[k] is
-    member k's worst series ratio.
+    run over the grid's first n_pair modes.  Every other target is dropped
+    when exactly zero at every member and otherwise symmetrized over its
+    photon axes.  Returns (stacks, ratios): stacks[(m, n)] has shape (n_f, *base,
+    photons), and ratios[k] is member k's worst series ratio.
     """
     g = ctx.grid
     n_f = len(w00_base)
-    stacks, mode_ids = {}, {}
+    stacks = {}
     ratios = [0.0] * n_f
     for total in range(M_max + 1):
-        ids = g.mode_ids() if total <= 1 else g.pair_mode_ids()
+        n_ext = len(g.modes) if total <= 1 else g.n_pair
         # symmetrizing holds a second copy of the target: do it before the
         # family holds the other targets of this total
         for m in sorted(range(total + 1), key=lambda m: max(m, total - m) <= 1):
             n = total - m
-            vals, per_L = assemble_target(m, n, ctx, ids)
+            vals, per_L = assemble_target(m, n, ctx, n_ext)
             per_L = {L: np.broadcast_to(v, n_f) for L, v in per_L.items()}
             ratios = [max(r, series_ratio({L: float(v[k]) for L, v in per_L.items()}))
                       for k, r in enumerate(ratios)]
@@ -443,7 +439,4 @@ def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
                 vals = symmetrize(np.broadcast_to(vals, (n_f,) + vals.shape[1:]),
                                   m, n, 2 + len(g.l_axes))
                 stacks[(m, n)] = np.ascontiguousarray(vals)
-            else:
-                continue
-            mode_ids[(m, n)] = ids
-    return stacks, mode_ids, ratios
+    return stacks, ratios

@@ -122,9 +122,9 @@ def test_scale_transformation_exactness():
     seq = initial_kernels(params, [0.0], grid=grid)[0]
     scaled = scale_transform(seq)
     basis = FockBasis(grid.modes, 2)
-    A = assemble_operator(seq, basis).dense()
-    B = assemble_operator(scaled, basis).dense()
-    G = dilation(basis, steps=1).dense()
+    A = assemble_operator(seq, basis).toarray()
+    B = assemble_operator(scaled, basis).toarray()
+    G = dilation(basis, steps=1).toarray()
     # conjugated-dilation route, restricted to on-node states of at most
     # one photon that survive the dilation
     lhs = G @ A @ G.conj().T / grid.rho
@@ -156,7 +156,7 @@ def test_operator_norm_bound_coarse_3d():
         vals = rng.normal(size=full) + 1j * rng.normal(size=full)
         ker = Kernel(m, n, grid, vals)
         seq = KernelSequence(grid, {(0, 0): zero00, (m, n): ker}, p=0.0, z=0.0)
-        opn = np.linalg.norm(assemble_operator(seq, basis).dense(), 2)
+        opn = np.linalg.norm(assemble_operator(seq, basis).toarray(), 2)
         bound = ((math.factorial(m) * math.factorial(n)) ** -0.5
                  * (8.0 * math.pi) ** ((m + n) / 2.0) * norm_half(ker))
         assert opn <= bound

@@ -20,7 +20,7 @@ MIX = 0.6 * SIGMA_X + 0.8 * SIGMA_Z
 
 def _switch_off_pruning(monkeypatch):
     def every_mode(self):
-        return self.grid.mode_ids()
+        return np.arange(len(self.grid.modes))
 
     monkeypatch.setattr(Kernel, "live_modes", every_mode)
     monkeypatch.setattr(firststep._SpinVertex, "live_modes", every_mode)
@@ -45,7 +45,7 @@ def _count_chains(monkeypatch):
 def _assert_same_sequence(a, b):
     assert a.indices() == b.indices()
     for mn in a.indices():
-        assert a.kernel(*mn).mode_ids == b.kernel(*mn).mode_ids
+        assert a.kernel(*mn).n_modes == b.kernel(*mn).n_modes
         assert np.array_equal(a.kernel(*mn).values, b.kernel(*mn).values)
     assert a.meta == b.meta
 

@@ -48,7 +48,6 @@ def test_q_operators_shapes(rng):
     H, t, chi, _psi = planted_instance(9, rng)
     res = feshbach_map(H, t, chi)
     assert res.Q.shape == (9, 9)
-    assert res.Q_sharp.shape == (9, 9)
 
 
 def test_rejects_nondiagonal_reference(rng):

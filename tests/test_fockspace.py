@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dipolerg.model import ModelParams, ConfigError
-from dipolerg.fockspace import (Mode, build_modes, shifted_mode_index, FockBasis,
+from dipolerg.fockspace import (build_modes, shift_index, FockBasis,
                                 ladder, functional_calculus, number_projection,
                                 dilation)
+from dipolerg.selfcheck import _toy_grid
 
 
 @pytest.fixture()
@@ -44,16 +45,48 @@ def test_mode_weights_riemann_sum(modes):
     assert total == pytest.approx(exact, rel=1e-12)
 
 
-def test_shifted_mode_index_roundtrip(modes):
-    for m in modes:
-        t = shifted_mode_index(modes, m.index, +1)
+def test_shift_index_roundtrip(modes):
+    up, down = shift_index(modes, +1), shift_index(modes, -1)
+    for i, m in enumerate(modes):
+        t = up[i]
         if m.j == 3:
-            assert t is None
+            assert t == -1
             continue
         assert modes[t].j == m.j + 1
-        assert shifted_mode_index(modes, t, -1) == m.index
+        assert down[t] == i
         # direction preserved
         assert np.sign(modes[t].k[0]) == np.sign(m.k[0])
+
+
+def _shifted_mode_index_scan(modes, i, steps):
+    """The shift as a scan over every mode for the same direction and
+    polarization at j + steps: the reference for shift_index."""
+    src = modes[i]
+    for t, m in enumerate(modes):
+        if (m.j == src.j + steps and m.pol == src.pol
+                and np.allclose(m.k / max(m.k_abs, 1e-300),
+                                src.k / max(src.k_abs, 1e-300), atol=1e-12)):
+            return t
+    return -1
+
+
+@pytest.mark.parametrize("grid_modes", [
+    lambda: build_modes(ModelParams(j_max=5)),
+    lambda: build_modes(ModelParams(dim=3, j_max=3)),
+    lambda: _toy_grid(ModelParams()).modes,
+], ids=["d1", "d3", "toy"])
+def test_shift_index_matches_mode_scan(grid_modes):
+    modes = grid_modes()
+    for steps in range(-3, 4):
+        expect = [_shifted_mode_index_scan(modes, i, steps) for i in range(len(modes))]
+        assert shift_index(modes, steps).tolist() == expect
+
+
+def test_dilation_refuses_non_geometric_grid(modes):
+    # the j=1 shell lacks its -k mode: that of j=2 has no image one shell down
+    gappy = [m for i, m in enumerate(modes) if i != 3]
+    with pytest.raises(ConfigError):
+        dilation(FockBasis(gappy, 1), steps=1)
 
 
 def test_basis_enumeration_and_order(modes):
@@ -68,14 +101,14 @@ def test_basis_enumeration_and_order(modes):
 
 def test_ladder_ccr(modes):
     basis = FockBasis(modes[:3], 3)
-    b = ladder(basis, 0).dense()
+    b = ladder(basis, 0).toarray()
     bd = b.conj().T
     comm = b @ bd - bd @ b
     # exact Kronecker delta away from the truncation boundary
     keep = np.array([sum(s) < basis.n_max for s in basis.states])
     np.testing.assert_allclose(comm[np.ix_(keep, keep)], np.eye(int(keep.sum())),
                                atol=1e-14)
-    b1 = ladder(basis, 1).dense()
+    b1 = ladder(basis, 1).toarray()
     np.testing.assert_allclose(b @ b1 - b1 @ b, 0.0, atol=1e-14)
 
 
@@ -87,10 +120,10 @@ def test_ladder_rejects_bad_args(modes):
 
 def test_functional_calculus_matches_number_operator(modes):
     basis = FockBasis(modes[:4], 2)
-    hf = functional_calculus(lambda r, l: r.astype(complex), basis).dense()
+    hf = functional_calculus(lambda r, l: r.astype(complex), basis).toarray()
     acc = np.zeros_like(hf)
     for i in range(4):
-        b = ladder(basis, i).dense()
+        b = ladder(basis, i).toarray()
         bd = b.conj().T
         acc += basis.modes[i].k_abs * (bd @ b)
     np.testing.assert_allclose(hf, acc, atol=1e-13)
@@ -98,14 +131,14 @@ def test_functional_calculus_matches_number_operator(modes):
 
 def test_number_projection_idempotent(modes):
     basis = FockBasis(modes, 2)
-    P = number_projection(basis, 0.3).dense()
+    P = number_projection(basis, 0.3).toarray()
     np.testing.assert_allclose(P @ P, P, atol=1e-15)
     assert P[basis.vacuum_index, basis.vacuum_index] == 1.0
 
 
 def test_dilation_partial_isometry(modes, small_params):
     basis = FockBasis(modes, 2)
-    G = dilation(basis, steps=1).dense()
+    G = dilation(basis, steps=1).toarray()
     GtG = G.conj().T @ G
     # projector onto the states with a pre-image
     np.testing.assert_allclose(GtG @ GtG, GtG, atol=1e-14)
@@ -115,11 +148,11 @@ def test_dilation_partial_isometry(modes, small_params):
 def test_dilation_scales_field_energy(modes, small_params):
     rho = small_params.rho
     basis = FockBasis(modes, 2)
-    G = dilation(basis, steps=1).dense()
+    G = dilation(basis, steps=1).toarray()
     f = functional_calculus(lambda r, l: (r + 0.5 * l[:, 0]).astype(complex), basis)
-    lhs = G @ f.dense() @ G.conj().T
+    lhs = G @ f.toarray() @ G.conj().T
     scaled = functional_calculus(
-        lambda r, l: (rho * r + 0.5 * rho * l[:, 0]).astype(complex), basis).dense()
+        lambda r, l: (rho * r + 0.5 * rho * l[:, 0]).astype(complex), basis).toarray()
     rng_proj = G @ G.conj().T
     np.testing.assert_allclose(lhs, rng_proj @ scaled @ rng_proj, atol=1e-13)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dipolerg.model import ModelParams, ConfigError
-from dipolerg.fockspace import FockBasis
+from dipolerg.fockspace import FockBasis, build_modes
 from dipolerg.kernels import (interp_product, interp_rows, interp_scatter, KernelGrid, Kernel,
                               KernelSequence, symmetrize, norm_half, norm_sharp,
                               norm_xi, polydisc_measure, scale_transform,
@@ -53,11 +54,12 @@ def test_interp_outside_range_is_zero(grid):
 def test_eval_product_rows_match_per_row_interpolation(grid, rng):
     # each row interpolates its own photon slice at its own query vectors;
     # a row with a photon argument off the kernel's modes evaluates to 0
-    ids = grid.mode_ids()[:3]
+    ids = [0, 1, 2]
     vals = (rng.normal(size=grid.base_shape + (3, 3))
             + 1j * rng.normal(size=grid.base_shape + (3, 3)))
-    ker = Kernel(1, 1, grid, vals, ids)
-    rows = np.array([[ids[0], ids[2]], [ids[1], ids[1]], [ids[2], grid.mode_ids()[-1]]])
+    ker = Kernel(1, 1, grid, vals)
+    assert ker.n_modes == 3
+    rows = np.array([[ids[0], ids[2]], [ids[1], ids[1]], [ids[2], len(grid.modes) - 1]])
     rq = np.array([np.linspace(0.0, 1.1, 5), np.linspace(0.2, 0.9, 5), np.linspace(0, 1, 5)])
     lq = np.array([np.linspace(-1.0, 1.0, 4), np.linspace(-0.3, 0.5, 4), np.zeros(4)])
     out = ker.eval_product(rows, rq, [lq])
@@ -115,10 +117,18 @@ def test_grid_layout_must_contain_zero(layout):
         KernelGrid(ModelParams(j_max=2), layout=layout)
 
 
-def test_pair_mode_ids_subset(grid):
-    pair = set(grid.pair_mode_ids())
-    assert pair <= set(grid.mode_ids())
+def test_pair_modes_are_a_prefix(grid):
+    pair = set(range(grid.n_pair))
+    assert pair <= set(range(len(grid.modes)))
     assert all(grid.modes[i].j <= grid.params.j_max_pair for i in pair)
+    assert all(m.j > grid.params.j_max_pair for m in grid.modes[grid.n_pair:])
+
+
+def test_grid_rejects_modes_out_of_shell_order():
+    params = ModelParams(j_max=3)
+    modes = build_modes(params)
+    with pytest.raises(ConfigError):
+        KernelGrid(params, modes=modes[2:] + modes[:2])
 
 
 # --- kernels and norms -------------------------------------------------------
@@ -216,6 +226,19 @@ def test_sequence_json_roundtrip(grid):
                                    seq.kernel(*mn).values, atol=1e-14)
 
 
+def test_sequence_from_json_rejects_mode_ids_off_the_prefix(grid):
+    nmod = len(grid.modes)
+    seq = KernelSequence(grid, {
+        (0, 0): Kernel(0, 0, grid, np.zeros(grid.base_shape, complex)),
+        (1, 0): Kernel(1, 0, grid, np.ones(grid.base_shape + (nmod,), complex)),
+    }, p=0.0, z=0.0)
+    payload = json.loads(sequence_to_json(seq))
+    assert [k["mode_ids"] for k in payload["kernels"]] == [list(range(nmod))] * 2
+    payload["kernels"][1]["mode_ids"] = list(range(1, nmod + 1))
+    with pytest.raises(ConfigError):
+        sequence_from_json(json.dumps(payload), grid)
+
+
 def test_assemble_operator_hermitian_pair(grid):
     # w_{1,0} = conj-transpose partner of w_{0,1} gives a Hermitian operator
     rng = np.random.default_rng(3)
@@ -229,7 +252,7 @@ def test_assemble_operator_hermitian_pair(grid):
         (0, 1): Kernel(0, 1, grid, v01),
         (1, 0): Kernel(1, 0, grid, v10),
     }, p=0.0, z=0.0)
-    W = assemble_operator(seq, basis).dense()
+    W = assemble_operator(seq, basis).toarray()
     np.testing.assert_allclose(W, W.conj().T, atol=1e-13)
 
 
@@ -240,6 +263,10 @@ def test_assemble_operator_rejects_foreign_basis(grid):
         0, 0, grid, np.zeros(grid.base_shape, complex))}, p=0.0, z=0.0)
     with pytest.raises(ConfigError):
         assemble_operator(seq, basis)
+    # as many modes, at other momenta
+    shifted = build_modes(ModelParams(j_max=4, uv_cutoff=0.9))
+    with pytest.raises(ConfigError):
+        assemble_operator(seq, FockBasis(shifted, 1))
 
 
 def _interp_rows_take_along_axis(values, nodes_list, queries_list):
@@ -277,11 +304,10 @@ def _assemble_operator_per_tuple(seq, basis):
     g = seq.grid
     points = [basis.r] + [basis.l[:, a] for a in range(len(g.l_axes))]
     total = sp.csr_matrix((len(basis), len(basis)), dtype=complex)
-    b_ops = [ladder(basis, i).mat for i in range(len(g.modes))]
+    b_ops = [ladder(basis, i) for i in range(len(g.modes))]
     for (m, n), ker in sorted(seq.kernels.items()):
-        for tup in itertools.product(ker.mode_ids, repeat=m + n):
-            loc = tuple(ker.mode_ids.index(x) for x in tup)
-            diag = interp_scatter(ker.values[(Ellipsis,) + loc], g.base_axes, points)
+        for tup in itertools.product(range(ker.n_modes), repeat=m + n):
+            diag = interp_scatter(ker.values[(Ellipsis,) + tup], g.base_axes, points)
             if not np.any(diag):
                 continue
             w = math.sqrt(float(np.prod(g.weight[list(tup)]))) if tup else 1.0
@@ -291,7 +317,7 @@ def _assemble_operator_per_tuple(seq, basis):
             for i in reversed(tup[:m]):
                 op = b_ops[i].conj().T @ op
             total = total + w * op
-    proj = number_projection(basis, 1.0).mat
+    proj = number_projection(basis, 1.0)
     return proj @ total @ proj
 
 
@@ -301,18 +327,17 @@ def test_assemble_operator_matches_per_tuple_loop(dim, rng):
               else ModelParams(dim=3, j_max=2, n_l_axis_d3=3, N_max=2))
     grid = KernelGrid(params)
     basis = FockBasis(grid.modes, 2)
-    pair = grid.pair_mode_ids()
     kernels = {}
     # one photon axis on the 3-d grid: its 36 modes make pair kernels take seconds
     shapes = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)] if dim == 1 else [(0, 0), (1, 0), (0, 1)]
     for m, n in shapes:
-        ids = grid.mode_ids() if m + n <= 1 else pair
-        shape = grid.base_shape + (len(ids),) * (m + n)
+        n_loc = len(grid.modes) if m + n <= 1 else grid.n_pair
+        shape = grid.base_shape + (n_loc,) * (m + n)
         vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         if m + n:
             vals[..., 0] = 0.0            # a photon slice that is exactly zero
-        kernels[(m, n)] = Kernel(m, n, grid, vals, ids)
+        kernels[(m, n)] = Kernel(m, n, grid, vals)
     seq = KernelSequence(grid, kernels, p=0.0, z=0.0)
-    W = assemble_operator(seq, basis).dense()
+    W = assemble_operator(seq, basis).toarray()
     assert np.any(W)
     assert np.array_equal(W, _assemble_operator_per_tuple(seq, basis).toarray())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dipolerg.model import (ModelParams, ConfigError, chi, chibar, form_factor,
+from dipolerg.model import (ModelParams, ConfigError, chi, chibar,
                             polarization, parse_config_text, params_from_config,
                             config_defaults, config_dump_text,
                             CHI_PLATEAU, CHI_SUPPORT, SIGMA_X)
@@ -38,14 +38,6 @@ def test_chi_plateau_and_support():
 def test_chibar_vanishes_at_origin():
     assert chibar(0.0) == 0.0
     assert chibar(np.array([0.0, 0.5 * CHI_PLATEAU]))[1] == 0.0
-
-
-def test_form_factor_sharp_cutoff():
-    assert form_factor(0.5) == pytest.approx(math.sqrt(0.5))
-    assert form_factor(1.5) == 0.0
-    arr = form_factor(np.array([0.09, 0.9999, 1.0001]))
-    assert arr[0] == pytest.approx(0.3)
-    assert arr[2] == 0.0
 
 
 def test_polarization_orthogonal():

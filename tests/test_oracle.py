@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z
 from dipolerg.fockspace import FockBasis, build_modes
 from dipolerg.oracle import (_DENSE_DIM, build_fiber_hamiltonian, ground_energy,
-                             pt2_energy, dispersion_sweep, effective_mass,
+                             pt2_energy, effective_mass,
                              sweep_to_csv)
 
 
@@ -104,16 +104,16 @@ def test_diagonal_coupling_oracle(small_params):
     assert ground_energy(pp) < 0.0
 
 
-def test_dispersion_sweep_and_csv(small_params):
-    recs = dispersion_sweep(small_params, [-0.2, 0.0, 0.2], method="pt2")
-    assert [r.p for r in recs] == [-0.2, 0.0, 0.2]
-    assert recs[0].energy == pytest.approx(recs[2].energy, abs=1e-15)
-    text = sweep_to_csv(recs)
+def test_sweep_to_csv(small_params):
+    p_values = [-0.2, 0.0, 0.2]
+    energies = [pt2_energy(small_params.with_updates(p=pv)) for pv in p_values]
+    assert energies[0] == pytest.approx(energies[2], abs=1e-15)
+    text = sweep_to_csv(p_values, energies, "pt2")
     lines = text.strip().splitlines()
     assert lines[0] == "p,energy,method"
     assert len(lines) == 4
-    with pytest.raises(ConfigError):
-        dispersion_sweep(small_params, [0.0], method="bogus")
+    assert [float(line.split(",")[0]) for line in lines[1:]] == p_values
+    assert {line.split(",")[2] for line in lines[1:]} == {"pt2"}
 
 
 def test_effective_mass_exact_parabola():

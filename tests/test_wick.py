@@ -254,7 +254,7 @@ def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
     assert enumerate_term_specs(1, 1, ctx.L_max, ctx.vertices)
     calls = []
     monkeypatch.setattr(wick, "chi", lambda *a: calls.append(a) or 1.0)
-    vals, per_L = wick.assemble_target(1, 1, ctx, grid.mode_ids())
+    vals, per_L = wick.assemble_target(1, 1, ctx, n)
     assert calls == []
     assert vals.shape == (1,) + grid.base_shape + (n, n)
     assert not np.any(vals) and per_L == {}
