@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Plain key=value configuration files, deterministic output, and exit codes
-that scripts can branch on: 0 success, 1 configuration error, 2 first
-decimation failure, 3 flow failure, 4 validation failure.  Codes 1-3 follow
-the type of the exception that ended the command (see _ExitCodes).
+that scripts can branch on: 0 success, 1 configuration or usage error, 2
+first decimation failure, 3 flow failure, 4 validation failure.  Codes 1-3
+follow the type of the exception that ended the command (see _ExitCodes).
 """
 
 from __future__ import annotations
@@ -47,13 +47,24 @@ def _params(config_path, sets) -> tuple[ModelParams, dict]:
 class _ExitCodes(click.Group):
     """Maps the exception that ends a command to its exit code.
 
-    The message goes to stderr as one line.  A FlowError caused by a
-    FirstStepError is a first decimation failure.
+    A click usage error is a configuration error, printed by click with its
+    usage text; any other message goes to stderr as one line.  A FlowError
+    caused by a FirstStepError is a first decimation failure.
     """
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_CONFIG
+            raise
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_CONFIG
+            raise
         except (ConfigError, FirstStepError, FlowError) as exc:
             if isinstance(exc, ConfigError):
                 code = EXIT_CONFIG

@@ -71,27 +71,6 @@ def interp_product(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
     return interp_rows(values[None], nodes_list, queries)[0]
 
 
-def interp_scatter(values: np.ndarray, nodes_list, points_list) -> np.ndarray:
-    """Interpolate at scattered points (one coordinate array per axis).
-
-    The points run over the leading len(nodes_list) axes of `values`; any
-    trailing axes are carried along, so the result has shape
-    (n_points, *values.shape[len(nodes_list):]).
-    """
-    naxes = len(nodes_list)
-    pts = [np.asarray(p, dtype=float) for p in points_list]
-    per_axis = [_axis_weights(np.asarray(nodes_list[a]), pts[a]) for a in range(naxes)]
-    trailing = (1,) * (values.ndim - naxes)
-    out = np.zeros(pts[0].shape + values.shape[naxes:], dtype=values.dtype)
-    for corner in itertools.product((0, 1), repeat=naxes):
-        idx = tuple(per_axis[a][corner[a]] for a in range(naxes))
-        w = np.ones(pts[0].shape)
-        for a in range(naxes):
-            w = w * per_axis[a][2 + corner[a]]
-        out = out + values[idx] * w.reshape(w.shape + trailing)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # grids
 
@@ -505,15 +484,21 @@ def assemble_operator(seq: KernelSequence, basis: FockBasis) -> sp.csr_matrix:
     if not np.array_equal([m.k for m in basis.modes], g.k_vec):
         raise ConfigError("basis and kernel grid use different modes")
     nstates = len(basis)
-    points = [basis.r] + [basis.l[:, a] for a in range(len(g.l_axes))]
+    # one row per state, querying one point per axis: its own (r, l)
+    points = [basis.r[:, None]] + [basis.l[:, a, None] for a in range(len(g.l_axes))]
     total = sp.csr_matrix((nstates, nstates), dtype=complex)
     b_ops = [ladder(basis, i) for i in range(len(g.modes))]
     b_adj = [b.conj().T for b in b_ops]
     for (m, n), ker in sorted(seq.kernels.items()):
-        # (states, n_loc, ..., n_loc): the diagonal of every photon tuple
-        diags = interp_scatter(ker.values, g.base_axes, points)
-        for tup in itertools.product(range(ker.n_modes), repeat=m + n):
-            diag = diags[(slice(None),) + tup]
+        flat = ker.values.reshape(ker.values.shape[:ker.n_base_axes] + (-1,))
+        for k, tup in enumerate(itertools.product(range(ker.n_modes), repeat=m + n)):
+            # (states, n_loc): the diagonals of the tuples that differ from this
+            # one in their last mode only (one call for every tuple would carry
+            # each state's whole l-grid block through the r-axis)
+            if k % ker.n_modes == 0:
+                diags = interp_rows(flat[None, ..., k:k + ker.n_modes], g.base_axes,
+                                    points).reshape(nstates, -1)
+            diag = diags[:, k % ker.n_modes]
             if not np.any(diag):
                 continue
             w = math.sqrt(float(np.prod(g.weight[list(tup)]))) if tup else 1.0

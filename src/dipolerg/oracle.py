@@ -1,9 +1,9 @@
 """Direct diagonalization reference on the truncated spin-Fock space.
 
 Builds the fiber Hamiltonian at conserved momentum p on the same discrete
-mode grid the kernel engine uses, finds its ground energy by sparse (or
-small-dense) eigensolvers, and provides the second-order perturbative
-energy in closed form.  This route shares only the mode grid with the
+mode grid the kernel engine uses, finds its ground energy by Lanczos from
+the free ground state, and provides the second-order perturbative energy
+in closed form.  This route shares only the mode grid with the
 renormalization flow; the two are compared, never mixed.
 """
 
@@ -19,8 +19,6 @@ import scipy.sparse.linalg as spla
 
 from .model import ModelParams, ConfigError
 from .fockspace import FockBasis, build_modes, ladder
-
-_DENSE_DIM = 2000
 
 
 def build_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
@@ -51,30 +49,23 @@ def ground_energy(params: ModelParams, basis: FockBasis | None = None,
                   return_vector: bool = False):
     """Lowest eigenvalue of the truncated fiber Hamiltonian.
 
-    Dense below _DENSE_DIM, else Lanczos from the free ground state (lower
-    level, no photons): its Krylov space, what the coupling reaches from the
-    vacuum, holds the dressed ground state but not the near-degenerate
-    soft-photon levels just above it.  At lam0 == 0, H is diagonal and the
+    Lanczos from the free ground state (lower level, no photons): its
+    Krylov space, what the coupling reaches from the vacuum, holds the
+    dressed ground state but not the near-degenerate soft-photon levels
+    just above it.  At lam0 == 0, H is diagonal, the vacuum is an exact
+    eigenvector (Lanczos from it stops with ARPACK error -9) and the
     lowest level is read off the diagonal.
     """
     H, basis = build_fiber_hamiltonian(params, basis)
-    dim = H.shape[0]
-    if dim < _DENSE_DIM:
-        w, v = np.linalg.eigh(H.toarray())
-        e0 = float(w[0])
-        vec = v[:, 0]
+    vec = np.zeros(H.shape[0], dtype=complex)
+    if params.lam0 == 0.0:
+        vec[int(np.argmin(H.diagonal().real))] = 1.0
     else:
-        vec = np.zeros(dim, dtype=complex)
-        if params.lam0 == 0.0:
-            vec[int(np.argmin(H.diagonal().real))] = 1.0
-        else:
-            vec[basis.vacuum_index] = 1.0
-            vec = spla.eigsh(H, k=1, which="SA", v0=vec)[1][:, 0]
-        # Rayleigh quotient: the Ritz value's last digits follow the Krylov path
-        e0 = float(np.vdot(vec, H @ vec).real)
-    if return_vector:
-        return e0, vec, basis
-    return e0
+        vec[basis.vacuum_index] = 1.0
+        vec = spla.eigsh(H, k=1, which="SA", v0=vec)[1][:, 0]
+    # Rayleigh quotient: the Ritz value's last digits follow the Krylov path
+    e0 = float(np.vdot(vec, H @ vec).real)
+    return (e0, vec, basis) if return_vector else e0
 
 
 def pt2_energy(params: ModelParams) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import ConfigError, ModelParams, chibar
 from .kernels import (Kernel, KernelFamily, KernelGrid, KernelSequence,
-                      interp_product, polydisc_measure, _l_sums)
+                      interp_product, polydisc_measure, _base_gradients, _l_sums)
 from . import wick
 from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
 from .fockspace import FockBasis
@@ -261,13 +261,8 @@ def run_flow(params: ModelParams, n_max: int = 40,
 def extract_alpha_beta(seq: KernelSequence) -> tuple[float, np.ndarray]:
     """Slopes of the band symbol at the origin: (d/dr, d/dl per axis)."""
     g = seq.grid
-    vals = seq.w00.values
-    dr = np.gradient(vals, g.r_nodes, axis=0, edge_order=2)
-    alpha = float(np.real(dr[(g.r0_idx,) + g.l0_idx]))
-    beta = []
-    for a, ax in enumerate(g.l_axes):
-        dl = np.gradient(vals, ax, axis=1 + a, edge_order=2)
-        beta.append(float(np.real(dl[(g.r0_idx,) + g.l0_idx])))
+    alpha, *beta = [float(np.real(d[(g.r0_idx,) + g.l0_idx]))
+                    for d in _base_gradients(seq.w00)]
     return alpha, np.array(beta)
 
 

@@ -29,9 +29,11 @@ def _toy_grid(params: ModelParams):
         Mode(j=1, k=np.array([-0.45]), k_abs=0.45, weight=0.7,
              coupling=SIGMA_X.copy(), pol=0),
     ]
-    # sampled exactly on the reachable field configurations
+    # sampled exactly on the reachable field configurations; both modes
+    # carry the pair kernels, whatever the caller's j_max_pair
     layout = ([0.0, 0.45, 0.9, 1.0], [[-1.0, -0.9, -0.45, 0.0, 0.45, 0.9, 1.0]])
-    return KernelGrid(params, modes=modes, layout=layout)
+    return KernelGrid(params.with_updates(j_max_pair=modes[-1].j), modes=modes,
+                      layout=layout)
 
 
 def _toy_kernels(grid, rng):
@@ -90,17 +92,8 @@ def wick_reassembly_defect(params: ModelParams | None = None,
 
     ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=L_max, scale=1.0,
                            ext_shift_steps=0, F_eval=_f_factor)
-
-    out_kernels = {(0, 0): zero00}
-    max_ext = 2 * min(L_max, 3)
-    for total in range(0, max_ext + 1):
-        for m in range(total + 1):
-            n = total - m
-            vals = wick.assemble_target(m, n, ctx, n_ext=2)[0][0]
-            if total == 0:
-                out_kernels[(0, 0)] = Kernel(0, 0, grid, vals)
-            elif np.any(vals):
-                out_kernels[(m, n)] = Kernel(m, n, grid, vals)
-    seq_out = KernelSequence(grid, out_kernels, p=params.p, z=0.0)
+    stacks, _ = wick._assemble_kernels(ctx, 2 * min(L_max, 3), zero00.values[None])
+    seq_out = KernelSequence(grid, {mn: Kernel(mn[0], mn[1], grid, v[0])
+                                    for mn, v in stacks.items()}, p=params.p, z=0.0)
     rhs = assemble_operator(seq_out, basis).toarray()
     return float(np.max(np.abs(lhs - rhs)))

@@ -78,6 +78,22 @@ def test_config_errors_exit_1_with_one_line(runner, args):
     assert out.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["flow", "--bogus-flag"],                # unknown option
+    ["dispersion", "--method", "bogus"],     # value outside a choice
+    ["first-step", "--z", "notafloat"],      # value of the wrong type
+    ["no-such-command"],                     # unknown subcommand
+    ["--bogus-flag", "flow"],                # unknown top-level option
+], ids=["option", "choice", "type", "command", "top-level"])
+def test_usage_errors_exit_1_with_usage_text(runner, args):
+    # exit 2 would read as a failed first decimation
+    out = runner.invoke(main, args)
+    assert out.exit_code == EXIT_CONFIG
+    assert out.stdout == ""
+    assert out.stderr.startswith("Usage: ")
+    assert "Error: " in out.stderr
+
+
 @pytest.mark.parametrize("command", [["flow"], ["dispersion", "--method", "flow"]])
 def test_failed_first_decimation_exits_2(runner, monkeypatch, command):
     def fail(params, z, grid=None):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dipolerg.model import ModelParams, ConfigError
 from dipolerg.fockspace import FockBasis, build_modes
-from dipolerg.kernels import (interp_product, interp_rows, interp_scatter, KernelGrid, Kernel,
+from dipolerg.kernels import (interp_product, interp_rows, KernelGrid, Kernel,
                               KernelSequence, symmetrize, norm_half, norm_sharp,
                               norm_xi, polydisc_measure, scale_transform,
                               assemble_operator, sequence_to_json,
@@ -69,17 +69,6 @@ def test_eval_product_rows_match_per_row_interpolation(grid, rng):
         expect = interp_product(vals[:, :, loc[0], loc[1]], grid.base_axes, [rq[i], lq[i]])
         assert np.array_equal(out[i], expect)
     assert not np.any(out[2])
-
-
-def test_interp_scatter_matches_product(grid):
-    vals = _linear_field(grid)
-    rs = np.array([0.11, 0.52, 0.93])
-    ls = np.array([-0.4, 0.0, 0.21])
-    scat = interp_scatter(vals, grid.base_axes, [rs, ls])
-    for i in range(3):
-        prod = interp_product(vals, grid.base_axes,
-                              [rs[i:i + 1], ls[i:i + 1]])
-        assert scat[i] == pytest.approx(prod[0, 0], abs=1e-14)
 
 
 # --- grid invariants ---------------------------------------------------------
@@ -296,18 +285,19 @@ def test_interp_rows_matches_take_along_axis(rng):
 
 
 def _assemble_operator_per_tuple(seq, basis):
-    """assemble_operator as it was: one scattered interpolation, and the
-    adjoints of the ladders taken, per kernel and photon tuple."""
+    """assemble_operator as it was: one interpolation at every state, and
+    the adjoints of the ladders taken, per kernel and photon tuple."""
     import itertools
     import scipy.sparse as sp
     from dipolerg.fockspace import ladder, number_projection
     g = seq.grid
-    points = [basis.r] + [basis.l[:, a] for a in range(len(g.l_axes))]
+    points = [basis.r[:, None]] + [basis.l[:, a, None] for a in range(len(g.l_axes))]
     total = sp.csr_matrix((len(basis), len(basis)), dtype=complex)
     b_ops = [ladder(basis, i) for i in range(len(g.modes))]
     for (m, n), ker in sorted(seq.kernels.items()):
         for tup in itertools.product(range(ker.n_modes), repeat=m + n):
-            diag = interp_scatter(ker.values[(Ellipsis,) + tup], g.base_axes, points)
+            diag = interp_rows(ker.values[(Ellipsis,) + tup][None], g.base_axes,
+                               points).reshape(len(basis))
             if not np.any(diag):
                 continue
             w = math.sqrt(float(np.prod(g.weight[list(tup)]))) if tup else 1.0

@@ -1,11 +1,14 @@
 import pytest
 
 from dipolerg import wick
+from dipolerg.model import ModelParams
 from dipolerg.selfcheck import wick_reassembly_defect
 
 
 def test_reassembly_identity_machine_precision():
     assert wick_reassembly_defect() < 1e-12
+    # the toy grid's two modes carry the pair kernels whatever j_max_pair says
+    assert wick_reassembly_defect(ModelParams(j_max_pair=0)) < 1e-12
 
 
 def test_reassembly_identity_depth_two():
