@@ -164,7 +164,7 @@ def oracle_cmd(config_path, sets):
 @click.option("--output", type=click.Path(), default=None,
               help="write CSV here instead of stdout")
 def dispersion(config_path, sets, method, output):
-    """Sweep the conserved momentum and print a CSV dispersion table."""
+    """Sweep the conserved momentum, p_star = p at each point, as a CSV table."""
     params, cfg = _params(config_path, sets)
     npts = cfg["p_sweep_points"]
     if npts < 3 or npts % 2 == 0:
@@ -175,7 +175,7 @@ def dispersion(config_path, sets, method, output):
               "pt2": oracle_mod.pt2_energy,
               "flow": lambda pp: run_flow(pp, n_max=cfg["n_flow_max"],
                                           tol_factor=cfg["tol_factor"]).energy}[method]
-    energies = [energy(params.with_updates(p=pv)) for pv in p_values]
+    energies = [energy(params.with_updates(p=pv, p_star=pv)) for pv in p_values]
     text = oracle_mod.sweep_to_csv(p_values, energies, method)
     if output:
         with open(output, "w", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ are always grid modes, so they index, never interpolate.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -54,10 +55,11 @@ def interp_rows(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
         # row r reads row r of out, or the one row every row shares
         r = np.arange(len(i0))[:, None] if len(out) > 1 else np.zeros((1, 1), dtype=int)
         pre = (slice(None),) * (ax - 1)
-        shape = i0.shape + (1,) * (out.ndim - 2)
+        # weights cast once, not buffer by buffer in each product with the block
+        shape, dtype = i0.shape + (1,) * (out.ndim - 2), np.promote_types(out.dtype, w0.dtype)
+        w0, w1 = w0.astype(dtype).reshape(shape), w1.astype(dtype).reshape(shape)
         # the two index arrays' (rows, n) axes come first, then axes 1..ax-1
-        out = np.moveaxis(out[(r,) + pre + (i0,)] * w0.reshape(shape)
-                          + out[(r,) + pre + (i1,)] * w1.reshape(shape), 1, ax)
+        out = np.moveaxis(out[(r,) + pre + (i0,)] * w0 + out[(r,) + pre + (i1,)] * w1, 1, ax)
     return out
 
 
@@ -164,11 +166,12 @@ class KernelGrid:
 # kernels
 
 class Kernel:
-    """One sampled kernel w_{m,n}.
+    """One sampled kernel w_{m,n}, or its stack over a family.
 
     values has shape (n_r, *l_shape, n_loc, ..., n_loc) with m+n trailing
     photon axes over the first n_loc modes of the grid; photon arguments
-    beyond them evaluate to 0.
+    beyond them evaluate to 0.  A stack puts a family axis in front, and
+    each method serves every member in one pass.
     """
 
     def __init__(self, m: int, n: int, grid: KernelGrid, values: np.ndarray):
@@ -178,7 +181,8 @@ class Kernel:
         values = np.asarray(values, dtype=complex)
         n_loc = values.shape[-1] if m + n else 0
         expect = grid.base_shape + (n_loc,) * (m + n)
-        if values.shape != expect or n_loc > len(grid.modes):
+        self.stacked = values.ndim == len(expect) + 1
+        if values.shape[self.stacked:] != expect or n_loc > len(grid.modes):
             raise ConfigError(f"kernel array shape {values.shape}: expected {expect}, "
                               f"over at most {len(grid.modes)} modes")
         if not np.all(np.isfinite(values)):
@@ -199,30 +203,43 @@ class Kernel:
         """Values on each row's (r, l) product grid of query vectors.
 
         ids has shape (rows, m + n), rq (rows, n_r) and every l-query
-        (rows, n_l); the result has shape (rows, n_r, n_l, ...).  A row with
-        a photon argument beyond the first n_modes modes evaluates to 0.
+        (rows, n_l); the result has shape (rows, n_r, n_l, ...), or (rows,
+        n_f, n_r, n_l, ...) for a stack.  A row with a photon argument
+        beyond the first n_modes modes evaluates to 0.
         """
         rq = np.asarray(rq, dtype=float)
         ids = np.asarray(ids, dtype=int)
         ok = np.all(ids < self.n_modes, axis=1)
-        # (rows, base...) blocks at each row's photon arguments; a kernel
+        # (rows, [members,] base...) blocks at each row's photon arguments; a kernel
         # without photon axes shares its one block with every row
         blocks = np.moveaxis(self.values[(Ellipsis,) + tuple(ids[ok].T)], -1, 0) \
             if self.m + self.n else self.values[None]
         queries = [q[ok] for q in [rq] + [np.asarray(q, dtype=float) for q in l_queries]]
-        vals = interp_rows(blocks, self.grid.base_axes, queries)
+        if not self.stacked:
+            vals = interp_rows(blocks, self.grid.base_axes, queries)
+        else:   # members ride behind the interpolated axes, then come back in
+            # C order, which the chain's products and row sums run fastest on
+            vals = interp_rows(np.moveaxis(blocks, 1, -1), self.grid.base_axes, queries)
+            vals = np.ascontiguousarray(np.moveaxis(vals, -1, 1))
         if np.all(ok):
             return vals
         out = np.zeros((len(rq),) + vals.shape[1:], dtype=complex)
         out[ok] = vals
         return out
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+    def __getitem__(self, k) -> "Kernel":
+        """Member k of a stack, or the stack of a slice: a view, unchecked."""
+        ker = copy.copy(self)
+        ker.values, ker.stacked = self.values[k], isinstance(k, slice)
+        return ker
+
+    def max_abs(self):
+        """Largest |value|; an array over the members of a stack."""
+        return np.max(np.abs(self.values), axis=tuple(range(self.stacked, self.values.ndim)))
 
     def live_modes(self) -> np.ndarray:
-        """Modes on which some photon slice is not identically zero."""
-        nz = np.any(self.values != 0, axis=tuple(range(self.n_base_axes)))
+        """Modes on which some member's photon slice is not identically zero."""
+        nz = np.any(self.values != 0, axis=tuple(range(self.stacked + self.n_base_axes)))
         live = np.zeros(self.n_modes, dtype=bool)
         for a in range(nz.ndim):
             live |= np.any(nz, axis=tuple(b for b in range(nz.ndim) if b != a))
@@ -237,20 +254,13 @@ def symmetrize(values: np.ndarray, m: int, n: int, n_base_axes: int) -> np.ndarr
     """Average over permutations of the m creation and n annihilation axes."""
     if m <= 1 and n <= 1:
         return values
-    axes_m = list(range(n_base_axes, n_base_axes + m))
-    axes_n = list(range(n_base_axes + m, n_base_axes + m + n))
+    nb = n_base_axes
+    perms = [tuple(range(nb)) + pm + pn for pm in itertools.permutations(range(nb, nb + m))
+             for pn in itertools.permutations(range(nb + m, nb + m + n))]
     acc = np.zeros_like(values)
-    count = 0
-    for pm in itertools.permutations(axes_m):
-        for pn in itertools.permutations(axes_n):
-            perm = list(range(values.ndim))
-            for src, dst in zip(axes_m, pm):
-                perm[src] = dst
-            for src, dst in zip(axes_n, pn):
-                perm[src] = dst
-            acc += np.transpose(values, perm)
-            count += 1
-    acc /= count
+    for perm in perms:
+        acc += np.transpose(values, perm)
+    acc /= len(perms)
     return acc
 
 
@@ -302,47 +312,22 @@ class KernelSequence:
         return [mn for mn in self.indices() if sum(mn) >= 1]
 
 
-class KernelFamily:
+class KernelFamily(list):
     """Kernel sequences at the spectral nodes zs, stored kernel by kernel.
 
-    stacks[(m, n)] holds kernel (m, n) of every member as one array of
-    shape (n_z, *base, photons), zero where a member lacks it.  Member k is
-    a KernelSequence whose kernels are views of row k; it lacks every
-    kernel but (0, 0) that is exactly zero at its node.  Indexing, len()
-    and iteration run over the members.
+    stacks[(m, n)] is kernel (m, n) of every member as one stacked Kernel,
+    (n_z, *base, photons), zero where a member lacks it.  The family is the
+    list of its members, KernelSequences whose kernels are views of their
+    rows, lacking every kernel but (0, 0) that is exactly zero there.
     """
 
     def __init__(self, grid: KernelGrid, stacks: dict, p, zs, metas):
         self.grid = grid
-        self.stacks = stacks
-        self.members = []
-        for k, (z, meta) in enumerate(zip(zs, metas)):
-            kernels = {mn: Kernel(mn[0], mn[1], grid, v[k])
-                       for mn, v in stacks.items() if mn == (0, 0) or np.any(v[k])}
-            self.members.append(KernelSequence(grid, kernels, p, z, meta))
-
-    @classmethod
-    def gather(cls, members, zs) -> "KernelFamily":
-        """The family of sequences built one at a time, relabelled to the
-        nodes zs.  Each member is copied into the stacks as it arrives, so
-        at most one member is held twice."""
-        stacks, metas = {}, []
-        for k, seq in enumerate(members):
-            for mn, ker in seq.kernels.items():
-                if mn not in stacks:
-                    stacks[mn] = np.zeros((len(zs),) + ker.values.shape, dtype=complex)
-                stacks[mn][k] = ker.values
-            metas.append(seq.meta)
-        return cls(seq.grid, stacks, seq.p, zs, metas)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __getitem__(self, k) -> KernelSequence:
-        return self.members[k]
-
-    def __iter__(self):
-        return iter(self.members)
+        self.stacks = {mn: Kernel(mn[0], mn[1], grid, v) for mn, v in stacks.items()}
+        super().__init__(
+            KernelSequence(grid, {mn: s[k] for mn, s in self.stacks.items()
+                                  if mn == (0, 0) or np.any(s.values[k])}, p, z, meta)
+            for k, (z, meta) in enumerate(zip(zs, metas)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .model import ConfigError, ModelParams, chibar
-from .kernels import (Kernel, KernelFamily, KernelGrid, KernelSequence,
-                      interp_product, polydisc_measure, _base_gradients, _l_sums)
+from .kernels import (KernelFamily, KernelGrid, KernelSequence, polydisc_measure,
+                      _base_gradients, _l_sums)
 from . import wick
 from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
 from .fockspace import FockBasis
@@ -35,75 +35,71 @@ class FlowError(RuntimeError):
 # ---------------------------------------------------------------------------
 # one decimate-and-rescale step
 
-def _band_denominator(seq: KernelSequence):
-    """Closure evaluating the soft off-band inverse of the (0,0) symbol.
+def _band_denominator(family: KernelFamily):
+    """Closure evaluating the soft off-band inverse of each (0,0) symbol.
 
-    Arguments arrive at the pre-rescale scale of the current sequence:
+    Arguments arrive at the pre-rescale scale of the current sequences:
     entries beyond the unit band are zero (the implicit band indicator of
     the monomials), and the squared cutoff complement sits on top of the
-    interpolated symbol.  Raises FlowError near a zero of the symbol.
+    interpolated symbol.  Raises FlowError near a zero of a symbol.
     """
-    grid = seq.grid
-    rho = grid.rho
-    w00 = seq.w00
-
     def F_eval(rq, lqs):
         # rq has shape (rows, n_r), every l-query (rows, n_l)
         rq = np.asarray(rq)
-        rcol = rq.reshape(rq.shape + (1,) * len(lqs))
-        cb2 = chibar(rcol, rho) ** 2
+        rcol = rq.reshape((len(rq), 1) + rq.shape[1:] + (1,) * len(lqs))
+        cb2 = chibar(rcol, family.grid.rho) ** 2
         inside = rcol <= 1.0 + 1e-12
-        vals = w00.eval_product(np.zeros((len(rq), 0), dtype=int), rq, lqs)
+        vals = family.stacks[(0, 0)].eval_product(np.zeros((len(rq), 0), dtype=int), rq, lqs)
         # physical region only: field momentum cannot exceed field energy
         l2, _ = _l_sums(lqs)
-        live = (cb2 > 0.0) & inside & (np.sqrt(l2) <= rcol + 1e-9)
-        floor = 1e-12
-        bad = live & (np.abs(vals) < floor)
-        if np.any(bad):
+        live = (cb2 > 0.0) & inside & (np.sqrt(l2[:, None]) <= rcol + 1e-9)
+        if np.any(live & (np.abs(vals) < 1e-12)):
             raise FlowError("band symbol vanishes inside the decimation region")
-        denom = np.where(live, vals, 1.0)
-        # a family of one
-        return np.where(live, (cb2 * inside) / denom, 0.0)[:, None]
+        return np.where(live, cb2 / np.where(live, vals, 1.0), 0.0)
 
     return F_eval
 
 
-def _band_margin(seq: KernelSequence) -> float:
-    """Smallest |w00| over the region the decimation actually inverts."""
-    grid = seq.grid
-    cb = chibar(grid.r_nodes, grid.rho)
-    live_r = cb > 0.0
+def _band_margin(family: KernelFamily) -> np.ndarray:
+    """Each member's smallest |w00| over the region the decimation inverts."""
+    grid = family.grid
+    live_r = chibar(grid.r_nodes, grid.rho) > 0.0
     mask = grid.mask & live_r.reshape((-1,) + (1,) * len(grid.l_axes))
-    vals = np.where(mask, np.abs(seq.w00.values), np.inf)
-    return float(vals.min())
+    vals = np.where(mask, np.abs(family.stacks[(0, 0)].values), np.inf)
+    return vals.min(axis=tuple(range(1, vals.ndim)))
 
 
-def renormalize(seq: KernelSequence, params: ModelParams) -> KernelSequence:
+def renormalize(family: KernelFamily, params: ModelParams) -> KernelFamily:
     """One flow step: soft decimation of the top shell, then rescale.
 
     The (0,0) part passes through as the rescaled symbol plus closed chain
     corrections; kernels with m+n in [1, M_max] are reassembled from all
-    chain shapes up to depth L_max.
+    chain shapes up to depth L_max.  One assembler pass serves every
+    member, with the numbers of renormalizing it as a family of one; a
+    member that misses its band margin or diverges raises FlowError.
     """
-    grid = seq.grid
+    grid = family.grid
     rho = grid.rho
-    mu = params.mu
-    margin = _band_margin(seq)
-    if margin < mu * rho / 8.0:
-        raise FlowError(f"band margin {margin:.3e} below {mu * rho / 8.0:.3e}")
+    floor = params.mu * rho / 8.0
+    margins = _band_margin(family)
+    for margin in margins:
+        if margin < floor:
+            raise FlowError(f"band margin {margin:.3e} below {floor:.3e}")
     ctx = wick.WickContext(
-        grid=grid, vertices=seq.kernels, L_max=params.L_max, scale=rho,
-        ext_shift_steps=1, F_eval=_band_denominator(seq),
-        F_max=4.0 / max(margin, 1e-300), prune=_PRUNE)
+        grid=grid, vertices=family.stacks, L_max=params.L_max, scale=rho,
+        ext_shift_steps=1, F_eval=_band_denominator(family),
+        F_max=4.0 / np.maximum(margins, 1e-300), prune=_PRUNE)
     # rescaled passthrough of the band symbol, no boundary factors
-    queries = [rho * grid.r_nodes] + [rho * ax for ax in grid.l_axes]
-    w00_base = interp_product(seq.w00.values, grid.base_axes, queries) / rho
-    stacks, (ratio,) = wick._assemble_kernels(ctx, params.M_max, w00_base[None])
-    if ratio >= 1.0:
-        raise FlowError(f"chain series diverges: ratio {ratio:.3f}")
-    meta = {"stage": int(seq.meta.get("stage", 0)) + 1,
-            "series_ratio": ratio, "band_margin": margin}
-    return KernelFamily(grid, stacks, seq.p, [seq.z], [meta])[0]
+    rq, *lqs = [rho * ax[None] for ax in grid.base_axes]
+    w00_base = family.stacks[(0, 0)].eval_product(np.zeros((1, 0), int), rq, lqs)[0] / rho
+    stacks, ratios = wick._assemble_kernels(ctx, params.M_max, w00_base)
+    for ratio in ratios:
+        if ratio >= 1.0:
+            raise FlowError(f"chain series diverges: ratio {ratio:.3f}")
+    metas = [{"stage": int(seq.meta.get("stage", 0)) + 1,
+              "series_ratio": ratio, "band_margin": float(margin)}
+             for seq, ratio, margin in zip(family, ratios, margins)]
+    return KernelFamily(grid, stacks, family[0].p, [seq.z for seq in family], metas)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +164,17 @@ class StageMap:
         return complex(z)
 
 
-def interpolate_family(family: KernelFamily, weights: np.ndarray,
-                       z: complex) -> KernelSequence:
-    """Family member at an off-node spectral parameter z, given its row of
-    Lagrange weights (see _lagrange_weights): each kernel is one contraction
-    of its node stack with the weights."""
-    grid = family.grid
-    out = {mn: Kernel(mn[0], mn[1], grid, np.tensordot(weights, stack, axes=1))
-           for mn, stack in family.stacks.items()}
-    return KernelSequence(grid, out, family[0].p, z, dict(family[0].meta))
+def interpolate_family(family: KernelFamily, weights: np.ndarray, zs) -> KernelFamily:
+    """The family at the spectral parameters zs, given the Lagrange weight
+    matrix whose row k interpolates at zs[k] (see _lagrange_weights): one
+    contraction of each kernel stack.  The members keep their meta.  The
+    input family is emptied, each stack dropped once contracted, so the two
+    families never both hold every kernel."""
+    p, metas = family[0].p, [dict(s.meta) for s in family]
+    family.clear()          # the members' views would keep every stack alive
+    stacks = {mn: np.tensordot(weights, family.stacks.pop(mn).values, axes=1)
+              for mn in list(family.stacks)}
+    return KernelFamily(family.grid, stacks, p, zs, metas)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +241,10 @@ def run_flow(params: ModelParams, n_max: int = 40,
             raise FlowError(f"energy chain not Cauchy after {n_max} stages: last step "
                             f"{abs(e_chain[-1] - e_chain[-2]):.3e}, tolerance {tol:.3e}")
         sources = [sm.inverse(complex(zk), rho, newton_tol) for zk in nodes]
-        weights = _lagrange_weights(nodes, sources)
-        # one member at a time, each labelled with the node whose pull-back it was built at
-        prev = family
-        family = KernelFamily.gather(
-            (renormalize(interpolate_family(prev, w, z), params)
-             for w, z in zip(weights, sources)), nodes)
+        family = interpolate_family(family, _lagrange_weights(nodes, sources), sources)
+        family = renormalize(family, params)
+        for k, zk in enumerate(nodes):     # the node member k's pull-back was built for
+            family[k].z = complex(zk)
     energy = params.rho0 * complex(e_chain[-1]).real
     return FlowResult(energy=energy, e_chain=e_chain, stages=len(e_chain) - 1,
                       ledgers=ledgers, series_ratios=ratios,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import ModelParams, SIGMA_X, chi
 from .fockspace import Mode, FockBasis, functional_calculus
-from .kernels import Kernel, KernelGrid, KernelSequence, assemble_operator, _l_sums
+from .kernels import Kernel, KernelFamily, KernelGrid, KernelSequence, assemble_operator, _l_sums
 from . import wick
 
 
@@ -93,7 +93,6 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=L_max, scale=1.0,
                            ext_shift_steps=0, F_eval=_f_factor)
     stacks, _ = wick._assemble_kernels(ctx, 2 * min(L_max, 3), zero00.values[None])
-    seq_out = KernelSequence(grid, {mn: Kernel(mn[0], mn[1], grid, v[0])
-                                    for mn, v in stacks.items()}, p=params.p, z=0.0)
+    seq_out = KernelFamily(grid, stacks, params.p, [0.0], [{}])[0]
     rhs = assemble_operator(seq_out, basis).toarray()
     return float(np.max(np.abs(lhs - rhs)))

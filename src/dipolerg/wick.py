@@ -9,10 +9,9 @@ internal momenta.  The chains of one term shape and pairing are evaluated
 as one batch: a leading row axis runs over every external mode tuple
 times every internal line-mode assignment, and each vertex and resolvent
 is queried once per batch with stacked (rows, ...) arguments, vectorized
-over the (r, l) sample grid.  A family axis follows the row axis: the
-resolvent may depend on the member of an analytic family (the first
-decimation's spectral parameter at every z-node) while the vertices do
-not, so one pass assembles every member.
+over the (r, l) sample grid.  A family axis follows the row axis: one pass
+assembles every member (z-node) of a family, whose resolvent and stacked
+kernels (an RG step's vertices) depend on the member.
 
 Every photon of a chain is a leg (mode, opened, closed): an external
 creator at vertex c is (x, -1, c), an external annihilator at vertex a is
@@ -32,6 +31,7 @@ operator-identity self-check (sampled toy kernels).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -41,7 +41,7 @@ import numpy as np
 
 from .model import ConfigError, chi
 from .fockspace import shift_index
-from .kernels import KernelGrid, symmetrize
+from .kernels import Kernel, KernelGrid, symmetrize
 
 # a batch is evaluated in chunks of rows that hold at most this many (r, l)
 # grid points per family member: on the default grid a first-decimation
@@ -208,10 +208,11 @@ class WickContext:
     prune > 0), live_modes() lists the modes it is not identically zero
     on, and spin_pattern() is the boolean sparsity of its spin block
     (1x1 for a scalar vertex).  Scalar vertices return (rows, *base)
-    arrays; spin vertices append (s, s) axes.  F_eval(rq, lqs) takes the
-    same stacked queries and returns the diagonal resolvent factor at every
-    family member, (rows, n_f, *base) or (rows, n_f, *base, s), already
-    masked to its domain; a family of one has n_f = 1.
+    arrays; spin vertices append (s, s) axes; a stacked Kernel returns
+    (rows, n_f, *base), and its max_abs(), like F_max, is per member.
+    F_eval(rq, lqs) takes the same stacked queries and returns the diagonal
+    resolvent factor at every family member, (rows, n_f, *base) or (rows,
+    n_f, *base, s), masked to its domain; a family of one has n_f = 1.
     """
     grid: KernelGrid
     vertices: dict
@@ -230,6 +231,14 @@ class WickContext:
         self.spin_patterns = {k: v.spin_pattern() for k, v in self.vertices.items()}
         self.max_abs = ({k: v.max_abs() for k, v in self.vertices.items()}
                         if self.prune > 0.0 else {})
+
+    def member_run(self, run: slice) -> "WickContext":
+        """The context of the family members in `run`, stacked vertices as views."""
+        sub = copy.copy(self)
+        sub.vertices = {k: v[run] if isinstance(v, Kernel) and v.stacked else v
+                        for k, v in self.vertices.items()}
+        sub.F_eval = lambda rq, lqs: self.F_eval(rq, lqs)[:, run]
+        return sub
 
 
 def _tuples(values, k: int) -> np.ndarray:
@@ -251,25 +260,25 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
     legs, then the internal lines.  Vertex v creates the legs it closes
     and annihilates the legs it opens.  queries[a] (rows, 2L + 1, n_a)
     holds query axis a of every slot (see _leg_sums), photons already
-    pulled through.  A row whose partial chain vanishes is dropped at
-    once: no later vertex or resolvent is evaluated on it.  A spin chain
-    carries only its row <0|, the one its (0, 0) value depends on, the
-    diagonal resolvent scaling each entry.  The chain takes a family axis
-    after the row axis from its first resolvent (length 1 before it).
-    Returns the indices of the surviving rows and their values, (rows, n_f,
-    *base).
+    pulled through.  A row whose partial chain vanishes at every member is
+    dropped at once: no later vertex or resolvent is evaluated on it.  A
+    spin chain carries only its row <0|, the one its (0, 0) value depends
+    on, the diagonal resolvent scaling each entry.  A vertex that is the
+    same at every member gets a family axis of length 1.  Returns the
+    indices of the surviving rows and their values, (rows, n_f, *base).
     """
     rows = np.arange(len(modes))
     chain = None
-    spin = False
+    spin = len(ctx.spin_patterns[spec.vertex_kernel(0)]) > 1
     for v in range(spec.L):
         cols = ([j for j, (_, c) in enumerate(ends) if c == v]
                 + [j for j, (o, _) in enumerate(ends) if o == v])
         rq, *lqs = [q[rows, 2 * v + 1] for q in queries]
         val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
-            modes[np.ix_(rows, cols)], rq, lqs)[:, None]
+            modes[np.ix_(rows, cols)], rq, lqs)
+        if val.ndim == len(queries) + 1 + 2 * spin:
+            val = val[:, None]
         if chain is None:
-            spin = val.ndim > 3 + len(lqs)
             chain = val[..., 0, :] if spin else val
         elif spin:
             chain = chain[..., 0, None] * val[..., 0, :] + chain[..., 1, None] * val[..., 1, :]
@@ -287,16 +296,14 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
 def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
     """Sum of all chain contributions to the (M, N) output kernel.
 
-    Returns (values, per_L) where values has a family axis, then the
-    base-grid shape plus M+N photon axes over the first n_ext modes of the
-    grid, and per_L maps chain length to the max magnitude contributed at
-    each family member (the series-decay monitor), an array over the
-    family axis.  Both
-    family axes have length 1 when no contribution passes a resolvent.
-    The result is NOT yet symmetrized over the photon axes.  The chains
-    of one term shape and pairing are evaluated as one batch whose rows
-    run over every live external tuple times every internal line-mode
-    assignment.
+    Returns (values, per_L): values has a family axis, the base-grid shape
+    and M+N photon axes over the first n_ext modes of the grid; per_L maps
+    chain length to each member's largest contribution (the series-decay
+    monitor).  Both family axes have length 1 when no contribution depends
+    on the member.  The result is NOT yet symmetrized over the photon axes.
+    The chains of one term shape and pairing are one batch over every live
+    external tuple times every internal line-mode assignment; a shape whose
+    magnitude bound falls below ctx.prune at some members adds zeros there.
     """
     g = ctx.grid
     out = np.zeros((1,) + g.base_shape + (n_ext,) * (M + N), dtype=complex)
@@ -312,18 +319,20 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
         if not functools.reduce(np.matmul, (ctx.spin_patterns[k] for k in keys))[0, 0]:
             continue
         weight = combinatorial_weight(spec)
+        members = np.ones(1, dtype=bool)      # the members whose bound passes
         if ctx.prune > 0.0:
             bound = weight * (ctx.F_max ** (spec.L - 1)) * scale_pow
             for k in keys:
                 bound *= ctx.max_abs[k]
             bound *= (float(np.sum(g.weight)) ** sum(spec.p)) * len(pairings)
-            if bound < ctx.prune:
+            members = np.atleast_1d(bound >= ctx.prune)
+            if not np.any(members):
                 continue
         pref = (-1.0) ** (spec.L - 1) * weight * scale_pow
         # (opened, closed) of each external leg, in tuple order
         ends = ([(-1, v) for v in range(spec.L) for _ in range(spec.m[v])]
                 + [(v, spec.L) for v in range(spec.L) for _ in range(spec.n[v])])
-        shapes.append((spec, pref, ends, pairings))
+        shapes.append((spec, pref, ends, pairings, members))
     if not shapes:
         return out, per_L
     ext = _tuples(range(n_ext), M + N)
@@ -347,7 +356,12 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
     boundary = boundary[:, None]
     flat_out = out.reshape(out.shape[:1 + nb] + (-1,))
     chunk = max(1, _CHUNK_POINTS // math.prod(g.base_shape))
-    for spec, pref, ends, pairings in shapes:
+    for spec, pref, ends, pairings, members in shapes:
+        # a shape pruned at some members is evaluated over the run of members
+        # from the first to the last it passes at, and adds zeros elsewhere
+        run = (slice(None) if np.all(members)
+               else slice(*np.flatnonzero(members)[[0, -1]] + [0, 1]))
+        sub = ctx if run == slice(None) else ctx.member_run(run)
         # external photons come in the rescaled frame, lines in the vertex frame
         sums = _leg_sums(ext, ends, spec.L, g.k_abs, g.k_vec)
         frame = [ctx.scale * (ax + sums[:, :, a, None]) for a, ax in enumerate(g.base_axes)]
@@ -364,7 +378,7 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
             for lo in range(0, len(t_all), chunk):
                 t_of, j_of = t_all[lo:lo + chunk], j_all[lo:lo + chunk]
                 queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
-                rows, vals = _chain_rows(ctx, spec,
+                rows, vals = _chain_rows(sub, spec,
                                          np.concatenate([scaled[t_of], lines[j_of]], axis=1),
                                          ends + line_ends, queries)
                 if not len(rows):
@@ -378,15 +392,20 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
             continue
         # each tuple's contribution, in place; a tuple no chain reached adds 0
         acc *= pref * boundary
-        if len(out) < acc.shape[1]:
+        if not np.all(members[run]):
+            acc = acc * members[run].reshape((-1,) + (1,) * nb)
+        n_f = max(len(members), acc.shape[1])
+        if len(out) < n_f:
             # a contribution added so far is the same at every member
-            # (np.full writes every page now; the scattered += below would
+            # (np.full writes every page now; the scattered add below would
             # fault each lazily zeroed page twice, on the read and the write)
-            out = (np.repeat(out, acc.shape[1], axis=0) if per_L
-                   else np.full((acc.shape[1],) + out.shape[1:], 0j))
+            out = (np.repeat(out, n_f, axis=0) if per_L
+                   else np.full((n_f,) + out.shape[1:], 0j))
             flat_out = out.reshape(out.shape[:1 + nb] + (-1,))
-        flat_out[..., keep] += np.moveaxis(acc, 0, -1)
-        mags = np.max(np.abs(acc), axis=(0,) + tuple(range(2, acc.ndim)))
+        # in place: a fancy-indexed += would copy the target's live tuples
+        np.add.at(flat_out[run], (Ellipsis, keep), np.moveaxis(acc, 0, -1))
+        mags = np.zeros(n_f)
+        mags[run] = np.max(np.abs(acc), axis=(0,) + tuple(range(2, acc.ndim)))
         per_L[spec.L] = np.maximum(per_L.get(spec.L, 0.0), mags)
     return out, per_L
 

@@ -65,13 +65,13 @@ def test_first_step_pruning_is_exact(monkeypatch, coupling):
 def test_sigz_renormalize_pruning_is_exact_and_skips_nearly_every_chain(monkeypatch):
     params = ModelParams(lam0=0.02, j_max=4, j_max_pair=3, n_z_samples=3,
                          spin_coupling=SIGMA_Z)
-    seq = initial_kernels(params, [0.0])[0]
+    family = initial_kernels(params, [0.0])
     shapes = _count_chains(monkeypatch)
-    pruned = renormalize(seq, params)
+    (pruned,) = renormalize(family, params)
     n_pruned = len(shapes)
     _switch_off_pruning(monkeypatch)
     shapes.clear()
-    full = renormalize(seq, params)
+    (full,) = renormalize(family, params)
     _assert_same_sequence(pruned, full)
     assert 0 < n_pruned <= 0.01 * len(shapes)
 

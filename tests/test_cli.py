@@ -163,6 +163,24 @@ def test_dispersion_pt2_csv(runner, tmp_path):
     assert len(lines) == 6
 
 
+def test_dispersion_flow_sweep_matches_oracle(runner):
+    # each point takes p_star = p: with p_star kept at 0 the first decimation
+    # at p = 0.4 misses its lower-level gap and the sweep exits 2
+    sets = ["lam0=0.004", "j_max=4", "j_max_pair=3", "n_z_samples=3", "p_sweep_points=3"]
+    args = [a for kv in sets for a in ("--set", kv)]
+    rows = {}
+    for method in ("flow", "oracle"):
+        out = runner.invoke(main, ["dispersion", "--method", method] + args)
+        assert out.exit_code == 0, out.stderr
+        lines = out.stdout.strip().splitlines()
+        assert lines[0] == "p,energy,method"
+        rows[method] = [[float(x) for x in line.split(",")[:2]] for line in lines[1:]]
+    assert len(rows["flow"]) == 3
+    for (p_flow, e_flow), (p_oracle, e_oracle) in zip(rows["flow"], rows["oracle"]):
+        assert p_flow == p_oracle
+        assert abs(e_flow - e_oracle) <= 1e-3 * abs(e_oracle)
+
+
 def test_dispersion_rejects_even_sweep(runner):
     out = runner.invoke(main, ["dispersion", "--method", "pt2",
                                "--set", "p_sweep_points=4"])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dipolerg import firststep
+from dipolerg import firststep, rgflow
 from dipolerg.model import ConfigError, ModelParams, SIGMA_X, SIGMA_Z
-from dipolerg.kernels import Kernel, KernelFamily, KernelGrid, KernelSequence
+from dipolerg.kernels import Kernel, KernelFamily, KernelGrid
 from dipolerg.firststep import initial_kernels
 from dipolerg.rgflow import (renormalize, FlowError, cheb_nodes, StageMap,
                              interpolate_family, run_flow, extract_alpha_beta,
@@ -44,32 +44,38 @@ def test_interpolate_family_reproduces_nodes(small_params):
     nodes = cheb_nodes(5, 0.45 * small_params.mu)
     grid = KernelGrid(small_params)
     seqs = initial_kernels(small_params, nodes, grid=grid)
-    mid = interpolate_family(seqs, _lagrange_weights(nodes, [nodes[2]])[0], nodes[2])
-    for mn in seqs[2].indices():
-        np.testing.assert_allclose(mid.kernel(*mn).values,
-                                   seqs[2].kernel(*mn).values, atol=1e-13)
+    refs = list(seqs)
+    at_nodes = interpolate_family(seqs, _lagrange_weights(nodes, nodes), nodes)
+    # the input family is emptied as the pulled-back one is built
+    assert len(seqs) == 0 and not seqs.stacks
+    assert len(at_nodes) == len(refs)
+    for seq, ref in zip(at_nodes, refs):
+        assert seq.indices() == ref.indices()
+        for mn in ref.indices():
+            np.testing.assert_allclose(seq.kernel(*mn).values,
+                                       ref.kernel(*mn).values, atol=1e-13)
 
 
 def test_interpolate_family_union_of_indices(small_params):
     grid = KernelGrid(small_params)
-    z00 = Kernel(0, 0, grid, np.zeros(grid.base_shape, complex))
     nmod = len(grid.modes)
-    one = Kernel(1, 0, grid, np.ones(grid.base_shape + (nmod,), complex))
-    a = KernelSequence(grid, {(0, 0): z00}, p=0.0, z=-0.1)
-    b = KernelSequence(grid, {(0, 0): z00, (1, 0): one}, p=0.0, z=0.1)
+    one = np.ones(grid.base_shape + (nmod,), complex)
+    # the member at -0.1 lacks the (1, 0) kernel
+    stacks = {(0, 0): np.zeros((2,) + grid.base_shape, complex),
+              (1, 0): np.stack([np.zeros_like(one), one])}
     nodes = np.array([-0.1, 0.1])
-    family = KernelFamily.gather([a, b], nodes)
-    mid = interpolate_family(family, _lagrange_weights(nodes, [0.0])[0], 0.0)
+    family = KernelFamily(grid, stacks, 0.0, nodes, [{}, {}])
+    assert family[0].kernel(1, 0) is None
+    (mid,) = interpolate_family(family, _lagrange_weights(nodes, [0.0]), [0.0])
     assert (1, 0) in mid.kernels
-    np.testing.assert_allclose(mid.kernel(1, 0).values, 0.5 * one.values,
-                               atol=1e-15)
+    np.testing.assert_allclose(mid.kernel(1, 0).values, 0.5 * one, atol=1e-15)
 
 
 def test_renormalize_free_passthrough():
     params = ModelParams(lam0=0.0, p=0.1)
     grid = KernelGrid(params)
-    seq = initial_kernels(params, [0.02], grid=grid)[0]
-    out = renormalize(seq, params)
+    family = initial_kernels(params, [0.02], grid=grid)
+    (out,) = renormalize(family, params)
     rho = params.rho
     # origin scales exactly; marginal slopes are fixed points
     assert out.w00_origin() == pytest.approx(-0.02 / rho, abs=1e-14)
@@ -83,11 +89,11 @@ def test_renormalize_band_margin_guard():
     params = ModelParams(lam0=0.0)
     grid = KernelGrid(params)
     # symbol nearly vanishing on the decimation shell
-    vals = np.full(grid.base_shape, 1e-6, dtype=complex)
-    seq = KernelSequence(grid, {(0, 0): Kernel(0, 0, grid, vals)}, p=0.0, z=0.0)
-    assert _band_margin(seq) == pytest.approx(1e-6)
+    vals = np.full((1,) + grid.base_shape, 1e-6, dtype=complex)
+    family = KernelFamily(grid, {(0, 0): vals}, 0.0, [0.0], [{}])
+    assert _band_margin(family) == pytest.approx([1e-6])
     with pytest.raises(FlowError):
-        renormalize(seq, params)
+        renormalize(family, params)
 
 
 def test_run_flow_decoupled_is_exactly_zero():
@@ -181,9 +187,9 @@ def test_no_vertex_sees_a_below_floor_mode(monkeypatch):
     monkeypatch.setattr(Kernel, "eval_product", checked(Kernel.eval_product))
     monkeypatch.setattr(firststep._SpinVertex, "eval_product",
                         checked(firststep._SpinVertex.eval_product))
-    seq = initial_kernels(params, [0.0], grid=grid)[0]
-    assert seq.kernel(1, 0) is not None
-    renormalize(seq, params)
+    family = initial_kernels(params, [0.0], grid=grid)
+    assert family[0].kernel(1, 0) is not None
+    renormalize(family, params)
     assert firststep._SpinVertex in seen and Kernel in seen
 
 
@@ -209,20 +215,94 @@ def test_interpolate_family_matches_member_loop():
                          spin_coupling=SIGMA_Z)
     grid = KernelGrid(params)
     nodes = cheb_nodes(5, 0.45 * params.mu)
-    members = list(initial_kernels(params, nodes, grid=grid))
+    first = initial_kernels(params, nodes, grid=grid)
+    stacks = {mn: s.values.copy() for mn, s in first.stacks.items()}
     # the last member lacks its (1, 0) kernel
-    members[-1] = KernelSequence(grid, {mn: k for mn, k in members[-1].kernels.items()
-                                        if mn != (1, 0)}, params.p, nodes[-1])
-    family = KernelFamily.gather(members, nodes)
+    stacks[(1, 0)][-1] = 0.0
+    family = KernelFamily(grid, stacks, params.p, nodes, [s.meta for s in first])
+    members = list(family)
     assert family[-1].kernel(1, 0) is None and family[0].kernel(1, 0) is not None
     targets = [0.3 * nodes[0] + 0.01j, 0.5 * (nodes[1] + nodes[2]), 0.95 * nodes[-1]]
     weights = _lagrange_weights(nodes, targets)
-    for w, z in zip(weights, targets):
-        member = interpolate_family(family, w, z)
+    peak = {mn: np.max(np.abs(s.values)) for mn, s in family.stacks.items()}
+    pulled = interpolate_family(family, weights, targets)
+    for w, z, member in zip(weights, targets, pulled):
         expect = _lagrange_loop(members, nodes, z)
         assert member.indices() == sorted(expect) and member.z == z
         for mn, ref in expect.items():
             # the contraction sums the same n_z products in another order
-            scale = np.sum(np.abs(w)) * np.max(np.abs(family.stacks[mn]))
+            scale = np.sum(np.abs(w)) * peak[mn]
             tol = 8 * len(nodes) * np.finfo(float).eps * scale
             np.testing.assert_allclose(member.kernel(*mn).values, ref, rtol=0, atol=tol)
+
+
+# the bench grids, and a sigma_z grid whose first renormalize has chain
+# shapes that are pruned at some members and change the kernels of others
+STAGE_GRIDS = {
+    "sigma_x_9": ModelParams(lam0=0.004, j_max=4, j_max_pair=4, n_z_samples=9),
+    "sigma_z_3": ModelParams(lam0=0.02, j_max=4, j_max_pair=3, n_z_samples=3,
+                             spin_coupling=SIGMA_Z),
+    "sigma_z_5": ModelParams(lam0=0.03, j_max=5, j_max_pair=4, n_z_samples=5,
+                             spin_coupling=SIGMA_Z),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_GRIDS))
+def test_renormalize_family_matches_each_member_alone(monkeypatch, case):
+    params = STAGE_GRIDS[case]
+    batched = rgflow.renormalize
+    stages = []
+
+    def checked(family, params):
+        # every stage of the flow, before the next stage empties its output
+        out = batched(family, params)
+        assert len(family) == params.n_z_samples
+        _assert_members_alone(family, out, params)
+        stages.append(len(out))
+        return out
+
+    monkeypatch.setattr(rgflow, "renormalize", checked)
+    run_flow(params)
+    assert len(stages) >= 2
+
+
+def _assert_members_alone(family, out, params):
+    """Each member of renormalize(family) equals renormalizing it alone."""
+    assert len(out) == len(family)
+    for seq, got in zip(family, out):
+        alone = KernelFamily(family.grid, {mn: k.values[None] for mn, k in seq.kernels.items()},
+                             seq.p, [seq.z], [seq.meta])
+        (ref,) = renormalize(alone, params)
+        assert got.indices() == ref.indices()
+        for mn in ref.indices():
+            assert np.array_equal(got.kernel(*mn).values, ref.kernel(*mn).values), mn
+        assert got.meta == ref.meta
+        assert np.array_equal(got.meta["series_ratio"], ref.meta["series_ratio"])
+
+
+def test_renormalize_zeroes_a_pruned_member_between_live_ones():
+    # the middle member's photon kernels are scaled down until chain shapes
+    # are pruned at it alone: they are evaluated over members 0..2 and must
+    # add nothing to member 1
+    params = STAGE_GRIDS["sigma_z_3"]
+    first = initial_kernels(params, cheb_nodes(3, 0.45 * params.mu))
+    stacks = {mn: s.values.copy() for mn, s in first.stacks.items()}
+    for mn in stacks:
+        stacks[mn][1] *= 1.0 if mn == (0, 0) else 1e-6
+    family = KernelFamily(first.grid, stacks, params.p, [s.z for s in first],
+                          [s.meta for s in first])
+    _assert_members_alone(family, renormalize(family, params), params)
+
+
+def test_renormalize_raises_when_one_member_misses_its_band_margin():
+    params = STAGE_GRIDS["sigma_z_3"]
+    nodes = cheb_nodes(3, 0.45 * params.mu)
+    first = initial_kernels(params, nodes)
+    renormalize(first, params)
+    stacks = {mn: s.values.copy() for mn, s in first.stacks.items()}
+    stacks[(0, 0)][1] = 1e-6
+    family = KernelFamily(first.grid, stacks, params.p, nodes, [s.meta for s in first])
+    margins = _band_margin(family)
+    assert margins[1] == pytest.approx(1e-6) and min(margins[0], margins[2]) > 0.1
+    with pytest.raises(FlowError, match="band margin 1.000e-06"):
+        renormalize(family, params)
