@@ -164,8 +164,11 @@ def oracle_cmd(config_path, sets):
 @click.option("--output", type=click.Path(), default=None,
               help="write CSV here instead of stdout")
 def dispersion(config_path, sets, method, output):
-    """Sweep the conserved momentum, p_star = p at each point, as a CSV table."""
+    """Sweep the conserved momentum as a CSV table; each point sets p_star = p,
+    so a configured p_star is rejected."""
     params, cfg = _params(config_path, sets)
+    if cfg["p_star"] != config_defaults()["p_star"]:
+        raise ConfigError("dispersion sets p_star = p at each sweep point; remove p_star")
     npts = cfg["p_sweep_points"]
     if npts < 3 or npts % 2 == 0:
         raise ConfigError("p_sweep_points must be odd and >= 3")

@@ -92,12 +92,12 @@ class _SpinVertex:
         self.grid = grid
 
     def eval_product(self, ids, rq, lqs):
-        """The (rows, 2, 2) spin matrices of each row's mode, broadcast
-        (read-only) over that row's (r, l) query grid."""
+        """The (rows, 1, *base, 2, 2) spin matrices of each row's mode, one for
+        every member, broadcast (read-only) over that row's (r, l) query grid."""
         (gid,) = np.asarray(ids, dtype=int).T
         coef = self.sign * 1j * self.lam * np.sqrt(self.grid.k_abs[gid])
         mats = coef[:, None, None] * self.grid.coupling[gid]
-        grid_shape = (np.shape(rq)[1],) + tuple(np.shape(q)[1] for q in lqs)
+        grid_shape = (1, np.shape(rq)[1]) + tuple(np.shape(q)[1] for q in lqs)
         mats = mats.reshape((len(gid),) + (1,) * len(grid_shape) + (2, 2))
         return np.broadcast_to(mats, (len(gid),) + grid_shape + (2, 2))
 

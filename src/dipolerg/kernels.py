@@ -171,7 +171,8 @@ class Kernel:
     values has shape (n_r, *l_shape, n_loc, ..., n_loc) with m+n trailing
     photon axes over the first n_loc modes of the grid; photon arguments
     beyond them evaluate to 0.  A stack puts a family axis in front, and
-    each method serves every member in one pass.
+    each method serves every member in one pass.  Only a stack is a chain
+    vertex (eval_product): a lone kernel enters as a family of one.
     """
 
     def __init__(self, m: int, n: int, grid: KernelGrid, values: np.ndarray):
@@ -200,27 +201,24 @@ class Kernel:
         return self.values.shape[-1] if self.m + self.n else len(self.grid.modes)
 
     def eval_product(self, ids, rq, l_queries) -> np.ndarray:
-        """Values on each row's (r, l) product grid of query vectors.
+        """Values of a stack on each row's (r, l) product grid of query vectors.
 
         ids has shape (rows, m + n), rq (rows, n_r) and every l-query
-        (rows, n_l); the result has shape (rows, n_r, n_l, ...), or (rows,
-        n_f, n_r, n_l, ...) for a stack.  A row with a photon argument
-        beyond the first n_modes modes evaluates to 0.
+        (rows, n_l); the result has shape (rows, n_f, n_r, n_l, ...).  A row
+        with a photon argument beyond the first n_modes modes evaluates to 0.
         """
         rq = np.asarray(rq, dtype=float)
         ids = np.asarray(ids, dtype=int)
         ok = np.all(ids < self.n_modes, axis=1)
-        # (rows, [members,] base...) blocks at each row's photon arguments; a kernel
+        # (rows, members, base...) blocks at each row's photon arguments; a kernel
         # without photon axes shares its one block with every row
         blocks = np.moveaxis(self.values[(Ellipsis,) + tuple(ids[ok].T)], -1, 0) \
             if self.m + self.n else self.values[None]
         queries = [q[ok] for q in [rq] + [np.asarray(q, dtype=float) for q in l_queries]]
-        if not self.stacked:
-            vals = interp_rows(blocks, self.grid.base_axes, queries)
-        else:   # members ride behind the interpolated axes, then come back in
-            # C order, which the chain's products and row sums run fastest on
-            vals = interp_rows(np.moveaxis(blocks, 1, -1), self.grid.base_axes, queries)
-            vals = np.ascontiguousarray(np.moveaxis(vals, -1, 1))
+        # members ride behind the interpolated axes, then come back in C
+        # order, which the chain's products and row sums run fastest on
+        vals = interp_rows(np.moveaxis(blocks, 1, -1), self.grid.base_axes, queries)
+        vals = np.ascontiguousarray(np.moveaxis(vals, -1, 1))
         if np.all(ok):
             return vals
         out = np.zeros((len(rq),) + vals.shape[1:], dtype=complex)

@@ -165,11 +165,12 @@ class StageMap:
 
 
 def interpolate_family(family: KernelFamily, weights: np.ndarray, zs) -> KernelFamily:
-    """The family at the spectral parameters zs, given the Lagrange weight
-    matrix whose row k interpolates at zs[k] (see _lagrange_weights): one
-    contraction of each kernel stack.  The members keep their meta.  The
-    input family is emptied, each stack dropped once contracted, so the two
-    families never both hold every kernel."""
+    """The family interpolated by the Lagrange weight matrix (see
+    _lagrange_weights), member k by row k, with spectral parameter zs[k] and
+    its meta: one contraction of each kernel stack.  The input family is
+    emptied, each stack dropped once contracted: a renormalized family can
+    be far smaller than its input, so two whole families here would set the
+    flow's memory peak."""
     p, metas = family[0].p, [dict(s.meta) for s in family]
     family.clear()          # the members' views would keep every stack alive
     stacks = {mn: np.tensordot(weights, family.stacks.pop(mn).values, axes=1)
@@ -241,10 +242,9 @@ def run_flow(params: ModelParams, n_max: int = 40,
             raise FlowError(f"energy chain not Cauchy after {n_max} stages: last step "
                             f"{abs(e_chain[-1] - e_chain[-2]):.3e}, tolerance {tol:.3e}")
         sources = [sm.inverse(complex(zk), rho, newton_tol) for zk in nodes]
-        family = interpolate_family(family, _lagrange_weights(nodes, sources), sources)
+        # member k, pulled back to sources[k], renormalizes to the family at nodes[k]
+        family = interpolate_family(family, _lagrange_weights(nodes, sources), nodes)
         family = renormalize(family, params)
-        for k, zk in enumerate(nodes):     # the node member k's pull-back was built for
-            family[k].z = complex(zk)
     energy = params.rho0 * complex(e_chain[-1]).real
     return FlowResult(energy=energy, e_chain=e_chain, stages=len(e_chain) - 1,
                       ledgers=ledgers, series_ratios=ratios,

@@ -38,7 +38,7 @@ def _toy_grid(params: ModelParams):
 
 def _toy_kernels(grid, rng):
     """Deterministic smooth vertex kernels, symmetric in the photon blocks,
-    sampled on the toy grid (modes 0 and 1)."""
+    sampled on the toy grid (modes 0 and 1), each a family of one."""
     k_signed = grid.k_vec[:, 0]
     r = grid.r_nodes.reshape((-1,) + (1,) * len(grid.l_axes))
     out = {}
@@ -51,7 +51,7 @@ def _toy_kernels(grid, rng):
             phot = sum(c[3] + c[4] * k_signed[g] for g in tup[:m])
             phot = phot + sum(np.conj(c[3] + c[4] * k_signed[g]) for g in tup[m:])
             vals[(Ellipsis,) + tup] = base + phot
-        out[(m, n)] = Kernel(m, n, grid, vals)
+        out[(m, n)] = Kernel(m, n, grid, vals[None])
     return out
 
 
@@ -75,9 +75,10 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     rng = np.random.default_rng(11)
     grid = _toy_grid(params)
     basis = FockBasis(grid.modes, n_max)
-    zero00 = Kernel(0, 0, grid, np.zeros(grid.base_shape, dtype=complex))
+    zero00 = Kernel(0, 0, grid, np.zeros((1,) + grid.base_shape, dtype=complex))
     vertices = _toy_kernels(grid, rng)
-    seq_in = KernelSequence(grid, {**vertices, (0, 0): zero00}, p=params.p, z=0.0)
+    seq_in = KernelSequence(grid, {mn: v[0] for mn, v in {**vertices, (0, 0): zero00}.items()},
+                            p=params.p, z=0.0)
     W = assemble_operator(seq_in, basis).toarray()
     # one row per basis state, each querying its own (r, l)
     F = functional_calculus(
@@ -92,7 +93,7 @@ def wick_reassembly_defect(params: ModelParams | None = None,
 
     ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=L_max, scale=1.0,
                            ext_shift_steps=0, F_eval=_f_factor)
-    stacks, _ = wick._assemble_kernels(ctx, 2 * min(L_max, 3), zero00.values[None])
+    stacks, _ = wick._assemble_kernels(ctx, 2 * min(L_max, 3), zero00.values)
     seq_out = KernelFamily(grid, stacks, params.p, [0.0], [{}])[0]
     rhs = assemble_operator(seq_out, basis).toarray()
     return float(np.max(np.abs(lhs - rhs)))

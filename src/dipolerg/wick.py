@@ -204,12 +204,12 @@ class WickContext:
     eval_product(ids, rq, lqs) takes grid mode positions ids (rows, a + b)
     (creators first), rq (rows, n_r) and one (rows, n_l) array per l-axis,
     and returns each row's values on the (r, l) product grid of its query
-    vectors, with a leading row axis; max_abs() bounds it (read only when
-    prune > 0), live_modes() lists the modes it is not identically zero
-    on, and spin_pattern() is the boolean sparsity of its spin block
-    (1x1 for a scalar vertex).  Scalar vertices return (rows, *base)
-    arrays; spin vertices append (s, s) axes; a stacked Kernel returns
-    (rows, n_f, *base), and its max_abs(), like F_max, is per member.
+    vectors, (rows, n_f, *base), with (s, s) axes appended for a spin
+    vertex and n_f = 1 for a vertex that is the same at every member;
+    max_abs() bounds it per member, like F_max (read only when prune > 0),
+    live_modes() lists the modes it is not identically zero on, and
+    spin_pattern() is the boolean sparsity of its spin block (1x1 for a
+    scalar vertex).  A Kernel vertex is a stack.
     F_eval(rq, lqs) takes the same stacked queries and returns the diagonal
     resolvent factor at every family member, (rows, n_f, *base) or (rows,
     n_f, *base, s), masked to its domain; a family of one has n_f = 1.
@@ -235,7 +235,7 @@ class WickContext:
     def member_run(self, run: slice) -> "WickContext":
         """The context of the family members in `run`, stacked vertices as views."""
         sub = copy.copy(self)
-        sub.vertices = {k: v[run] if isinstance(v, Kernel) and v.stacked else v
+        sub.vertices = {k: v[run] if isinstance(v, Kernel) else v
                         for k, v in self.vertices.items()}
         sub.F_eval = lambda rq, lqs: self.F_eval(rq, lqs)[:, run]
         return sub
@@ -263,8 +263,7 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
     pulled through.  A row whose partial chain vanishes at every member is
     dropped at once: no later vertex or resolvent is evaluated on it.  A
     spin chain carries only its row <0|, the one its (0, 0) value depends
-    on, the diagonal resolvent scaling each entry.  A vertex that is the
-    same at every member gets a family axis of length 1.  Returns the
+    on, the diagonal resolvent scaling each entry.  Returns the
     indices of the surviving rows and their values, (rows, n_f, *base).
     """
     rows = np.arange(len(modes))
@@ -276,8 +275,6 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
         rq, *lqs = [q[rows, 2 * v + 1] for q in queries]
         val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
             modes[np.ix_(rows, cols)], rq, lqs)
-        if val.ndim == len(queries) + 1 + 2 * spin:
-            val = val[:, None]
         if chain is None:
             chain = val[..., 0, :] if spin else val
         elif spin:

@@ -20,7 +20,6 @@ import pytest
 
 from dipolerg import wick
 from dipolerg.firststep import initial_kernels
-from dipolerg.kernels import Kernel
 from dipolerg.model import ModelParams, SIGMA_X, SIGMA_Z, chi
 from dipolerg.rgflow import cheb_nodes, renormalize
 from dipolerg.selfcheck import _f_factor, _toy_grid, _toy_kernels
@@ -51,11 +50,9 @@ def _chain_value(ctx, spec, legs, frame, product):
     for v in range(L):
         ids = [x for x, _, c in legs if c == v] + [x for x, o, _ in legs if o == v]
         rq, *lqs = [q + s for q, s in zip(frame[2 * v + 1], lines[2 * v + 1])]
-        vertex = ctx.vertices[spec.vertex_kernel(v)]
-        val = vertex.eval_product(
-            np.array([ids], dtype=int).reshape(1, -1), rq[None], [q[None] for q in lqs])[0]
-        if isinstance(vertex, Kernel) and vertex.stacked:
-            val = val[0]        # the one member of a family of one
+        # one row of a family of one
+        val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
+            np.array([ids], dtype=int).reshape(1, -1), rq[None], [q[None] for q in lqs])[0, 0]
         if chain is None:
             chain = val
             spin = val.ndim > 1 + len(lqs)

@@ -187,6 +187,13 @@ def test_dispersion_rejects_even_sweep(runner):
     assert out.exit_code == EXIT_CONFIG
 
 
+def test_dispersion_rejects_configured_p_star(runner):
+    # every sweep point sets p_star = p, so a configured value would be ignored
+    out = runner.invoke(main, ["dispersion", "--method", "pt2", "--set", "p_star=0.1"])
+    assert out.exit_code == EXIT_CONFIG
+    assert "p_star" in out.stderr
+
+
 def test_validate_pass_and_fail(runner):
     args = ["validate", "--set", "lam0=0.02", "--set", "j_max=5",
             "--set", "j_max_pair=4", "--set", "n_z_samples=5"]

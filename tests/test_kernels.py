@@ -53,21 +53,22 @@ def test_interp_outside_range_is_zero(grid):
 
 def test_eval_product_rows_match_per_row_interpolation(grid, rng):
     # each row interpolates its own photon slice at its own query vectors;
-    # a row with a photon argument off the kernel's modes evaluates to 0
+    # a row with a photon argument off the kernel's modes evaluates to 0;
+    # the kernel is a family of one
     ids = [0, 1, 2]
     vals = (rng.normal(size=grid.base_shape + (3, 3))
             + 1j * rng.normal(size=grid.base_shape + (3, 3)))
-    ker = Kernel(1, 1, grid, vals)
+    ker = Kernel(1, 1, grid, vals[None])
     assert ker.n_modes == 3
     rows = np.array([[ids[0], ids[2]], [ids[1], ids[1]], [ids[2], len(grid.modes) - 1]])
     rq = np.array([np.linspace(0.0, 1.1, 5), np.linspace(0.2, 0.9, 5), np.linspace(0, 1, 5)])
     lq = np.array([np.linspace(-1.0, 1.0, 4), np.linspace(-0.3, 0.5, 4), np.zeros(4)])
     out = ker.eval_product(rows, rq, [lq])
-    assert out.shape == (3, 5, 4)
+    assert out.shape == (3, 1, 5, 4)
     for i in range(2):
         loc = [ids.index(g) for g in rows[i]]
         expect = interp_product(vals[:, :, loc[0], loc[1]], grid.base_axes, [rq[i], lq[i]])
-        assert np.array_equal(out[i], expect)
+        assert np.array_equal(out[i, 0], expect)
     assert not np.any(out[2])
 
 
