@@ -112,17 +112,17 @@ def config_dump(config_path, sets):
 def first_step(config_path, sets, z_value, dump_kernels):
     """Run the first decimation and report its summary."""
     params, _ = _params(config_path, sets)
-    seq = initial_kernels(params, [z_value])[0]
-    led = polydisc_measure(seq)
+    family = initial_kernels(params, [z_value])
+    (origin,) = family.w00_origins()
     payload = {
         "z": z_value,
-        "kernel_indices": [list(mn) for mn in seq.indices()],
-        "band_symbol_origin": [seq.w00_origin().real, seq.w00_origin().imag],
-        "series_ratio": seq.meta["series_ratio"],
-        "ledger": led.as_dict(),
+        "kernel_indices": [list(mn) for mn in sorted(family.stacks)],
+        "band_symbol_origin": [origin.real, origin.imag],
+        "series_ratio": family.metas[0]["series_ratio"],
+        "ledger": polydisc_measure(family).as_dict(),
     }
     if dump_kernels:
-        payload["kernels"] = json.loads(sequence_to_json(seq))
+        payload["kernels"] = json.loads(sequence_to_json(family))
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
 
 
@@ -132,7 +132,7 @@ def flow_cmd(config_path, sets):
     """Run the full flow at the configured momentum; print the energy."""
     params, cfg = _params(config_path, sets)
     res = run_flow(params, n_max=cfg["n_flow_max"], tol_factor=cfg["tol_factor"])
-    alpha, beta = extract_alpha_beta(res.final_seqs[len(res.z_nodes) // 2])
+    alpha, beta = extract_alpha_beta(res.final_family[len(res.z_nodes) // 2])
     payload = {
         "energy": res.energy,
         "stages": res.stages,

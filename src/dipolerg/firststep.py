@@ -172,12 +172,12 @@ _N_BISECT = 30
 def first_step_admissible(params: ModelParams,
                           grid: KernelGrid | None = None) -> bool:
     try:
-        seq = initial_kernels(params, [0.0], grid=grid)[0]
+        family = initial_kernels(params, [0.0], grid=grid)
     except FirstStepError:
         return False
-    if seq.meta["series_ratio"] > RATIO_MAX:
+    if family.metas[0]["series_ratio"] > RATIO_MAX:
         return False
-    led = polydisc_measure(seq)
+    led = polydisc_measure(family)
     mu = params.mu
     return (led.gamma <= GAMMA_FRAC * mu
             and led.delta <= DELTA_FRAC * mu

@@ -280,52 +280,40 @@ class NormLedger:
         }
 
 
-class KernelSequence:
-    """Map (m, n) -> Kernel, with the (p, z) it was built at."""
-
-    def __init__(self, grid: KernelGrid, kernels: dict, p, z, meta=None):
-        if (0, 0) not in kernels:
-            raise ConfigError("kernel sequence must contain a (0,0) entry")
-        self.grid = grid
-        self.kernels = dict(kernels)
-        self.p = np.atleast_1d(np.asarray(p, dtype=float))
-        self.z = complex(z)
-        self.meta = dict(meta or {})
-
-    def kernel(self, m: int, n: int) -> Kernel | None:
-        return self.kernels.get((m, n))
-
-    @property
-    def w00(self) -> Kernel:
-        return self.kernels[(0, 0)]
-
-    def w00_origin(self) -> complex:
-        g = self.grid
-        return complex(self.w00.values[(g.r0_idx,) + g.l0_idx])
-
-    def indices(self):
-        return sorted(self.kernels.keys())
-
-    def perturbative_indices(self):
-        return [mn for mn in self.indices() if sum(mn) >= 1]
-
-
-class KernelFamily(list):
+class KernelFamily:
     """Kernel sequences at the spectral nodes zs, stored kernel by kernel.
 
     stacks[(m, n)] is kernel (m, n) of every member as one stacked Kernel,
-    (n_z, *base, photons), zero where a member lacks it.  The family is the
-    list of its members, KernelSequences whose kernels are views of their
-    rows, lacking every kernel but (0, 0) that is exactly zero there.
+    (n_z, *base, photons), zero where a member lacks it; member k has
+    spectral parameter zs[k] and record metas[k], and all share the
+    momentum p.  family[k] is member k as a family of one, its stacks
+    views of row k; one kernel sequence is a family of one.
     """
 
     def __init__(self, grid: KernelGrid, stacks: dict, p, zs, metas):
+        if (0, 0) not in stacks:
+            raise ConfigError("kernel family must contain a (0,0) entry")
         self.grid = grid
         self.stacks = {mn: Kernel(mn[0], mn[1], grid, v) for mn, v in stacks.items()}
-        super().__init__(
-            KernelSequence(grid, {mn: s[k] for mn, s in self.stacks.items()
-                                  if mn == (0, 0) or np.any(s.values[k])}, p, z, meta)
-            for k, (z, meta) in enumerate(zip(zs, metas)))
+        self.p = np.atleast_1d(np.asarray(p, dtype=float))
+        self.zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        self.metas = list(metas)
+
+    def __len__(self) -> int:
+        return len(self.zs)
+
+    def __getitem__(self, k: int) -> "KernelFamily":
+        """Member k as a family of one: views of row k, unchecked."""
+        k = range(len(self))[k]
+        member = copy.copy(self)
+        member.stacks = {mn: s[k:k + 1] for mn, s in self.stacks.items()}
+        member.zs, member.metas = self.zs[k:k + 1], self.metas[k:k + 1]
+        return member
+
+    def w00_origins(self) -> np.ndarray:
+        """w00 at the base-set origin, one entry per member."""
+        g = self.grid
+        return self.stacks[(0, 0)].values[(slice(None), g.r0_idx) + g.l0_idx]
 
 
 # ---------------------------------------------------------------------------
@@ -384,52 +372,45 @@ def norm_sharp(kernel: Kernel) -> float:
     return total
 
 
-def norm_xi(seq: KernelSequence, xi: float | None = None) -> tuple[float, float]:
-    """Weighted sharp-norm sum over m+n >= 1 and a dropped-tail estimate."""
-    xi = xi if xi is not None else seq.grid.params.xi
+def polydisc_measure(family: KernelFamily) -> NormLedger:
+    """Distance of a family of one from the marginal manifold (gamma, delta,
+    eps): eps is the xi-weighted sum of the sharp norms with m+n >= 1, and
+    dropped_mass estimates the tail beyond the top m+n from the last two."""
+    g = family.grid
+    (z,), (origin,) = family.zs, family.w00_origins()
+    _, pl = _l_sums(g.l_axes, family.p / g.params.m)
+    marginal = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes)).astype(complex) - pl
+    gamma = norm_sharp(Kernel(0, 0, g, family.stacks[(0, 0)].values[0] - origin - marginal))
+    sharps = {mn: norm_sharp(s[0]) for mn, s in sorted(family.stacks.items())}
     blocks = {}
-    for (m, n) in seq.perturbative_indices():
-        s = norm_sharp(seq.kernel(m, n)) * xi ** (-(m + n))
-        blocks[m + n] = blocks.get(m + n, 0.0) + s
-    total = sum(blocks.values())
-    top = max(blocks) if blocks else 0
+    for (m, n), s in sharps.items():
+        if m + n:
+            blocks[m + n] = blocks.get(m + n, 0.0) + s * g.params.xi ** (-(m + n))
+    top = max(blocks, default=0)
     dropped = 0.0
     if top >= 2 and blocks.get(top - 1, 0.0) > 0.0:
         q = min(blocks[top] / blocks[top - 1], 0.9)
         dropped = blocks[top] * q / (1.0 - q)
-    return total, dropped
-
-
-def polydisc_measure(seq: KernelSequence) -> NormLedger:
-    """Distance of the sequence from the marginal manifold (gamma, delta, eps)."""
-    g = seq.grid
-    w00 = seq.w00.values
-    _, pl = _l_sums(g.l_axes, seq.p / g.params.m)
-    marginal = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes)).astype(complex) - pl
-    diff = w00 - seq.w00_origin() - marginal
-    gamma = norm_sharp(Kernel(0, 0, g, diff))
-    delta = abs(seq.w00_origin() + seq.z)
-    eps, dropped = norm_xi(seq)
-    sharps = {mn: norm_sharp(seq.kernel(*mn)) for mn in seq.indices()}
-    return NormLedger(gamma=gamma, delta=delta, eps=eps,
+    return NormLedger(gamma=gamma, delta=abs(complex(origin + z)), eps=sum(blocks.values()),
                       sharp_norms=sharps, dropped_mass=dropped)
 
 
 # ---------------------------------------------------------------------------
 # scale transformation on sampled kernels
 
-def scale_transform(seq: KernelSequence) -> KernelSequence:
+def scale_transform(family: KernelFamily) -> KernelFamily:
     """s_rho(w)_{m,n}(r,l,K) = rho^{3(m+n)/2-1} w(rho r, rho l, rho K).
 
-    rho is the grid's geometric ratio.  Photon arguments shift one geometric
-    step; content at the infrared floor node has no pre-image and is dropped
-    (reported in meta).
+    rho is the grid's geometric ratio; the family is a family of one.
+    Photon arguments shift one geometric step; content at the infrared
+    floor node has no pre-image and is dropped (reported in meta).
     """
-    g = seq.grid
+    g = family.grid
     rho = g.rho
     new = {}
     dropped = 0.0
-    for (m, n), ker in seq.kernels.items():
+    for (m, n), stack in family.stacks.items():
+        ker = stack[0]
         queries = [rho * g.r_nodes] + [rho * ax for ax in g.l_axes]
         base = interp_product(ker.values, g.base_axes, queries)
         nb = ker.n_base_axes
@@ -447,23 +428,22 @@ def scale_transform(seq: KernelSequence) -> KernelSequence:
                 shape[ax] = len(loc)
                 base = base * valid.astype(float).reshape(shape)
         pref = rho ** (1.5 * (m + n) - 1.0)
-        new[(m, n)] = Kernel(m, n, g, pref * base)
-    meta = dict(seq.meta)
-    meta["scale_dropped_floor"] = dropped
-    return KernelSequence(g, new, seq.p, seq.z, meta)
+        new[(m, n)] = pref * base[None]
+    (meta,) = family.metas
+    return KernelFamily(g, new, family.p, family.zs, [{**meta, "scale_dropped_floor": dropped}])
 
 
 # ---------------------------------------------------------------------------
 # assembly into a Fock operator
 
-def assemble_operator(seq: KernelSequence, basis: FockBasis) -> sp.csr_matrix:
-    """Sum of Wick monomials W_{m,n}(w) on the truncated basis.
+def assemble_operator(family: KernelFamily, basis: FockBasis) -> sp.csr_matrix:
+    """Sum of Wick monomials W_{m,n}(w) of a family of one on the truncated basis.
 
     For each (m, n) and each ordered mode tuple, creation block x diagonal
     functional calculus x annihilation block, weighted by the quadrature
     weights, projected to total field energy <= 1 on both sides.
     """
-    g = seq.grid
+    g = family.grid
     if not np.array_equal([m.k for m in basis.modes], g.k_vec):
         raise ConfigError("basis and kernel grid use different modes")
     nstates = len(basis)
@@ -472,7 +452,8 @@ def assemble_operator(seq: KernelSequence, basis: FockBasis) -> sp.csr_matrix:
     total = sp.csr_matrix((nstates, nstates), dtype=complex)
     b_ops = [ladder(basis, i) for i in range(len(g.modes))]
     b_adj = [b.conj().T for b in b_ops]
-    for (m, n), ker in sorted(seq.kernels.items()):
+    for (m, n), stack in sorted(family.stacks.items()):
+        ker = stack[0]
         flat = ker.values.reshape(ker.values.shape[:ker.n_base_axes] + (-1,))
         for k, tup in enumerate(itertools.product(range(ker.n_modes), repeat=m + n)):
             # (states, n_loc): the diagonals of the tuples that differ from this
@@ -498,17 +479,19 @@ def assemble_operator(seq: KernelSequence, basis: FockBasis) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 # serialization
 
-def sequence_to_json(seq: KernelSequence) -> str:
+def sequence_to_json(family: KernelFamily) -> str:
+    """JSON dump of a family of one."""
+    (z,), (meta,) = family.zs, family.metas
     payload = {
         "version": 1,
-        "p": [float(x) for x in seq.p],
-        "z": [seq.z.real, seq.z.imag],
-        "meta": {k: v for k, v in seq.meta.items() if isinstance(v, (int, float, str))},
+        "p": [float(x) for x in family.p],
+        "z": [z.real, z.imag],
+        "meta": {k: v for k, v in meta.items() if isinstance(v, (int, float, str))},
         "grid": {
-            "r_nodes": [float(x) for x in seq.grid.r_nodes],
-            "l_axes": [[float(x) for x in ax] for ax in seq.grid.l_axes],
-            "mode_k_abs": [float(x) for x in seq.grid.k_abs],
-            "mode_weight": [float(x) for x in seq.grid.weight],
+            "r_nodes": [float(x) for x in family.grid.r_nodes],
+            "l_axes": [[float(x) for x in ax] for ax in family.grid.l_axes],
+            "mode_k_abs": [float(x) for x in family.grid.k_abs],
+            "mode_weight": [float(x) for x in family.grid.weight],
         },
         "kernels": [
             {
@@ -517,13 +500,14 @@ def sequence_to_json(seq: KernelSequence) -> str:
                 "re": ker.values.real.ravel().tolist(),
                 "im": ker.values.imag.ravel().tolist(),
             }
-            for (m, n), ker in sorted(seq.kernels.items())
+            for (m, n), ker in sorted(family.stacks.items())
         ],
     }
     return json.dumps(payload, sort_keys=True)
 
 
-def sequence_from_json(text: str, grid: KernelGrid) -> KernelSequence:
+def sequence_from_json(text: str, grid: KernelGrid) -> KernelFamily:
+    """The family of one that sequence_to_json dumped."""
     payload = json.loads(text)
     if payload.get("version") != 1:
         raise ConfigError("unknown kernel dump version")
@@ -535,6 +519,6 @@ def sequence_from_json(text: str, grid: KernelGrid) -> KernelSequence:
             raise ConfigError("kernel dump mode_ids must be 0..n-1")
         shape = grid.base_shape + (len(item["mode_ids"]),) * (m + n)
         vals = (np.asarray(item["re"]) + 1j * np.asarray(item["im"])).reshape(shape)
-        kernels[(m, n)] = Kernel(m, n, grid, vals)
+        kernels[(m, n)] = vals[None]
     z = complex(payload["z"][0], payload["z"][1])
-    return KernelSequence(grid, kernels, payload["p"], z, payload.get("meta"))
+    return KernelFamily(grid, kernels, payload["p"], [z], [payload.get("meta", {})])

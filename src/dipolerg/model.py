@@ -196,7 +196,7 @@ _SCHEMA = {
     "xi": (float, 0.04, "kernel weight for the xi-norm"),
     "dim": (int, 1, "spatial dimension, 1 (desk mode) or 3 (validation mode)"),
     "spin_coupling": (str, "sigma_x", "sigma_x | sigma_z | mix:<a>,<b> for a*sx+b*sz"),
-    "uv_cutoff": (float, 1.0, "ultraviolet cutoff of the form factor"),
+    "uv_cutoff": (float, 1.0, "photon energy of the top mode shell (j = 0)"),
     "M_max": (int, 2, "kernel index cap (m+n <= M_max)"),
     "L_max": (int, 3, "Neumann / chain depth cap"),
     "N_max": (int, 3, "oracle photon-number cap"),

@@ -4,9 +4,10 @@ Each stage removes the top field-energy shell with a soft partition,
 re-expands the off-band inverse as a chain series over the current
 kernels, and rescales back to the unit band.  The spectral parameter is
 tracked as an analytic family over Chebyshev sample nodes, stored as one
-KernelFamily per stage; its per-stage reparameterization is inverted
-numerically and composed into the energy chain whose limit is the fiber
-ground energy.
+KernelFamily per stage; its per-stage reparameterization, fitted to the
+members' band-symbol origins, is inverted numerically and composed into
+the energy chain whose limit is the fiber ground energy.  A single
+member (the ledger's, the final slopes') is a family of one.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import math
 import numpy as np
 
 from .model import ConfigError, ModelParams, chibar
-from .kernels import (KernelFamily, KernelGrid, KernelSequence, polydisc_measure,
-                      _base_gradients, _l_sums)
+from .kernels import KernelFamily, KernelGrid, polydisc_measure, _base_gradients, _l_sums
 from . import wick
 from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
 from .fockspace import FockBasis
@@ -96,10 +96,10 @@ def renormalize(family: KernelFamily, params: ModelParams) -> KernelFamily:
     for ratio in ratios:
         if ratio >= 1.0:
             raise FlowError(f"chain series diverges: ratio {ratio:.3f}")
-    metas = [{"stage": int(seq.meta.get("stage", 0)) + 1,
+    metas = [{"stage": int(meta.get("stage", 0)) + 1,
               "series_ratio": ratio, "band_margin": float(margin)}
-             for seq, ratio, margin in zip(family, ratios, margins)]
-    return KernelFamily(grid, stacks, family[0].p, [seq.z for seq in family], metas)
+             for meta, ratio, margin in zip(family.metas, ratios, margins)]
+    return KernelFamily(grid, stacks, family.p, family.zs, metas)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +167,13 @@ class StageMap:
 def interpolate_family(family: KernelFamily, weights: np.ndarray, zs) -> KernelFamily:
     """The family interpolated by the Lagrange weight matrix (see
     _lagrange_weights), member k by row k, with spectral parameter zs[k] and
-    its meta: one contraction of each kernel stack.  The input family is
-    emptied, each stack dropped once contracted: a renormalized family can
-    be far smaller than its input, so two whole families here would set the
-    flow's memory peak."""
-    p, metas = family[0].p, [dict(s.meta) for s in family]
-    family.clear()          # the members' views would keep every stack alive
+    its meta: one contraction of each kernel stack.  The input family's
+    stacks are dropped, each once contracted: a renormalized family can be
+    far smaller than its input, so two whole families here would set the
+    flow's memory peak (so would a member view of the input kept alive)."""
     stacks = {mn: np.tensordot(weights, family.stacks.pop(mn).values, axes=1)
               for mn in list(family.stacks)}
-    return KernelFamily(family.grid, stacks, p, zs, metas)
+    return KernelFamily(family.grid, stacks, family.p, zs, family.metas)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,7 @@ class FlowResult:
     ledgers: list                  # polydisc measures per stage
     series_ratios: list
     stage_maps: list
-    final_seqs: list
+    final_family: KernelFamily     # the last stage, one member per z-node
     z_nodes: np.ndarray
 
 
@@ -229,13 +227,12 @@ def run_flow(params: ModelParams, n_max: int = 40,
     ratios = []
     newton_tol = 1e-12 * mu
     for stage in range(n_max + 1):
-        origins = np.array([s.w00_origin() for s in family])
-        sm = StageMap.fit(nodes, -origins / rho)
+        sm = StageMap.fit(nodes, -family.w00_origins() / rho)
         stage_maps.append(sm)
         e = _compose_chain(stage_maps, rho, newton_tol)
         e_chain.append(e)
         ledgers.append(polydisc_measure(family[len(nodes) // 2]))
-        ratios.append(family[len(nodes) // 2].meta.get("series_ratio", 0.0))
+        ratios.append(family.metas[len(nodes) // 2].get("series_ratio", 0.0))
         if stage >= max(min_stages, 2) and abs(e_chain[-1] - e_chain[-2]) < tol:
             break
         if stage == n_max:
@@ -248,17 +245,18 @@ def run_flow(params: ModelParams, n_max: int = 40,
     energy = params.rho0 * complex(e_chain[-1]).real
     return FlowResult(energy=energy, e_chain=e_chain, stages=len(e_chain) - 1,
                       ledgers=ledgers, series_ratios=ratios,
-                      stage_maps=stage_maps, final_seqs=list(family), z_nodes=nodes)
+                      stage_maps=stage_maps, final_family=family, z_nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
 # marginal coefficients and the ground state
 
-def extract_alpha_beta(seq: KernelSequence) -> tuple[float, np.ndarray]:
-    """Slopes of the band symbol at the origin: (d/dr, d/dl per axis)."""
-    g = seq.grid
+def extract_alpha_beta(family: KernelFamily) -> tuple[float, np.ndarray]:
+    """Slopes of a family of one's band symbol at the origin: (d/dr, d/dl
+    per axis)."""
+    g = family.grid
     alpha, *beta = [float(np.real(d[(g.r0_idx,) + g.l0_idx]))
-                    for d in _base_gradients(seq.w00)]
+                    for d in _base_gradients(family.stacks[(0, 0)][0])]
     return alpha, np.array(beta)
 
 

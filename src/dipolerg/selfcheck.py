@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import ModelParams, SIGMA_X, chi
 from .fockspace import Mode, FockBasis, functional_calculus
-from .kernels import Kernel, KernelFamily, KernelGrid, KernelSequence, assemble_operator, _l_sums
+from .kernels import Kernel, KernelFamily, KernelGrid, assemble_operator, _l_sums
 from . import wick
 
 
@@ -75,10 +75,10 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     rng = np.random.default_rng(11)
     grid = _toy_grid(params)
     basis = FockBasis(grid.modes, n_max)
-    zero00 = Kernel(0, 0, grid, np.zeros((1,) + grid.base_shape, dtype=complex))
+    zero00 = np.zeros((1,) + grid.base_shape, dtype=complex)
     vertices = _toy_kernels(grid, rng)
-    seq_in = KernelSequence(grid, {mn: v[0] for mn, v in {**vertices, (0, 0): zero00}.items()},
-                            p=params.p, z=0.0)
+    seq_in = KernelFamily(grid, {(0, 0): zero00, **{mn: v.values for mn, v in vertices.items()}},
+                          params.p, [0.0], [{}])
     W = assemble_operator(seq_in, basis).toarray()
     # one row per basis state, each querying its own (r, l)
     F = functional_calculus(
@@ -93,7 +93,7 @@ def wick_reassembly_defect(params: ModelParams | None = None,
 
     ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=L_max, scale=1.0,
                            ext_shift_steps=0, F_eval=_f_factor)
-    stacks, _ = wick._assemble_kernels(ctx, 2 * min(L_max, 3), zero00.values)
-    seq_out = KernelFamily(grid, stacks, params.p, [0.0], [{}])[0]
+    stacks, _ = wick._assemble_kernels(ctx, 2 * min(L_max, 3), zero00)
+    seq_out = KernelFamily(grid, stacks, params.p, [0.0], [{}])
     rhs = assemble_operator(seq_out, basis).toarray()
     return float(np.max(np.abs(lhs - rhs)))

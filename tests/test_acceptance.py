@@ -14,7 +14,7 @@ import pytest
 
 from dipolerg.model import ModelParams
 from dipolerg.fockspace import FockBasis, dilation
-from dipolerg.kernels import (KernelGrid, Kernel, KernelSequence,
+from dipolerg.kernels import (KernelGrid, Kernel, KernelFamily,
                               assemble_operator, scale_transform,
                               norm_half, norm_sharp)
 from dipolerg.firststep import initial_kernels
@@ -33,7 +33,7 @@ def test_free_theory_exactness():
         res = run_flow(params, n_max=30, min_stages=30)
         assert res.stages >= 30
         assert abs(res.energy) <= 1e-10
-        seq = res.final_seqs[len(res.z_nodes) // 2]
+        seq = res.final_family[len(res.z_nodes) // 2]
         alpha, beta = extract_alpha_beta(seq)
         assert abs(alpha - 1.0) <= 1e-8
         assert abs(beta[0] + p / params.m) <= 1e-8
@@ -119,7 +119,7 @@ def test_flow_contracts_perturbation(lam_c):
 def test_scale_transformation_exactness():
     params = ModelParams(lam0=0.02, j_max=6, j_max_pair=5)
     grid = KernelGrid(params)
-    seq = initial_kernels(params, [0.0], grid=grid)[0]
+    seq = initial_kernels(params, [0.0], grid=grid)
     scaled = scale_transform(seq)
     basis = FockBasis(grid.modes, 2)
     A = assemble_operator(seq, basis).toarray()
@@ -134,8 +134,8 @@ def test_scale_transformation_exactness():
     assert defect <= 1e-13
 
     rho = grid.rho
-    for (m, n) in seq.indices():
-        before, after = seq.kernel(m, n), scaled.kernel(m, n)
+    for (m, n) in sorted(seq.stacks):
+        before, after = seq.stacks[(m, n)][0], scaled.stacks[(m, n)][0]
         norm = norm_sharp if m + n == 0 else norm_half
         ratio = norm(after) / max(norm(before), 1e-300)
         # equality case for the single-sided bound; allow rounding only
@@ -148,14 +148,14 @@ def test_operator_norm_bound_coarse_3d():
     basis = FockBasis(grid.modes, 2)
     rng = np.random.default_rng(5)
     shapes = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
-    zero00 = Kernel(0, 0, grid, np.zeros(grid.base_shape, complex))
+    zero00 = np.zeros((1,) + grid.base_shape, complex)
     nmod = len(grid.modes)
     for trial in range(50):
         m, n = shapes[trial % len(shapes)]
         full = grid.base_shape + (nmod,) * (m + n)
         vals = rng.normal(size=full) + 1j * rng.normal(size=full)
         ker = Kernel(m, n, grid, vals)
-        seq = KernelSequence(grid, {(0, 0): zero00, (m, n): ker}, p=0.0, z=0.0)
+        seq = KernelFamily(grid, {(0, 0): zero00, (m, n): vals[None]}, 0.0, [0.0], [{}])
         opn = np.linalg.norm(assemble_operator(seq, basis).toarray(), 2)
         bound = ((math.factorial(m) * math.factorial(n)) ** -0.5
                  * (8.0 * math.pi) ** ((m + n) / 2.0) * norm_half(ker))

@@ -146,16 +146,16 @@ def _both(monkeypatch, run, product=np.matmul):
 
 
 def _assert_same_sequence(a, b, rtol=0.0):
-    assert a.indices() == b.indices()
-    for mn in a.indices():
-        x, y = a.kernel(*mn), b.kernel(*mn)
+    assert sorted(a.stacks) == sorted(b.stacks)
+    for mn in a.stacks:
+        x, y = a.stacks[mn], b.stacks[mn]
         assert x.n_modes == y.n_modes
         if rtol == 0.0:
             assert np.array_equal(x.values, y.values), mn
         else:
             np.testing.assert_allclose(x.values, y.values, rtol=0,
                                        atol=rtol * np.max(np.abs(y.values)))
-    assert a.meta == b.meta
+    assert a.metas == b.metas
 
 
 FIRST_STEPS = {
@@ -171,12 +171,12 @@ def test_first_step_matches_per_chain_loop(monkeypatch, case):
     # meta carries series_ratio and the resolvent's gap minima: the batch
     # must query the resolvent on exactly the chains the loop queried
     params, bitwise = FIRST_STEPS[case]
-    batched, reference = _both(monkeypatch, lambda: initial_kernels(params, [0.03])[0])
-    assert set(batched.meta) >= {"gap_low", "gap_high", "series_ratio"}
+    batched, reference = _both(monkeypatch, lambda: initial_kernels(params, [0.03]))
+    assert set(batched.metas[0]) >= {"gap_low", "gap_high", "series_ratio"}
     _assert_same_sequence(batched, reference, rtol=0.0 if bitwise else 1e-13)
     if not bitwise:
         # the difference is the stacked 2x2 matmul of the reference, nothing else
-        _, termwise = _both(monkeypatch, lambda: initial_kernels(params, [0.03])[0],
+        _, termwise = _both(monkeypatch, lambda: initial_kernels(params, [0.03]),
                             product=_matmul_terms)
         _assert_same_sequence(batched, termwise)
 
@@ -185,8 +185,8 @@ def test_sigz_renormalize_matches_per_chain_loop(monkeypatch):
     params = ModelParams(lam0=0.02, j_max=5, j_max_pair=3, n_z_samples=3,
                          spin_coupling=SIGMA_Z)
     family = initial_kernels(params, [0.01])
-    batched, reference = _both(monkeypatch, lambda: renormalize(family, params)[0])
-    assert batched.perturbative_indices()
+    batched, reference = _both(monkeypatch, lambda: renormalize(family, params))
+    assert any(m + n for m, n in batched.stacks)
     _assert_same_sequence(batched, reference)
 
 

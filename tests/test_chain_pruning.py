@@ -43,11 +43,11 @@ def _count_chains(monkeypatch):
 
 
 def _assert_same_sequence(a, b):
-    assert a.indices() == b.indices()
-    for mn in a.indices():
-        assert a.kernel(*mn).n_modes == b.kernel(*mn).n_modes
-        assert np.array_equal(a.kernel(*mn).values, b.kernel(*mn).values)
-    assert a.meta == b.meta
+    assert sorted(a.stacks) == sorted(b.stacks)
+    for mn in a.stacks:
+        assert a.stacks[mn].n_modes == b.stacks[mn].n_modes
+        assert np.array_equal(a.stacks[mn].values, b.stacks[mn].values)
+    assert a.metas == b.metas
 
 
 @pytest.mark.parametrize("coupling", [SIGMA_X, MIX], ids=["sigma_x", "mix"])
@@ -55,11 +55,11 @@ def test_first_step_pruning_is_exact(monkeypatch, coupling):
     # meta carries the gap guard's minima: skipping chains skips resolvent
     # evaluations, and the minima must not move
     params = ModelParams(lam0=0.004, j_max=5, j_max_pair=4, spin_coupling=coupling)
-    pruned = initial_kernels(params, [0.05 * params.mu])[0]
+    pruned = initial_kernels(params, [0.05 * params.mu])
     _switch_off_pruning(monkeypatch)
-    full = initial_kernels(params, [0.05 * params.mu])[0]
+    full = initial_kernels(params, [0.05 * params.mu])
     _assert_same_sequence(pruned, full)
-    assert set(pruned.meta) >= {"gap_low", "gap_high"}
+    assert set(pruned.metas[0]) >= {"gap_low", "gap_high"}
 
 
 def test_sigz_renormalize_pruning_is_exact_and_skips_nearly_every_chain(monkeypatch):
@@ -67,11 +67,11 @@ def test_sigz_renormalize_pruning_is_exact_and_skips_nearly_every_chain(monkeypa
                          spin_coupling=SIGMA_Z)
     family = initial_kernels(params, [0.0])
     shapes = _count_chains(monkeypatch)
-    (pruned,) = renormalize(family, params)
+    pruned = renormalize(family, params)
     n_pruned = len(shapes)
     _switch_off_pruning(monkeypatch)
     shapes.clear()
-    (full,) = renormalize(family, params)
+    full = renormalize(family, params)
     _assert_same_sequence(pruned, full)
     assert 0 < n_pruned <= 0.01 * len(shapes)
 
@@ -89,9 +89,9 @@ def test_odd_first_step_targets_follow_the_spin_pattern(monkeypatch, coupling, o
     # evaluate no chain and are dropped; any diagonal part keeps them
     shapes = _count_chains(monkeypatch)
     params = ModelParams(lam0=0.004, j_max=4, j_max_pair=4, spin_coupling=coupling)
-    seq = initial_kernels(params, [0.0])[0]
+    seq = initial_kernels(params, [0.0])
     odd = [s for s in shapes if s.M + s.N == 1]
     assert bool(odd) == odd_live
-    assert (seq.kernel(1, 0) is not None) == odd_live
-    assert (seq.kernel(0, 1) is not None) == odd_live
+    assert ((1, 0) in seq.stacks) == odd_live
+    assert ((0, 1) in seq.stacks) == odd_live
     assert len(shapes) > len(odd)

@@ -21,14 +21,14 @@ def small_params():
 def test_decoupled_sequence_is_free_symbol():
     params = ModelParams(lam0=0.0, p=0.1)
     grid = KernelGrid(params)
-    seq = initial_kernels(params, [0.05], grid=grid)[0]
-    assert seq.indices() == [(0, 0)]
+    seq = initial_kernels(params, [0.05], grid=grid)
+    assert sorted(seq.stacks) == [(0, 0)]
     r = grid.r_nodes.reshape(-1, 1)
     l = grid.l_axes[0]
     expect = (r + params.rho0 * l ** 2 / (2 * params.m)
               - params.p[0] * l / params.m - 0.05)
-    np.testing.assert_allclose(seq.w00.values, expect, atol=1e-14)
-    assert seq.meta["series_ratio"] == 0.0
+    np.testing.assert_allclose(seq.stacks[(0, 0)].values[0], expect, atol=1e-14)
+    assert seq.metas[0]["series_ratio"] == 0.0
 
 
 def test_decoupled_first_step_evaluates_no_vertex(monkeypatch):
@@ -38,32 +38,32 @@ def test_decoupled_first_step_evaluates_no_vertex(monkeypatch):
     monkeypatch.setattr(firststep._SpinVertex, "eval_product", fail)
     params = ModelParams(lam0=0.0, p=0.2, j_max=5, j_max_pair=4)
     grid = KernelGrid(params)
-    seq = initial_kernels(params, [0.05], grid=grid)[0]
-    assert seq.indices() == [(0, 0)]
-    assert np.array_equal(seq.w00.values, firststep._free_part(params, grid, [0.05])[0])
+    seq = initial_kernels(params, [0.05], grid=grid)
+    assert sorted(seq.stacks) == [(0, 0)]
+    assert np.array_equal(seq.stacks[(0, 0)].values, firststep._free_part(params, grid, [0.05]))
 
 
 def test_origin_matches_second_order_theory(small_params):
     # with the off-diagonal coupling every intermediate state is gapped by
     # omega0, so the diagonal origin must reproduce the full second-order sum
-    seq = initial_kernels(small_params, [0.0])[0]
+    (origin,) = initial_kernels(small_params, [0.0]).w00_origins()
     e2 = pt2_energy(small_params)
-    assert small_params.rho0 * seq.w00_origin().real == pytest.approx(e2, rel=1e-12)
-    assert abs(seq.w00_origin().imag) < 1e-15
+    assert small_params.rho0 * origin.real == pytest.approx(e2, rel=1e-12)
+    assert abs(origin.imag) < 1e-15
 
 
 def test_origin_regression_default_grid():
-    seq = initial_kernels(ModelParams(lam0=0.02), [0.0])[0]
-    assert seq.w00_origin().real == pytest.approx(-0.0071504298143817095,
+    (origin,) = initial_kernels(ModelParams(lam0=0.02), [0.0]).w00_origins()
+    assert origin.real == pytest.approx(-0.0071504298143817095,
                                                   rel=1e-11)
 
 
 def test_kernel_indices_and_symmetry(small_params):
-    seq = initial_kernels(small_params, [0.0])[0]
-    assert (1, 1) in seq.kernels
-    assert (2, 0) in seq.kernels
+    seq = initial_kernels(small_params, [0.0])
+    assert (1, 1) in seq.stacks
+    assert (2, 0) in seq.stacks
     # pair kernels are stored symmetrized
-    k20 = seq.kernel(2, 0).values
+    k20 = seq.stacks[(2, 0)].values[0]
     np.testing.assert_allclose(k20, np.swapaxes(k20, 2, 3), atol=1e-15)
 
 
@@ -99,7 +99,7 @@ def test_matrix_cross_check_quartic(small_params):
         params = small_params.with_updates(lam0=lam)
         grid = KernelGrid(params)
         basis = FockBasis(grid.modes, params.N_max)
-        seq = initial_kernels(params, [0.0], grid=grid)[0]
+        seq = initial_kernels(params, [0.0], grid=grid)
         A = assemble_operator(seq, basis).toarray()
         F_hat, basis, _ = matrix_first_step(params, 0.0, basis)
         G = dilation(basis, steps=params.rho0_power()).toarray()
@@ -128,9 +128,9 @@ def test_diagonal_coupling_first_step():
     # sigma_z keeps intermediates near the band; the decimation still works
     params = ModelParams(lam0=0.02, j_max=6, j_max_pair=5,
                          spin_coupling=SIGMA_Z)
-    seq = initial_kernels(params, [0.0])[0]
-    assert seq.w00_origin().real < 0.0
-    assert seq.meta["gap_low"] > params.mu * params.rho0 / 4.0
+    seq = initial_kernels(params, [0.0])
+    assert seq.w00_origins()[0].real < 0.0
+    assert seq.metas[0]["gap_low"] > params.mu * params.rho0 / 4.0
 
 
 MIX = 0.6 * SIGMA_X + 0.8 * SIGMA_Z
@@ -153,14 +153,14 @@ def test_family_matches_single_node_calls(case):
     family = initial_kernels(params, nodes, grid=grid)
     assert len(family) == len(nodes)
     for zk, member in zip(nodes, family):
-        alone = initial_kernels(params, [zk], grid=grid)[0]
-        assert member.z == alone.z == complex(zk)
-        assert member.indices() == alone.indices()
-        for mn in alone.indices():
-            assert member.kernel(*mn).n_modes == alone.kernel(*mn).n_modes
-            assert np.array_equal(member.kernel(*mn).values, alone.kernel(*mn).values), mn
-        assert member.meta == alone.meta
-        assert set(member.meta) >= {"series_ratio", "gap_low", "gap_high"}
+        alone = initial_kernels(params, [zk], grid=grid)
+        assert member.zs[0] == alone.zs[0] == complex(zk)
+        assert sorted(member.stacks) == sorted(alone.stacks)
+        for mn in alone.stacks:
+            assert member.stacks[mn].n_modes == alone.stacks[mn].n_modes
+            assert np.array_equal(member.stacks[mn].values, alone.stacks[mn].values), mn
+        assert member.metas == alone.metas
+        assert set(member.metas[0]) >= {"series_ratio", "gap_low", "gap_high"}
 
 
 def test_family_fails_when_one_node_fails(small_params):

@@ -7,11 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from dipolerg.model import ModelParams, ConfigError
 from dipolerg.fockspace import FockBasis, build_modes
+from dipolerg import kernels
+from dipolerg.firststep import initial_kernels
 from dipolerg.kernels import (interp_product, interp_rows, KernelGrid, Kernel,
-                              KernelSequence, symmetrize, norm_half, norm_sharp,
-                              norm_xi, polydisc_measure, scale_transform,
+                              KernelFamily, symmetrize, norm_half, norm_sharp,
+                              polydisc_measure, scale_transform,
                               assemble_operator, sequence_to_json,
                               sequence_from_json)
+
+
+def _one(grid, kernels, p=0.0, z=0.0, meta=None):
+    """A family of one from unstacked kernel arrays."""
+    return KernelFamily(grid, {mn: np.asarray(v)[None] for mn, v in kernels.items()},
+                        p, [z], [meta or {}])
 
 
 @pytest.fixture()
@@ -167,61 +175,95 @@ def test_polydisc_measure_free_sequence(grid):
     l = grid.l_axes[0].reshape(1, -1)
     z = 0.03
     w00 = r - (p.p[0] / p.m) * l - z
-    seq = KernelSequence(grid, {(0, 0): Kernel(0, 0, grid, np.broadcast_to(
-        w00, grid.base_shape))}, p=p.p, z=z)
+    seq = _one(grid, {(0, 0): np.broadcast_to(w00, grid.base_shape)}, p=p.p, z=z)
     led = polydisc_measure(seq)
     assert led.gamma == pytest.approx(0.0, abs=1e-12)
     # on shell at its own z; measured against z=0 the offset reappears
     assert led.delta == pytest.approx(0.0, abs=1e-14)
-    at_zero = KernelSequence(grid, seq.kernels, p=p.p, z=0.0)
+    at_zero = KernelFamily(grid, {mn: s.values for mn, s in seq.stacks.items()},
+                           p.p, [0.0], [{}])
     assert polydisc_measure(at_zero).delta == pytest.approx(z, abs=1e-14)
     assert led.eps == 0.0
+
+
+def test_polydisc_measure_norms_each_kernel_once(monkeypatch):
+    # one sharp norm per kernel of the member, plus gamma's diff kernel
+    params = ModelParams(lam0=0.02, j_max=4, j_max_pair=3)
+    family = initial_kernels(params, [-0.01, 0.0, 0.01])
+    assert len(family.stacks) >= 4
+    calls = []
+    orig = kernels.norm_sharp
+
+    def counted(kernel):
+        calls.append((kernel.m, kernel.n))
+        return orig(kernel)
+
+    monkeypatch.setattr(kernels, "norm_sharp", counted)
+    for k in range(len(family)):
+        calls.clear()
+        led = polydisc_measure(family[k])
+        assert len(calls) == len(family.stacks) + 1
+        assert sorted(led.sharp_norms) == sorted(family.stacks)
+
+
+def test_family_members_are_views():
+    params = ModelParams(lam0=0.02, j_max=4, j_max_pair=3)
+    zs = [-0.01, 0.0, 0.01]
+    family = initial_kernels(params, zs)
+    for k in (0, 1, 2, -1):
+        member = family[k]
+        assert len(member) == 1
+        assert member.zs[0] == complex(zs[k]) and member.metas == [family.metas[k]]
+        assert member.w00_origins()[0] == family.w00_origins()[k]
+        assert sorted(member.stacks) == sorted(family.stacks)
+        for mn, stack in family.stacks.items():
+            assert np.shares_memory(member.stacks[mn].values, stack.values[k])
+            assert np.array_equal(member.stacks[mn].values[0], stack.values[k])
+    members = list(family)
+    assert len(members) == len(family) == 3
+    assert [m.zs[0] for m in members] == list(family.zs)
+    with pytest.raises(IndexError):
+        family[3]
+    with pytest.raises(ConfigError):
+        KernelFamily(family.grid, {(1, 1): family.stacks[(1, 1)].values}, 0.0, zs, [{}] * 3)
 
 
 def test_scale_transform_prefactor_and_shift(grid):
     # constant one-photon kernel: the value picks up exactly rho^{1/2}
     nmod = len(grid.modes)
     vals = np.ones(grid.base_shape + (nmod,), dtype=complex)
-    seq = KernelSequence(grid, {
-        (0, 0): Kernel(0, 0, grid, np.zeros(grid.base_shape, complex)),
-        (1, 0): Kernel(1, 0, grid, vals),
-    }, p=0.0, z=0.0)
+    seq = _one(grid, {(0, 0): np.zeros(grid.base_shape, complex), (1, 0): vals})
     out = scale_transform(seq)
-    ker = out.kernel(1, 0)
+    ker = out.stacks[(1, 0)][0]
     rho = grid.rho
     # modes with a deeper copy keep the value, the IR floor shell is dropped
     for gid in range(nmod):
         got = ker.values[(0,) + tuple([grid.l0_idx[0]]) + (gid,)]
         if grid.shift_up[gid] >= 0:
             assert got == pytest.approx(rho ** 0.5, rel=1e-12)
-    assert out.meta["scale_dropped_floor"] >= 0.0
+    assert out.metas[0]["scale_dropped_floor"] >= 0.0
 
 
 def test_sequence_json_roundtrip(grid):
     rng = np.random.default_rng(2)
     nmod = len(grid.modes)
     kernels = {
-        (0, 0): Kernel(0, 0, grid, rng.normal(size=grid.base_shape)
-                       + 1j * rng.normal(size=grid.base_shape)),
-        (1, 1): Kernel(1, 1, grid, rng.normal(size=grid.base_shape + (nmod, nmod))
-                       + 0j),
+        (0, 0): rng.normal(size=grid.base_shape) + 1j * rng.normal(size=grid.base_shape),
+        (1, 1): rng.normal(size=grid.base_shape + (nmod, nmod)) + 0j,
     }
-    seq = KernelSequence(grid, kernels, p=0.1, z=0.02 + 0.001j,
-                         meta={"stage": 4})
+    seq = _one(grid, kernels, p=0.1, z=0.02 + 0.001j, meta={"stage": 4})
     back = sequence_from_json(sequence_to_json(seq), grid)
-    assert back.z == seq.z
-    assert back.indices() == seq.indices()
-    for mn in seq.indices():
-        np.testing.assert_allclose(back.kernel(*mn).values,
-                                   seq.kernel(*mn).values, atol=1e-14)
+    assert back.zs[0] == seq.zs[0]
+    assert sorted(back.stacks) == sorted(seq.stacks)
+    for mn in seq.stacks:
+        np.testing.assert_allclose(back.stacks[mn].values,
+                                   seq.stacks[mn].values, atol=1e-14)
 
 
 def test_sequence_from_json_rejects_mode_ids_off_the_prefix(grid):
     nmod = len(grid.modes)
-    seq = KernelSequence(grid, {
-        (0, 0): Kernel(0, 0, grid, np.zeros(grid.base_shape, complex)),
-        (1, 0): Kernel(1, 0, grid, np.ones(grid.base_shape + (nmod,), complex)),
-    }, p=0.0, z=0.0)
+    seq = _one(grid, {(0, 0): np.zeros(grid.base_shape, complex),
+                      (1, 0): np.ones(grid.base_shape + (nmod,), complex)})
     payload = json.loads(sequence_to_json(seq))
     assert [k["mode_ids"] for k in payload["kernels"]] == [list(range(nmod))] * 2
     payload["kernels"][1]["mode_ids"] = list(range(1, nmod + 1))
@@ -237,11 +279,7 @@ def test_assemble_operator_hermitian_pair(grid):
     v01 = rng.normal(size=grid.base_shape + (nmod,)) \
         + 1j * rng.normal(size=grid.base_shape + (nmod,))
     v10 = np.conj(v01)
-    seq = KernelSequence(grid, {
-        (0, 0): Kernel(0, 0, grid, np.zeros(grid.base_shape, complex)),
-        (0, 1): Kernel(0, 1, grid, v01),
-        (1, 0): Kernel(1, 0, grid, v10),
-    }, p=0.0, z=0.0)
+    seq = _one(grid, {(0, 0): np.zeros(grid.base_shape, complex), (0, 1): v01, (1, 0): v10})
     W = assemble_operator(seq, basis).toarray()
     np.testing.assert_allclose(W, W.conj().T, atol=1e-13)
 
@@ -249,8 +287,7 @@ def test_assemble_operator_hermitian_pair(grid):
 def test_assemble_operator_rejects_foreign_basis(grid):
     other = KernelGrid(ModelParams(j_max=2))
     basis = FockBasis(other.modes, 1)
-    seq = KernelSequence(grid, {(0, 0): Kernel(
-        0, 0, grid, np.zeros(grid.base_shape, complex))}, p=0.0, z=0.0)
+    seq = _one(grid, {(0, 0): np.zeros(grid.base_shape, complex)})
     with pytest.raises(ConfigError):
         assemble_operator(seq, basis)
     # as many modes, at other momenta
@@ -295,7 +332,8 @@ def _assemble_operator_per_tuple(seq, basis):
     points = [basis.r[:, None]] + [basis.l[:, a, None] for a in range(len(g.l_axes))]
     total = sp.csr_matrix((len(basis), len(basis)), dtype=complex)
     b_ops = [ladder(basis, i) for i in range(len(g.modes))]
-    for (m, n), ker in sorted(seq.kernels.items()):
+    for (m, n), stack in sorted(seq.stacks.items()):
+        ker = stack[0]
         for tup in itertools.product(range(ker.n_modes), repeat=m + n):
             diag = interp_rows(ker.values[(Ellipsis,) + tup][None], g.base_axes,
                                points).reshape(len(basis))
@@ -327,8 +365,8 @@ def test_assemble_operator_matches_per_tuple_loop(dim, rng):
         vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         if m + n:
             vals[..., 0] = 0.0            # a photon slice that is exactly zero
-        kernels[(m, n)] = Kernel(m, n, grid, vals)
-    seq = KernelSequence(grid, kernels, p=0.0, z=0.0)
+        kernels[(m, n)] = vals
+    seq = _one(grid, kernels)
     W = assemble_operator(seq, basis).toarray()
     assert np.any(W)
     assert np.array_equal(W, _assemble_operator_per_tuple(seq, basis).toarray())

@@ -47,28 +47,28 @@ def test_interpolate_family_reproduces_nodes(small_params):
     refs = list(seqs)
     at_nodes = interpolate_family(seqs, _lagrange_weights(nodes, nodes), nodes)
     # the input family is emptied as the pulled-back one is built
-    assert len(seqs) == 0 and not seqs.stacks
+    assert not seqs.stacks
     assert len(at_nodes) == len(refs)
     for seq, ref in zip(at_nodes, refs):
-        assert seq.indices() == ref.indices()
-        for mn in ref.indices():
-            np.testing.assert_allclose(seq.kernel(*mn).values,
-                                       ref.kernel(*mn).values, atol=1e-13)
+        assert sorted(seq.stacks) == sorted(ref.stacks)
+        for mn in ref.stacks:
+            np.testing.assert_allclose(seq.stacks[mn].values,
+                                       ref.stacks[mn].values, atol=1e-13)
 
 
 def test_interpolate_family_union_of_indices(small_params):
     grid = KernelGrid(small_params)
     nmod = len(grid.modes)
     one = np.ones(grid.base_shape + (nmod,), complex)
-    # the member at -0.1 lacks the (1, 0) kernel
+    # the member at -0.1 has an exactly zero (1, 0) kernel
     stacks = {(0, 0): np.zeros((2,) + grid.base_shape, complex),
               (1, 0): np.stack([np.zeros_like(one), one])}
     nodes = np.array([-0.1, 0.1])
     family = KernelFamily(grid, stacks, 0.0, nodes, [{}, {}])
-    assert family[0].kernel(1, 0) is None
+    assert not np.any(family[0].stacks[(1, 0)].values)
     (mid,) = interpolate_family(family, _lagrange_weights(nodes, [0.0]), [0.0])
-    assert (1, 0) in mid.kernels
-    np.testing.assert_allclose(mid.kernel(1, 0).values, 0.5 * one, atol=1e-15)
+    assert (1, 0) in mid.stacks
+    np.testing.assert_allclose(mid.stacks[(1, 0)].values[0], 0.5 * one, atol=1e-15)
 
 
 def test_renormalize_free_passthrough():
@@ -78,11 +78,11 @@ def test_renormalize_free_passthrough():
     (out,) = renormalize(family, params)
     rho = params.rho
     # origin scales exactly; marginal slopes are fixed points
-    assert out.w00_origin() == pytest.approx(-0.02 / rho, abs=1e-14)
+    assert out.w00_origins()[0] == pytest.approx(-0.02 / rho, abs=1e-14)
     alpha, beta = extract_alpha_beta(out)
     assert alpha == pytest.approx(1.0, abs=1e-10)
     assert beta[0] == pytest.approx(-params.p[0] / params.m, abs=1e-10)
-    assert out.meta["stage"] == 1
+    assert out.metas[0]["stage"] == 1
 
 
 def test_renormalize_band_margin_guard():
@@ -188,7 +188,7 @@ def test_no_vertex_sees_a_below_floor_mode(monkeypatch):
     monkeypatch.setattr(firststep._SpinVertex, "eval_product",
                         checked(firststep._SpinVertex.eval_product))
     family = initial_kernels(params, [0.0], grid=grid)
-    assert family[0].kernel(1, 0) is not None
+    assert (1, 0) in family.stacks
     renormalize(family, params)
     assert firststep._SpinVertex in seen and Kernel in seen
 
@@ -196,16 +196,16 @@ def test_no_vertex_sees_a_below_floor_mode(monkeypatch):
 def _lagrange_loop(seqs, nodes, z):
     """Family member at z as the flow built it before the family was one
     array per kernel: the Lagrange sum written as one axpy per member and
-    kernel, a member without the kernel adding nothing."""
+    kernel, a member whose kernel is exactly zero adding nothing."""
     d = z - nodes
     bw = np.array([1.0 / np.prod(x - np.delete(nodes, i)) for i, x in enumerate(nodes)])
     w = (bw / d) / np.sum(bw / d)
     out = {}
-    for mn in sorted({mn for s in seqs for mn in s.indices()}):
+    for mn in sorted({mn for s in seqs for mn in s.stacks}):
         acc = 0.0
         for wk, s in zip(w, seqs):
-            if s.kernel(*mn) is not None:
-                acc = acc + wk * s.kernel(*mn).values
+            if np.any(s.stacks[mn].values):
+                acc = acc + wk * s.stacks[mn].values[0]
         out[mn] = acc
     return out
 
@@ -217,23 +217,24 @@ def test_interpolate_family_matches_member_loop():
     nodes = cheb_nodes(5, 0.45 * params.mu)
     first = initial_kernels(params, nodes, grid=grid)
     stacks = {mn: s.values.copy() for mn, s in first.stacks.items()}
-    # the last member lacks its (1, 0) kernel
+    # the last member's (1, 0) kernel is exactly zero
     stacks[(1, 0)][-1] = 0.0
-    family = KernelFamily(grid, stacks, params.p, nodes, [s.meta for s in first])
+    family = KernelFamily(grid, stacks, params.p, nodes, first.metas)
     members = list(family)
-    assert family[-1].kernel(1, 0) is None and family[0].kernel(1, 0) is not None
+    assert not np.any(family[-1].stacks[(1, 0)].values)
+    assert np.any(family[0].stacks[(1, 0)].values)
     targets = [0.3 * nodes[0] + 0.01j, 0.5 * (nodes[1] + nodes[2]), 0.95 * nodes[-1]]
     weights = _lagrange_weights(nodes, targets)
     peak = {mn: np.max(np.abs(s.values)) for mn, s in family.stacks.items()}
     pulled = interpolate_family(family, weights, targets)
     for w, z, member in zip(weights, targets, pulled):
         expect = _lagrange_loop(members, nodes, z)
-        assert member.indices() == sorted(expect) and member.z == z
+        assert sorted(member.stacks) == sorted(expect) and member.zs[0] == z
         for mn, ref in expect.items():
             # the contraction sums the same n_z products in another order
             scale = np.sum(np.abs(w)) * peak[mn]
             tol = 8 * len(nodes) * np.finfo(float).eps * scale
-            np.testing.assert_allclose(member.kernel(*mn).values, ref, rtol=0, atol=tol)
+            np.testing.assert_allclose(member.stacks[mn].values[0], ref, rtol=0, atol=tol)
 
 
 # the bench grids, and a sigma_z grid whose first renormalize has chain
@@ -270,14 +271,14 @@ def _assert_members_alone(family, out, params):
     """Each member of renormalize(family) equals renormalizing it alone."""
     assert len(out) == len(family)
     for seq, got in zip(family, out):
-        alone = KernelFamily(family.grid, {mn: k.values[None] for mn, k in seq.kernels.items()},
-                             seq.p, [seq.z], [seq.meta])
-        (ref,) = renormalize(alone, params)
-        assert got.indices() == ref.indices()
-        for mn in ref.indices():
-            assert np.array_equal(got.kernel(*mn).values, ref.kernel(*mn).values), mn
-        assert got.meta == ref.meta
-        assert np.array_equal(got.meta["series_ratio"], ref.meta["series_ratio"])
+        alone = KernelFamily(family.grid, {mn: k.values for mn, k in seq.stacks.items()},
+                             seq.p, seq.zs, seq.metas)
+        ref = renormalize(alone, params)
+        assert sorted(got.stacks) == sorted(ref.stacks)
+        for mn in ref.stacks:
+            assert np.array_equal(got.stacks[mn].values, ref.stacks[mn].values), mn
+        assert got.metas == ref.metas
+        assert np.array_equal(got.metas[0]["series_ratio"], ref.metas[0]["series_ratio"])
 
 
 def test_renormalize_zeroes_a_pruned_member_between_live_ones():
@@ -289,8 +290,7 @@ def test_renormalize_zeroes_a_pruned_member_between_live_ones():
     stacks = {mn: s.values.copy() for mn, s in first.stacks.items()}
     for mn in stacks:
         stacks[mn][1] *= 1.0 if mn == (0, 0) else 1e-6
-    family = KernelFamily(first.grid, stacks, params.p, [s.z for s in first],
-                          [s.meta for s in first])
+    family = KernelFamily(first.grid, stacks, params.p, first.zs, first.metas)
     _assert_members_alone(family, renormalize(family, params), params)
 
 
@@ -301,7 +301,7 @@ def test_renormalize_raises_when_one_member_misses_its_band_margin():
     renormalize(first, params)
     stacks = {mn: s.values.copy() for mn, s in first.stacks.items()}
     stacks[(0, 0)][1] = 1e-6
-    family = KernelFamily(first.grid, stacks, params.p, nodes, [s.meta for s in first])
+    family = KernelFamily(first.grid, stacks, params.p, nodes, first.metas)
     margins = _band_margin(family)
     assert margins[1] == pytest.approx(1e-6) and min(margins[0], margins[2]) > 0.1
     with pytest.raises(FlowError, match="band margin 1.000e-06"):
