@@ -44,6 +44,13 @@ def _params(config_path, sets) -> tuple[ModelParams, dict]:
     return params_from_config(cfg), cfg
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    # a NaN tolerance fails every comparison and prints as bare NaN, not JSON
+    if not 0.0 <= value < np.inf:
+        raise ConfigError(f"{param.opts[0]} must be finite and >= 0, got {value}")
+    return value
+
+
 class _ExitCodes(click.Group):
     """Maps the exception that ends a command to its exit code.
 
@@ -189,8 +196,8 @@ def dispersion(config_path, sets, method, output):
 
 @main.command("validate")
 @with_common
-@click.option("--rel-tol", type=float, default=1e-3)
-@click.option("--abs-tol", type=float, default=1e-8)
+@click.option("--rel-tol", type=float, default=1e-3, callback=_tolerance)
+@click.option("--abs-tol", type=float, default=1e-8, callback=_tolerance)
 def validate(config_path, sets, rel_tol, abs_tol):
     """Compare the flow against direct diagonalization at one momentum."""
     params, cfg = _params(config_path, sets)
@@ -202,13 +209,13 @@ def validate(config_path, sets, rel_tol, abs_tol):
     payload = {"energy_flow": e_flow, "energy_oracle": e_oracle,
                "difference": diff, "tolerance": tol, "pass": bool(diff <= tol)}
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
-    if diff > tol:
+    if not payload["pass"]:
         sys.exit(EXIT_VALIDATION)
 
 
 @main.command("wick-check")
 @with_common
-@click.option("--tol", type=float, default=1e-11)
+@click.option("--tol", type=float, default=1e-11, callback=_tolerance)
 def wick_check(config_path, sets, tol):
     """Operator-identity self-test of the contraction machinery."""
     params, _ = _params(config_path, sets)
@@ -216,7 +223,7 @@ def wick_check(config_path, sets, tol):
     defect = wick_reassembly_defect(params)
     payload = {"defect": defect, "tolerance": tol, "pass": bool(defect <= tol)}
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
-    if defect > tol:
+    if not payload["pass"]:
         sys.exit(EXIT_VALIDATION)
 
 

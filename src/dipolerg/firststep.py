@@ -123,18 +123,18 @@ def initial_kernels(params: ModelParams, zs,
     spectral parameter of zs, rescaled to scale 1, as one family.
 
     The decimation itself happens at physical parameter rho0 * z; one
-    assembler pass serves every z.  Raises FirstStepError when any z is
-    outside the half-gap window, a gap margin is violated or a chain series
-    ratio reaches 1.  The ratio needs two live chain lengths: sigma_x
-    coupling at L_max=3 never has them (its odd targets vanish), so there
-    only the gap margins guard the decimation.
+    assembler pass serves every z.  Raises ConfigError when a z is not
+    finite or rho0 is not an integer power of rho, and FirstStepError when
+    any z is outside the half-gap window, a gap margin is violated or a
+    chain series ratio reaches 1.  The ratio needs two live chain lengths:
+    sigma_x coupling at L_max=3 never has them (its odd targets vanish), so
+    there only the gap margins guard the decimation.
     """
-    steps = params.rho0_power()
-    if steps is None:
-        raise ConfigError("rho0 must be an integer power of rho for the grid")
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    if not np.all(np.isfinite(zs)):
+        raise ConfigError("spectral parameter z must be finite")
     if grid is None:
         grid = KernelGrid(params)
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     for z in zs:
         if abs(z) > 0.5 * params.mu:
             raise FirstStepError(
@@ -145,7 +145,7 @@ def initial_kernels(params: ModelParams, zs,
     vertices = ({(1, 0): _SpinVertex(-1.0, params, grid),
                  (0, 1): _SpinVertex(1.0, params, grid)} if params.lam0 else {})
     ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=params.L_max,
-                           scale=params.rho0, ext_shift_steps=steps, F_eval=F)
+                           scale=params.rho0, F_eval=F)
     stacks, ratios = wick._assemble_kernels(ctx, params.M_max, _free_part(params, grid, zs))
     for z, ratio in zip(zs, ratios):
         if ratio >= 1.0:

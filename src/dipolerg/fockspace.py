@@ -12,6 +12,7 @@ exactly by rho^3 under one grid shift.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -96,44 +97,57 @@ class FockBasis:
     """Occupation-number states over the discrete modes.
 
     States are tuples of occupation numbers with total photons <= n_max.
+    Every state has an exact integer key, linear in its occupations: mode i
+    is a digit of base n_max + 1, and the digits fill as many int64 words
+    as they need, so a key never wraps.  Moving a photon into or out of
+    mode i adds or subtracts key_weights[i], and lookup finds a key's basis
+    position.  A key is exact only while every digit lies in 0..n_max, so
+    callers reject rows outside that range before the lookup.
     """
 
     def __init__(self, modes: list[Mode], n_max: int):
         self.modes = modes
         self.n_max = n_max
-        self.states: list[tuple[int, ...]] = []
-        self._enumerate()
-        self.index = {s: i for i, s in enumerate(self.states)}
         n_modes = len(modes)
-        occ = np.array([list(s) for s in self.states], dtype=float).reshape(len(self.states), n_modes)
+        # every multiset of at most n_max modes; vacuum first, then by
+        # (photon count, energy) for reproducibility
+        self.states: list[tuple[int, ...]] = sorted(
+            (tuple(np.bincount(c, minlength=n_modes).tolist()) for k in range(n_max + 1)
+             for c in itertools.combinations_with_replacement(range(n_modes), k)),
+            key=lambda s: (sum(s), sum(n * modes[i].k_abs for i, n in enumerate(s)), s))
+        occ = np.array(self.states, dtype=np.int64).reshape(len(self.states), n_modes)
         k_abs = np.array([m.k_abs for m in modes])
         kvecs = np.array([m.k for m in modes])  # (n_modes, d)
-        self.r = occ @ k_abs                       # total field energy per state
-        self.l = occ @ kvecs                       # total field momentum per state
-        self.occ = occ
+        self.occ = occ.astype(float)
+        self.r = self.occ @ k_abs                  # total field energy per state
+        self.l = self.occ @ kvecs                  # total field momentum per state
+        base, digits = n_max + 1, 1
+        while digits < 63 and base ** (digits + 1) <= 2 ** 63:
+            digits += 1
+        i = np.arange(n_modes)
+        self.key_weights = np.zeros((n_modes, n_modes // digits + 1), dtype=np.int64)
+        self.key_weights[i, i // digits] = base ** (i % digits)
+        self.keys = occ @ self.key_weights
+        self._key_dtype = np.dtype([(f"w{w}", np.int64) for w in range(self.keys.shape[1])])
+        self._order = np.argsort(self._packed(self.keys))
+        self._sorted = self._packed(self.keys)[self._order]
 
-    def _enumerate(self):
-        n_modes = len(self.modes)
+    def _packed(self, keys) -> np.ndarray:
+        # key rows (..., words) as one sortable record each, compared word by word
+        return np.ascontiguousarray(keys, dtype=np.int64).view(self._key_dtype)[..., 0]
 
-        def rec(mode_i, remaining, current):
-            if mode_i == n_modes:
-                self.states.append(tuple(current))
-                return
-            for occ in range(remaining + 1):
-                current.append(occ)
-                rec(mode_i + 1, remaining - occ, current)
-                current.pop()
-
-        rec(0, self.n_max, [])
-        # vacuum first, then by (photon count, energy) for reproducibility
-        self.states.sort(key=lambda s: (sum(s), sum(n * self.modes[i].k_abs for i, n in enumerate(s)), s))
+    def lookup(self, keys) -> np.ndarray:
+        """Basis position of every key row (..., words); -1 where none."""
+        q = self._packed(keys)
+        pos = np.minimum(np.searchsorted(self._sorted, q), len(self) - 1)
+        return np.where(self._sorted[pos] == q, self._order[pos], -1)
 
     def __len__(self):
         return len(self.states)
 
     @property
     def vacuum_index(self) -> int:
-        return self.index[tuple([0] * len(self.modes))]
+        return int(self.lookup(np.zeros(self.keys.shape[1], dtype=np.int64)))
 
 
 def ladder(basis: FockBasis, mode_index: int) -> sp.csr_matrix:
@@ -144,21 +158,11 @@ def ladder(basis: FockBasis, mode_index: int) -> sp.csr_matrix:
     """
     if not (0 <= mode_index < len(basis.modes)):
         raise ConfigError(f"unknown mode index {mode_index}")
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(basis.states):
-        n = s[mode_index]
-        if n == 0:
-            continue
-        t = list(s)
-        t[mode_index] = n - 1
-        jt = basis.index.get(tuple(t))
-        if jt is None:
-            continue
-        # <t| b |s> = sqrt(n)
-        rows.append(jt)
-        cols.append(i)
-        vals.append(math.sqrt(n))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(basis), len(basis)), dtype=complex)
+    col = np.flatnonzero(basis.occ[:, mode_index])
+    row = basis.lookup(basis.keys[col] - basis.key_weights[mode_index])
+    # <t| b |s> = sqrt(n)
+    return sp.csr_matrix((np.sqrt(basis.occ[col, mode_index]), (row, col)),
+                         shape=(len(basis), len(basis)), dtype=complex)
 
 
 def functional_calculus(f, basis: FockBasis) -> sp.csr_matrix:
@@ -181,25 +185,17 @@ def dilation(basis: FockBasis, steps: int = 1) -> sp.csr_matrix:
     """Grid-exact dilation: shifts every photon's radial index down by `steps`.
 
     Scales H_f by rho^steps under conjugation.  Partial isometry: states
-    containing a j < steps photon, or whose image leaves the basis, map to 0.
-    Refuses bases whose grid is not closed under the shift.
+    containing a j < steps photon map to 0; every other state keeps its
+    photon count, so its image is in the basis.  Refuses bases whose grid
+    is not closed under the shift.
     """
     modes = basis.modes
     down = shift_index(modes, -steps)
     if np.any((np.array([m.j for m in modes]) >= steps) & (down < 0)):
         raise ConfigError("mode grid is not geometric: dilation refused")
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(basis.states):
-        occupied = [mi for mi, n in enumerate(s) if n]
-        if any(down[mi] < 0 for mi in occupied):
-            continue
-        t = [0] * len(modes)
-        for mi in occupied:
-            t[down[mi]] += s[mi]
-        jt = basis.index.get(tuple(t))
-        if jt is None:
-            continue
-        rows.append(jt)
-        cols.append(i)
-        vals.append(1.0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(basis), len(basis)), dtype=complex)
+    # a photon of mode i moves to mode down[i], with the same occupation
+    moved = np.where((down >= 0)[:, None], basis.key_weights[down], 0)
+    col = np.flatnonzero(~np.any(basis.occ[:, down < 0] > 0, axis=1))
+    row = basis.lookup(basis.occ[col].astype(np.int64) @ moved)
+    return sp.csr_matrix((np.ones(len(col)), (row, col)),
+                         shape=(len(basis), len(basis)), dtype=complex)

@@ -15,14 +15,13 @@ import copy
 import dataclasses
 import itertools
 import json
-import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import ModelParams, ConfigError
 from . import fockspace
-from .fockspace import FockBasis, ladder, number_projection
+from .fockspace import FockBasis, number_projection
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +320,9 @@ class KernelFamily:
 
 def _photon_factor(kernel: Kernel) -> np.ndarray:
     """Broadcastable product of |k_i|^{-1/2} over the photon axes."""
-    k_abs_loc = kernel.grid.k_abs[:kernel.n_modes]
-    nb = kernel.n_base_axes
-    total = kernel.m + kernel.n
-    fac = np.ones((1,) * nb + (1,) * total)
-    for a in range(total):
-        shape = [1] * (nb + total)
-        shape[nb + a] = len(k_abs_loc)
-        fac = fac * (k_abs_loc ** -0.5).reshape(shape)
+    fac = np.ones((1,) * kernel.n_base_axes)
+    for _ in range(kernel.m + kernel.n):
+        fac = np.multiply.outer(fac, kernel.grid.k_abs[:kernel.n_modes] ** -0.5)
     return fac
 
 
@@ -357,17 +351,12 @@ def norm_sharp(kernel: Kernel) -> float:
     """Value-plus-derivative norm with second-order discrete derivatives."""
     if len(kernel.grid.r_nodes) < 3:
         raise ConfigError("r-grid too coarse for the derivative stencil")
-    grads = _base_gradients(kernel)
-    if kernel.m + kernel.n == 0:
-        g = kernel.grid
-        origin = abs(kernel.values[(g.r0_idx,) + g.l0_idx])
-        total = float(origin)
-        for d in grads:
-            total += _masked_sup(kernel, d)
-        return total
+    g = kernel.grid
     fac = _photon_factor(kernel)
-    total = _masked_sup(kernel, kernel.values * fac)
-    for d in grads:
+    # w00 counts its value at the origin, a kernel with photons its sup
+    total = (float(abs(kernel.values[(g.r0_idx,) + g.l0_idx])) if kernel.m + kernel.n == 0
+             else _masked_sup(kernel, kernel.values * fac))
+    for d in _base_gradients(kernel):
         total += _masked_sup(kernel, d * fac)
     return total
 
@@ -417,16 +406,11 @@ def scale_transform(family: KernelFamily) -> KernelFamily:
         # photon axis a of the image reads the source one shell further out
         loc = g.shift_up[:ker.n_modes]
         valid = (loc >= 0) & (loc < ker.n_modes)
-        for a in range(m + n):
-            ax = nb + a
-            if not np.all(valid):
-                sel = np.take(np.abs(base), np.where(~valid)[0], axis=ax)
-                dropped = max(dropped, float(sel.max(initial=0.0)))
-            base = np.take(base, np.where(valid, loc, 0), axis=ax)
-            if not np.all(valid):
-                shape = [1] * base.ndim
-                shape[ax] = len(loc)
-                base = base * valid.astype(float).reshape(shape)
+        for ax in range(nb, nb + m + n):
+            sel = np.take(np.abs(base), np.flatnonzero(~valid), axis=ax)
+            dropped = max(dropped, float(sel.max(initial=0.0)))
+            keep = valid.reshape((-1,) + (1,) * (base.ndim - ax - 1))
+            base = np.where(keep, np.take(base, np.where(valid, loc, 0), axis=ax), 0.0)
         pref = rho ** (1.5 * (m + n) - 1.0)
         new[(m, n)] = pref * base[None]
     (meta,) = family.metas
@@ -439,9 +423,13 @@ def scale_transform(family: KernelFamily) -> KernelFamily:
 def assemble_operator(family: KernelFamily, basis: FockBasis) -> sp.csr_matrix:
     """Sum of Wick monomials W_{m,n}(w) of a family of one on the truncated basis.
 
-    For each (m, n) and each ordered mode tuple, creation block x diagonal
-    functional calculus x annihilation block, weighted by the quadrature
-    weights, projected to total field energy <= 1 on both sides.
+    For each (m, n) and ordered mode tuple, an intermediate state u maps
+    the state u + annihilators to the state u + creators, with the kernel's
+    value at u's (r, l), the sqrt(n) leg factors and the quadrature weights;
+    only entries whose two states lie under total field energy 1 are kept.
+    The terms are multiplied and summed in the order of the product chain
+    creation block x diagonal x annihilation block, kernel by kernel
+    (sorted) and tuple by tuple.
     """
     g = family.grid
     if not np.array_equal([m.k for m in basis.modes], g.k_vec):
@@ -449,35 +437,49 @@ def assemble_operator(family: KernelFamily, basis: FockBasis) -> sp.csr_matrix:
     nstates = len(basis)
     # one row per state, querying one point per axis: its own (r, l)
     points = [basis.r[:, None]] + [basis.l[:, a, None] for a in range(len(g.l_axes))]
-    total = sp.csr_matrix((nstates, nstates), dtype=complex)
-    b_ops = [ladder(basis, i) for i in range(len(g.modes))]
-    b_adj = [b.conj().T for b in b_ops]
+    # under the energy cap; position -1 (no such state) reads the False appended
+    capped = np.append(number_projection(basis, 1.0).diagonal() != 0, False)
+    photons = basis.occ.sum(axis=1)
+    entries, terms = [], []
     for (m, n), stack in sorted(family.stacks.items()):
         ker = stack[0]
+        k = m + n
+        # (T, k) photon tuples, in itertools.product order
+        tups = np.indices((ker.n_modes,) * k).reshape(k, ker.n_modes ** k).T
+        # intermediate states with room for max(m, n) more photons: no key
+        # digit passes n_max
+        u = np.flatnonzero(photons + max(m, n) <= basis.n_max)
+        steps = basis.key_weights[tups]
+        row = basis.lookup(basis.keys[u, None] + steps[:, :m].sum(axis=1))
+        col = basis.lookup(basis.keys[u, None] + steps[:, m:].sum(axis=1))
+        t, i = np.nonzero((capped[row] & capped[col]).T)
         flat = ker.values.reshape(ker.values.shape[:ker.n_base_axes] + (-1,))
-        for k, tup in enumerate(itertools.product(range(ker.n_modes), repeat=m + n)):
-            # (states, n_loc): the diagonals of the tuples that differ from this
-            # one in their last mode only (one call for every tuple would carry
-            # each state's whole l-grid block through the r-axis)
-            if k % ker.n_modes == 0:
-                diags = interp_rows(flat[None, ..., k:k + ker.n_modes], g.base_axes,
-                                    points).reshape(nstates, -1)
-            diag = diags[:, k % ker.n_modes]
-            if not np.any(diag):
-                continue
-            w = math.sqrt(float(np.prod(g.weight[list(tup)]))) if tup else 1.0
-            op = sp.diags(diag).tocsr()
-            for i in tup[m:]:
-                op = op @ b_ops[i]
-            for i in reversed(tup[:m]):
-                op = b_adj[i] @ op
-            total = total + w * op
-    proj = number_projection(basis, 1.0)
-    return proj @ total @ proj
+        val = interp_rows(flat[None], g.base_axes, [q[u] for q in points]
+                          ).reshape(len(u), len(tups))[i, t]
+        # sqrt(n) of each leg as the chain meets it: annihilators join u first
+        # to last, then creators last to first; n counts the legs so far
+        tt = tups[t]
+        occ = basis.occ[u[i, None], tt]
+        for legs in (np.arange(m, k), np.arange(m)[::-1]):
+            for j in legs:
+                occ[:, legs] += tt[:, legs] == tt[:, j, None]
+                val = val * np.sqrt(occ[:, j])
+        terms.append(np.sqrt(np.prod(g.weight[tups], axis=1))[t] * val)
+        entries.append(row[i, t] * nstates + col[i, t])
+    # duplicate entries summed in term order
+    entries, inv = np.unique(np.concatenate(entries), return_inverse=True)
+    total = np.zeros(len(entries), dtype=complex)
+    np.add.at(total, inv, np.concatenate(terms))
+    return sp.csr_matrix((total, np.divmod(entries, nstates)), shape=(nstates, nstates))
 
 
 # ---------------------------------------------------------------------------
 # serialization
+
+def _grid_json(grid: KernelGrid) -> dict:
+    return {"r_nodes": grid.r_nodes.tolist(), "l_axes": [ax.tolist() for ax in grid.l_axes],
+            "mode_k_abs": grid.k_abs.tolist(), "mode_weight": grid.weight.tolist()}
+
 
 def sequence_to_json(family: KernelFamily) -> str:
     """JSON dump of a family of one."""
@@ -487,12 +489,7 @@ def sequence_to_json(family: KernelFamily) -> str:
         "p": [float(x) for x in family.p],
         "z": [z.real, z.imag],
         "meta": {k: v for k, v in meta.items() if isinstance(v, (int, float, str))},
-        "grid": {
-            "r_nodes": [float(x) for x in family.grid.r_nodes],
-            "l_axes": [[float(x) for x in ax] for ax in family.grid.l_axes],
-            "mode_k_abs": [float(x) for x in family.grid.k_abs],
-            "mode_weight": [float(x) for x in family.grid.weight],
-        },
+        "grid": _grid_json(family.grid),
         "kernels": [
             {
                 "m": m, "n": n,
@@ -507,10 +504,14 @@ def sequence_to_json(family: KernelFamily) -> str:
 
 
 def sequence_from_json(text: str, grid: KernelGrid) -> KernelFamily:
-    """The family of one that sequence_to_json dumped."""
+    """The family of one that sequence_to_json dumped, on the grid it was
+    dumped from: JSON float repr round-trips, so the grid block must match
+    `grid` exactly."""
     payload = json.loads(text)
     if payload.get("version") != 1:
         raise ConfigError("unknown kernel dump version")
+    if payload.get("grid") != _grid_json(grid):
+        raise ConfigError("kernel dump was taken on another grid")
     kernels = {}
     for item in payload["kernels"]:
         m, n = item["m"], item["n"]

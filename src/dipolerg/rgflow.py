@@ -87,7 +87,7 @@ def renormalize(family: KernelFamily, params: ModelParams) -> KernelFamily:
             raise FlowError(f"band margin {margin:.3e} below {floor:.3e}")
     ctx = wick.WickContext(
         grid=grid, vertices=family.stacks, L_max=params.L_max, scale=rho,
-        ext_shift_steps=1, F_eval=_band_denominator(family),
+        F_eval=_band_denominator(family),
         F_max=4.0 / np.maximum(margins, 1e-300), prune=_PRUNE)
     # rescaled passthrough of the band symbol, no boundary factors
     rq, *lqs = [rho * ax[None] for ax in grid.base_axes]

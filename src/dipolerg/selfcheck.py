@@ -92,7 +92,7 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     lhs = chi_d @ lhs @ chi_d
 
     ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=L_max, scale=1.0,
-                           ext_shift_steps=0, F_eval=_f_factor)
+                           F_eval=_f_factor)
     stacks, _ = wick._assemble_kernels(ctx, 2 * min(L_max, 3), zero00)
     seq_out = KernelFamily(grid, stacks, params.p, [0.0], [{}])
     rhs = assemble_operator(seq_out, basis).toarray()

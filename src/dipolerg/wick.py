@@ -86,12 +86,8 @@ class TermSpec:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    # in lexicographic order, as itertools.product enumerates
+    return [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
 
 
 def enumerate_term_specs(M: int, N: int, L_max: int, available) -> tuple[TermSpec, ...]:
@@ -114,17 +110,9 @@ def _term_specs(M: int, N: int, L_max: int, available: frozenset) -> tuple:
             continue
         for mvec in _compositions(M, L):
             for nvec in _compositions(N, L):
-                choices = []
-                ok = True
-                for i in range(L):
-                    ci = [(a, b) for (a, b) in avail
-                          if a >= mvec[i] and b >= nvec[i]]
-                    if not ci:
-                        ok = False
-                        break
-                    choices.append(ci)
-                if not ok:
-                    continue
+                # a vertex with no kernel to choose leaves the product empty
+                choices = [[(a, b) for (a, b) in avail if a >= mvec[i] and b >= nvec[i]]
+                           for i in range(L)]
                 for combo in itertools.product(*choices):
                     p = tuple(a - mvec[i] for i, (a, b) in enumerate(combo))
                     q = tuple(b - nvec[i] for i, (a, b) in enumerate(combo))
@@ -213,18 +201,23 @@ class WickContext:
     F_eval(rq, lqs) takes the same stacked queries and returns the diagonal
     resolvent factor at every family member, (rows, n_f, *base) or (rows,
     n_f, *base, s), masked to its domain; a family of one has n_f = 1.
+    `scale` must be rho^s for an integer s (rho the grid's ratio): the
+    external photons then sit s shells up the grid (scaled_ids).
     """
     grid: KernelGrid
     vertices: dict
     L_max: int
     scale: float
-    ext_shift_steps: int
     F_eval: object
     F_max: float = 0.0
     prune: float = 0.0
 
     def __post_init__(self):
-        self.scaled_ids = shift_index(self.grid.modes, self.ext_shift_steps)
+        # rho0 in the first decimation (rho in the flow, 1 in the self-check)
+        s = math.log(self.scale) / math.log(self.grid.rho)
+        if abs(s - round(s)) >= 1e-9:
+            raise ConfigError("rho0 must be an integer power of rho for the grid")
+        self.scaled_ids = shift_index(self.grid.modes, round(s))
         # a leg on a mode outside the union makes its chain exactly zero
         self.live_modes = tuple(sorted({int(x) for v in self.vertices.values()
                                         for x in v.live_modes()}))

@@ -194,7 +194,7 @@ def test_wick_toy_matches_per_chain_loop():
     params = ModelParams()
     grid = _toy_grid(params)
     ctx = wick.WickContext(grid=grid, vertices=_toy_kernels(grid, np.random.default_rng(11)),
-                           L_max=3, scale=1.0, ext_shift_steps=0, F_eval=_f_factor)
+                           L_max=3, scale=1.0, F_eval=_f_factor)
     live = 0
     for total in range(7):
         for m in range(total + 1):

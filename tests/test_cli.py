@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from dipolerg import rgflow
+from dipolerg import cli, firststep, rgflow, selfcheck
 from dipolerg.cli import main, EXIT_CONFIG, EXIT_FIRST_STEP, EXIT_FLOW, EXIT_VALIDATION
 from dipolerg.firststep import FirstStepError
 
@@ -202,6 +202,34 @@ def test_validate_pass_and_fail(runner):
     payload = json.loads(out.output)
     assert payload["pass"] is True
     out = runner.invoke(main, args + ["--rel-tol", "1e-12", "--abs-tol", "1e-15"])
+    assert out.exit_code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "--rel-tol", "nan"],
+    ["validate", "--abs-tol", "nan"],
+    ["validate", "--rel-tol", "-1e-3"],
+    ["wick-check", "--tol", "nan"],
+    ["wick-check", "--tol", "inf"],
+    ["first-step", "--z", "nan"],
+])
+def test_non_finite_or_negative_values_exit_1_before_any_work(runner, monkeypatch, args):
+    def no_work(*_a, **_k):
+        raise AssertionError("the command ran before rejecting its option")
+
+    monkeypatch.setattr(cli, "run_flow", no_work)
+    monkeypatch.setattr(selfcheck, "wick_reassembly_defect", no_work)
+    monkeypatch.setattr(firststep, "TwoLevelResolventData", no_work)
+    out = runner.invoke(main, args)
+    assert out.exit_code == EXIT_CONFIG
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+def test_wick_check_exit_follows_printed_pass(runner, monkeypatch):
+    monkeypatch.setattr(selfcheck, "wick_reassembly_defect", lambda params: float("nan"))
+    out = runner.invoke(main, ["wick-check"])
+    assert '"pass": false' in out.stdout
     assert out.exit_code == EXIT_VALIDATION
 
 

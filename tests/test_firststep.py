@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dipolerg.model import ModelParams, SIGMA_X, SIGMA_Z
+from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z
 from dipolerg.kernels import KernelGrid, assemble_operator
 from dipolerg.fockspace import FockBasis, dilation, number_projection
 from dipolerg import firststep
@@ -71,6 +73,9 @@ def test_z_window_guard(small_params):
     with pytest.raises(FirstStepError):
         initial_kernels(small_params, [0.3])
     initial_kernels(small_params, [0.24])      # inside: fine
+    # a non-finite z is no window miss but a configuration error
+    with pytest.raises(ConfigError, match="finite"):
+        initial_kernels(small_params, [0.0, complex(0.0, math.inf)])
 
 
 def test_two_level_resolvent_values():

@@ -156,3 +156,55 @@ def test_dilation_scales_field_energy(modes, small_params):
     rng_proj = G @ G.conj().T
     np.testing.assert_allclose(lhs, rng_proj @ scaled @ rng_proj, atol=1e-13)
 
+
+
+def _ladder_per_state(basis, mode_index):
+    """ladder as a loop over the states, found by their occupation tuples."""
+    index = {s: i for i, s in enumerate(basis.states)}
+    b = np.zeros((len(basis), len(basis)), dtype=complex)
+    for i, s in enumerate(basis.states):
+        if s[mode_index]:
+            t = list(s)
+            t[mode_index] -= 1
+            b[index[tuple(t)], i] = math.sqrt(s[mode_index])
+    return b
+
+
+def _dilation_per_state(basis, steps):
+    """dilation as a loop over the states, moving each photon down by scan."""
+    index = {s: i for i, s in enumerate(basis.states)}
+    down = [_shifted_mode_index_scan(basis.modes, i, -steps) for i in range(len(basis.modes))]
+    g = np.zeros((len(basis), len(basis)), dtype=complex)
+    for i, s in enumerate(basis.states):
+        if any(n and down[mi] < 0 for mi, n in enumerate(s)):
+            continue
+        t = [0] * len(s)
+        for mi, n in enumerate(s):
+            if n:
+                t[down[mi]] += n
+        g[index[tuple(t)], i] = 1.0
+    return g
+
+
+@pytest.mark.parametrize("params,n_max,words", [
+    (ModelParams(j_max=4), 3, 1),
+    # 48 modes of base 3 need 76 bits: two key words
+    (ModelParams(dim=3, j_max=3), 2, 2),
+], ids=["d1", "d3-two-words"])
+def test_ladder_and_dilation_match_per_state_loops(params, n_max, words):
+    basis = FockBasis(build_modes(params), n_max)
+    assert basis.keys.shape[1] == words
+    assert basis.lookup(basis.keys).tolist() == list(range(len(basis)))
+    for i in range(len(basis.modes)):
+        assert np.array_equal(ladder(basis, i).toarray(), _ladder_per_state(basis, i))
+    for steps in (1, 2):
+        assert np.array_equal(dilation(basis, steps).toarray(), _dilation_per_state(basis, steps))
+
+
+def test_lookup_finds_states_and_misses_the_rest(modes):
+    basis = FockBasis(modes, 2)
+    w = basis.key_weights
+    one = basis.lookup(w[5])
+    assert basis.states[one] == tuple(int(i == 5) for i in range(len(modes)))
+    # three photons: one more than n_max allows
+    assert basis.lookup(np.stack([w[0] + w[1] + w[2], 2 * w[3] + w[4]])).tolist() == [-1, -1]

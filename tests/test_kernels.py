@@ -271,6 +271,19 @@ def test_sequence_from_json_rejects_mode_ids_off_the_prefix(grid):
         sequence_from_json(json.dumps(payload), grid)
 
 
+def test_sequence_from_json_rejects_another_grid(grid):
+    # same shapes, other photon energies and weights: the dump does not fit
+    other = KernelGrid(grid.params.with_updates(uv_cutoff=0.9))
+    assert other.base_shape == grid.base_shape and len(other.modes) == len(grid.modes)
+    nmod = len(grid.modes)
+    seq = _one(other, {(0, 0): np.zeros(grid.base_shape, complex),
+                       (1, 0): np.ones(grid.base_shape + (nmod,), complex)})
+    text = sequence_to_json(seq)
+    sequence_from_json(text, other)
+    with pytest.raises(ConfigError, match="another grid"):
+        sequence_from_json(text, grid)
+
+
 def test_assemble_operator_hermitian_pair(grid):
     # w_{1,0} = conj-transpose partner of w_{0,1} gives a Hermitian operator
     rng = np.random.default_rng(3)
@@ -357,8 +370,10 @@ def test_assemble_operator_matches_per_tuple_loop(dim, rng):
     grid = KernelGrid(params)
     basis = FockBasis(grid.modes, 2)
     kernels = {}
-    # one photon axis on the 3-d grid: its 36 modes make pair kernels take seconds
-    shapes = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)] if dim == 1 else [(0, 0), (1, 0), (0, 1)]
+    # on the 3-d grid (1, 1) puts both legs of a tuple on one mode 36 times; the
+    # reference's per-tuple products take seconds for it, so pairs stop there
+    shapes = ([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)] if dim == 1
+              else [(0, 0), (1, 0), (0, 1), (1, 1)])
     for m, n in shapes:
         n_loc = len(grid.modes) if m + n <= 1 else grid.n_pair
         shape = grid.base_shape + (n_loc,) * (m + n)

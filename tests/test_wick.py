@@ -250,7 +250,7 @@ def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
     zero = {(a, b): Kernel(a, b, grid, np.zeros(grid.base_shape + (n,) * (a + b)))
             for (a, b) in [(1, 0), (0, 1), (1, 1)]}
     ctx = wick.WickContext(grid=grid, vertices=zero, L_max=3, scale=params.rho,
-                           ext_shift_steps=1, F_eval=None, F_max=1.0, prune=1e-14)
+                           F_eval=None, F_max=1.0, prune=1e-14)
     assert enumerate_term_specs(1, 1, ctx.L_max, ctx.vertices)
     calls = []
     monkeypatch.setattr(wick, "chi", lambda *a: calls.append(a) or 1.0)
@@ -269,14 +269,16 @@ def test_series_ratio_decay_from_peak():
 
 
 def test_scaled_ids_follow_shift_up_steps():
-    # ext_shift_steps grid steps up, -1 once a mode falls below the floor
+    # scale = rho**steps: steps grid steps up, -1 once a mode falls below the floor
     params = ModelParams(j_max=5, j_max_pair=3)
     grid = KernelGrid(params)
     for steps in range(4):
-        ctx = wick.WickContext(grid=grid, vertices={}, L_max=3, scale=params.rho,
-                               ext_shift_steps=steps, F_eval=None)
+        ctx = wick.WickContext(grid=grid, vertices={}, L_max=3, scale=params.rho ** steps,
+                               F_eval=None)
         expect = list(range(len(grid.modes)))
         for _ in range(steps):
             expect = [int(grid.shift_up[s]) if s >= 0 else -1 for s in expect]
         assert ctx.scaled_ids.tolist() == expect
     assert -1 in expect and len(set(expect) - {-1}) > 1
+    with pytest.raises(ConfigError, match="integer power of rho"):
+        wick.WickContext(grid=grid, vertices={}, L_max=3, scale=0.3, F_eval=None)
