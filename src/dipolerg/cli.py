@@ -44,6 +44,10 @@ def _params(config_path, sets) -> tuple[ModelParams, dict]:
     return params_from_config(cfg), cfg
 
 
+def _run_flow(params: ModelParams, cfg: dict):
+    return run_flow(params, n_max=cfg["n_flow_max"], tol_factor=cfg["tol_factor"])
+
+
 def _tolerance(ctx, param, value: float) -> float:
     # a NaN tolerance fails every comparison and prints as bare NaN, not JSON
     if not 0.0 <= value < np.inf:
@@ -138,7 +142,7 @@ def first_step(config_path, sets, z_value, dump_kernels):
 def flow_cmd(config_path, sets):
     """Run the full flow at the configured momentum; print the energy."""
     params, cfg = _params(config_path, sets)
-    res = run_flow(params, n_max=cfg["n_flow_max"], tol_factor=cfg["tol_factor"])
+    res = _run_flow(params, cfg)
     alpha, beta = extract_alpha_beta(res.final_family[len(res.z_nodes) // 2])
     payload = {
         "energy": res.energy,
@@ -183,8 +187,7 @@ def dispersion(config_path, sets, method, output):
     p_values = np.linspace(-pmax, pmax, npts)
     energy = {"oracle": oracle_mod.ground_energy,
               "pt2": oracle_mod.pt2_energy,
-              "flow": lambda pp: run_flow(pp, n_max=cfg["n_flow_max"],
-                                          tol_factor=cfg["tol_factor"]).energy}[method]
+              "flow": lambda pp: _run_flow(pp, cfg).energy}[method]
     energies = [energy(params.with_updates(p=pv, p_star=pv)) for pv in p_values]
     text = oracle_mod.sweep_to_csv(p_values, energies, method)
     if output:
@@ -201,8 +204,7 @@ def dispersion(config_path, sets, method, output):
 def validate(config_path, sets, rel_tol, abs_tol):
     """Compare the flow against direct diagonalization at one momentum."""
     params, cfg = _params(config_path, sets)
-    e_flow = run_flow(params, n_max=cfg["n_flow_max"],
-                      tol_factor=cfg["tol_factor"]).energy
+    e_flow = _run_flow(params, cfg).energy
     e_oracle = oracle_mod.ground_energy(params)
     diff = abs(e_flow - e_oracle)
     tol = max(rel_tol * abs(e_oracle), abs_tol * params.m)

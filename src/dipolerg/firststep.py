@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, ConfigError, chi, chibar
+from .model import ModelParams, ConfigError, chi, chibar, rho_power
 from .kernels import KernelFamily, KernelGrid, polydisc_measure, _l_sums
 from . import wick
 from . import oracle as oracle_mod
@@ -124,7 +124,8 @@ def initial_kernels(params: ModelParams, zs,
 
     The decimation itself happens at physical parameter rho0 * z; one
     assembler pass serves every z.  Raises ConfigError when a z is not
-    finite or rho0 is not an integer power of rho, and FirstStepError when
+    finite or (model.rho_power, through the assembler's WickContext) rho0
+    is not an integer power of rho, and FirstStepError when
     any z is outside the half-gap window, a gap margin is violated or a
     chain series ratio reaches 1.  The ratio needs two live chain lengths:
     sigma_x coupling at L_max=3 never has them (its odd targets vanish), so
@@ -231,9 +232,7 @@ def matrix_first_step(params: ModelParams, z, basis: FockBasis | None = None):
     basis, for comparison against assembling the kernel sequence into an
     operator.
     """
-    steps = params.rho0_power()
-    if steps is None:
-        raise ConfigError("rho0 must be an integer power of rho for the grid")
+    steps = rho_power(params.rho0, params.rho)
     _, basis, res = spin_fock_decimation(params, params.rho0 * complex(z), basis)
     nf = len(basis)
     gamma = dilation(basis, steps=steps).toarray()

@@ -62,16 +62,6 @@ def interp_rows(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
     return out
 
 
-def interp_product(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
-    """Interpolate leading axes of `values` at per-axis query vectors.
-
-    Returns an array whose leading axes have the query lengths; points
-    outside a grid range evaluate to 0 (kernel support convention).
-    """
-    queries = [np.asarray(q, dtype=float)[None] for q in queries_list]
-    return interp_rows(values[None], nodes_list, queries)[0]
-
-
 # ---------------------------------------------------------------------------
 # grids
 
@@ -387,34 +377,29 @@ def polydisc_measure(family: KernelFamily) -> NormLedger:
 # ---------------------------------------------------------------------------
 # scale transformation on sampled kernels
 
-def scale_transform(family: KernelFamily) -> KernelFamily:
-    """s_rho(w)_{m,n}(r,l,K) = rho^{3(m+n)/2-1} w(rho r, rho l, rho K).
+def scale_transform(stack: Kernel) -> np.ndarray:
+    """s_rho(w)_{m,n}(r,l,K) = rho^{3(m+n)/2-1} w(rho r, rho l, rho K) for
+    every member of a kernel stack: shape (n_f, *base, photons).
 
-    rho is the grid's geometric ratio; the family is a family of one.
-    Photon arguments shift one geometric step; content at the infrared
-    floor node has no pre-image and is dropped (reported in meta).
+    rho is the grid's geometric ratio.  Photon arguments shift one
+    geometric step; the image on the infrared floor shell has no pre-image
+    and is zero.
     """
-    g = family.grid
+    g = stack.grid
     rho = g.rho
-    new = {}
-    dropped = 0.0
-    for (m, n), stack in family.stacks.items():
-        ker = stack[0]
-        queries = [rho * g.r_nodes] + [rho * ax for ax in g.l_axes]
-        base = interp_product(ker.values, g.base_axes, queries)
-        nb = ker.n_base_axes
-        # photon axis a of the image reads the source one shell further out
-        loc = g.shift_up[:ker.n_modes]
-        valid = (loc >= 0) & (loc < ker.n_modes)
-        for ax in range(nb, nb + m + n):
-            sel = np.take(np.abs(base), np.flatnonzero(~valid), axis=ax)
-            dropped = max(dropped, float(sel.max(initial=0.0)))
-            keep = valid.reshape((-1,) + (1,) * (base.ndim - ax - 1))
-            base = np.where(keep, np.take(base, np.where(valid, loc, 0), axis=ax), 0.0)
-        pref = rho ** (1.5 * (m + n) - 1.0)
-        new[(m, n)] = pref * base[None]
-    (meta,) = family.metas
-    return KernelFamily(g, new, family.p, family.zs, [{**meta, "scale_dropped_floor": dropped}])
+    n_f = len(stack.values)
+    # every member is a row querying the same rescaled (r, l) grid
+    queries = [np.broadcast_to(rho * ax, (n_f, len(ax))) for ax in g.base_axes]
+    vals = interp_rows(stack.values, g.base_axes, queries)
+    # photon axis a of the image reads the source one shell further out
+    loc = g.shift_up[:stack.n_modes]
+    valid = (loc >= 0) & (loc < stack.n_modes)
+    for ax in range(1 + stack.n_base_axes, vals.ndim):
+        keep = valid.reshape((-1,) + (1,) * (vals.ndim - ax - 1))
+        vals = np.where(keep, np.take(vals, np.where(valid, loc, 0), axis=ax), 0.0)
+    # rho^(3(m+n)/2) / rho, not rho^(3(m+n)/2 - 1): the (0,0) image is then
+    # exactly the interpolated symbol divided by rho
+    return vals * rho ** (1.5 * (stack.m + stack.n)) / rho
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ def chibar(x, rho_scale: float = 1.0):
     return np.sqrt(np.clip(1.0 - np.square(c), 0.0, 1.0))
 
 
+def rho_power(scale: float, rho: float) -> int:
+    """The integer s with scale = rho^s, to 1e-9 in s; raises ConfigError
+    when there is none."""
+    s = math.log(scale) / math.log(rho)
+    if abs(s - round(s)) >= 1e-9:
+        raise ConfigError(f"scale {scale:.6g} is not an integer power of rho = {rho:.6g}")
+    return round(s)
+
+
 # fixed fallback frame for k parallel to e_z (declared tie-break)
 _FALLBACK_FRAME = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
 
@@ -172,14 +181,6 @@ class ModelParams:
 
     def with_updates(self, **kw) -> "ModelParams":
         return dataclasses.replace(self, **kw)
-
-    def rho0_power(self) -> int | None:
-        """If rho0 is (numerically) an integer power of rho, return it."""
-        s = math.log(self.rho0) / math.log(self.rho)
-        si = round(s)
-        if si >= 1 and abs(s - si) < 1e-9:
-            return si
-        return None
 
 
 # ---------------------------------------------------------------------------

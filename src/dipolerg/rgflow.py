@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from .model import ConfigError, ModelParams, chibar
-from .kernels import KernelFamily, KernelGrid, polydisc_measure, _base_gradients, _l_sums
+from .kernels import (KernelFamily, KernelGrid, polydisc_measure, scale_transform,
+                      _base_gradients, _l_sums)
 from . import wick
 from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
 from .fockspace import FockBasis
@@ -72,11 +73,12 @@ def _band_margin(family: KernelFamily) -> np.ndarray:
 def renormalize(family: KernelFamily, params: ModelParams) -> KernelFamily:
     """One flow step: soft decimation of the top shell, then rescale.
 
-    The (0,0) part passes through as the rescaled symbol plus closed chain
-    corrections; kernels with m+n in [1, M_max] are reassembled from all
-    chain shapes up to depth L_max.  One assembler pass serves every
-    member, with the numbers of renormalizing it as a family of one; a
-    member that misses its band margin or diverges raises FlowError.
+    The (0,0) part passes through as scale_transform of the band symbol
+    plus closed chain corrections; kernels with m+n in [1, M_max] are
+    reassembled from all chain shapes up to depth L_max, the assembler
+    rescaling them as it goes.  One assembler pass serves every member,
+    with the numbers of renormalizing it as a family of one; a member that
+    misses its band margin or diverges raises FlowError.
     """
     grid = family.grid
     rho = grid.rho
@@ -90,8 +92,7 @@ def renormalize(family: KernelFamily, params: ModelParams) -> KernelFamily:
         F_eval=_band_denominator(family),
         F_max=4.0 / np.maximum(margins, 1e-300), prune=_PRUNE)
     # rescaled passthrough of the band symbol, no boundary factors
-    rq, *lqs = [rho * ax[None] for ax in grid.base_axes]
-    w00_base = family.stacks[(0, 0)].eval_product(np.zeros((1, 0), int), rq, lqs)[0] / rho
+    w00_base = scale_transform(family.stacks[(0, 0)])
     stacks, ratios = wick._assemble_kernels(ctx, params.M_max, w00_base)
     for ratio in ratios:
         if ratio >= 1.0:

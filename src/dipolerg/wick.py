@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .model import ConfigError, chi
+from .model import ConfigError, chi, rho_power
 from .fockspace import shift_index
 from .kernels import Kernel, KernelGrid, symmetrize
 
@@ -214,10 +214,7 @@ class WickContext:
 
     def __post_init__(self):
         # rho0 in the first decimation (rho in the flow, 1 in the self-check)
-        s = math.log(self.scale) / math.log(self.grid.rho)
-        if abs(s - round(s)) >= 1e-9:
-            raise ConfigError("rho0 must be an integer power of rho for the grid")
-        self.scaled_ids = shift_index(self.grid.modes, round(s))
+        self.scaled_ids = shift_index(self.grid.modes, rho_power(self.scale, self.grid.rho))
         # a leg on a mode outside the union makes its chain exactly zero
         self.live_modes = tuple(sorted({int(x) for v in self.vertices.values()
                                         for x in v.live_modes()}))

@@ -120,7 +120,8 @@ def test_scale_transformation_exactness():
     params = ModelParams(lam0=0.02, j_max=6, j_max_pair=5)
     grid = KernelGrid(params)
     seq = initial_kernels(params, [0.0], grid=grid)
-    scaled = scale_transform(seq)
+    scaled = KernelFamily(grid, {mn: scale_transform(s) for mn, s in seq.stacks.items()},
+                          seq.p, seq.zs, seq.metas)
     basis = FockBasis(grid.modes, 2)
     A = assemble_operator(seq, basis).toarray()
     B = assemble_operator(scaled, basis).toarray()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z
+from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z, rho_power
 from dipolerg.kernels import KernelGrid, assemble_operator
 from dipolerg.fockspace import FockBasis, dilation, number_projection
 from dipolerg import firststep
@@ -107,7 +107,7 @@ def test_matrix_cross_check_quartic(small_params):
         seq = initial_kernels(params, [0.0], grid=grid)
         A = assemble_operator(seq, basis).toarray()
         F_hat, basis, _ = matrix_first_step(params, 0.0, basis)
-        G = dilation(basis, steps=params.rho0_power()).toarray()
+        G = dilation(basis, steps=rho_power(params.rho0, params.rho)).toarray()
         P = (G @ G.conj().T) @ number_projection(basis, 1.0).toarray()
         sel = np.diag((basis.occ.sum(axis=1) <= 1).astype(float))
         D = sel @ P @ (F_hat - A) @ P @ sel

@@ -9,7 +9,7 @@ from dipolerg.model import ModelParams, ConfigError
 from dipolerg.fockspace import FockBasis, build_modes
 from dipolerg import kernels
 from dipolerg.firststep import initial_kernels
-from dipolerg.kernels import (interp_product, interp_rows, KernelGrid, Kernel,
+from dipolerg.kernels import (interp_rows, KernelGrid, Kernel,
                               KernelFamily, symmetrize, norm_half, norm_sharp,
                               polydisc_measure, scale_transform,
                               assemble_operator, sequence_to_json,
@@ -37,8 +37,8 @@ def _linear_field(grid, a=0.7, b=-0.3, c=0.2):
 
 def test_interp_product_exact_at_nodes(grid):
     vals = _linear_field(grid) ** 2      # anything, exactness is nodal
-    out = interp_product(vals, grid.base_axes, [grid.r_nodes, grid.l_axes[0]])
-    np.testing.assert_allclose(out, vals, atol=1e-15)
+    out = interp_rows(vals[None], grid.base_axes, [grid.r_nodes[None], grid.l_axes[0][None]])
+    np.testing.assert_allclose(out[0], vals, atol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -47,16 +47,16 @@ def test_interp_product_exact_at_nodes(grid):
 def test_interp_product_exact_for_multilinear(r, l):
     grid = KernelGrid(ModelParams(j_max=4))
     vals = _linear_field(grid)
-    out = interp_product(vals, grid.base_axes, [np.array([r]), np.array([l])])
-    assert out[0, 0] == pytest.approx(0.7 - 0.3 * r + 0.2 * l, abs=1e-12)
+    out = interp_rows(vals[None], grid.base_axes, [np.array([[r]]), np.array([[l]])])
+    assert out[0, 0, 0] == pytest.approx(0.7 - 0.3 * r + 0.2 * l, abs=1e-12)
 
 
 def test_interp_outside_range_is_zero(grid):
     vals = np.ones((len(grid.r_nodes), len(grid.l_axes[0])), dtype=complex)
-    out = interp_product(vals, grid.base_axes, [np.array([1.5]), np.array([0.0])])
-    assert out[0, 0] == 0.0
-    out = interp_product(vals, grid.base_axes, [np.array([0.5]), np.array([-2.0])])
-    assert out[0, 0] == 0.0
+    out = interp_rows(vals[None], grid.base_axes, [np.array([[1.5]]), np.array([[0.0]])])
+    assert out[0, 0, 0] == 0.0
+    out = interp_rows(vals[None], grid.base_axes, [np.array([[0.5]]), np.array([[-2.0]])])
+    assert out[0, 0, 0] == 0.0
 
 
 def test_eval_product_rows_match_per_row_interpolation(grid, rng):
@@ -75,8 +75,9 @@ def test_eval_product_rows_match_per_row_interpolation(grid, rng):
     assert out.shape == (3, 1, 5, 4)
     for i in range(2):
         loc = [ids.index(g) for g in rows[i]]
-        expect = interp_product(vals[:, :, loc[0], loc[1]], grid.base_axes, [rq[i], lq[i]])
-        assert np.array_equal(out[i, 0], expect)
+        expect = interp_rows(vals[None, :, :, loc[0], loc[1]], grid.base_axes,
+                             [rq[i, None], lq[i, None]])
+        assert np.array_equal(out[i, 0], expect[0])
     assert not np.any(out[2])
 
 
@@ -231,17 +232,20 @@ def test_family_members_are_views():
 def test_scale_transform_prefactor_and_shift(grid):
     # constant one-photon kernel: the value picks up exactly rho^{1/2}
     nmod = len(grid.modes)
-    vals = np.ones(grid.base_shape + (nmod,), dtype=complex)
-    seq = _one(grid, {(0, 0): np.zeros(grid.base_shape, complex), (1, 0): vals})
-    out = scale_transform(seq)
-    ker = out.stacks[(1, 0)][0]
+    vals = np.ones((1,) + grid.base_shape + (nmod,), dtype=complex)
+    out = scale_transform(Kernel(1, 0, grid, vals))
+    assert out.shape == vals.shape
     rho = grid.rho
     # modes with a deeper copy keep the value, the IR floor shell is dropped
     for gid in range(nmod):
-        got = ker.values[(0,) + tuple([grid.l0_idx[0]]) + (gid,)]
+        got = out[(0, 0) + tuple([grid.l0_idx[0]]) + (gid,)]
         if grid.shift_up[gid] >= 0:
             assert got == pytest.approx(rho ** 0.5, rel=1e-12)
-    assert out.metas[0]["scale_dropped_floor"] >= 0.0
+    js = np.array([m.j for m in grid.modes])
+    floor = js == grid.params.j_max
+    assert np.any(floor) and np.all(out[..., floor] == 0.0)
+    # content on the top shell alone has no image: every image shell reads a deeper one
+    assert not np.any(scale_transform(Kernel(1, 0, grid, np.where(js == 0, vals, 0.0))))
 
 
 def test_sequence_json_roundtrip(grid):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from dipolerg.model import (ModelParams, ConfigError, chi, chibar,
                             polarization, parse_config_text, params_from_config,
-                            config_defaults, config_dump_text,
+                            config_defaults, config_dump_text, rho_power,
                             CHI_PLATEAU, CHI_SUPPORT, SIGMA_X)
 from dipolerg.rgflow import run_flow
 
@@ -57,7 +57,7 @@ def test_params_defaults_valid():
     p = ModelParams()
     assert p.mu > 0
     assert p.rho0 == pytest.approx(p.rho ** 3)
-    assert p.rho0_power() == 3
+    assert rho_power(p.rho0, p.rho) == 3
 
 
 def test_params_rejects_bad_rho():

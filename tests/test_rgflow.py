@@ -3,7 +3,7 @@ import pytest
 
 from dipolerg import firststep, rgflow
 from dipolerg.model import ConfigError, ModelParams, SIGMA_X, SIGMA_Z
-from dipolerg.kernels import Kernel, KernelFamily, KernelGrid
+from dipolerg.kernels import Kernel, KernelFamily, KernelGrid, scale_transform
 from dipolerg.firststep import initial_kernels
 from dipolerg.rgflow import (renormalize, FlowError, cheb_nodes, StageMap,
                              interpolate_family, run_flow, extract_alpha_beta,
@@ -83,6 +83,18 @@ def test_renormalize_free_passthrough():
     assert alpha == pytest.approx(1.0, abs=1e-10)
     assert beta[0] == pytest.approx(-params.p[0] / params.m, abs=1e-10)
     assert out.metas[0]["stage"] == 1
+
+
+@pytest.mark.parametrize("kw", [dict(j_max=4), dict(p=0.2, p_star=0.2), dict(dim=3, j_max=2)])
+def test_renormalize_rescales_the_band_symbol_with_scale_transform(kw):
+    # decoupled, the family holds only (0,0) and no chain corrects it: the
+    # flow's rescale is exactly the scale transformation the acceptance
+    # check compares with the grid dilation
+    params = ModelParams(lam0=0.0, **kw)
+    family = initial_kernels(params, [-0.05, 0.0, 0.05])
+    assert list(family.stacks) == [(0, 0)]
+    out = renormalize(family, params)
+    assert np.array_equal(out.stacks[(0, 0)].values, scale_transform(family.stacks[(0, 0)]))
 
 
 def test_renormalize_band_margin_guard():
