@@ -46,16 +46,16 @@ class TwoLevelResolventData:
         self.min_gap_low = np.full(len(self.z_phys), math.inf)
         self.min_gap_high = np.full(len(self.z_phys), math.inf)
 
-    def __call__(self, rq, lqs):
-        """Resolvent on each row's (r, l) product grid at every member: rq
-        has shape (rows, n_r), every l-query (rows, n_l); returns (rows,
-        n_z, n_r, n_l, 2)."""
+    def __call__(self, rq, lqs, run=slice(None)):
+        """Resolvent on each row's (r, l) product grid at the members in
+        run (every member by default): rq has shape (rows, n_r), every
+        l-query (rows, n_l); returns (rows, members, n_r, n_l, 2)."""
         p = self.params
         rq = np.asarray(rq)
         r = rq.reshape((len(rq), 1) + rq.shape[1:] + (1,) * len(lqs))
         l2, pl = _l_sums(lqs, p.p)
         l2, pl = l2[:, None], pl[:, None]
-        z = self.z_phys.reshape((1, -1) + (1,) * (1 + len(lqs)))
+        z = self.z_phys[run].reshape((1, -1) + (1,) * (1 + len(lqs)))
         b1 = r + l2 / (2.0 * p.m) - pl / p.m - z
         b2 = b1 + p.omega0
         cb2 = chibar(r, p.rho0) ** 2
@@ -64,20 +64,20 @@ class TwoLevelResolventData:
         axes = (0,) + tuple(range(2, b1.ndim))
         if np.any(active):
             gap_low = np.min(np.where(active, b1.real, np.inf), axis=axes)
-            self.min_gap_low = np.minimum(self.min_gap_low, gap_low)
-            self._check("lower-level", gap_low, p.mu * p.rho0 / 4.0)
+            self.min_gap_low[run] = np.minimum(self.min_gap_low[run], gap_low)
+            self._check("lower-level", gap_low, p.mu * p.rho0 / 4.0, run)
         gap_high = np.min(b2.real, axis=axes)
-        self.min_gap_high = np.minimum(self.min_gap_high, gap_high)
-        self._check("upper-level", gap_high, p.omega0 / 4.0)
+        self.min_gap_high[run] = np.minimum(self.min_gap_high[run], gap_high)
+        self._check("upper-level", gap_high, p.omega0 / 4.0, run)
         low = np.where(active, cb2 / np.where(active, b1, 1.0), 0.0)
         high = 1.0 / b2
         return np.stack([low, high], axis=-1)
 
-    def _check(self, level, gaps, floor):
+    def _check(self, level, gaps, floor, run):
         k = int(np.argmin(gaps))
         if gaps[k] < floor:
             raise FirstStepError(f"{level} gap {gaps[k]:.3e} below {floor:.3e} "
-                                 f"at z_phys={self.z_phys[k]:.4g}")
+                                 f"at z_phys={self.z_phys[run][k]:.4g}")
 
 
 class _SpinVertex:

@@ -244,7 +244,7 @@ def symmetrize(values: np.ndarray, m: int, n: int, n_base_axes: int) -> np.ndarr
     nb = n_base_axes
     perms = [tuple(range(nb)) + pm + pn for pm in itertools.permutations(range(nb, nb + m))
              for pn in itertools.permutations(range(nb + m, nb + m + n))]
-    acc = np.zeros_like(values)
+    acc = np.zeros(values.shape, dtype=values.dtype)
     for perm in perms:
         acc += np.transpose(values, perm)
     acc /= len(perms)

@@ -44,13 +44,13 @@ def _band_denominator(family: KernelFamily):
     the monomials), and the squared cutoff complement sits on top of the
     interpolated symbol.  Raises FlowError near a zero of a symbol.
     """
-    def F_eval(rq, lqs):
-        # rq has shape (rows, n_r), every l-query (rows, n_l)
+    def F_eval(rq, lqs, run=slice(None)):
+        # rq has shape (rows, n_r), every l-query (rows, n_l); the members in run
         rq = np.asarray(rq)
         rcol = rq.reshape((len(rq), 1) + rq.shape[1:] + (1,) * len(lqs))
         cb2 = chibar(rcol, family.grid.rho) ** 2
         inside = rcol <= 1.0 + 1e-12
-        vals = family.stacks[(0, 0)].eval_product(np.zeros((len(rq), 0), dtype=int), rq, lqs)
+        vals = family.stacks[(0, 0)][run].eval_product(np.zeros((len(rq), 0), int), rq, lqs)
         # physical region only: field momentum cannot exceed field energy
         l2, _ = _l_sums(lqs)
         live = (cb2 > 0.0) & inside & (np.sqrt(l2[:, None]) <= rcol + 1e-9)

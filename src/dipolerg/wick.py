@@ -201,6 +201,7 @@ class WickContext:
     F_eval(rq, lqs) takes the same stacked queries and returns the diagonal
     resolvent factor at every family member, (rows, n_f, *base) or (rows,
     n_f, *base, s), masked to its domain; a family of one has n_f = 1.
+    member_run calls F_eval(rq, lqs, run) for the members in the slice run.
     `scale` must be rho^s for an integer s (rho the grid's ratio): the
     external photons then sit s shells up the grid (scaled_ids).
     """
@@ -227,7 +228,7 @@ class WickContext:
         sub = copy.copy(self)
         sub.vertices = {k: v[run] if isinstance(v, Kernel) else v
                         for k, v in self.vertices.items()}
-        sub.F_eval = lambda rq, lqs: self.F_eval(rq, lqs)[:, run]
+        sub.F_eval = lambda rq, lqs: self.F_eval(rq, lqs, run)
         return sub
 
 
@@ -284,16 +285,18 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
     """Sum of all chain contributions to the (M, N) output kernel.
 
     Returns (values, per_L): values has a family axis, the base-grid shape
-    and M+N photon axes over the first n_ext modes of the grid; per_L maps
-    chain length to each member's largest contribution (the series-decay
-    monitor).  Both family axes have length 1 when no contribution depends
-    on the member.  The result is NOT yet symmetrized over the photon axes.
-    The chains of one term shape and pairing are one batch over every live
-    external tuple times every internal line-mode assignment; a shape whose
-    magnitude bound falls below ctx.prune at some members adds zeros there.
+    and M+N photon axes over the first n_ext modes of the grid, in C order;
+    per_L maps chain length to each member's largest contribution (the
+    series-decay monitor).  Both family axes have length 1 when no
+    contribution depends on the member.  The result is NOT yet symmetrized
+    over the photon axes.  The chains of one term shape and pairing are one
+    batch over every live external tuple times every internal line-mode
+    assignment, each row added in order into its tuple's row of a
+    tuple-major sum; a shape whose magnitude bound falls below ctx.prune at
+    some members adds zeros there.
     """
     g = ctx.grid
-    out = np.zeros((1,) + g.base_shape + (n_ext,) * (M + N), dtype=complex)
+    shape = (1,) + g.base_shape + (n_ext,) * (M + N)
     per_L: dict[int, np.ndarray] = {}
     scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
     shapes = []
@@ -321,7 +324,7 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
                 + [(v, spec.L) for v in range(spec.L) for _ in range(spec.n[v])])
         shapes.append((spec, pref, ends, pairings, members))
     if not shapes:
-        return out, per_L
+        return np.zeros(shape, dtype=complex), per_L
     ext = _tuples(range(n_ext), M + N)
     # a rescaled external mode below the grid floor (-1) or on no vertex's
     # support kills the term
@@ -337,11 +340,12 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
     live = np.any(boundary, axis=tuple(range(1, nb + 1)))
     keep, boundary = keep[live], boundary[live]
     if not len(keep):
-        return out, per_L
+        return np.zeros(shape, dtype=complex), per_L
     ext = ext[keep]
     scaled = ctx.scaled_ids[ext]
     boundary = boundary[:, None]
-    flat_out = out.reshape(out.shape[:1 + nb] + (-1,))
+    # tuple-major over the live tuples: row i is tuple keep[i]
+    out = np.zeros((len(keep), 1) + g.base_shape, dtype=complex)
     chunk = max(1, _CHUNK_POINTS // math.prod(g.base_shape))
     for spec, pref, ends, pairings, members in shapes:
         # a shape pruned at some members is evaluated over the run of members
@@ -359,9 +363,9 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
                 continue
             line_ends = [(a, c) for a, c, _ in pairing]
             line_sums = _leg_sums(lines, line_ends, spec.L, g.k_abs, g.k_vec)
-            # row (t, j): external tuple t, line modes j
-            t_all = np.repeat(np.arange(len(keep)), len(lines))
-            j_all = np.tile(np.arange(len(lines)), len(keep))
+            # row (j, t): line modes j, external tuple t
+            j_all = np.repeat(np.arange(len(lines)), len(keep))
+            t_all = np.tile(np.arange(len(keep)), len(lines))
             for lo in range(0, len(t_all), chunk):
                 t_of, j_of = t_all[lo:lo + chunk], j_all[lo:lo + chunk]
                 queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
@@ -373,8 +377,15 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
                 wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]
                 if acc is None:
                     acc = np.zeros((len(keep),) + vals.shape[1:], dtype=complex)
-                # accumulates row by row, in the order of the rows
-                np.add.at(acc, t_of[rows], wts.reshape((-1,) + (1,) * (nb + 1)) * vals)
+                vals = wts.reshape((-1,) + (1,) * (nb + 1)) * vals
+                # one pass per line modes j, over distinct tuples: each
+                # tuple's sum takes its rows in their order
+                ts = t_of[rows].tolist()
+                passes = np.flatnonzero(np.diff(j_of[rows])) + 1
+                for p0, p1 in itertools.pairwise([0] + passes.tolist() + [len(rows)]):
+                    # a pass over consecutive tuples adds in place
+                    t0, t1 = ts[p0], ts[p1 - 1] + 1
+                    acc[slice(t0, t1) if t1 - t0 == p1 - p0 else ts[p0:p1]] += vals[p0:p1]
         if acc is None:
             continue
         # each tuple's contribution, in place; a tuple no chain reached adds 0
@@ -382,19 +393,22 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
         if not np.all(members[run]):
             acc = acc * members[run].reshape((-1,) + (1,) * nb)
         n_f = max(len(members), acc.shape[1])
-        if len(out) < n_f:
+        if out.shape[1] < n_f:
             # a contribution added so far is the same at every member
-            # (np.full writes every page now; the scattered add below would
+            # (np.full writes every page now; the in-place add below would
             # fault each lazily zeroed page twice, on the read and the write)
-            out = (np.repeat(out, n_f, axis=0) if per_L
-                   else np.full((n_f,) + out.shape[1:], 0j))
-            flat_out = out.reshape(out.shape[:1 + nb] + (-1,))
-        # in place: a fancy-indexed += would copy the target's live tuples
-        np.add.at(flat_out[run], (Ellipsis, keep), np.moveaxis(acc, 0, -1))
+            out = (np.repeat(out, n_f, axis=1) if per_L
+                   else np.full((len(out), n_f) + out.shape[2:], 0j))
+        out[:, run] += acc
         mags = np.zeros(n_f)
         mags[run] = np.max(np.abs(acc), axis=(0,) + tuple(range(2, acc.ndim)))
         per_L[spec.L] = np.maximum(per_L.get(spec.L, 0.0), mags)
-    return out, per_L
+    # every tuple, then the photon axes last in C order: the one copy of the
+    # target, made once the live rows are freed
+    full = np.zeros((n_ext ** (M + N),) + out.shape[1:], dtype=complex)
+    full[keep] = out
+    del out
+    return np.ascontiguousarray(np.moveaxis(full, 0, -1)).reshape((-1,) + shape[1:]), per_L
 
 
 def series_ratio(per_L: dict) -> float:
@@ -419,18 +433,22 @@ def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
     """Every target kernel with m + n <= M_max at every family member.
 
     w00_base has a leading family axis, one row per member, and the (0,0)
-    kernel is w00_base plus its closed chains.  Targets with m + n >= 2
-    run over the grid's first n_pair modes.  Every other target is dropped
-    when exactly zero at every member and otherwise symmetrized over its
-    photon axes.  Returns (stacks, ratios): stacks[(m, n)] has shape (n_f, *base,
-    photons), and ratios[k] is member k's worst series ratio.
+    kernel is w00_base plus its closed chains.  The photon axes of every
+    other target end at the last mode whose rescaled image is live (a tuple
+    with any other mode is exactly zero), at most every mode for m + n = 1
+    and the grid's first n_pair modes for m + n >= 2.  Such a target is
+    dropped when exactly zero at every member and otherwise symmetrized over
+    its photon axes.  Returns (stacks, ratios): stacks[(m, n)] has shape
+    (n_f, *base, photons), and ratios[k] is member k's worst series ratio.
     """
     g = ctx.grid
     n_f = len(w00_base)
     stacks = {}
     ratios = [0.0] * n_f
+    imaged = np.flatnonzero(np.isin(ctx.scaled_ids, ctx.live_modes))
     for total in range(M_max + 1):
-        n_ext = len(g.modes) if total <= 1 else g.n_pair
+        n_max = len(g.modes) if total <= 1 else g.n_pair
+        n_ext = int(imaged[imaged < n_max].max(initial=-1)) + 1
         # symmetrizing holds a second copy of the target: do it before the
         # family holds the other targets of this total
         for m in sorted(range(total + 1), key=lambda m: max(m, total - m) <= 1):

@@ -221,3 +221,131 @@ def test_row_chunks_change_no_number(monkeypatch):
         _assert_same_sequence(a, b)
     for a, b in zip(renormalize(chunked, params), whole_next):
         _assert_same_sequence(a, b)
+
+
+def photon_last_assemble_target(M, N, ctx, n_ext):
+    """wick.assemble_target as it was before its sums were held tuple-major:
+    the target photon-last over every tuple, each chain row scattered into
+    its tuple with np.add.at and each shape's sums into the target likewise
+    (np.add.at adds its rows one by one, in order)."""
+    g = ctx.grid
+    nb = len(g.base_shape)
+    out = np.zeros((1,) + g.base_shape + (n_ext,) * (M + N), dtype=complex)
+    per_L = {}
+    scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
+    shapes = []
+    for spec in enumerate_term_specs(M, N, ctx.L_max, ctx.vertices):
+        pairings = internal_pairings(spec)
+        keys = [spec.vertex_kernel(v) for v in range(spec.L)]
+        if not pairings or not functools.reduce(
+                np.matmul, (ctx.spin_patterns[k] for k in keys))[0, 0]:
+            continue
+        weight = combinatorial_weight(spec)
+        members = np.ones(1, dtype=bool)
+        if ctx.prune > 0.0:
+            bound = weight * (ctx.F_max ** (spec.L - 1)) * scale_pow
+            for k in keys:
+                bound *= ctx.max_abs[k]
+            bound *= (float(np.sum(g.weight)) ** sum(spec.p)) * len(pairings)
+            members = np.atleast_1d(bound >= ctx.prune)
+            if not np.any(members):
+                continue
+        ends = ([(-1, v) for v in range(spec.L) for _ in range(spec.m[v])]
+                + [(v, spec.L) for v in range(spec.L) for _ in range(spec.n[v])])
+        shapes.append((spec, (-1.0) ** (spec.L - 1) * weight * scale_pow, ends, pairings,
+                       members))
+    ext = wick._tuples(range(n_ext), M + N)
+    keep = np.flatnonzero(np.all(np.isin(ctx.scaled_ids[ext], ctx.live_modes), axis=1))
+    r_col = g.r_nodes.reshape((1, -1) + (1,) * (nb - 1))
+
+    def cutoff(legs):
+        return chi(r_col + g.k_abs[legs].sum(axis=1).reshape((-1,) + (1,) * nb), 1.0)
+
+    boundary = cutoff(ext[keep, :M]) * cutoff(ext[keep, M:])
+    live = np.any(boundary, axis=tuple(range(1, nb + 1)))
+    keep, boundary = keep[live], boundary[live][:, None]
+    if not shapes or not len(keep):
+        return out, per_L
+    ext = ext[keep]
+    chunk = max(1, wick._CHUNK_POINTS // int(np.prod(g.base_shape)))
+    for spec, pref, ends, pairings, members in shapes:
+        run = (slice(None) if np.all(members)
+               else slice(*np.flatnonzero(members)[[0, -1]] + [0, 1]))
+        sub = ctx if run == slice(None) else ctx.member_run(run)
+        sums = wick._leg_sums(ext, ends, spec.L, g.k_abs, g.k_vec)
+        frame = [ctx.scale * (ax + sums[:, :, a, None]) for a, ax in enumerate(g.base_axes)]
+        acc = None
+        for pairing in pairings:
+            lines = wick._tuples(ctx.live_modes, len(pairing))
+            line_ends = [(a, c) for a, c, _ in pairing]
+            line_sums = wick._leg_sums(lines, line_ends, spec.L, g.k_abs, g.k_vec)
+            t_all = np.repeat(np.arange(len(keep)), len(lines))
+            j_all = np.tile(np.arange(len(lines)), len(keep))
+            for lo in range(0, len(t_all), chunk):
+                t_of, j_of = t_all[lo:lo + chunk], j_all[lo:lo + chunk]
+                queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
+                rows, vals = wick._chain_rows(
+                    sub, spec, np.concatenate([ctx.scaled_ids[ext][t_of], lines[j_of]], axis=1),
+                    ends + line_ends, queries)
+                if not len(rows):
+                    continue
+                wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]
+                if acc is None:
+                    acc = np.zeros((len(keep),) + vals.shape[1:], dtype=complex)
+                np.add.at(acc, t_of[rows], wts.reshape((-1,) + (1,) * (nb + 1)) * vals)
+        if acc is None:
+            continue
+        acc *= pref * boundary
+        if not np.all(members[run]):
+            acc = acc * members[run].reshape((-1,) + (1,) * nb)
+        n_f = max(len(members), acc.shape[1])
+        if len(out) < n_f:
+            out = (np.repeat(out, n_f, axis=0) if per_L
+                   else np.full((n_f,) + out.shape[1:], 0j))
+        flat_out = out.reshape(out.shape[:1 + nb] + (-1,))
+        np.add.at(flat_out[run], (Ellipsis, keep), np.moveaxis(acc, 0, -1))
+        mags = np.zeros(n_f)
+        mags[run] = np.max(np.abs(acc), axis=(0,) + tuple(range(2, acc.ndim)))
+        per_L[spec.L] = np.maximum(per_L.get(spec.L, 0.0), mags)
+    return out, per_L
+
+
+def test_rows_spanning_chunks_add_in_row_order(monkeypatch):
+    # seven rows per chunk: a tuple's rows span chunks and pairings.  The toy
+    # context has several pairings per shape, and a zero photon slice of its
+    # (1,1) kernel drops the rows of some tuples but not of their
+    # neighbours, so some passes add through index arrays, not slices; the
+    # sigma_z renormalize context has members and shapes pruned at some of them.
+    checked = []
+
+    def compare(ctx, M_max):
+        monkeypatch.setattr(wick, "_CHUNK_POINTS", 7 * int(np.prod(ctx.grid.base_shape)))
+        for total in range(1, M_max + 1):
+            n_ext = len(ctx.grid.modes) if total <= 1 else ctx.grid.n_pair
+            for m in range(total + 1):
+                vals, per_L = wick.assemble_target(m, total - m, ctx, n_ext)
+                ref, ref_per_L = photon_last_assemble_target(m, total - m, ctx, n_ext)
+                assert vals.flags.c_contiguous
+                assert np.array_equal(vals, ref), (m, total - m)
+                assert per_L.keys() == ref_per_L.keys()
+                assert all(np.array_equal(per_L[L], ref_per_L[L]) for L in per_L)
+                checked.append(bool(np.any(vals)))
+
+    grid = _toy_grid(ModelParams())
+    toy = _toy_kernels(grid, np.random.default_rng(11))
+    toy[(1, 1)].values[..., 0, 1] = 0.0
+    compare(wick.WickContext(grid=grid, vertices=toy, L_max=3, scale=1.0, F_eval=_f_factor), 4)
+    toy_live = sum(checked)
+
+    params = ModelParams(lam0=0.02, j_max=5, j_max_pair=3, n_z_samples=3,
+                         spin_coupling=SIGMA_Z)
+    original = wick._assemble_kernels
+
+    def spy(ctx, M_max, w00_base):
+        compare(ctx, M_max)
+        return original(ctx, M_max, w00_base)
+
+    family = initial_kernels(params, cheb_nodes(3, 0.45 * params.mu))
+    monkeypatch.setattr(wick, "_assemble_kernels", spy)
+    renormalize(family, params)
+    assert toy_live >= 5 and sum(checked) > toy_live

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dipolerg import cli, firststep, rgflow, selfcheck
 from dipolerg.cli import main, EXIT_CONFIG, EXIT_FIRST_STEP, EXIT_FLOW, EXIT_VALIDATION
 from dipolerg.firststep import FirstStepError
+from dipolerg.kernels import polydisc_measure, sequence_from_json
 
 
 @pytest.fixture()
@@ -135,6 +137,24 @@ def test_first_step_json_and_determinism(runner):
     assert payload["band_symbol_origin"][0] < 0.0
     assert "ledger" in payload
     assert [0, 0] in payload["kernel_indices"]
+
+
+def test_first_step_dump_kernels_roundtrips(runner):
+    # the dump reloads bitwise, photon axes as short as the first decimation
+    # made them, and its ledger is the printed one
+    sets = ["lam0=0.004", "j_max=4", "j_max_pair=3"]
+    out = runner.invoke(main, ["first-step", "--dump-kernels"]
+                        + [a for kv in sets for a in ("--set", kv)])
+    assert out.exit_code == 0
+    payload = json.loads(out.output)
+    params, _ = cli._params(None, sets)
+    family = firststep.initial_kernels(params, [0.0])
+    loaded = sequence_from_json(json.dumps(payload["kernels"]), family.grid)
+    assert sorted(loaded.stacks) == sorted(family.stacks)
+    for mn, stack in family.stacks.items():
+        assert loaded.stacks[mn].values.shape == stack.values.shape
+        assert np.array_equal(loaded.stacks[mn].values, stack.values)
+    assert polydisc_measure(loaded).as_dict() == payload["ledger"]
 
 
 def test_first_step_window_exit(runner):

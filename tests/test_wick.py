@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dipolerg.model import ConfigError, ModelParams
+from dipolerg.model import ConfigError, ModelParams, SIGMA_Z
 from dipolerg import wick
-from dipolerg.kernels import Kernel, KernelGrid
+from dipolerg.kernels import Kernel, KernelGrid, symmetrize
+from dipolerg.rgflow import run_flow
 from dipolerg.wick import (TermSpec, enumerate_term_specs, combinatorial_weight,
                            internal_pairings, series_ratio, _leg_sums)
 
@@ -282,3 +283,50 @@ def test_scaled_ids_follow_shift_up_steps():
     assert -1 in expect and len(set(expect) - {-1}) > 1
     with pytest.raises(ConfigError, match="integer power of rho"):
         wick.WickContext(grid=grid, vertices={}, L_max=3, scale=0.3, F_eval=None)
+
+
+# the flow_sigx and flow_sigz benchmark grids, and the photon lengths of their
+# first decimation's targets
+CUT_GRIDS = {
+    "sigma_x": (ModelParams(lam0=0.004, j_max=4, j_max_pair=4, n_z_samples=9),
+                {(2, 0): 4, (1, 1): 4, (0, 2): 4}),
+    "sigma_z": (ModelParams(lam0=0.02, j_max=4, j_max_pair=3, n_z_samples=3,
+                            spin_coupling=SIGMA_Z),
+                {(1, 0): 4, (0, 1): 4, (1, 1): 4}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUT_GRIDS))
+def test_photon_axes_end_at_last_live_image(monkeypatch, case):
+    # every assembler pass of a flow: each target's photon axes end at the
+    # last mode whose rescaled image is live, and zero-padded back to every
+    # mode (one-photon targets) or the first n_pair modes (pair targets) it is
+    # the uncut assembly, symmetrized; a dropped target assembles to zero
+    params, first_lengths = CUT_GRIDS[case]
+    original = wick._assemble_kernels
+    lengths = []
+
+    def spy(ctx, M_max, w00_base):
+        stacks, ratios = original(ctx, M_max, w00_base)
+        g = ctx.grid
+        imaged = np.isin(ctx.scaled_ids, ctx.live_modes)
+        for total in range(1, M_max + 1):
+            n_full = len(g.modes) if total <= 1 else g.n_pair
+            for m in range(total + 1):
+                ref, _ = wick.assemble_target(m, total - m, ctx, n_full)
+                if (m, total - m) not in stacks:
+                    assert not np.any(ref)
+                    continue
+                ref = symmetrize(np.broadcast_to(ref, (len(w00_base),) + ref.shape[1:]),
+                                 m, total - m, 2 + len(g.l_axes))
+                vals = stacks[(m, total - m)]
+                n_cut = vals.shape[-1]
+                assert imaged[n_cut - 1] and not np.any(imaged[n_cut:n_full])
+                pad = [(0, 0)] * (vals.ndim - total) + [(0, n_full - n_cut)] * total
+                assert np.array_equal(np.pad(vals, pad), ref)
+        lengths.append({mn: v.shape[-1] for mn, v in stacks.items() if sum(mn)})
+        return stacks, ratios
+
+    monkeypatch.setattr(wick, "_assemble_kernels", spy)
+    run_flow(params)
+    assert lengths[0] == first_lengths and len(lengths) >= 2
