@@ -41,7 +41,13 @@ def _load_config(config_path, sets):
 
 def _params(config_path, sets) -> tuple[ModelParams, dict]:
     cfg = _load_config(config_path, sets)
-    return params_from_config(cfg), cfg
+    params = params_from_config(cfg)
+    # the run-control keys ModelParams does not hold; NaN fails every comparison
+    if not 0.0 < cfg["tol_factor"] < np.inf:
+        raise ConfigError(f"tol_factor must be finite and > 0, got {cfg['tol_factor']}")
+    if not np.isfinite(cfg["p_sweep_max"]):
+        raise ConfigError(f"p_sweep_max must be finite, got {cfg['p_sweep_max']}")
+    return params, cfg
 
 
 def _run_flow(params: ModelParams, cfg: dict):

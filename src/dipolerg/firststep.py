@@ -16,12 +16,12 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, ConfigError, chi, chibar, rho_power
-from .kernels import KernelFamily, KernelGrid, polydisc_measure, _l_sums
+from .model import ModelParams, ConfigError, chi, chibar
+from .kernels import KernelFamily, KernelGrid, polydisc_measure, rl_frame
 from . import wick
 from . import oracle as oracle_mod
 from . import feshbach
-from .fockspace import FockBasis, dilation
+from .fockspace import FockBasis
 
 
 class FirstStepError(RuntimeError):
@@ -51,10 +51,7 @@ class TwoLevelResolventData:
         run (every member by default): rq has shape (rows, n_r), every
         l-query (rows, n_l); returns (rows, members, n_r, n_l, 2)."""
         p = self.params
-        rq = np.asarray(rq)
-        r = rq.reshape((len(rq), 1) + rq.shape[1:] + (1,) * len(lqs))
-        l2, pl = _l_sums(lqs, p.p)
-        l2, pl = l2[:, None], pl[:, None]
+        r, l2, pl = rl_frame(rq, lqs, p.p, family=True)
         z = self.z_phys[run].reshape((1, -1) + (1,) * (1 + len(lqs)))
         b1 = r + l2 / (2.0 * p.m) - pl / p.m - z
         b2 = b1 + p.omega0
@@ -91,7 +88,7 @@ class _SpinVertex:
         self.lam = params.lam0
         self.grid = grid
 
-    def eval_product(self, ids, rq, lqs):
+    def eval_product(self, ids, rq, lqs, run=slice(None)):
         """The (rows, 1, *base, 2, 2) spin matrices of each row's mode, one for
         every member, broadcast (read-only) over that row's (r, l) query grid."""
         (gid,) = np.asarray(ids, dtype=int).T
@@ -111,8 +108,7 @@ class _SpinVertex:
 def _free_part(params: ModelParams, grid: KernelGrid, zs: np.ndarray) -> np.ndarray:
     """Rescaled lower-level free symbol r + rho0 l^2/2m - p.l/m - z at
     every z of zs: shape (n_z, *base)."""
-    r = grid.r_nodes.reshape((-1,) + (1,) * len(grid.l_axes)).astype(complex)
-    l2, pl = _l_sums(grid.l_axes, params.p)
+    r, l2, pl = rl_frame(grid.r_nodes, grid.l_axes, params.p)
     z = np.asarray(zs, dtype=complex).reshape((-1,) + (1,) * (1 + len(grid.l_axes)))
     return r + (params.rho0 * l2 / (2.0 * params.m) - pl / params.m) - z
 
@@ -221,20 +217,3 @@ def spin_fock_decimation(params: ModelParams, z_phys: complex,
     Hd = H.toarray()
     chi_vec = np.concatenate([chi(basis.r, params.rho0), np.zeros(len(basis))])
     return Hd, basis, feshbach.feshbach_map(Hd, H.diagonal(), chi_vec)
-
-
-def matrix_first_step(params: ModelParams, z, basis: FockBasis | None = None):
-    """Dense-route first decimation on the spin-Fock matrix representation.
-
-    Decimates H(p) - rho0*z with the soft partition (lower level only,
-    field content below the band edge), then rescales by conjugation with
-    the grid dilation.  Returns the rescaled lower-level block and the
-    basis, for comparison against assembling the kernel sequence into an
-    operator.
-    """
-    steps = rho_power(params.rho0, params.rho)
-    _, basis, res = spin_fock_decimation(params, params.rho0 * complex(z), basis)
-    nf = len(basis)
-    gamma = dilation(basis, steps=steps).toarray()
-    F_hat = (gamma @ res.F[:nf, :nf] @ gamma.conj().T) / params.rho0
-    return F_hat, basis, res

@@ -40,18 +40,11 @@ def build_modes(params: ModelParams) -> list[Mode]:
     """
     rho = params.rho
     r_max = params.uv_cutoff
-    modes = []
     cell = (1.0 - rho ** 3) / 3.0
+    # one shell: (unit direction, polarization, spin coupling) of each mode
     if params.dim == 1:
         w_ang = 2.0 * math.pi
-        for j in range(params.j_max + 1):
-            for s in (+1.0, -1.0):
-                k_abs = (rho ** j) * r_max
-                modes.append(Mode(
-                    j=j, k=np.array([s * k_abs]), k_abs=k_abs,
-                    weight=cell * (r_max ** 3) * (rho ** (3 * j)) * w_ang,
-                    coupling=params.spin_coupling.copy(), pol=0,
-                ))
+        shell = [(np.array([s]), 0, params.spin_coupling) for s in (+1.0, -1.0)]
     else:
         dirs = [np.array(v, dtype=float) for v in
                 [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]
@@ -59,18 +52,14 @@ def build_modes(params: ModelParams) -> list[Mode]:
         sigma = [np.array([[0, 1], [1, 0]], dtype=complex),
                  np.array([[0, -1j], [1j, 0]], dtype=complex),
                  np.array([[-1, 0], [0, 1]], dtype=complex)]
-        for j in range(params.j_max + 1):
-            for d in dirs:
-                k_abs = (rho ** j) * r_max
-                kvec = k_abs * d
-                for lam in (1, 2):
-                    eps = polarization(kvec, lam)
-                    g = sum(eps[a] * sigma[a] for a in range(3))
-                    modes.append(Mode(
-                        j=j, k=kvec, k_abs=k_abs,
-                        weight=cell * (r_max ** 3) * (rho ** (3 * j)) * w_ang,
-                        coupling=g, pol=lam,
-                    ))
+        shell = [(d, lam, sum(e * s for e, s in zip(polarization(d, lam), sigma)))
+                 for d in dirs for lam in (1, 2)]
+    modes = []
+    for j in range(params.j_max + 1):
+        k_abs = (rho ** j) * r_max
+        weight = cell * (r_max ** 3) * (rho ** (3 * j)) * w_ang
+        modes += [Mode(j=j, k=k_abs * d, k_abs=k_abs, weight=weight, coupling=g.copy(), pol=pol)
+                  for d, pol, g in shell]
     return modes
 
 

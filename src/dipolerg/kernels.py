@@ -65,24 +65,27 @@ def interp_rows(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # grids
 
-def _l_sums(lqs, vec=None):
-    """|l|^2 and vec.l over the product grid of the l-axis vectors `lqs`.
+def rl_frame(rq, lqs, vec=None, family: bool = False):
+    """(r, |l|^2, vec.l) on the (r, l) product grid of query vectors.
 
-    Each vector may carry leading row axes, shape (..., n_a); the results
-    have shape (..., 1, n_0, ..., n_{d-1}), the 1 standing for the r-axis,
-    so they broadcast against the (r, l) base grid.  The dot product is 0.0
-    when vec is None.
+    rq has shape (..., n_r) and each l-axis vector (..., n_a), the same
+    leading row axes in front.  r comes as (..., n_r, 1, ..., 1) and the
+    l-sums as (..., 1, n_0, ..., n_{d-1}), with a length-1 family axis after
+    the row axes when family is set; vec.l is 0.0 when vec is None.
     """
+    rq = np.asarray(rq)
+    lead = rq.shape[:-1] + (1,) * family
+    r = rq.reshape(lead + rq.shape[-1:] + (1,) * len(lqs))
     l2 = pl = 0.0
     for a, q in enumerate(lqs):
         q = np.asarray(q)
         s = [1] * (1 + len(lqs))
         s[1 + a] = q.shape[-1]
-        q = q.reshape(q.shape[:-1] + tuple(s))
+        q = q.reshape(q.shape[:-1] + (1,) * family + tuple(s))
         l2 = l2 + np.square(q)
         if vec is not None:
             pl = pl + vec[a] * q
-    return l2, pl
+    return r, l2, pl
 
 
 def _default_layout(params: ModelParams):
@@ -138,8 +141,7 @@ class KernelGrid:
             if ax[i0] != 0.0:
                 raise ConfigError("every l-axis must contain 0")
         # base set |l| <= r
-        l2, _ = _l_sums(self.l_axes)
-        r = self.r_nodes.reshape((-1,) + (1,) * len(self.l_axes))
+        r, l2, _ = rl_frame(self.r_nodes, self.l_axes)
         self.mask = np.sqrt(l2) <= r + 1e-12
 
     @property
@@ -189,20 +191,21 @@ class Kernel:
         kernel without photon axes)."""
         return self.values.shape[-1] if self.m + self.n else len(self.grid.modes)
 
-    def eval_product(self, ids, rq, l_queries) -> np.ndarray:
-        """Values of a stack on each row's (r, l) product grid of query vectors.
+    def eval_product(self, ids, rq, l_queries, run=slice(None)) -> np.ndarray:
+        """Values of the stack's members in run on each row's (r, l) query grid.
 
         ids has shape (rows, m + n), rq (rows, n_r) and every l-query
         (rows, n_l); the result has shape (rows, n_f, n_r, n_l, ...).  A row
         with a photon argument beyond the first n_modes modes evaluates to 0.
         """
+        values = self.values[run]
         rq = np.asarray(rq, dtype=float)
         ids = np.asarray(ids, dtype=int)
         ok = np.all(ids < self.n_modes, axis=1)
         # (rows, members, base...) blocks at each row's photon arguments; a kernel
         # without photon axes shares its one block with every row
-        blocks = np.moveaxis(self.values[(Ellipsis,) + tuple(ids[ok].T)], -1, 0) \
-            if self.m + self.n else self.values[None]
+        blocks = np.moveaxis(values[(Ellipsis,) + tuple(ids[ok].T)], -1, 0) \
+            if self.m + self.n else values[None]
         queries = [q[ok] for q in [rq] + [np.asarray(q, dtype=float) for q in l_queries]]
         # members ride behind the interpolated axes, then come back in C
         # order, which the chain's products and row sums run fastest on
@@ -321,13 +324,6 @@ def _masked_sup(kernel: Kernel, arr: np.ndarray) -> float:
     return float(np.max(np.where(mask, np.abs(arr), 0.0)))
 
 
-def norm_half(kernel: Kernel) -> float:
-    """sup over the base set of |w| * prod |k_i|^{-1/2} (m+n >= 1)."""
-    if kernel.m + kernel.n < 1:
-        raise ConfigError("norm_half needs m+n >= 1")
-    return _masked_sup(kernel, kernel.values * _photon_factor(kernel))
-
-
 def _base_gradients(kernel: Kernel):
     g = kernel.grid
     vals = kernel.values
@@ -357,8 +353,8 @@ def polydisc_measure(family: KernelFamily) -> NormLedger:
     dropped_mass estimates the tail beyond the top m+n from the last two."""
     g = family.grid
     (z,), (origin,) = family.zs, family.w00_origins()
-    _, pl = _l_sums(g.l_axes, family.p / g.params.m)
-    marginal = g.r_nodes.reshape((-1,) + (1,) * len(g.l_axes)).astype(complex) - pl
+    r, _, pl = rl_frame(g.r_nodes, g.l_axes, family.p / g.params.m)
+    marginal = r - pl
     gamma = norm_sharp(Kernel(0, 0, g, family.stacks[(0, 0)].values[0] - origin - marginal))
     sharps = {mn: norm_sharp(s[0]) for mn, s in sorted(family.stacks.items())}
     blocks = {}
@@ -486,25 +482,3 @@ def sequence_to_json(family: KernelFamily) -> str:
         ],
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def sequence_from_json(text: str, grid: KernelGrid) -> KernelFamily:
-    """The family of one that sequence_to_json dumped, on the grid it was
-    dumped from: JSON float repr round-trips, so the grid block must match
-    `grid` exactly."""
-    payload = json.loads(text)
-    if payload.get("version") != 1:
-        raise ConfigError("unknown kernel dump version")
-    if payload.get("grid") != _grid_json(grid):
-        raise ConfigError("kernel dump was taken on another grid")
-    kernels = {}
-    for item in payload["kernels"]:
-        m, n = item["m"], item["n"]
-        # photon axes run over a prefix of the grid's modes
-        if item["mode_ids"] != list(range(len(item["mode_ids"]))):
-            raise ConfigError("kernel dump mode_ids must be 0..n-1")
-        shape = grid.base_shape + (len(item["mode_ids"]),) * (m + n)
-        vals = (np.asarray(item["re"]) + 1j * np.asarray(item["im"])).reshape(shape)
-        kernels[(m, n)] = vals[None]
-    z = complex(payload["z"][0], payload["z"][1])
-    return KernelFamily(grid, kernels, payload["p"], [z], [payload.get("meta", {})])

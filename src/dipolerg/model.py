@@ -167,9 +167,10 @@ class ModelParams:
             raise ConfigError("gap parameter mu out of (0, 1/2]")
         if np.linalg.norm(self.p - self.p_star) >= mu * self.m:
             raise ConfigError("momentum must satisfy |p - p*| < mu*m")
-        for name in ("M_max", "L_max", "N_max", "j_max"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        lows = {"M_max": 1, "L_max": 1, "N_max": 1, "j_max": 1, "n_r_uniform": 0, "n_l_uniform": 0}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if self.n_z_samples < 3:
             raise ConfigError("need at least 3 z samples")
         if self.uv_cutoff <= 0.0:

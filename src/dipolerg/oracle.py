@@ -93,39 +93,6 @@ def pt2_energy(params: ModelParams) -> float:
     return -params.lam0 ** 2 * total
 
 
-def effective_mass(p_values, e_values, m: float) -> dict:
-    """Two independent curvature estimates of the dispersion at p = 0.
-
-    The sweep must be symmetric about 0.  Returns the second-difference
-    estimate, an even-polynomial fit estimate, and the fit residual.
-    """
-    p = np.asarray(p_values, dtype=float)
-    e = np.asarray(e_values, dtype=float)
-    order = np.argsort(p)
-    p, e = p[order], e[order]
-    if not np.allclose(p + p[::-1], 0.0, atol=1e-12):
-        raise ConfigError("effective mass needs a sweep symmetric about 0")
-    i0 = int(np.argmin(np.abs(p)))
-    if abs(p[i0]) > 1e-12:
-        raise ConfigError("sweep must contain p = 0")
-    h = p[i0 + 1] - p[i0]
-    curv_diff = (e[i0 + 1] - 2.0 * e[i0] + e[i0 - 1]) / h ** 2
-    # even polynomial in p, degree 6
-    A = np.stack([p ** 0, p ** 2, p ** 4, p ** 6], axis=1)
-    coef, *_ = np.linalg.lstsq(A, e, rcond=None)
-    fit = A @ coef
-    resid = float(np.max(np.abs(fit - e)))
-    curv_fit = 2.0 * coef[1]
-    return {
-        "curvature_diff": float(curv_diff),
-        "curvature_fit": float(curv_fit),
-        "fit_residual": resid,
-        "energy_range": float(e.max() - e.min()),
-        "m_eff_diff": 1.0 / (1.0 / m + curv_diff),
-        "m_eff_fit": 1.0 / (1.0 / m + curv_fit),
-    }
-
-
 def sweep_to_csv(p_values, energies, method: str) -> str:
     """CSV table of a dispersion sweep: one row (p, energy, method) per
     momentum, p being the first component."""

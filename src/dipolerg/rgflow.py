@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from .model import ConfigError, ModelParams, chibar
-from .kernels import (KernelFamily, KernelGrid, polydisc_measure, scale_transform,
-                      _base_gradients, _l_sums)
+from .kernels import (KernelFamily, KernelGrid, polydisc_measure, rl_frame,
+                      scale_transform, _base_gradients)
 from . import wick
 from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
 from .fockspace import FockBasis
@@ -46,14 +46,12 @@ def _band_denominator(family: KernelFamily):
     """
     def F_eval(rq, lqs, run=slice(None)):
         # rq has shape (rows, n_r), every l-query (rows, n_l); the members in run
-        rq = np.asarray(rq)
-        rcol = rq.reshape((len(rq), 1) + rq.shape[1:] + (1,) * len(lqs))
+        rcol, l2, _ = rl_frame(rq, lqs, family=True)
         cb2 = chibar(rcol, family.grid.rho) ** 2
         inside = rcol <= 1.0 + 1e-12
-        vals = family.stacks[(0, 0)][run].eval_product(np.zeros((len(rq), 0), int), rq, lqs)
+        vals = family.stacks[(0, 0)].eval_product(np.zeros((len(rq), 0), int), rq, lqs, run)
         # physical region only: field momentum cannot exceed field energy
-        l2, _ = _l_sums(lqs)
-        live = (cb2 > 0.0) & inside & (np.sqrt(l2[:, None]) <= rcol + 1e-9)
+        live = (cb2 > 0.0) & inside & (np.sqrt(l2) <= rcol + 1e-9)
         if np.any(live & (np.abs(vals) < 1e-12)):
             raise FlowError("band symbol vanishes inside the decimation region")
         return np.where(live, cb2 / np.where(live, vals, 1.0), 0.0)
@@ -207,11 +205,14 @@ def run_flow(params: ModelParams, n_max: int = 40,
     is Cauchy at tol_factor * mu.  Returns the composed ground energy in
     physical units (rho0 times the limiting rescaled value).  Raises
     FlowError when n_max stages pass without meeting the criterion, and
-    ConfigError when n_max leaves no stage at which it can be met.
+    ConfigError when n_max leaves no stage at which it can be met or
+    tol_factor is not a finite positive number.
     """
     if n_max < max(min_stages, 2):
         raise ConfigError(f"n_max={n_max} is below the {max(min_stages, 2)} "
                           "stages the convergence criterion needs")
+    if not 0.0 < tol_factor < math.inf:
+        raise ConfigError(f"tol_factor must be finite and > 0, got {tol_factor}")
     mu = params.mu
     rho = params.rho
     tol = tol_factor * mu

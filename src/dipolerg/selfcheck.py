@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import ModelParams, SIGMA_X, chi
 from .fockspace import Mode, FockBasis, functional_calculus
-from .kernels import Kernel, KernelFamily, KernelGrid, assemble_operator, _l_sums
+from .kernels import Kernel, KernelFamily, KernelGrid, assemble_operator, rl_frame
 from . import wick
 
 
@@ -40,12 +40,11 @@ def _toy_kernels(grid, rng):
     """Deterministic smooth vertex kernels, symmetric in the photon blocks,
     sampled on the toy grid (modes 0 and 1), each a family of one."""
     k_signed = grid.k_vec[:, 0]
-    r = grid.r_nodes.reshape((-1,) + (1,) * len(grid.l_axes))
     out = {}
     for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
         c = rng.normal(size=5) + 1j * rng.normal(size=5)
-        base = np.full(grid.base_shape, c[0], dtype=complex) + c[1] * r
-        base = base + _l_sums(grid.l_axes, [c[2]] * len(grid.l_axes))[1]
+        r, _, pl = rl_frame(grid.r_nodes, grid.l_axes, [c[2]] * len(grid.l_axes))
+        base = np.full(grid.base_shape, c[0], dtype=complex) + c[1] * r + pl
         vals = np.zeros(grid.base_shape + (2,) * (m + n), dtype=complex)
         for tup in itertools.product(range(2), repeat=m + n):
             phot = sum(c[3] + c[4] * k_signed[g] for g in tup[:m])
@@ -55,17 +54,15 @@ def _toy_kernels(grid, rng):
     return out
 
 
-def _f_factor(rq, lqs):
+def _f_factor(rq, lqs, run=slice(None)):
     """Diagonal chain factor, analytic below the cap and zero above.
 
     rq has shape (rows, n_r), every l-query (rows, n_l); the result is a
-    family of one, (rows, 1, n_r, n_l)."""
-    rq = np.asarray(rq)
-    r = rq.reshape(rq.shape + (1,) * len(lqs))
-    l2, _ = _l_sums(lqs)
+    family of one, (rows, 1, n_r, n_l), whatever the members in run."""
+    r, l2, _ = rl_frame(rq, lqs, family=True)
     vals = 1.0 / (0.7 + r + 0.2 * l2)
     inside = (r <= 1.0 + 1e-12)
-    return np.where(inside, vals, 0.0)[:, None]
+    return np.where(inside, vals, 0.0)
 
 
 def wick_reassembly_defect(params: ModelParams | None = None,

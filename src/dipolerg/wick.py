@@ -31,7 +31,6 @@ operator-identity self-check (sampled toy kernels).
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import itertools
@@ -41,7 +40,7 @@ import numpy as np
 
 from .model import ConfigError, chi, rho_power
 from .fockspace import shift_index
-from .kernels import Kernel, KernelGrid, symmetrize
+from .kernels import KernelGrid, rl_frame, symmetrize
 
 # a batch is evaluated in chunks of rows that hold at most this many (r, l)
 # grid points per family member: on the default grid a first-decimation
@@ -189,19 +188,19 @@ class WickContext:
 
     `vertices` maps a kernel index (a, b) to a vertex with the Kernel
     interface, evaluated on a batch of rows at once:
-    eval_product(ids, rq, lqs) takes grid mode positions ids (rows, a + b)
-    (creators first), rq (rows, n_r) and one (rows, n_l) array per l-axis,
-    and returns each row's values on the (r, l) product grid of its query
-    vectors, (rows, n_f, *base), with (s, s) axes appended for a spin
-    vertex and n_f = 1 for a vertex that is the same at every member;
+    eval_product(ids, rq, lqs, run) takes grid mode positions ids (rows,
+    a + b) (creators first), rq (rows, n_r), one (rows, n_l) array per
+    l-axis and the slice run of family members, and returns each row's
+    values on the (r, l) product grid of its query vectors, (rows, n_f,
+    *base), with (s, s) axes appended for a spin vertex; n_f counts the
+    members in run, or is 1 for a vertex that is the same at every member.
     max_abs() bounds it per member, like F_max (read only when prune > 0),
     live_modes() lists the modes it is not identically zero on, and
     spin_pattern() is the boolean sparsity of its spin block (1x1 for a
     scalar vertex).  A Kernel vertex is a stack.
-    F_eval(rq, lqs) takes the same stacked queries and returns the diagonal
-    resolvent factor at every family member, (rows, n_f, *base) or (rows,
-    n_f, *base, s), masked to its domain; a family of one has n_f = 1.
-    member_run calls F_eval(rq, lqs, run) for the members in the slice run.
+    F_eval(rq, lqs, run) takes the same stacked queries and returns the
+    diagonal resolvent factor at the members in run, (rows, n_f, *base) or
+    (rows, n_f, *base, s), masked to its domain; a family of one has n_f = 1.
     `scale` must be rho^s for an integer s (rho the grid's ratio): the
     external photons then sit s shells up the grid (scaled_ids).
     """
@@ -223,14 +222,6 @@ class WickContext:
         self.max_abs = ({k: v.max_abs() for k, v in self.vertices.items()}
                         if self.prune > 0.0 else {})
 
-    def member_run(self, run: slice) -> "WickContext":
-        """The context of the family members in `run`, stacked vertices as views."""
-        sub = copy.copy(self)
-        sub.vertices = {k: v[run] if isinstance(v, Kernel) else v
-                        for k, v in self.vertices.items()}
-        sub.F_eval = lambda rq, lqs: self.F_eval(rq, lqs, run)
-        return sub
-
 
 def _tuples(values, k: int) -> np.ndarray:
     """Every k-tuple of `values`, in itertools.product order: shape (n^k, k)."""
@@ -243,7 +234,7 @@ def _drop_zero_rows(rows, chain):
     return (rows, chain) if np.all(live) else (rows[live], chain[live])
 
 
-def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
+def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
     """Values of a batch of same-shape chains over their (r, l) grids.
 
     Row i of `modes` (rows, legs) puts leg j, with ends[j] = (opened,
@@ -254,8 +245,8 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
     pulled through.  A row whose partial chain vanishes at every member is
     dropped at once: no later vertex or resolvent is evaluated on it.  A
     spin chain carries only its row <0|, the one its (0, 0) value depends
-    on, the diagonal resolvent scaling each entry.  Returns the
-    indices of the surviving rows and their values, (rows, n_f, *base).
+    on, the diagonal resolvent scaling each entry.  Returns the surviving
+    rows' indices and values at the members in run, (rows, n_f, *base).
     """
     rows = np.arange(len(modes))
     chain = None
@@ -265,7 +256,7 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
                 + [j for j, (o, _) in enumerate(ends) if o == v])
         rq, *lqs = [q[rows, 2 * v + 1] for q in queries]
         val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
-            modes[np.ix_(rows, cols)], rq, lqs)
+            modes[np.ix_(rows, cols)], rq, lqs, run)
         if chain is None:
             chain = val[..., 0, :] if spin else val
         elif spin:
@@ -275,7 +266,7 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries):
         rows, chain = _drop_zero_rows(rows, chain)
         if v < spec.L - 1 and len(rows):
             rq, *lqs = [q[rows, 2 * v + 2] for q in queries]
-            rows, chain = _drop_zero_rows(rows, chain * ctx.F_eval(rq, lqs))
+            rows, chain = _drop_zero_rows(rows, chain * ctx.F_eval(rq, lqs, run))
         if not len(rows):
             break
     return rows, chain[..., 0] if spin else chain
@@ -330,7 +321,7 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
     # support kills the term
     keep = np.flatnonzero(np.all(np.isin(ctx.scaled_ids[ext], ctx.live_modes), axis=1))
     nb = len(g.base_shape)
-    r_col = g.r_nodes.reshape((1, -1) + (1,) * (nb - 1))
+    r_col, _, _ = rl_frame(g.r_nodes[None], g.l_axes)
 
     def cutoff(legs):
         return chi(r_col + g.k_abs[legs].sum(axis=1).reshape((-1,) + (1,) * nb), 1.0)
@@ -352,7 +343,6 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
         # from the first to the last it passes at, and adds zeros elsewhere
         run = (slice(None) if np.all(members)
                else slice(*np.flatnonzero(members)[[0, -1]] + [0, 1]))
-        sub = ctx if run == slice(None) else ctx.member_run(run)
         # external photons come in the rescaled frame, lines in the vertex frame
         sums = _leg_sums(ext, ends, spec.L, g.k_abs, g.k_vec)
         frame = [ctx.scale * (ax + sums[:, :, a, None]) for a, ax in enumerate(g.base_axes)]
@@ -369,9 +359,9 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
             for lo in range(0, len(t_all), chunk):
                 t_of, j_of = t_all[lo:lo + chunk], j_all[lo:lo + chunk]
                 queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
-                rows, vals = _chain_rows(sub, spec,
+                rows, vals = _chain_rows(ctx, spec,
                                          np.concatenate([scaled[t_of], lines[j_of]], axis=1),
-                                         ends + line_ends, queries)
+                                         ends + line_ends, queries, run)
                 if not len(rows):
                     continue
                 wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]

@@ -15,13 +15,12 @@ import pytest
 from dipolerg.model import ModelParams
 from dipolerg.fockspace import FockBasis, dilation
 from dipolerg.kernels import (KernelGrid, Kernel, KernelFamily,
-                              assemble_operator, scale_transform,
-                              norm_half, norm_sharp)
+                              assemble_operator, scale_transform, norm_sharp)
 from dipolerg.firststep import initial_kernels
-from dipolerg.feshbach import planted_instance, isospectral_test
 from dipolerg.rgflow import run_flow, extract_alpha_beta
-from dipolerg.oracle import ground_energy, pt2_energy, effective_mass
+from dipolerg.oracle import ground_energy, pt2_energy
 from dipolerg.selfcheck import wick_reassembly_defect
+from helpers import effective_mass, isospectral_test, norm_half, planted_instance
 
 
 def test_free_theory_exactness():

@@ -271,7 +271,6 @@ def photon_last_assemble_target(M, N, ctx, n_ext):
     for spec, pref, ends, pairings, members in shapes:
         run = (slice(None) if np.all(members)
                else slice(*np.flatnonzero(members)[[0, -1]] + [0, 1]))
-        sub = ctx if run == slice(None) else ctx.member_run(run)
         sums = wick._leg_sums(ext, ends, spec.L, g.k_abs, g.k_vec)
         frame = [ctx.scale * (ax + sums[:, :, a, None]) for a, ax in enumerate(g.base_axes)]
         acc = None
@@ -285,8 +284,8 @@ def photon_last_assemble_target(M, N, ctx, n_ext):
                 t_of, j_of = t_all[lo:lo + chunk], j_all[lo:lo + chunk]
                 queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
                 rows, vals = wick._chain_rows(
-                    sub, spec, np.concatenate([ctx.scaled_ids[ext][t_of], lines[j_of]], axis=1),
-                    ends + line_ends, queries)
+                    ctx, spec, np.concatenate([ctx.scaled_ids[ext][t_of], lines[j_of]], axis=1),
+                    ends + line_ends, queries, run)
                 if not len(rows):
                     continue
                 wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]

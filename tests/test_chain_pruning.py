@@ -34,9 +34,9 @@ def _count_chains(monkeypatch):
     shapes = []
     orig = wick._chain_rows
 
-    def counted(ctx, spec, modes, ends, queries):
+    def counted(ctx, spec, modes, ends, queries, run):
         shapes.extend([spec] * len(modes))
-        return orig(ctx, spec, modes, ends, queries)
+        return orig(ctx, spec, modes, ends, queries, run)
 
     monkeypatch.setattr(wick, "_chain_rows", counted)
     return shapes

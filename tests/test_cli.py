@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from dipolerg import cli, firststep, rgflow, selfcheck
 from dipolerg.cli import main, EXIT_CONFIG, EXIT_FIRST_STEP, EXIT_FLOW, EXIT_VALIDATION
 from dipolerg.firststep import FirstStepError
-from dipolerg.kernels import polydisc_measure, sequence_from_json
+from dipolerg.kernels import polydisc_measure
+from helpers import sequence_from_json
 
 
 @pytest.fixture()
@@ -71,6 +72,7 @@ def test_config_dump_set_roundtrip(tmp_path_factory, sets):
 @pytest.mark.parametrize("args", [
     ["flow", "--set", "lam0=nan"],           # rejected by ModelParams
     ["first-step", "--set", "rho0=0.05"],    # rejected by the first decimation
+    ["first-step", "--set", "n_r_uniform=-2"],  # rejected by ModelParams
 ])
 def test_config_errors_exit_1_with_one_line(runner, args):
     out = runner.invoke(main, args)
@@ -232,6 +234,10 @@ def test_validate_pass_and_fail(runner):
     ["wick-check", "--tol", "nan"],
     ["wick-check", "--tol", "inf"],
     ["first-step", "--z", "nan"],
+    ["flow", "--set", "tol_factor=nan"],
+    ["validate", "--set", "tol_factor=0"],
+    ["flow", "--set", "tol_factor=inf"],
+    ["dispersion", "--method", "pt2", "--set", "p_sweep_max=inf"],
 ])
 def test_non_finite_or_negative_values_exit_1_before_any_work(runner, monkeypatch, args):
     def no_work(*_a, **_k):

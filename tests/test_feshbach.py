@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dipolerg.model import ConfigError
-from dipolerg.feshbach import (feshbach_map, isospectral_test,
-                               planted_instance, DecimationError)
+from dipolerg.feshbach import feshbach_map, DecimationError
+from helpers import isospectral_test, planted_instance
 
 
 def test_decoupled_limit_is_restriction(rng):

@@ -7,7 +7,7 @@ from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z, rho_power
 from dipolerg.kernels import KernelGrid, assemble_operator
 from dipolerg.fockspace import FockBasis, dilation, number_projection
 from dipolerg import firststep
-from dipolerg.firststep import (initial_kernels, matrix_first_step,
+from dipolerg.firststep import (initial_kernels, spin_fock_decimation,
                                 TwoLevelResolventData, FirstStepError,
                                 first_step_admissible,
                                 lambda_critical_estimate)
@@ -94,6 +94,23 @@ def test_two_level_resolvent_gap_guard():
     F = TwoLevelResolventData(params, z_phys=0.4)
     with pytest.raises(FirstStepError):
         F(np.array([[0.3]]), [np.array([[0.0]])])
+
+
+def matrix_first_step(params: ModelParams, z, basis: FockBasis | None = None):
+    """Dense-route first decimation on the spin-Fock matrix representation.
+
+    Decimates H(p) - rho0*z with the soft partition (lower level only,
+    field content below the band edge), then rescales by conjugation with
+    the grid dilation.  Returns the rescaled lower-level block and the
+    basis, for comparison against assembling the kernel sequence into an
+    operator.
+    """
+    steps = rho_power(params.rho0, params.rho)
+    _, basis, res = spin_fock_decimation(params, params.rho0 * complex(z), basis)
+    nf = len(basis)
+    gamma = dilation(basis, steps=steps).toarray()
+    F_hat = (gamma @ res.F[:nf, :nf] @ gamma.conj().T) / params.rho0
+    return F_hat, basis, res
 
 
 def test_matrix_cross_check_quartic(small_params):

@@ -10,10 +10,10 @@ from dipolerg.fockspace import FockBasis, build_modes
 from dipolerg import kernels
 from dipolerg.firststep import initial_kernels
 from dipolerg.kernels import (interp_rows, KernelGrid, Kernel,
-                              KernelFamily, symmetrize, norm_half, norm_sharp,
+                              KernelFamily, symmetrize, norm_sharp,
                               polydisc_measure, scale_transform,
-                              assemble_operator, sequence_to_json,
-                              sequence_from_json)
+                              assemble_operator, sequence_to_json)
+from helpers import norm_half, sequence_from_json
 
 
 def _one(grid, kernels, p=0.0, z=0.0, meta=None):

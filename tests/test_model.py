@@ -72,6 +72,14 @@ def test_params_rejects_negative_mass():
         ModelParams(m=-1.0)
 
 
+@pytest.mark.parametrize("name", ["n_r_uniform", "n_l_uniform"])
+def test_params_reject_negative_uniform_node_counts(name):
+    # numpy's linspace would reject them later, with a traceback
+    with pytest.raises(ConfigError, match=name):
+        ModelParams(**{name: -2})
+    assert getattr(ModelParams(**{name: 0}), name) == 0
+
+
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 

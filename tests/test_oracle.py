@@ -5,7 +5,8 @@ import scipy.sparse.linalg as spla
 from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z
 from dipolerg.fockspace import FockBasis, build_modes
 from dipolerg.oracle import (build_fiber_hamiltonian, ground_energy, pt2_energy,
-                             effective_mass, sweep_to_csv)
+                             sweep_to_csv)
+from helpers import effective_mass
 
 
 @pytest.fixture()

@@ -147,6 +147,10 @@ def test_run_flow_raises_when_not_cauchy():
     for n_max, min_stages in [(1, 2), (0, 2), (3, 4)]:
         with pytest.raises(ConfigError):
             run_flow(params, n_max=n_max, min_stages=min_stages)
+    # so is a tolerance never met (NaN, 0, -1) or always met (inf)
+    for tol_factor in [np.nan, 0.0, -1.0, np.inf]:
+        with pytest.raises(ConfigError, match="tol_factor"):
+            run_flow(params, tol_factor=tol_factor)
 
 
 def test_run_flow_reports_first_step_failure():
@@ -190,10 +194,10 @@ def test_no_vertex_sees_a_below_floor_mode(monkeypatch):
     seen = []
 
     def checked(orig):
-        def eval_product(self, global_ids, rq, lqs):
+        def eval_product(self, global_ids, rq, lqs, run=slice(None)):
             assert np.all(np.asarray(global_ids) >= 0), global_ids
             seen.append(type(self))
-            return orig(self, global_ids, rq, lqs)
+            return orig(self, global_ids, rq, lqs, run)
         return eval_product
 
     monkeypatch.setattr(Kernel, "eval_product", checked(Kernel.eval_product))
@@ -318,3 +322,34 @@ def test_renormalize_raises_when_one_member_misses_its_band_margin():
     assert margins[1] == pytest.approx(1e-6) and min(margins[0], margins[2]) > 0.1
     with pytest.raises(FlowError, match="band margin 1.000e-06"):
         renormalize(family, params)
+
+
+def test_member_runs_reach_the_vertices_and_the_resolvent(monkeypatch):
+    # this renormalize evaluates chain shapes pruned at some members over
+    # the member runs slice(2, 3) and slice(1, 3): vertices and resolvent
+    # must be evaluated at those members only (all three would cost about
+    # 10 % of the default run_flow), each member still as if alone
+    params = ModelParams(lam0=0.02, j_max=5, j_max_pair=3, n_z_samples=3,
+                         spin_coupling=SIGMA_Z)
+    family = initial_kernels(params, cheb_nodes(3, 0.45 * params.mu))
+    vertex, resolvent = [], []
+    vertex_eval, band = Kernel.eval_product, rgflow._band_denominator
+
+    def eval_product(self, *args):
+        out = vertex_eval(self, *args)
+        vertex.append(out.shape[1])
+        return out
+
+    def F_eval(fam, *args):
+        n = len(vertex)
+        out = band(fam)(*args)
+        del vertex[n:]      # the band symbol the resolvent reads is no chain vertex
+        resolvent.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(Kernel, "eval_product", eval_product)
+    monkeypatch.setattr(rgflow, "_band_denominator", lambda fam: lambda *a: F_eval(fam, *a))
+    out = renormalize(family, params)
+    monkeypatch.undo()
+    assert {1, 2, 3} <= set(vertex) and {1, 2, 3} <= set(resolvent)
+    _assert_members_alone(family, out, params)
