@@ -324,7 +324,8 @@ def _masked_sup(kernel: Kernel, arr: np.ndarray) -> float:
     return float(np.max(np.where(mask, np.abs(arr), 0.0)))
 
 
-def _base_gradients(kernel: Kernel):
+def base_gradients(kernel: Kernel):
+    """Second-order derivatives of a kernel along r and each l axis."""
     g = kernel.grid
     vals = kernel.values
     grads = [np.gradient(vals, g.r_nodes, axis=0, edge_order=2)]
@@ -342,7 +343,7 @@ def norm_sharp(kernel: Kernel) -> float:
     # w00 counts its value at the origin, a kernel with photons its sup
     total = (float(abs(kernel.values[(g.r0_idx,) + g.l0_idx])) if kernel.m + kernel.n == 0
              else _masked_sup(kernel, kernel.values * fac))
-    for d in _base_gradients(kernel):
+    for d in base_gradients(kernel):
         total += _masked_sup(kernel, d * fac)
     return total
 

@@ -1,9 +1,13 @@
 """Physical model definition.
 
 Parameters of the two-level dipole coupled to a massless boson field, the
-smooth infrared cutoff profile chi and its complement, polarization
-frames for d=3, and the d=1 desk-mode reduction switches.  Everything here is immutable after construction and safe to
-share across workers.
+smooth infrared cutoff profile chi and its complement, and the polarization
+frames for d=3.  Everything here is immutable after construction and safe
+to share across workers.
+
+The configuration keys are the ModelParams fields, each with its default
+and doc line, plus the run-control keys of _RUN_CONTROL (the flow's stage
+cap and tolerance, the dispersion sweep); params_from_config checks both.
 """
 
 from __future__ import annotations
@@ -102,43 +106,48 @@ def _as_vec(value, dim: int) -> np.ndarray:
     return v
 
 
+def _key(default, doc: str):
+    return dataclasses.field(default=default, metadata={"doc": doc})
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class ModelParams:
     """All physical and RG parameters; validated at construction.
 
     Momenta are scalars in d=1 and 3-vectors in d=3 (stored as arrays of
-    length d either way).
+    length d either way).  The spin coupling is a 2x2 Hermitian matrix or
+    a tag of _spin_matrix; None means sigma_x.
     """
 
-    m: float = 1.0
-    omega0: float = 1.0
-    lam0: float = 0.0
-    p_star: object = 0.0
-    p: object = 0.0
-    rho: float = 0.45
-    rho0: float = 0.45 ** 3
-    xi: float = 0.04
-    dim: int = 1
-    spin_coupling: object = None
-    uv_cutoff: float = 1.0
+    m: float = _key(1.0, "dipole mass")
+    omega0: float = _key(1.0, "two-level splitting")
+    lam0: float = _key(0.0, "coupling constant")
+    p: object = _key(0.0, "conserved momentum (d=1 scalar; d=3: component along e_z)")
+    p_star: object = _key(0.0, "reference momentum for the gap parameter mu")
+    rho: float = _key(0.45, "RG scale factor, in (0, 1/2)")
+    rho0: float = _key(0.45 ** 3, "first-decimation scale; keep it a power of rho")
+    xi: float = _key(0.04, "kernel weight for the xi-norm")
+    dim: int = _key(1, "spatial dimension, 1 (desk mode) or 3 (validation mode)")
+    spin_coupling: object = _key("sigma_x", "sigma_x | sigma_z | mix:<a>,<b> for a*sx+b*sz")
+    uv_cutoff: float = _key(1.0, "photon energy of the top mode shell (j = 0)")
     # truncations and grid descriptors
-    M_max: int = 2
-    L_max: int = 3
-    N_max: int = 3
-    j_max: int = 10
-    j_max_pair: int = 7
-    n_r_uniform: int = 12
-    n_l_uniform: int = 4
-    n_l_axis_d3: int = 3
-    n_z_samples: int = 9
+    M_max: int = _key(2, "kernel index cap (m+n <= M_max)")
+    L_max: int = _key(3, "Neumann / chain depth cap")
+    N_max: int = _key(3, "oracle photon-number cap")
+    j_max: int = _key(10, "deepest geometric grid index; IR floor rho^j_max")
+    j_max_pair: int = _key(7, "mode-grid cap for kernels with two photon arguments")
+    n_r_uniform: int = _key(12, "extra uniform r-grid nodes resolving the chi ramp")
+    n_l_uniform: int = _key(4, "extra uniform |l|-grid nodes (d=1)")
+    n_l_axis_d3: int = _key(3, "l-grid nodes per axis in d=3 validation mode")
+    n_z_samples: int = _key(9, "Chebyshev samples of the spectral parameter")
 
     def __post_init__(self):
         if self.dim not in (1, 3):
             raise ConfigError("dimension must be 1 or 3")
         object.__setattr__(self, "p_star", _as_vec(self.p_star, self.dim))
         object.__setattr__(self, "p", _as_vec(self.p, self.dim))
-        g = (SIGMA_X.copy() if self.spin_coupling is None
-             else np.asarray(self.spin_coupling, dtype=complex))
+        g = "sigma_x" if self.spin_coupling is None else self.spin_coupling
+        g = _spin_matrix(g) if isinstance(g, str) else np.asarray(g, dtype=complex)
         if g.shape != (2, 2):
             raise ConfigError("spin coupling must be a 2x2 matrix")
         object.__setattr__(self, "spin_coupling", g)
@@ -171,8 +180,9 @@ class ModelParams:
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
-        if self.n_z_samples < 3:
-            raise ConfigError("need at least 3 z samples")
+        # the flow reads its ledgers off the middle member, at z = 0 for odd counts only
+        if self.n_z_samples < 3 or self.n_z_samples % 2 == 0:
+            raise ConfigError(f"n_z_samples must be odd and >= 3, got {self.n_z_samples}")
         if self.uv_cutoff <= 0.0:
             raise ConfigError("uv cutoff must be positive")
 
@@ -185,38 +195,27 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# configuration schema (plain-text key=value files; no env vars)
+# configuration (plain-text key=value files; no env vars)
 
-_SCHEMA = {
-    "m": (float, 1.0, "dipole mass"),
-    "omega0": (float, 1.0, "two-level splitting"),
-    "lam0": (float, 0.0, "coupling constant"),
-    "p": (float, 0.0, "conserved momentum (d=1 scalar; d=3: component along e_z)"),
-    "p_star": (float, 0.0, "reference momentum for the gap parameter mu"),
-    "rho": (float, 0.45, "RG scale factor, in (0, 1/2)"),
-    "rho0": (float, 0.45 ** 3, "first-decimation scale; keep it a power of rho"),
-    "xi": (float, 0.04, "kernel weight for the xi-norm"),
-    "dim": (int, 1, "spatial dimension, 1 (desk mode) or 3 (validation mode)"),
-    "spin_coupling": (str, "sigma_x", "sigma_x | sigma_z | mix:<a>,<b> for a*sx+b*sz"),
-    "uv_cutoff": (float, 1.0, "photon energy of the top mode shell (j = 0)"),
-    "M_max": (int, 2, "kernel index cap (m+n <= M_max)"),
-    "L_max": (int, 3, "Neumann / chain depth cap"),
-    "N_max": (int, 3, "oracle photon-number cap"),
-    "j_max": (int, 10, "deepest geometric grid index; IR floor rho^j_max"),
-    "j_max_pair": (int, 7, "mode-grid cap for kernels with two photon arguments"),
-    "n_r_uniform": (int, 12, "extra uniform r-grid nodes resolving the chi ramp"),
-    "n_l_uniform": (int, 4, "extra uniform |l|-grid nodes (d=1)"),
-    "n_l_axis_d3": (int, 3, "l-grid nodes per axis in d=3 validation mode"),
-    "n_z_samples": (int, 9, "Chebyshev samples of the spectral parameter"),
-    "n_flow_max": (int, 40, "max RG iterations"),
-    "tol_factor": (float, 1e-10, "flow convergence tolerance, in units of mu"),
-    "p_sweep_max": (float, 0.4, "dispersion sweep half-width, in units of m"),
-    "p_sweep_points": (int, 9, "dispersion sweep point count (odd, symmetric)"),
+# the keys ModelParams does not hold: default, doc line, rule and its text
+_RUN_CONTROL = {
+    "n_flow_max": (40, "max RG iterations", lambda v: v >= 2,
+                   "must be >= 2 (the convergence criterion compares two stages)"),
+    "tol_factor": (1e-10, "flow convergence tolerance, in units of mu",
+                   lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
+    "p_sweep_max": (0.4, "dispersion sweep half-width, in units of m",
+                    lambda v: 0.0 < v < 1.0,
+                    "must lie in (0, 1) (each sweep point sets p_star = p, and |p_star| < m)"),
+    "p_sweep_points": (9, "dispersion sweep point count (odd, symmetric)",
+                       lambda v: v >= 3 and v % 2 == 1, "must be odd and >= 3"),
 }
+# default and doc line of every key, in dump order
+_KEYS = {f.name: (f.default, f.metadata["doc"]) for f in dataclasses.fields(ModelParams)}
+_KEYS.update((key, spec[:2]) for key, spec in _RUN_CONTROL.items())
 
 
 def config_defaults() -> dict:
-    return {k: v[1] for k, v in _SCHEMA.items()}
+    return {key: default for key, (default, _doc) in _KEYS.items()}
 
 
 def apply_config_line(cfg: dict, raw: str, where: str) -> None:
@@ -231,11 +230,10 @@ def apply_config_line(cfg: dict, raw: str, where: str) -> None:
     if "=" not in line:
         raise ConfigError(f"{where}: expected key=value, got {raw!r}")
     key, val = (s.strip() for s in line.split("=", 1))
-    if key not in _SCHEMA:
+    if key not in _KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    typ = _SCHEMA[key][0]
     try:
-        cfg[key] = typ(val)
+        cfg[key] = type(_KEYS[key][0])(val)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {val!r}") from exc
 
@@ -263,21 +261,15 @@ def _spin_matrix(tag: str) -> np.ndarray:
 
 
 def params_from_config(cfg: dict) -> ModelParams:
-    kw = {f.name: cfg[f.name] for f in dataclasses.fields(ModelParams) if f.name in cfg}
-    if "spin_coupling" in kw and isinstance(kw["spin_coupling"], str):
-        kw["spin_coupling"] = _spin_matrix(kw["spin_coupling"])
-    return ModelParams(**kw)
+    """The ModelParams of a full config, once its run-control keys pass
+    their rules."""
+    for key, (_default, _doc, rule, text) in _RUN_CONTROL.items():
+        if not rule(cfg[key]):
+            raise ConfigError(f"{key} {text}, got {cfg[key]}")
+    return ModelParams(**{f.name: cfg[f.name] for f in dataclasses.fields(ModelParams)})
 
 
 def config_dump_text(cfg: dict | None = None) -> str:
     """Render a config (defaults if None) with one documented key per line."""
     cfg = dict(config_defaults(), **(cfg or {}))
-    lines = []
-    for key, (_typ, _default, doc) in _SCHEMA.items():
-        val = cfg[key]
-        if isinstance(val, float):
-            sval = repr(val)
-        else:
-            sval = str(val)
-        lines.append(f"{key} = {sval}  # {doc}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {cfg[key]}  # {doc}\n" for key, (_default, doc) in _KEYS.items())

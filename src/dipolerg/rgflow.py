@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import ConfigError, ModelParams, chibar
 from .kernels import (KernelFamily, KernelGrid, polydisc_measure, rl_frame,
-                      scale_transform, _base_gradients)
+                      scale_transform, base_gradients)
 from . import wick
 from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
 from .fockspace import FockBasis
@@ -258,7 +258,7 @@ def extract_alpha_beta(family: KernelFamily) -> tuple[float, np.ndarray]:
     per axis)."""
     g = family.grid
     alpha, *beta = [float(np.real(d[(g.r0_idx,) + g.l0_idx]))
-                    for d in _base_gradients(family.stacks[(0, 0)][0])]
+                    for d in base_gradients(family.stacks[(0, 0)][0])]
     return alpha, np.array(beta)
 
 

@@ -42,13 +42,24 @@ def test_bad_config_exit_code(runner):
     assert out.exit_code == EXIT_CONFIG
 
 
-_FLOAT_TEXT = st.tuples(st.floats(min_value=0.0, max_value=1e3),
-                        st.sampled_from(["{!r}", "{:g}", "{:.3e}"])).map(
-    lambda vf: vf[1].format(vf[0]))
+def _float_text(low, high, accept=lambda v: True):
+    """Texts, in three formats, of floats drawn from [low, high]; the value
+    each text rounds to passes `accept`."""
+    return st.tuples(st.floats(min_value=low, max_value=high),
+                     st.sampled_from(["{!r}", "{:g}", "{:.3e}"])).map(
+        lambda vf: vf[1].format(vf[0])).filter(lambda t: accept(float(t)))
+
+
+_FLOAT_TEXT = _float_text(0.0, 1e3)
+# only values every command accepts: config-dump applies the same rules
 _SETS = st.one_of(
-    st.tuples(st.sampled_from(["lam0", "tol_factor", "p_sweep_max"]), _FLOAT_TEXT),
-    st.tuples(st.sampled_from(["n_flow_max", "p_sweep_points", "j_max"]),
-              st.integers(min_value=1, max_value=10 ** 6).map(str)),
+    st.tuples(st.just("lam0"), _FLOAT_TEXT),
+    st.tuples(st.just("tol_factor"), _float_text(0.0, 1e3, lambda v: v > 0.0)),
+    st.tuples(st.just("p_sweep_max"), _float_text(0.0, 1.0, lambda v: 0.0 < v < 1.0)),
+    st.tuples(st.just("n_flow_max"), st.integers(min_value=2, max_value=10 ** 6).map(str)),
+    st.tuples(st.just("p_sweep_points"),
+              st.integers(min_value=1, max_value=5 * 10 ** 5 - 1).map(lambda k: str(2 * k + 1))),
+    st.tuples(st.just("j_max"), st.integers(min_value=1, max_value=10 ** 6).map(str)),
     st.tuples(st.just("spin_coupling"), st.one_of(
         st.sampled_from(["sigma_x", "sigma_z"]),
         st.tuples(_FLOAT_TEXT, _FLOAT_TEXT).map(lambda ab: f"mix:{ab[0]},{ab[1]}"))),
@@ -73,6 +84,7 @@ def test_config_dump_set_roundtrip(tmp_path_factory, sets):
     ["flow", "--set", "lam0=nan"],           # rejected by ModelParams
     ["first-step", "--set", "rho0=0.05"],    # rejected by the first decimation
     ["first-step", "--set", "n_r_uniform=-2"],  # rejected by ModelParams
+    ["flow", "--set", "n_z_samples=4"],      # no member at z = 0 for the ledger
 ])
 def test_config_errors_exit_1_with_one_line(runner, args):
     out = runner.invoke(main, args)
@@ -238,7 +250,14 @@ def test_validate_pass_and_fail(runner):
     ["validate", "--set", "tol_factor=0"],
     ["flow", "--set", "tol_factor=inf"],
     ["dispersion", "--method", "pt2", "--set", "p_sweep_max=inf"],
-])
+] + [[command, "--set", kv] for kv, working in [
+    ("tol_factor=0", "flow"),
+    ("p_sweep_max=0", "dispersion"),
+    ("p_sweep_max=-0.2", "dispersion"),
+    ("p_sweep_max=1.0", "dispersion"),
+    ("p_sweep_points=4", "dispersion"),
+    ("n_flow_max=1", "flow"),
+] for command in ("config-dump", working)])
 def test_non_finite_or_negative_values_exit_1_before_any_work(runner, monkeypatch, args):
     def no_work(*_a, **_k):
         raise AssertionError("the command ran before rejecting its option")
@@ -250,6 +269,8 @@ def test_non_finite_or_negative_values_exit_1_before_any_work(runner, monkeypatc
     assert out.exit_code == EXIT_CONFIG
     assert out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    if "--set" in args:
+        assert out.stderr.startswith(f"error: {args[-1].split('=')[0]} ")
 
 
 def test_wick_check_exit_follows_printed_pass(runner, monkeypatch):

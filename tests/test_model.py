@@ -105,6 +105,13 @@ def test_params_reject_non_finite_entries(name, i, bad, imag):
         ModelParams(**kw)
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_params_reject_too_few_or_even_z_samples(n):
+    # the flow reads its ledgers off the middle node, at z = 0 for odd counts only
+    with pytest.raises(ConfigError, match="n_z_samples"):
+        ModelParams(n_z_samples=n)
+
+
 def test_with_updates_keeps_frozen():
     p = ModelParams()
     q = p.with_updates(lam0=0.1)
@@ -144,8 +151,8 @@ def test_mu_uses_reference_momentum():
 
 
 def test_config_defaults_match_api_defaults():
-    # the config schema repeats every ModelParams default and run_flow's
-    # stage cap and tolerance
+    # the ModelParams fields hold their own config defaults; the config
+    # repeats only run_flow's stage cap and tolerance
     cfg = config_defaults()
     from_cfg = params_from_config(cfg)
     default = ModelParams()
