@@ -35,7 +35,7 @@ def _params(config_path, sets) -> tuple[ModelParams, dict]:
         with open(config_path, "r", encoding="utf-8") as fh:
             cfg = parse_config_text(fh.read())
     for item in sets:
-        if "=" not in item:
+        if "=" not in item.split("#", 1)[0]:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         apply_config_line(cfg, item, "--set")
     return params_from_config(cfg), cfg

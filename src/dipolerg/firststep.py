@@ -28,6 +28,10 @@ class FirstStepError(RuntimeError):
     """First decimation is outside its contractive regime."""
 
 
+# bytes of evaluated query rows the resolvent's table may hold
+_TABLE_BYTES = 2 ** 26
+
+
 @dataclasses.dataclass
 class TwoLevelResolventData:
     """Diagonal off-band inverse of the free two-level fiber operator.
@@ -35,8 +39,10 @@ class TwoLevelResolventData:
     Lower-level entry carries the squared soft-cutoff complement; the upper
     level is entirely off-band.  Arguments arrive in original (unscaled)
     units, and z_phys holds the spectral parameter of every family member.
-    Tracks the worst gap margins seen at each member, raising once the
-    inversion leaves its safe region at any of them.
+    Each distinct query row (the bytes of its r- and l-queries) is evaluated
+    at every member once, its gap margins checked and recorded then, into a
+    table that later queries gather from; the table serves one assembler
+    pass and holds at most _TABLE_BYTES (or one row), then stores no more.
     """
     params: ModelParams
     z_phys: np.ndarray
@@ -45,14 +51,40 @@ class TwoLevelResolventData:
         self.z_phys = np.atleast_1d(np.asarray(self.z_phys, dtype=complex))
         self.min_gap_low = np.full(len(self.z_phys), math.inf)
         self.min_gap_high = np.full(len(self.z_phys), math.inf)
+        self._index = {}        # query row bytes -> table row
+        self._table = None      # (lower, upper), each (capacity, members, n_r, n_l)
 
     def __call__(self, rq, lqs, run=slice(None)):
-        """Resolvent on each row's (r, l) product grid at the members in
-        run (every member by default): rq has shape (rows, n_r), every
-        l-query (rows, n_l); returns (rows, members, n_r, n_l, 2)."""
+        """Lower and upper level on each row's (r, l) product grid at the members
+        in run (every member by default), each (rows, members, n_r, n_l): rq
+        has shape (rows, n_r), every l-query (rows, n_l)."""
+        keys = [row.tobytes() for row in np.concatenate([rq, *lqs], axis=1)]
+        # the first row of each distinct key not in the table
+        fresh = {k: keys.index(k) for k in dict.fromkeys(keys) if k not in self._index}
+        if fresh:
+            first = list(fresh.values())
+            levels = self._evaluate(rq[first], [q[first] for q in lqs])
+            if self._table is None:
+                cap = max(1, _TABLE_BYTES // (2 * levels[0][0].nbytes))
+                self._table = tuple(np.empty((cap,) + lv.shape[1:], complex) for lv in levels)
+            n0 = len(self._index)
+            n = min(len(fresh), len(self._table[0]) - n0)
+            for table, lv in zip(self._table, levels):
+                table[n0:n0 + n] = lv[:n]
+            self._index.update(zip(list(fresh)[:n], range(n0, n0 + n)))
+        out = tuple(table[[self._index.get(k, 0) for k in keys], run] for table in self._table)
+        spill = [i for i, k in enumerate(keys) if k not in self._index]
+        if spill:           # rows a full table did not store: from their evaluation
+            pos = dict(zip(fresh, range(len(fresh))))
+            for o, lv in zip(out, levels):
+                o[spill] = lv[[pos[keys[i]] for i in spill], run]
+        return out
+
+    def _evaluate(self, rq, lqs):
+        """Both levels of query rows at every member, after the gap checks."""
         p = self.params
         r, l2, pl = rl_frame(rq, lqs, p.p, family=True)
-        z = self.z_phys[run].reshape((1, -1) + (1,) * (1 + len(lqs)))
+        z = self.z_phys.reshape((1, -1) + (1,) * (1 + len(lqs)))
         b1 = r + l2 / (2.0 * p.m) - pl / p.m - z
         b2 = b1 + p.omega0
         cb2 = chibar(r, p.rho0) ** 2
@@ -61,20 +93,18 @@ class TwoLevelResolventData:
         axes = (0,) + tuple(range(2, b1.ndim))
         if np.any(active):
             gap_low = np.min(np.where(active, b1.real, np.inf), axis=axes)
-            self.min_gap_low[run] = np.minimum(self.min_gap_low[run], gap_low)
-            self._check("lower-level", gap_low, p.mu * p.rho0 / 4.0, run)
+            self.min_gap_low = np.minimum(self.min_gap_low, gap_low)
+            self._check("lower-level", gap_low, p.mu * p.rho0 / 4.0)
         gap_high = np.min(b2.real, axis=axes)
-        self.min_gap_high[run] = np.minimum(self.min_gap_high[run], gap_high)
-        self._check("upper-level", gap_high, p.omega0 / 4.0, run)
-        low = np.where(active, cb2 / np.where(active, b1, 1.0), 0.0)
-        high = 1.0 / b2
-        return np.stack([low, high], axis=-1)
+        self.min_gap_high = np.minimum(self.min_gap_high, gap_high)
+        self._check("upper-level", gap_high, p.omega0 / 4.0)
+        return np.where(active, cb2 / np.where(active, b1, 1.0), 0.0), 1.0 / b2
 
-    def _check(self, level, gaps, floor, run):
+    def _check(self, level, gaps, floor):
         k = int(np.argmin(gaps))
         if gaps[k] < floor:
             raise FirstStepError(f"{level} gap {gaps[k]:.3e} below {floor:.3e} "
-                                 f"at z_phys={self.z_phys[run][k]:.4g}")
+                                 f"at z_phys={self.z_phys[k]:.4g}")
 
 
 class _SpinVertex:
@@ -89,14 +119,10 @@ class _SpinVertex:
         self.grid = grid
 
     def eval_product(self, ids, rq, lqs, run=slice(None)):
-        """The (rows, 1, *base, 2, 2) spin matrices of each row's mode, one for
-        every member, broadcast (read-only) over that row's (r, l) query grid."""
+        """Each row's spin matrix, (rows, 1, ..., 1, 2, 2): the same at every member and (r, l)."""
         (gid,) = np.asarray(ids, dtype=int).T
-        coef = self.sign * 1j * self.lam * np.sqrt(self.grid.k_abs[gid])
-        mats = coef[:, None, None] * self.grid.coupling[gid]
-        grid_shape = (1, np.shape(rq)[1]) + tuple(np.shape(q)[1] for q in lqs)
-        mats = mats.reshape((len(gid),) + (1,) * len(grid_shape) + (2, 2))
-        return np.broadcast_to(mats, (len(gid),) + grid_shape + (2, 2))
+        coef = self.sign * 1j * self.lam * np.sqrt(self.grid.k_abs[gid])[:, None, None]
+        return (coef * self.grid.coupling[gid]).reshape((-1,) + (1,) * (2 + len(lqs)) + (2, 2))
 
     def live_modes(self):
         return np.flatnonzero(np.any(self.grid.coupling != 0, axis=(1, 2)))

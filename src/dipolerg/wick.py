@@ -192,15 +192,15 @@ class WickContext:
     a + b) (creators first), rq (rows, n_r), one (rows, n_l) array per
     l-axis and the slice run of family members, and returns each row's
     values on the (r, l) product grid of its query vectors, (rows, n_f,
-    *base), with (s, s) axes appended for a spin vertex; n_f counts the
-    members in run, or is 1 for a vertex that is the same at every member.
-    max_abs() bounds it per member, like F_max (read only when prune > 0),
-    live_modes() lists the modes it is not identically zero on, and
-    spin_pattern() is the boolean sparsity of its spin block (1x1 for a
-    scalar vertex).  A Kernel vertex is a stack.
+    *base), or (rows, 1, ..., 1, s, s) for a spin vertex, constant over the
+    grid; n_f counts the members in run, or is 1 for a vertex that is the
+    same at every member.  max_abs() bounds it per member, like F_max (read
+    only when prune > 0), live_modes() lists the modes it is not identically
+    zero on, and spin_pattern() is the boolean sparsity of its spin block
+    (1x1 for a scalar vertex).  A Kernel vertex is a stack.
     F_eval(rq, lqs, run) takes the same stacked queries and returns the
-    diagonal resolvent factor at the members in run, (rows, n_f, *base) or
-    (rows, n_f, *base, s), masked to its domain; a family of one has n_f = 1.
+    diagonal resolvent factor at the members in run, masked to its domain:
+    (rows, n_f, *base), or s such arrays (one per spin level).
     `scale` must be rho^s for an integer s (rho the grid's ratio): the
     external photons then sit s shells up the grid (scaled_ids).
     """
@@ -230,8 +230,10 @@ def _tuples(values, k: int) -> np.ndarray:
 
 
 def _drop_zero_rows(rows, chain):
-    live = np.any(chain, axis=tuple(range(1, chain.ndim)))
-    return (rows, chain) if np.all(live) else (rows[live], chain[live])
+    live = np.any(chain[0], axis=tuple(range(1, chain[0].ndim)))
+    for c in chain[1:]:
+        live |= np.any(c, axis=tuple(range(1, c.ndim)))
+    return (rows, chain) if np.all(live) else (rows[live], [c[live] for c in chain])
 
 
 def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
@@ -244,9 +246,12 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
     holds query axis a of every slot (see _leg_sums), photons already
     pulled through.  A row whose partial chain vanishes at every member is
     dropped at once: no later vertex or resolvent is evaluated on it.  A
-    spin chain carries only its row <0|, the one its (0, 0) value depends
-    on, the diagonal resolvent scaling each entry.  Returns the surviving
-    rows' indices and values at the members in run, (rows, n_f, *base).
+    spin chain carries its row <0|, on which its (0, 0) value depends, one
+    (rows, n_f, *base) array per level (a scalar chain is one level): level
+    t past vertex V is sum_s level_s * V[s, t], the last vertex computes
+    level 0 only, and the resolvent scales each level by its own.  Returns
+    the surviving rows' indices and values at the members in run, (rows,
+    n_f, *base), or (rows, 1, 1, ..., 1) for a chain of one spin vertex.
     """
     rows = np.arange(len(modes))
     chain = None
@@ -257,19 +262,20 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
         rq, *lqs = [q[rows, 2 * v + 1] for q in queries]
         val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
             modes[np.ix_(rows, cols)], rq, lqs, run)
-        if chain is None:
-            chain = val[..., 0, :] if spin else val
-        elif spin:
-            chain = chain[..., 0, None] * val[..., 0, :] + chain[..., 1, None] * val[..., 1, :]
+        if not spin:
+            chain = [val if chain is None else chain[0] * val]
         else:
-            chain = chain * val
+            levels = range(1 if v == spec.L - 1 else 2)
+            chain = ([val[..., 0, t] for t in levels] if chain is None else
+                     [chain[0] * val[..., 0, t] + chain[1] * val[..., 1, t] for t in levels])
         rows, chain = _drop_zero_rows(rows, chain)
         if v < spec.L - 1 and len(rows):
             rq, *lqs = [q[rows, 2 * v + 2] for q in queries]
-            rows, chain = _drop_zero_rows(rows, chain * ctx.F_eval(rq, lqs, run))
+            f = ctx.F_eval(rq, lqs, run)
+            rows, chain = _drop_zero_rows(rows, list(map(np.multiply, chain, f if spin else [f])))
         if not len(rows):
             break
-    return rows, chain[..., 0] if spin else chain
+    return rows, chain[0]
 
 
 def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
@@ -366,7 +372,7 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
                     continue
                 wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]
                 if acc is None:
-                    acc = np.zeros((len(keep),) + vals.shape[1:], dtype=complex)
+                    acc = np.zeros((len(keep), vals.shape[1]) + g.base_shape, dtype=complex)
                 vals = wts.reshape((-1,) + (1,) * (nb + 1)) * vals
                 # one pass per line modes j, over distinct tuples: each
                 # tuple's sum takes its rows in their order

@@ -85,6 +85,24 @@ def test_flow_matches_oracle_coarse_3d():
     assert abs(e_flow - e_oracle) <= tol
 
 
+@pytest.mark.parametrize("coupling, lam0, j_max, j_max_pair, bound", [
+    # measured relative gaps at L_max=4: 1.57e-9 (sigma_x) and 3.21e-6
+    # (sigma_z), against 9.9e-6 and 8.9e-5 for pt2; bounds about 3x those
+    ("sigma_x", 0.004, 5, 4, 5e-9),
+    ("sigma_z", 0.02, 4, 3, 1e-5),
+])
+def test_chain_depth_four_beats_perturbation_theory(coupling, lam0, j_max, j_max_pair,
+                                                    bound):
+    # the flow's gap to the oracle is the first decimation's truncated chain
+    # series: at L_max=4 the flow must beat second-order perturbation theory
+    params = ModelParams(lam0=lam0, j_max=j_max, j_max_pair=j_max_pair, n_z_samples=3,
+                         L_max=4, spin_coupling=coupling)
+    e_oracle = ground_energy(params)
+    gap = abs(run_flow(params).energy - e_oracle) / abs(e_oracle)
+    assert gap <= bound
+    assert gap < abs(pt2_energy(params) - e_oracle) / abs(e_oracle)
+
+
 def test_oracle_minus_pt2_is_fourth_order(lam_c):
     lams = [lam_c / 40.0, lam_c / 20.0, lam_c / 10.0]
     diffs = []

@@ -53,6 +53,9 @@ def _chain_value(ctx, spec, legs, frame, product):
         # one row of a family of one
         val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
             np.array([ids], dtype=int).reshape(1, -1), rq[None], [q[None] for q in lqs])[0, 0]
+        # a spin vertex comes with length-1 grid axes
+        grid = (len(rq),) + tuple(len(q) for q in lqs)
+        val = np.broadcast_to(val, grid + val.shape[len(grid):])
         if chain is None:
             chain = val
             spin = val.ndim > 1 + len(lqs)
@@ -63,7 +66,9 @@ def _chain_value(ctx, spec, legs, frame, product):
         if v < L - 1:
             rq, *lqs = [q + s for q, s in zip(frame[2 * v + 2], lines[2 * v + 2])]
             # one row of a family of one
-            f = ctx.F_eval(rq[None], [q[None] for q in lqs])[0, 0]
+            f = ctx.F_eval(rq[None], [q[None] for q in lqs])
+            # the two-level resolvent returns its levels apart
+            f = np.stack([lv[0, 0] for lv in f], axis=-1) if spin else f[0, 0]
             chain = chain * (f[..., None, :] if spin else f)
             if not np.any(chain):
                 return None

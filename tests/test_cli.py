@@ -33,6 +33,19 @@ def test_config_dump_set_override(runner):
     assert "lam0 = 0.03" in out.output
 
 
+def test_set_rejects_an_override_that_is_all_comment(runner, tmp_path):
+    out = runner.invoke(main, ["config-dump", "--set", "#lam0=0.5"])
+    assert out.exit_code == EXIT_CONFIG
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1 and "'#lam0=0.5'" in out.stderr
+    # a config file still skips its comment lines
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("#lam0=0.5\nlam0 = 0.03  # trailing comment\n")
+    out = runner.invoke(main, ["config-dump", "--config", str(cfg)])
+    assert out.exit_code == 0
+    assert "lam0 = 0.03" in out.output
+
+
 def test_bad_config_exit_code(runner):
     out = runner.invoke(main, ["config-dump", "--set", "rho=0.9"])
     assert out.exit_code == EXIT_CONFIG

@@ -83,10 +83,76 @@ def test_two_level_resolvent_values():
     F = TwoLevelResolventData(params, z_phys=0.01)
     rq = np.array([[0.5]])
     lqs = [np.array([[0.1]])]
-    out = F(rq, lqs)
+    low, high = F(rq, lqs)
     b1 = 0.5 + 0.1 ** 2 / 2 - 0.01
-    assert out[0, 0, 0, 0, 0] == pytest.approx(1.0 / b1)          # chibar = 1 there
-    assert out[0, 0, 0, 0, 1] == pytest.approx(1.0 / (b1 + 1.0))
+    assert low[0, 0, 0, 0] == pytest.approx(1.0 / b1)          # chibar = 1 there
+    assert high[0, 0, 0, 0] == pytest.approx(1.0 / (b1 + 1.0))
+
+
+def _query_rows(params, grid, pick):
+    # rows of the first decimation's kind: the grid axes shifted by one
+    # photon of each of the first modes, in original units
+    rq = params.rho0 * (grid.r_nodes[None] + grid.k_abs[pick, None])
+    lqs = [params.rho0 * (ax[None] + grid.k_vec[pick, a, None])
+           for a, ax in enumerate(grid.l_axes)]
+    return rq, lqs
+
+
+def test_resolvent_table_evaluates_each_distinct_row_once(monkeypatch):
+    params = ModelParams(lam0=0.02, j_max=5, j_max_pair=4)
+    grid = KernelGrid(params)
+    z_phys = params.rho0 * cheb_nodes(3, 0.45 * params.mu)
+    pick = np.random.default_rng(5).permutation(np.arange(20) % 6)
+    rq, lqs = _query_rows(params, grid, pick)
+    evaluated = []
+    original = TwoLevelResolventData._evaluate
+
+    def counting(self, rq, lqs):
+        evaluated.append((self, len(rq)))
+        return original(self, rq, lqs)
+
+    monkeypatch.setattr(TwoLevelResolventData, "_evaluate", counting)
+    F = TwoLevelResolventData(params, z_phys)
+    low, high = F(rq[:8], [q[:8] for q in lqs])
+    assert len(F._index) == len(set(pick[:8].tolist()))
+    low, high = F(rq, lqs)
+    assert len(F._index) == 6
+    for i in range(len(pick)):
+        alone = TwoLevelResolventData(params, z_phys)(rq[i:i + 1], [q[i:i + 1] for q in lqs])
+        assert np.array_equal(low[i], alone[0][0]) and np.array_equal(high[i], alone[1][0])
+    run = F(rq, lqs, slice(1, 2))
+    assert np.array_equal(run[0], low[:, 1:2]) and np.array_equal(run[1], high[:, 1:2])
+    assert sum(n for obj, n in evaluated if obj is F) == 6
+    first = [list(pick).index(x) for x in range(6)]
+    fresh = TwoLevelResolventData(params, z_phys)
+    fresh(rq[first], [q[first] for q in lqs])
+    assert np.array_equal(F.min_gap_low, fresh.min_gap_low)
+    assert np.array_equal(F.min_gap_high, fresh.min_gap_high)
+    # a table with room for two rows: the same numbers, and it stops growing
+    monkeypatch.setattr(firststep, "_TABLE_BYTES", 2 * (low[0].nbytes + high[0].nbytes))
+    small = TwoLevelResolventData(params, z_phys)
+    small(rq[:8], [q[:8] for q in lqs])
+    capped = small(rq, lqs)
+    assert len(small._index) == 2
+    # the rows it could not store are evaluated again when queried again
+    n8 = len(set(pick[:8].tolist()))
+    assert sum(n for obj, n in evaluated if obj is small) == n8 + 6 - 2
+    assert np.array_equal(capped[0], low) and np.array_equal(capped[1], high)
+    assert np.array_equal(small.min_gap_low, fresh.min_gap_low)
+    assert np.array_equal(small.min_gap_high, fresh.min_gap_high)
+
+
+def test_resolvent_table_cap_changes_no_kernel(monkeypatch):
+    params = ModelParams(lam0=0.02, j_max=5, j_max_pair=4, spin_coupling=SIGMA_Z)
+    nodes = cheb_nodes(3, 0.45 * params.mu)
+    whole = initial_kernels(params, nodes)
+    # a cap below one row: the table keeps one row and evaluates the rest
+    monkeypatch.setattr(firststep, "_TABLE_BYTES", 0)
+    capped = initial_kernels(params, nodes)
+    assert sorted(whole.stacks) == sorted(capped.stacks)
+    for mn in whole.stacks:
+        assert np.array_equal(whole.stacks[mn].values, capped.stacks[mn].values), mn
+    assert whole.metas == capped.metas
 
 
 def test_two_level_resolvent_gap_guard():
