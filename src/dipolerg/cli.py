@@ -9,6 +9,7 @@ follow the type of the exception that ended the command (see _ExitCodes).
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -32,8 +33,13 @@ def _params(config_path, sets) -> tuple[ModelParams, dict]:
     ModelParams."""
     cfg = config_defaults()
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read())
+        try:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+            raise ConfigError(f"cannot read config {config_path}: {why}") from exc
+        cfg = parse_config_text(text)
     for item in sets:
         if "=" not in item.split("#", 1)[0]:
             raise ConfigError(f"--set needs key=value, got {item!r}")
@@ -49,6 +55,15 @@ def _tolerance(ctx, param, value: float) -> float:
     # a NaN tolerance fails every comparison and prints as bare NaN, not JSON
     if not 0.0 <= value < np.inf:
         raise ConfigError(f"{param.opts[0]} must be finite and >= 0, got {value}")
+    return value
+
+
+def _output_path(ctx, param, value):
+    # checked before the sweep, which can take minutes
+    folder = os.path.dirname(os.path.abspath(value or "."))
+    if value is not None and (os.path.isdir(value) or not os.path.isdir(folder)
+                              or not os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write --output {value}")
     return value
 
 
@@ -84,18 +99,12 @@ class _ExitCodes(click.Group):
             sys.exit(code)
 
 
-common_options = [
-    click.option("--config", "config_path", type=click.Path(exists=True),
-                 default=None, help="key=value configuration file"),
-    click.option("--set", "sets", multiple=True, metavar="KEY=VALUE",
-                 help="override one configuration key"),
-]
-
-
 def with_common(f):
-    for opt in reversed(common_options):
-        f = opt(f)
-    return f
+    """Give a command the --config and --set options."""
+    f = click.option("--set", "sets", multiple=True, metavar="KEY=VALUE",
+                     help="override one configuration key")(f)
+    return click.option("--config", "config_path", type=click.Path(exists=True),
+                        default=None, help="key=value configuration file")(f)
 
 
 @click.group(cls=_ExitCodes)
@@ -168,7 +177,7 @@ def oracle_cmd(config_path, sets):
 @with_common
 @click.option("--method", type=click.Choice(["flow", "oracle", "pt2"]),
               default="flow")
-@click.option("--output", type=click.Path(), default=None,
+@click.option("--output", type=click.Path(), default=None, callback=_output_path,
               help="write CSV here instead of stdout")
 def dispersion(config_path, sets, method, output):
     """Sweep the conserved momentum as a CSV table; each point sets p_star = p,

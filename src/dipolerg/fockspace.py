@@ -18,7 +18,13 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .model import ModelParams, ConfigError, polarization
+from .model import ModelParams, ConfigError, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+# the d=3 shell: each axis direction k with its transverse frame (eps_1, eps_2),
+# eps_1 = e_z x k/|k| and eps_2 = k/|k| x eps_1, or (e_x, e_y) along +-e_z
+_FRAMES_D3 = [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+              ((0, 1, 0), (-1, 0, 0), (0, 0, 1)), ((0, -1, 0), (1, 0, 0), (0, 0, 1)),
+              ((0, 0, 1), (1, 0, 0), (0, 1, 0)), ((0, 0, -1), (1, 0, 0), (0, 1, 0))]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -46,14 +52,10 @@ def build_modes(params: ModelParams) -> list[Mode]:
         w_ang = 2.0 * math.pi
         shell = [(np.array([s]), 0, params.spin_coupling) for s in (+1.0, -1.0)]
     else:
-        dirs = [np.array(v, dtype=float) for v in
-                [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]
-        w_ang = 4.0 * math.pi / len(dirs)
-        sigma = [np.array([[0, 1], [1, 0]], dtype=complex),
-                 np.array([[0, -1j], [1j, 0]], dtype=complex),
-                 np.array([[-1, 0], [0, 1]], dtype=complex)]
-        shell = [(d, lam, sum(e * s for e, s in zip(polarization(d, lam), sigma)))
-                 for d in dirs for lam in (1, 2)]
+        w_ang = 4.0 * math.pi / len(_FRAMES_D3)
+        shell = [(np.array(d, dtype=float), lam,
+                  sum(e * s for e, s in zip(eps, (SIGMA_X, SIGMA_Y, SIGMA_Z))))
+                 for d, *frame in _FRAMES_D3 for lam, eps in enumerate(frame, start=1)]
     modes = []
     for j in range(params.j_max + 1):
         k_abs = (rho ** j) * r_max

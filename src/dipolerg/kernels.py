@@ -97,10 +97,7 @@ def _default_layout(params: ModelParams):
     if params.dim == 1:
         pos = sorted(set(geo) | set(np.linspace(0, 1, params.n_l_uniform + 1)[1:]))
         return r_nodes, [np.array([-x for x in reversed(pos)] + [0.0] + pos)]
-    na = max(3, params.n_l_axis_d3)
-    if na % 2 == 0:
-        na += 1
-    ax = np.linspace(-1.0, 1.0, na)
+    ax = np.linspace(-1.0, 1.0, params.n_l_axis_d3)
     return r_nodes, [ax, ax, ax]
 
 
@@ -118,7 +115,6 @@ class KernelGrid:
     def __init__(self, params: ModelParams, modes=None, layout=None):
         self.params = params
         self.rho = params.rho
-        self.dim = params.dim
         self.modes = modes if modes is not None else fockspace.build_modes(params)
         js = [m.j for m in self.modes]
         if js != sorted(js):

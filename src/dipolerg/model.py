@@ -1,8 +1,8 @@
 """Physical model definition.
 
 Parameters of the two-level dipole coupled to a massless boson field, the
-smooth infrared cutoff profile chi and its complement, and the polarization
-frames for d=3.  Everything here is immutable after construction and safe
+smooth infrared cutoff profile chi and its complement, and the Pauli
+matrices.  Everything here is immutable after construction and safe
 to share across workers.
 
 The configuration keys are the ModelParams fields, each with its default
@@ -19,6 +19,7 @@ import numpy as np
 
 # spin basis convention: index 0 = down (ground level), index 1 = up
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 # plateau and support edges of the cutoff ramp
@@ -65,37 +66,6 @@ def rho_power(scale: float, rho: float) -> int:
     return round(s)
 
 
-# fixed fallback frame for k parallel to e_z (declared tie-break)
-_FALLBACK_FRAME = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-
-
-def polarization(k: np.ndarray, lam: int) -> np.ndarray:
-    """Transverse unit polarization vector eps_lam(k), lam in {1, 2}.
-
-    The frame is built from e_z x k; directions parallel to e_z fall back
-    to (e_x, e_y).
-    """
-    if lam not in (1, 2):
-        raise ConfigError("polarization index must be 1 or 2")
-    k = np.asarray(k, dtype=float)
-    if k.shape != (3,):
-        raise ConfigError("polarization needs a 3-vector")
-    kn = np.linalg.norm(k)
-    if kn == 0.0:
-        raise ConfigError("polarization undefined at k = 0")
-    khat = k / kn
-    e_z = np.array([0.0, 0.0, 1.0])
-    cross = np.cross(e_z, khat)
-    cn = np.linalg.norm(cross)
-    if cn < 1e-12:
-        return _FALLBACK_FRAME[lam - 1].copy()
-    e1 = cross / cn
-    if lam == 1:
-        return e1
-    e2 = np.cross(khat, e1)
-    return e2 / np.linalg.norm(e2)
-
-
 def _as_vec(value, dim: int) -> np.ndarray:
     v = np.atleast_1d(np.asarray(value, dtype=float))
     if v.shape == (1,) and dim == 3:
@@ -116,7 +86,7 @@ class ModelParams:
 
     Momenta are scalars in d=1 and 3-vectors in d=3 (stored as arrays of
     length d either way).  The spin coupling is a 2x2 Hermitian matrix or
-    a tag of _spin_matrix; None means sigma_x.
+    a tag of _spin_matrix; None means sigma_x, the only one d=3 takes.
     """
 
     m: float = _key(1.0, "dipole mass")
@@ -138,7 +108,7 @@ class ModelParams:
     j_max_pair: int = _key(7, "mode-grid cap for kernels with two photon arguments")
     n_r_uniform: int = _key(12, "extra uniform r-grid nodes resolving the chi ramp")
     n_l_uniform: int = _key(4, "extra uniform |l|-grid nodes (d=1)")
-    n_l_axis_d3: int = _key(3, "l-grid nodes per axis in d=3 validation mode")
+    n_l_axis_d3: int = _key(3, "l-grid nodes per axis in d=3 validation mode (odd, >= 3)")
     n_z_samples: int = _key(9, "Chebyshev samples of the spectral parameter")
 
     def __post_init__(self):
@@ -157,6 +127,8 @@ class ModelParams:
                 raise ConfigError(f"{f.name} must be finite")
         if not np.allclose(g, g.conj().T, atol=1e-12):
             raise ConfigError("spin coupling must be Hermitian")
+        if self.dim == 3 and not np.array_equal(g, SIGMA_X):
+            raise ConfigError("spin_coupling must be sigma_x in d=3 (eps(k).sigma couples there)")
         if self.m <= 0.0:
             raise ConfigError("mass m must be positive")
         if self.omega0 <= 0.0:
@@ -180,9 +152,12 @@ class ModelParams:
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
-        # the flow reads its ledgers off the middle member, at z = 0 for odd counts only
-        if self.n_z_samples < 3 or self.n_z_samples % 2 == 0:
-            raise ConfigError(f"n_z_samples must be odd and >= 3, got {self.n_z_samples}")
+        # the flow reads its ledgers off the middle member, at z = 0 for odd counts
+        # only; an odd d=3 l-axis holds l = 0 too
+        for name in ("n_z_samples", "n_l_axis_d3"):
+            n = getattr(self, name)
+            if n < 3 or n % 2 == 0:
+                raise ConfigError(f"{name} must be odd and >= 3, got {n}")
         if self.uv_cutoff <= 0.0:
             raise ConfigError("uv cutoff must be positive")
 

@@ -25,10 +25,6 @@ from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
 from .fockspace import FockBasis
 
 
-# chain shapes whose a-priori magnitude bound falls below this are skipped
-_PRUNE = 1e-14
-
-
 class FlowError(RuntimeError):
     """The flow left its contractive regime."""
 
@@ -88,7 +84,7 @@ def renormalize(family: KernelFamily, params: ModelParams) -> KernelFamily:
     ctx = wick.WickContext(
         grid=grid, vertices=family.stacks, L_max=params.L_max, scale=rho,
         F_eval=_band_denominator(family),
-        F_max=4.0 / np.maximum(margins, 1e-300), prune=_PRUNE)
+        F_max=4.0 / np.maximum(margins, 1e-300))
     # rescaled passthrough of the band symbol, no boundary factors
     w00_base = scale_transform(family.stacks[(0, 0)])
     stacks, ratios = wick._assemble_kernels(ctx, params.M_max, w00_base)

@@ -46,6 +46,8 @@ from .kernels import KernelGrid, rl_frame, symmetrize
 # grid points per family member: on the default grid a first-decimation
 # batch has hundreds of rows, each at every z-node
 _CHUNK_POINTS = 2 ** 15
+# a context given F_max skips the chain shapes whose a-priori bound falls below this
+_PRUNE = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +196,10 @@ class WickContext:
     values on the (r, l) product grid of its query vectors, (rows, n_f,
     *base), or (rows, 1, ..., 1, s, s) for a spin vertex, constant over the
     grid; n_f counts the members in run, or is 1 for a vertex that is the
-    same at every member.  max_abs() bounds it per member, like F_max (read
-    only when prune > 0), live_modes() lists the modes it is not identically
-    zero on, and spin_pattern() is the boolean sparsity of its spin block
-    (1x1 for a scalar vertex).  A Kernel vertex is a stack.
+    same at every member.  max_abs() bounds it per member, as F_max does
+    |F_eval| (a context given F_max prunes), live_modes() lists the modes it
+    is not identically zero on, and spin_pattern() is the boolean sparsity
+    of its spin block (1x1 for a scalar vertex).  A Kernel vertex is a stack.
     F_eval(rq, lqs, run) takes the same stacked queries and returns the
     diagonal resolvent factor at the members in run, masked to its domain:
     (rows, n_f, *base), or s such arrays (one per spin level).
@@ -209,8 +211,7 @@ class WickContext:
     L_max: int
     scale: float
     F_eval: object
-    F_max: float = 0.0
-    prune: float = 0.0
+    F_max: object = None
 
     def __post_init__(self):
         # rho0 in the first decimation (rho in the flow, 1 in the self-check)
@@ -220,7 +221,7 @@ class WickContext:
                                         for x in v.live_modes()}))
         self.spin_patterns = {k: v.spin_pattern() for k, v in self.vertices.items()}
         self.max_abs = ({k: v.max_abs() for k, v in self.vertices.items()}
-                        if self.prune > 0.0 else {})
+                        if self.F_max is not None else {})
 
 
 def _tuples(values, k: int) -> np.ndarray:
@@ -289,7 +290,7 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
     over the photon axes.  The chains of one term shape and pairing are one
     batch over every live external tuple times every internal line-mode
     assignment, each row added in order into its tuple's row of a
-    tuple-major sum; a shape whose magnitude bound falls below ctx.prune at
+    tuple-major sum; a shape whose magnitude bound falls below _PRUNE at
     some members adds zeros there.
     """
     g = ctx.grid
@@ -307,12 +308,12 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
             continue
         weight = combinatorial_weight(spec)
         members = np.ones(1, dtype=bool)      # the members whose bound passes
-        if ctx.prune > 0.0:
+        if ctx.F_max is not None:
             bound = weight * (ctx.F_max ** (spec.L - 1)) * scale_pow
             for k in keys:
                 bound *= ctx.max_abs[k]
             bound *= (float(np.sum(g.weight)) ** sum(spec.p)) * len(pairings)
-            members = np.atleast_1d(bound >= ctx.prune)
+            members = np.atleast_1d(bound >= _PRUNE)
             if not np.any(members):
                 continue
         pref = (-1.0) ** (spec.L - 1) * weight * scale_pow

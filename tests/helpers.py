@@ -1,6 +1,8 @@
 """Fixtures and diagnostics only the tests use: planted Feshbach instances,
 isospectrality residuals, the effective mass of a sweep, the half-weighted
-kernel norm and the kernel dump reader.  Import as `from helpers import`."""
+kernel norm, the kernel dump reader and the polarization frame solver that
+the d=3 frame table of build_modes is checked against.  Import as
+`from helpers import`."""
 
 import json
 
@@ -145,3 +147,34 @@ def sequence_from_json(text: str, grid: KernelGrid) -> KernelFamily:
         kernels[(m, n)] = vals[None]
     z = complex(payload["z"][0], payload["z"][1])
     return KernelFamily(grid, kernels, payload["p"], [z], [payload.get("meta", {})])
+
+
+# fixed fallback frame for k parallel to e_z (declared tie-break)
+_FALLBACK_FRAME = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+
+
+def polarization(k: np.ndarray, lam: int) -> np.ndarray:
+    """Transverse unit polarization vector eps_lam(k), lam in {1, 2}.
+
+    The frame is built from e_z x k; directions parallel to e_z fall back
+    to (e_x, e_y).
+    """
+    if lam not in (1, 2):
+        raise ConfigError("polarization index must be 1 or 2")
+    k = np.asarray(k, dtype=float)
+    if k.shape != (3,):
+        raise ConfigError("polarization needs a 3-vector")
+    kn = np.linalg.norm(k)
+    if kn == 0.0:
+        raise ConfigError("polarization undefined at k = 0")
+    khat = k / kn
+    e_z = np.array([0.0, 0.0, 1.0])
+    cross = np.cross(e_z, khat)
+    cn = np.linalg.norm(cross)
+    if cn < 1e-12:
+        return _FALLBACK_FRAME[lam - 1].copy()
+    e1 = cross / cn
+    if lam == 1:
+        return e1
+    e2 = np.cross(khat, e1)
+    return e2 / np.linalg.norm(e2)

@@ -93,12 +93,12 @@ def reference_assemble_target(M, N, ctx, n_ext, product=np.matmul):
         if not functools.reduce(np.matmul, (ctx.spin_patterns[k] for k in keys))[0, 0]:
             continue
         weight = combinatorial_weight(spec)
-        if ctx.prune > 0.0:
+        if ctx.F_max is not None:
             bound = weight * (ctx.F_max ** (spec.L - 1)) * scale_pow
             for k in keys:
                 bound *= ctx.max_abs[k]
             bound *= (float(np.sum(g.weight)) ** sum(spec.p)) * len(pairings)
-            if bound < ctx.prune:
+            if bound < wick._PRUNE:
                 continue
         pref = (-1.0) ** (spec.L - 1) * weight * scale_pow
         ends = ([(-1, v) for v in range(spec.L) for _ in range(spec.m[v])]
@@ -247,12 +247,12 @@ def photon_last_assemble_target(M, N, ctx, n_ext):
             continue
         weight = combinatorial_weight(spec)
         members = np.ones(1, dtype=bool)
-        if ctx.prune > 0.0:
+        if ctx.F_max is not None:
             bound = weight * (ctx.F_max ** (spec.L - 1)) * scale_pow
             for k in keys:
                 bound *= ctx.max_abs[k]
             bound *= (float(np.sum(g.weight)) ** sum(spec.p)) * len(pairings)
-            members = np.atleast_1d(bound >= ctx.prune)
+            members = np.atleast_1d(bound >= wick._PRUNE)
             if not np.any(members):
                 continue
         ends = ([(-1, v) for v in range(spec.L) for _ in range(spec.m[v])]

@@ -98,6 +98,8 @@ def test_config_dump_set_roundtrip(tmp_path_factory, sets):
     ["first-step", "--set", "rho0=0.05"],    # rejected by the first decimation
     ["first-step", "--set", "n_r_uniform=-2"],  # rejected by ModelParams
     ["flow", "--set", "n_z_samples=4"],      # no member at z = 0 for the ledger
+    ["oracle", "--set", "dim=3", "--set", "spin_coupling=sigma_z"],  # d=3 couples eps.sigma
+    ["config-dump", "--set", "n_l_axis_d3=4"],  # no l = 0 node on the d=3 axes
 ])
 def test_config_errors_exit_1_with_one_line(runner, args):
     out = runner.invoke(main, args)
@@ -105,6 +107,30 @@ def test_config_errors_exit_1_with_one_line(runner, args):
     assert out.stdout == ""
     assert out.stderr.startswith("error: ")
     assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["output-missing-dir", "output-dir", "config-dir",
+                                  "config-not-utf8"])
+def test_bad_file_paths_exit_1_with_one_line(runner, monkeypatch, tmp_path, case):
+    def no_work(*_a, **_k):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(cli.oracle_mod, "pt2_energy", no_work)
+    bad_cfg = tmp_path / "latin1.cfg"
+    bad_cfg.write_bytes("lam0 = 0.02  # \xb5\n".encode("latin-1"))
+    path, args = {
+        "output-missing-dir": (tmp_path / "missing" / "x.csv", ["dispersion", "--method", "pt2"]),
+        "output-dir": (tmp_path, ["dispersion", "--method", "pt2"]),
+        "config-dir": (tmp_path, ["flow"]),
+        "config-not-utf8": (bad_cfg, ["flow"]),
+    }[case]
+    option = "--output" if case.startswith("output") else "--config"
+    out = runner.invoke(main, args + [option, str(path)])
+    assert out.exit_code == EXIT_CONFIG
+    assert isinstance(out.exception, SystemExit)     # no traceback
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert str(path) in out.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dipolerg.model import ModelParams, ConfigError
+from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Y, SIGMA_Z
 from dipolerg.fockspace import (build_modes, shift_index, FockBasis,
                                 ladder, functional_calculus, number_projection,
                                 dilation)
 from dipolerg.selfcheck import _toy_grid
+from helpers import polarization
 
 
 @pytest.fixture()
@@ -25,6 +26,21 @@ def test_build_modes_counts_d1(modes, small_params):
     # both directions present at each shell
     ks = sorted(m.k[0] for m in modes if m.j == 0)
     assert ks == [-1.0, 1.0]
+
+
+def test_d3_frame_table_matches_polarization_solver():
+    # every coupling is eps_lam(k).sigma with eps from the general frame
+    # solver, bit for bit (signs of zeros included), and each frame is a
+    # transverse orthonormal pair
+    modes = build_modes(ModelParams(dim=3, j_max=2))
+    assert len(modes) == 3 * 12
+    for m in modes:
+        eps = polarization(m.k, m.pol)
+        expect = sum(e * s for e, s in zip(eps, (SIGMA_X, SIGMA_Y, SIGMA_Z)))
+        assert m.coupling.tobytes() == expect.tobytes()
+        assert np.linalg.norm(eps) == pytest.approx(1.0, abs=1e-15)
+        assert abs(eps @ m.k) < 1e-15
+        assert abs(eps @ polarization(m.k, 3 - m.pol)) < 1e-15
 
 
 def test_mode_weights_scale_geometrically(modes, small_params):

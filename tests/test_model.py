@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dipolerg.model import (ModelParams, ConfigError, chi, chibar,
-                            polarization, parse_config_text, params_from_config,
+                            parse_config_text, params_from_config,
                             config_defaults, config_dump_text, rho_power,
-                            CHI_PLATEAU, CHI_SUPPORT, SIGMA_X)
+                            CHI_PLATEAU, CHI_SUPPORT, SIGMA_X, SIGMA_Z)
 from dipolerg.rgflow import run_flow
 
 
@@ -38,19 +38,6 @@ def test_chi_plateau_and_support():
 def test_chibar_vanishes_at_origin():
     assert chibar(0.0) == 0.0
     assert chibar(np.array([0.0, 0.5 * CHI_PLATEAU]))[1] == 0.0
-
-
-def test_polarization_orthogonal():
-    k = np.array([0.3, -0.4, 0.2])
-    e1 = polarization(k, 1)
-    e2 = polarization(k, 2)
-    assert abs(e1 @ k) < 1e-14
-    assert abs(e2 @ k) < 1e-14
-    assert abs(e1 @ e2) < 1e-14
-    assert np.linalg.norm(e1) == pytest.approx(1.0)
-    # k parallel to e_z uses the declared fallback frame
-    ez = np.array([0.0, 0.0, 0.7])
-    assert polarization(ez, 1).tolist() == [1.0, 0.0, 0.0]
 
 
 def test_params_defaults_valid():
@@ -110,6 +97,26 @@ def test_params_reject_too_few_or_even_z_samples(n):
     # the flow reads its ledgers off the middle node, at z = 0 for odd counts only
     with pytest.raises(ConfigError, match="n_z_samples"):
         ModelParams(n_z_samples=n)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1, 4])
+def test_params_reject_too_few_or_even_l_axis_nodes_d3(n):
+    # the d=3 l-axes run symmetrically through l = 0, which needs an odd count
+    with pytest.raises(ConfigError, match="n_l_axis_d3"):
+        ModelParams(dim=3, n_l_axis_d3=n)
+
+
+@pytest.mark.parametrize("coupling", ["sigma_z", "mix:0.6,0.8", SIGMA_Z])
+def test_params_reject_a_spin_coupling_other_than_sigma_x_in_d3(coupling):
+    # in d=3 every mode couples through eps(k).sigma, not the spin coupling
+    with pytest.raises(ConfigError, match="spin_coupling"):
+        ModelParams(dim=3, spin_coupling=coupling)
+    assert ModelParams(spin_coupling=coupling).dim == 1
+
+
+@pytest.mark.parametrize("coupling", [None, "sigma_x", SIGMA_X])
+def test_params_d3_accepts_sigma_x(coupling):
+    assert np.array_equal(ModelParams(dim=3, spin_coupling=coupling).spin_coupling, SIGMA_X)
 
 
 def test_with_updates_keeps_frozen():

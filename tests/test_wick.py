@@ -251,7 +251,7 @@ def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
     zero = {(a, b): Kernel(a, b, grid, np.zeros(grid.base_shape + (n,) * (a + b)))
             for (a, b) in [(1, 0), (0, 1), (1, 1)]}
     ctx = wick.WickContext(grid=grid, vertices=zero, L_max=3, scale=params.rho,
-                           F_eval=None, F_max=1.0, prune=1e-14)
+                           F_eval=None, F_max=1.0)
     assert enumerate_term_specs(1, 1, ctx.L_max, ctx.vertices)
     calls = []
     monkeypatch.setattr(wick, "chi", lambda *a: calls.append(a) or 1.0)
