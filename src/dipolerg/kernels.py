@@ -191,8 +191,9 @@ class Kernel:
         """Values of the stack's members in run on each row's (r, l) query grid.
 
         ids has shape (rows, m + n), rq (rows, n_r) and every l-query
-        (rows, n_l); the result has shape (rows, n_f, n_r, n_l, ...).  A row
-        with a photon argument beyond the first n_modes modes evaluates to 0.
+        (rows, n_l); the result has shape (rows, n_f, n_r, n_l, ..., 1, 1),
+        the scalar kernel's 1x1 spin block.  A row with a photon argument
+        beyond the first n_modes modes evaluates to 0.
         """
         values = self.values[run]
         rq = np.asarray(rq, dtype=float)
@@ -207,11 +208,11 @@ class Kernel:
         # order, which the chain's products and row sums run fastest on
         vals = interp_rows(np.moveaxis(blocks, 1, -1), self.grid.base_axes, queries)
         vals = np.ascontiguousarray(np.moveaxis(vals, -1, 1))
-        if np.all(ok):
-            return vals
-        out = np.zeros((len(rq),) + vals.shape[1:], dtype=complex)
-        out[ok] = vals
-        return out
+        if not np.all(ok):
+            out = np.zeros((len(rq),) + vals.shape[1:], dtype=complex)
+            out[ok] = vals
+            vals = out
+        return vals[..., None, None]
 
     def __getitem__(self, k) -> "Kernel":
         """Member k of a stack, or the stack of a slice: a view, unchecked."""

@@ -148,7 +148,9 @@ class ModelParams:
             raise ConfigError("gap parameter mu out of (0, 1/2]")
         if np.linalg.norm(self.p - self.p_star) >= mu * self.m:
             raise ConfigError("momentum must satisfy |p - p*| < mu*m")
-        lows = {"M_max": 1, "L_max": 1, "N_max": 1, "j_max": 1, "n_r_uniform": 0, "n_l_uniform": 0}
+        # a negative j_max_pair would leave no mode carrying the pair kernels
+        lows = {"M_max": 1, "L_max": 1, "N_max": 1, "j_max": 1, "j_max_pair": 0,
+                "n_r_uniform": 0, "n_l_uniform": 0}
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")

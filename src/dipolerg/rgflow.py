@@ -33,7 +33,8 @@ class FlowError(RuntimeError):
 # one decimate-and-rescale step
 
 def _band_denominator(family: KernelFamily):
-    """Closure evaluating the soft off-band inverse of each (0,0) symbol.
+    """Closure evaluating the soft off-band inverse of each (0,0) symbol, a
+    resolvent of one spin level.
 
     Arguments arrive at the pre-rescale scale of the current sequences:
     entries beyond the unit band are zero (the implicit band indicator of
@@ -45,12 +46,13 @@ def _band_denominator(family: KernelFamily):
         rcol, l2, _ = rl_frame(rq, lqs, family=True)
         cb2 = chibar(rcol, family.grid.rho) ** 2
         inside = rcol <= 1.0 + 1e-12
-        vals = family.stacks[(0, 0)].eval_product(np.zeros((len(rq), 0), int), rq, lqs, run)
+        vals = family.stacks[(0, 0)].eval_product(
+            np.zeros((len(rq), 0), int), rq, lqs, run)[..., 0, 0]
         # physical region only: field momentum cannot exceed field energy
         live = (cb2 > 0.0) & inside & (np.sqrt(l2) <= rcol + 1e-9)
         if np.any(live & (np.abs(vals) < 1e-12)):
             raise FlowError("band symbol vanishes inside the decimation region")
-        return np.where(live, cb2 / np.where(live, vals, 1.0), 0.0)
+        return (np.where(live, cb2 / np.where(live, vals, 1.0), 0.0),)
 
     return F_eval
 

@@ -57,21 +57,22 @@ def _toy_kernels(grid, rng):
 def _f_factor(rq, lqs, run=slice(None)):
     """Diagonal chain factor, analytic below the cap and zero above.
 
-    rq has shape (rows, n_r), every l-query (rows, n_l); the result is a
-    family of one, (rows, 1, n_r, n_l), whatever the members in run."""
+    rq has shape (rows, n_r), every l-query (rows, n_l); the result is one
+    spin level of a family of one, (rows, 1, n_r, n_l), whatever the
+    members in run."""
     r, l2, _ = rl_frame(rq, lqs, family=True)
     vals = 1.0 / (0.7 + r + 0.2 * l2)
     inside = (r <= 1.0 + 1e-12)
-    return np.where(inside, vals, 0.0)
+    return (np.where(inside, vals, 0.0),)
 
 
-def wick_reassembly_defect(params: ModelParams | None = None,
-                           n_max: int = 3, L_max: int = 3) -> float:
-    """Max entrywise defect between the product and reassembly routes."""
+def wick_reassembly_defect(params: ModelParams | None = None) -> float:
+    """Max entrywise defect between the product and reassembly routes, for
+    chains up to the configured depth params.L_max."""
     params = params or ModelParams()
     rng = np.random.default_rng(11)
     grid = _toy_grid(params)
-    basis = FockBasis(grid.modes, n_max)
+    basis = FockBasis(grid.modes, 3)        # lossless on the toy space (see above)
     zero00 = np.zeros((1,) + grid.base_shape, dtype=complex)
     vertices = _toy_kernels(grid, rng)
     seq_in = KernelFamily(grid, {(0, 0): zero00, **{mn: v.values for mn, v in vertices.items()}},
@@ -79,18 +80,18 @@ def wick_reassembly_defect(params: ModelParams | None = None,
     W = assemble_operator(seq_in, basis).toarray()
     # one row per basis state, each querying its own (r, l)
     F = functional_calculus(
-        lambda r, l: _f_factor(r[:, None], [l[:, :1]])[:, 0, 0, 0], basis).toarray()
+        lambda r, l: _f_factor(r[:, None], [l[:, :1]])[0][:, 0, 0, 0], basis).toarray()
     chi_d = functional_calculus(lambda r, l: chi(r, 1.0) + 0.0 * r, basis).toarray()
     lhs = np.zeros_like(W)
     term = W.copy()
-    for L in range(1, L_max + 1):
+    for L in range(1, params.L_max + 1):
         lhs = lhs + ((-1.0) ** (L - 1)) * term
         term = term @ F @ W
     lhs = chi_d @ lhs @ chi_d
 
-    ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=L_max, scale=1.0,
+    ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=params.L_max, scale=1.0,
                            F_eval=_f_factor)
-    stacks, _ = wick._assemble_kernels(ctx, 2 * min(L_max, 3), zero00)
+    stacks, _ = wick._assemble_kernels(ctx, 2 * min(params.L_max, 3), zero00)
     seq_out = KernelFamily(grid, stacks, params.p, [0.0], [{}])
     rhs = assemble_operator(seq_out, basis).toarray()
     return float(np.max(np.abs(lhs - rhs)))

@@ -139,24 +139,11 @@ def internal_pairings(spec: TermSpec) -> tuple:
     Returned as tuples of lines (annih_vertex, create_vertex, creator_slot);
     distinct creator slots count as distinct pairings.
     """
-    ann_slots = [i for i in range(spec.L) for _ in range(spec.q[i])]
-    cre_slots = [(j, s) for j in range(spec.L) for s in range(spec.p[j])]
-    out = []
-
-    def rec(k, used, acc):
-        if k == len(ann_slots):
-            out.append(tuple(acc))
-            return
-        i = ann_slots[k]
-        for idx, (j, s) in enumerate(cre_slots):
-            if idx in used or j <= i:
-                continue
-            acc.append((i, j, idx))
-            rec(k + 1, used | {idx}, acc)
-            acc.pop()
-
-    rec(0, frozenset(), [])
-    return tuple(out)
+    ann = [i for i in range(spec.L) for _ in range(spec.q[i])]
+    cre = [j for j in range(spec.L) for _ in range(spec.p[j])]
+    return tuple(tuple((i, cre[c], c) for i, c in zip(ann, slots))
+                 for slots in itertools.permutations(range(len(cre)), len(ann))
+                 if all(cre[c] > i for i, c in zip(ann, slots)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +176,22 @@ class WickContext:
     """Everything the assembler needs about one chain family.
 
     `vertices` maps a kernel index (a, b) to a vertex with the Kernel
-    interface, evaluated on a batch of rows at once:
-    eval_product(ids, rq, lqs, run) takes grid mode positions ids (rows,
-    a + b) (creators first), rq (rows, n_r), one (rows, n_l) array per
-    l-axis and the slice run of family members, and returns each row's
-    values on the (r, l) product grid of its query vectors, (rows, n_f,
-    *base), or (rows, 1, ..., 1, s, s) for a spin vertex, constant over the
-    grid; n_f counts the members in run, or is 1 for a vertex that is the
-    same at every member.  max_abs() bounds it per member, as F_max does
-    |F_eval| (a context given F_max prunes), live_modes() lists the modes it
-    is not identically zero on, and spin_pattern() is the boolean sparsity
-    of its spin block (1x1 for a scalar vertex).  A Kernel vertex is a stack.
-    F_eval(rq, lqs, run) takes the same stacked queries and returns the
-    diagonal resolvent factor at the members in run, masked to its domain:
-    (rows, n_f, *base), or s such arrays (one per spin level).
-    `scale` must be rho^s for an integer s (rho the grid's ratio): the
-    external photons then sit s shells up the grid (scaled_ids).
+    interface.  spin_pattern() is the boolean s x s sparsity of its spin
+    block (1 x 1 for a scalar kernel), max_abs() bounds it per member, as
+    F_max does |F_eval| (a context given F_max prunes), and live_modes()
+    lists the modes it is not identically zero on.  A Kernel vertex is a
+    stack.  Vertex contract: eval_product(ids, rq, lqs, run) takes grid
+    mode positions ids (rows, a + b) (creators first), rq (rows, n_r), one
+    (rows, n_l) array per l-axis and the slice run of family members, and
+    returns each row's s x s block on the (r, l) product grid of its query
+    vectors, (rows, n_f, *base, s, s), where n_f counts the members in run,
+    or is 1 for a vertex that is the same at every member, and a grid axis
+    has length 1 where the vertex is constant along it.  Resolvent
+    contract: F_eval(rq, lqs, run) takes the same stacked queries and
+    returns the diagonal resolvent factor at the members in run, masked to
+    its domain, as a tuple of s arrays (rows, n_f, *base), one per spin
+    level.  `scale` must be rho^k for an integer k (rho the grid's ratio):
+    the external photons then sit k shells up the grid (scaled_ids).
     """
     grid: KernelGrid
     vertices: dict
@@ -231,10 +218,8 @@ def _tuples(values, k: int) -> np.ndarray:
 
 
 def _drop_zero_rows(rows, chain):
-    live = np.any(chain[0], axis=tuple(range(1, chain[0].ndim)))
-    for c in chain[1:]:
-        live |= np.any(c, axis=tuple(range(1, c.ndim)))
-    return (rows, chain) if np.all(live) else (rows[live], [c[live] for c in chain])
+    live = np.any([np.any(c, axis=tuple(range(1, c.ndim))) for c in chain.values()], axis=0)
+    return (rows, chain) if np.all(live) else (rows[live], {t: c[live] for t, c in chain.items()})
 
 
 def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
@@ -247,33 +232,36 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
     holds query axis a of every slot (see _leg_sums), photons already
     pulled through.  A row whose partial chain vanishes at every member is
     dropped at once: no later vertex or resolvent is evaluated on it.  A
-    spin chain carries its row <0|, on which its (0, 0) value depends, one
-    (rows, n_f, *base) array per level (a scalar chain is one level): level
-    t past vertex V is sum_s level_s * V[s, t], the last vertex computes
-    level 0 only, and the resolvent scales each level by its own.  Returns
-    the surviving rows' indices and values at the members in run, (rows,
-    n_f, *base), or (rows, 1, 1, ..., 1) for a chain of one spin vertex.
+    chain carries its row <0| as a dict from spin level to a (rows, n_f,
+    *base) array, holding only the levels its vertices reach: level t past
+    vertex V is the sum, in ascending s, of level_s * V[s, t] over the
+    entries V's spin pattern marks; the last vertex computes level 0 only,
+    and the resolvent scales each level by its own.  Returns the surviving
+    rows' indices and values at the members in run, (rows, n_f, *base), or
+    (rows, 1, 1, ..., 1) for a chain of one spin vertex.
     """
     rows = np.arange(len(modes))
     chain = None
-    spin = len(ctx.spin_patterns[spec.vertex_kernel(0)]) > 1
     for v in range(spec.L):
+        key = spec.vertex_kernel(v)
         cols = ([j for j, (_, c) in enumerate(ends) if c == v]
                 + [j for j, (o, _) in enumerate(ends) if o == v])
         rq, *lqs = [q[rows, 2 * v + 1] for q in queries]
-        val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
-            modes[np.ix_(rows, cols)], rq, lqs, run)
-        if not spin:
-            chain = [val if chain is None else chain[0] * val]
+        val = ctx.vertices[key].eval_product(modes[np.ix_(rows, cols)], rq, lqs, run)
+        pattern = ctx.spin_patterns[key]
+        levels = range(1 if v == spec.L - 1 else len(pattern))
+        if chain is None:
+            chain = {t: val[..., 0, t] for t in levels if pattern[0, t]}
         else:
-            levels = range(1 if v == spec.L - 1 else 2)
-            chain = ([val[..., 0, t] for t in levels] if chain is None else
-                     [chain[0] * val[..., 0, t] + chain[1] * val[..., 1, t] for t in levels])
+            # one level's products at a time: each is summed as it is formed
+            chain = {t: functools.reduce(np.add, (chain[s] * val[..., s, t]
+                                                  for s in chain if pattern[s, t]))
+                     for t in levels if any(pattern[s, t] for s in chain)}
         rows, chain = _drop_zero_rows(rows, chain)
         if v < spec.L - 1 and len(rows):
             rq, *lqs = [q[rows, 2 * v + 2] for q in queries]
             f = ctx.F_eval(rq, lqs, run)
-            rows, chain = _drop_zero_rows(rows, list(map(np.multiply, chain, f if spin else [f])))
+            rows, chain = _drop_zero_rows(rows, {t: c * f[t] for t, c in chain.items()})
         if not len(rows):
             break
     return rows, chain[0]

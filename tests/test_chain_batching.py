@@ -46,19 +46,21 @@ def _chain_value(ctx, spec, legs, frame, product):
     L = spec.L
     lines = _leg_sums_one(legs[spec.M + spec.N:], L, g.k_abs, g.k_vec)
     chain = None
-    spin = False
+    # every vertex returns a spin block, 1x1 for a scalar kernel
+    spin = len(ctx.spin_patterns[spec.vertex_kernel(0)]) > 1
     for v in range(L):
         ids = [x for x, _, c in legs if c == v] + [x for x, o, _ in legs if o == v]
         rq, *lqs = [q + s for q, s in zip(frame[2 * v + 1], lines[2 * v + 1])]
         # one row of a family of one
         val = ctx.vertices[spec.vertex_kernel(v)].eval_product(
             np.array([ids], dtype=int).reshape(1, -1), rq[None], [q[None] for q in lqs])[0, 0]
+        if not spin:
+            val = val[..., 0, 0]
         # a spin vertex comes with length-1 grid axes
         grid = (len(rq),) + tuple(len(q) for q in lqs)
         val = np.broadcast_to(val, grid + val.shape[len(grid):])
         if chain is None:
             chain = val
-            spin = val.ndim > 1 + len(lqs)
         else:
             chain = product(chain, val) if spin else chain * val
         if not np.any(chain):
@@ -67,8 +69,8 @@ def _chain_value(ctx, spec, legs, frame, product):
             rq, *lqs = [q + s for q, s in zip(frame[2 * v + 2], lines[2 * v + 2])]
             # one row of a family of one
             f = ctx.F_eval(rq[None], [q[None] for q in lqs])
-            # the two-level resolvent returns its levels apart
-            f = np.stack([lv[0, 0] for lv in f], axis=-1) if spin else f[0, 0]
+            # the resolvent returns its spin levels apart
+            f = np.stack([lv[0, 0] for lv in f], axis=-1) if spin else f[0][0, 0]
             chain = chain * (f[..., None, :] if spin else f)
             if not np.any(chain):
                 return None

@@ -9,6 +9,7 @@ from dipolerg import cli, firststep, rgflow, selfcheck
 from dipolerg.cli import main, EXIT_CONFIG, EXIT_FIRST_STEP, EXIT_FLOW, EXIT_VALIDATION
 from dipolerg.firststep import FirstStepError
 from dipolerg.kernels import polydisc_measure
+from dipolerg.model import ModelParams
 from helpers import sequence_from_json
 
 
@@ -100,6 +101,7 @@ def test_config_dump_set_roundtrip(tmp_path_factory, sets):
     ["flow", "--set", "n_z_samples=4"],      # no member at z = 0 for the ledger
     ["oracle", "--set", "dim=3", "--set", "spin_coupling=sigma_z"],  # d=3 couples eps.sigma
     ["config-dump", "--set", "n_l_axis_d3=4"],  # no l = 0 node on the d=3 axes
+    ["flow", "--set", "j_max_pair=-1"],      # no mode would carry the pair kernels
 ])
 def test_config_errors_exit_1_with_one_line(runner, args):
     out = runner.invoke(main, args)
@@ -325,6 +327,14 @@ def test_wick_check_command(runner):
     payload = json.loads(out.output)
     assert payload["pass"] is True
     assert payload["defect"] < 1e-11
+
+
+def test_wick_check_reads_the_configured_depth(runner):
+    out = runner.invoke(main, ["wick-check", "--set", "L_max=2"])
+    assert out.exit_code == 0
+    defect = json.loads(out.output)["defect"]
+    assert defect == selfcheck.wick_reassembly_defect(ModelParams(L_max=2))
+    assert defect != selfcheck.wick_reassembly_defect()
 
 
 def test_lambda_critical_command(runner):

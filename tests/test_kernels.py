@@ -72,7 +72,9 @@ def test_eval_product_rows_match_per_row_interpolation(grid, rng):
     rq = np.array([np.linspace(0.0, 1.1, 5), np.linspace(0.2, 0.9, 5), np.linspace(0, 1, 5)])
     lq = np.array([np.linspace(-1.0, 1.0, 4), np.linspace(-0.3, 0.5, 4), np.zeros(4)])
     out = ker.eval_product(rows, rq, [lq])
-    assert out.shape == (3, 1, 5, 4)
+    # the trailing axes are the scalar kernel's 1x1 spin block
+    assert out.shape == (3, 1, 5, 4, 1, 1)
+    out = out[..., 0, 0]
     for i in range(2):
         loc = [ids.index(g) for g in rows[i]]
         expect = interp_rows(vals[None, :, :, loc[0], loc[1]], grid.base_axes,

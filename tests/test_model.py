@@ -10,6 +10,7 @@ from dipolerg.model import (ModelParams, ConfigError, chi, chibar,
                             parse_config_text, params_from_config,
                             config_defaults, config_dump_text, rho_power,
                             CHI_PLATEAU, CHI_SUPPORT, SIGMA_X, SIGMA_Z)
+from dipolerg.kernels import KernelGrid
 from dipolerg.rgflow import run_flow
 
 
@@ -65,6 +66,18 @@ def test_params_reject_negative_uniform_node_counts(name):
     with pytest.raises(ConfigError, match=name):
         ModelParams(**{name: -2})
     assert getattr(ModelParams(**{name: 0}), name) == 0
+
+
+def test_params_reject_a_negative_j_max_pair():
+    # j_max_pair=-1 used to run a flow with no pair kernels at all; a cap at
+    # or above j_max (the default 7 on every small grid) covers every mode
+    with pytest.raises(ConfigError, match="j_max_pair"):
+        ModelParams(j_max=3, j_max_pair=-1)
+    assert KernelGrid(ModelParams(j_max=3, j_max_pair=0)).n_pair == 2
+    full = KernelGrid(ModelParams(j_max=3, j_max_pair=3))
+    assert full.n_pair == len(full.modes)
+    for cap in (7, 20):
+        assert KernelGrid(ModelParams(j_max=3, j_max_pair=cap)).n_pair == full.n_pair
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -344,7 +344,7 @@ def test_member_runs_reach_the_vertices_and_the_resolvent(monkeypatch):
         n = len(vertex)
         out = band(fam)(*args)
         del vertex[n:]      # the band symbol the resolvent reads is no chain vertex
-        resolvent.append(out.shape[1])
+        resolvent.append(out[0].shape[1])
         return out
 
     monkeypatch.setattr(Kernel, "eval_product", eval_product)

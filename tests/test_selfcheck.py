@@ -12,7 +12,7 @@ def test_reassembly_identity_machine_precision():
 
 
 def test_reassembly_identity_depth_two():
-    assert wick_reassembly_defect(L_max=2) < 1e-12
+    assert wick_reassembly_defect(ModelParams(L_max=2)) < 1e-12
 
 
 def test_reassembly_detects_wrong_weight(monkeypatch):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dipolerg.model import ConfigError, ModelParams, SIGMA_Z
-from dipolerg import wick
+from dipolerg import firststep, wick
+from dipolerg.firststep import initial_kernels
 from dipolerg.kernels import Kernel, KernelGrid, symmetrize
-from dipolerg.rgflow import run_flow
+from dipolerg.rgflow import cheb_nodes, renormalize, run_flow
+from dipolerg.selfcheck import wick_reassembly_defect
 from dipolerg.wick import (TermSpec, enumerate_term_specs, combinatorial_weight,
                            internal_pairings, series_ratio, _leg_sums)
 
@@ -330,3 +332,89 @@ def test_photon_axes_end_at_last_live_image(monkeypatch, case):
     monkeypatch.setattr(wick, "_assemble_kernels", spy)
     run_flow(params)
     assert lengths[0] == first_lengths and len(lengths) >= 2
+
+
+# --- one chain product rule ----------------------------------------------------
+
+# the spin levels a chain of n records carries at record k: the records are
+# taken after vertex 0, its resolvent, vertex 1, ..., the last vertex, which
+# computes level 0 only; a sigma_x vertex flips the level
+_LEVELS = {
+    "sigma_z": lambda k, n: [0],
+    "sigma_x": lambda k, n: [0] if k == n - 1 else [(k // 2 + 1) % 2],
+    "mix:0.6,0.8": lambda k, n: [0] if k == n - 1 else [0, 1],
+}
+
+
+@pytest.mark.parametrize("coupling", sorted(_LEVELS))
+def test_chains_carry_only_the_levels_their_vertices_reach(monkeypatch, coupling):
+    chains = []
+    chain_rows, drop = wick._chain_rows, wick._drop_zero_rows
+
+    def rows_spy(*args):
+        chains.append([])
+        return chain_rows(*args)
+
+    def drop_spy(rows, chain):
+        chains[-1].append(sorted(chain))
+        return drop(rows, chain)
+
+    monkeypatch.setattr(wick, "_chain_rows", rows_spy)
+    monkeypatch.setattr(wick, "_drop_zero_rows", drop_spy)
+    initial_kernels(ModelParams(lam0=0.02, j_max=4, j_max_pair=3, n_z_samples=3,
+                                spin_coupling=coupling), [0.0])
+    # the first decimation drops no row, so every chain runs to its end
+    for chain in chains:
+        assert chain == [_LEVELS[coupling](k, len(chain)) for k in range(len(chain))]
+    assert any(len(chain) > 1 for chain in chains)
+
+
+def test_vertices_return_spin_blocks_and_resolvents_spin_levels(monkeypatch):
+    # the three callers of the assembler (the first decimation, an RG step
+    # and the self-check) keep one contract: with s the spin pattern's size,
+    # a vertex returns (rows, n_f or 1, ..., s, s) and a resolvent s levels
+    seen = set()
+
+    def checked_vertex(cls):
+        orig = cls.eval_product
+
+        def eval_product(self, ids, rq, lqs, run=slice(None)):
+            out = orig(self, ids, rq, lqs, run)
+            s = len(self.spin_pattern())
+            grid = (rq.shape[1],) + tuple(q.shape[1] for q in lqs)
+            if isinstance(self, Kernel):
+                assert out.shape == (len(ids), len(self.values[run])) + grid + (s, s)
+            else:       # the same at every member and (r, l)
+                assert out.shape == (len(ids), 1) + (1,) * len(grid) + (s, s)
+            seen.add(("vertex", s))
+            return out
+        monkeypatch.setattr(cls, "eval_product", eval_product)
+
+    post_init = wick.WickContext.__post_init__
+
+    def checked_context(ctx):
+        post_init(ctx)
+        (s,) = {len(pattern) for pattern in ctx.spin_patterns.values()}
+        F_eval = ctx.F_eval
+
+        def checked_F(rq, lqs, run=slice(None)):
+            out = F_eval(rq, lqs, run)
+            assert isinstance(out, tuple) and len(out) == s
+            grid = (rq.shape[1],) + tuple(q.shape[1] for q in lqs)
+            assert all(lv.shape[0] == len(rq) and lv.shape[2:] == grid for lv in out)
+            seen.add(("resolvent", s))
+            return out
+        ctx.F_eval = checked_F
+
+    checked_vertex(Kernel)
+    checked_vertex(firststep._SpinVertex)
+    monkeypatch.setattr(wick.WickContext, "__post_init__", checked_context)
+    params = ModelParams(lam0=0.02, j_max=4, j_max_pair=3, n_z_samples=3,
+                         spin_coupling=SIGMA_Z)
+    family = initial_kernels(params, cheb_nodes(3, 0.45 * params.mu))
+    assert seen == {("vertex", 2), ("resolvent", 2)}
+    renormalize(family, params)
+    assert seen == {("vertex", 2), ("resolvent", 2), ("vertex", 1), ("resolvent", 1)}
+    seen.clear()
+    assert wick_reassembly_defect() < 1e-12
+    assert seen == {("vertex", 1), ("resolvent", 1)}
