@@ -1,20 +1,19 @@
-"""Smooth block decimation of a Hamiltonian against a reference operator.
+"""Feshbach-Schur back-transport against the diagonal of a sparse Hamiltonian.
 
-Given H = T + W and a soft partition chi^2 + chibar^2 = 1 commuting with T,
-the decimated operator acts on the near-band subspace while remaining
-isospectral at 0: chi maps ker H into ker F and the Q operator maps back.
-Everything here works on explicit matrices (diagonal soft partitions) and
-is exercised by the planted-kernel validation suite.
+Given H = T + W, with T the diagonal of H in the working basis, and a soft
+partition chi^2 + chibar^2 = 1 that is diagonal there too, the Feshbach map
+decimates H to the band and stays isospectral at 0.  Its back-transport
+Q = chi - chibar H_chibar^{-1} chibar W chi, with the off-band block
+H_chibar = T + chibar W chibar, carries the band's kernel into ker H.  The
+program reads Q on one vector only, so it solves the off-band block once,
+sparse, and never forms the decimated operator or Q itself.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
-import scipy.linalg as sla
-
-from .model import ConfigError
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 # smallest singular value the off-band block may have on supp(chibar)
 _MIN_MARGIN = 1e-12
@@ -24,59 +23,40 @@ class DecimationError(RuntimeError):
     """The off-band block is not invertible where chibar is supported."""
 
 
-@dataclasses.dataclass
-class DecimationResult:
-    F: np.ndarray            # decimated operator
-    Q: np.ndarray            # right isospectral factor (ker F -> ker H)
-    margin: float            # smallest singular value of the inverted block
+def back_transport(H, chi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Q v for the sparse H and the soft partition chi (one entry per row).
 
-
-def _as_diag(chi_d, n: int) -> np.ndarray:
-    d = np.asarray(chi_d, dtype=float).ravel()
-    if d.shape != (n,):
-        raise ConfigError("soft partition must be a diagonal vector of matching size")
-    if np.any(d < -1e-12) or np.any(d > 1.0 + 1e-12):
-        raise ConfigError("soft partition values must lie in [0, 1]")
-    return np.clip(d, 0.0, 1.0)
-
-
-def _offband_factor(T, W, chibar):
-    """(supp chibar, LU, smallest singular value) of T + chibar W chibar there."""
-    supp = chibar > 1e-14
-    A_ss = (T + chibar[:, None] * W * chibar[None, :])[np.ix_(supp, supp)]
-    sv = np.linalg.svd(A_ss, compute_uv=False)
-    margin = float(sv.min()) if sv.size else np.inf
+    Returns chi v - chibar x, where x solves the off-band block on
+    supp(chibar) against chibar W chi v with one sparse LU factor.  Raises
+    DecimationError when the factor is singular or the block's smallest
+    singular value, taken from the same factor, is below _MIN_MARGIN.
+    ARPACK needs the block to have at least three rows; a fiber
+    Hamiltonian's has, since its whole upper level is off-band.
+    """
+    H = sp.csr_matrix(H, dtype=complex)
+    T = H.diagonal()
+    W = H - sp.diags(T)
+    chibar = np.sqrt(np.clip(1.0 - chi ** 2, 0.0, 1.0))
+    supp = np.flatnonzero(chibar > 1e-14)
+    cb = sp.diags(chibar)
+    block = (sp.diags(T) + cb @ W @ cb).tocsr()[supp][:, supp].tocsc()
+    try:
+        # a fiber Hamiltonian is Hermitian, so its block is structurally
+        # symmetric: ordering on A^T + A keeps the fill a twelfth of COLAMD's
+        lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:         # SuperLU: "Factor is exactly singular"
+        raise DecimationError(f"off-band block is singular: {exc}") from None
+    # 1 / the largest singular value of the inverse; svds hands ARPACK
+    # tol**2 = 1e-12 on its square, so the margin holds about 12 digits
+    inverse = spla.LinearOperator(block.shape, dtype=complex, matvec=lu.solve,
+                                  rmatvec=lambda y: lu.solve(y, trans="H"))
+    top = spla.svds(inverse, k=1, tol=1e-6, v0=np.ones(len(supp), dtype=complex),
+                    return_singular_vectors=False)
+    margin = 1.0 / float(top[0])
     if margin < _MIN_MARGIN:
         raise DecimationError(
             f"off-band block margin {margin:.3e} below {_MIN_MARGIN:.3e}")
-    return supp, sla.lu_factor(A_ss), margin
-
-
-def feshbach_map(H: np.ndarray, T: np.ndarray, chi_d) -> DecimationResult:
-    """Decimate H = T + W with the soft partition chi (diagonal vector).
-
-    T is diagonal in the working basis, so that it commutes with the
-    partition, and is passed as its diagonal vector.  Raises
-    DecimationError when the off-band block is numerically singular on
-    supp(chibar).
-    """
-    H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
-    if H.shape != (n, n):
-        raise ConfigError("H must be square")
-    T = np.asarray(T, dtype=complex)
-    if T.shape != (n,):
-        raise ConfigError("T must be the diagonal of the reference, one entry per row of H")
-    T = np.diag(T)
-    chi = _as_diag(chi_d, n)
-    chibar = np.sqrt(np.clip(1.0 - chi ** 2, 0.0, 1.0))
-    W = H - T
-    H_chi = T + chi[:, None] * W * chi[None, :]
-    WC = W * chi[None, :]                      # W chi
-    supp, lu, margin = _offband_factor(T, W, chibar)
-    # B = H_chibar^{-1} chibar W chi  (supported on supp chibar)
-    B = np.zeros((n, n), dtype=complex)
-    B[supp] = sla.lu_solve(lu, (chibar[:, None] * WC)[supp])
-    F = H_chi - (chi[:, None] * W) @ (chibar[:, None] * B)
-    Q = np.diag(chi).astype(complex) - chibar[:, None] * B
-    return DecimationResult(F=F, Q=Q, margin=margin)
+    cv = chi * v
+    x = np.zeros(len(cv), dtype=complex)
+    x[supp] = lu.solve((chibar * (W @ cv))[supp])
+    return cv - chibar * x

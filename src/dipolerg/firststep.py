@@ -16,12 +16,9 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, ConfigError, chi, chibar
+from .model import ModelParams, ConfigError, chibar
 from .kernels import KernelFamily, KernelGrid, polydisc_measure, rl_frame
 from . import wick
-from . import oracle as oracle_mod
-from . import feshbach
-from .fockspace import FockBasis
 
 
 class FirstStepError(RuntimeError):
@@ -225,21 +222,3 @@ def lambda_critical_estimate(params: ModelParams) -> float:
         else:
             hi = mid
     return lo
-
-
-# ---------------------------------------------------------------------------
-# dense cross-representation check
-
-def spin_fock_decimation(params: ModelParams, z_phys: complex,
-                         basis: FockBasis | None = None):
-    """Decimate H(p) - z_phys on spin (x) Fock with the first-step partition.
-
-    The partition keeps the lower level with field energy below rho0 (soft
-    cutoff chi) and removes the upper level entirely; the reference T is the
-    diagonal of H, since the coupling has no diagonal part.  Returns
-    (dense H, basis, DecimationResult).
-    """
-    H, basis = oracle_mod.build_fiber_hamiltonian(params, basis, z=z_phys)
-    Hd = H.toarray()
-    chi_vec = np.concatenate([chi(basis.r, params.rho0), np.zeros(len(basis))])
-    return Hd, basis, feshbach.feshbach_map(Hd, H.diagonal(), chi_vec)

@@ -1,7 +1,9 @@
 """Truncated, momentum-discretized bosonic Fock space.
 
 Modes live on a rho-geometric radial grid (times angular nodes) so that the
-dilation that implements the scale transformation is exact on the grid.
+scale transformation is a shift of radial indices (shift_index), exact on
+the grid: the program applies it to sampled kernels, and the tests check
+that against the Fock-space dilation.
 Discrete modes are unit-normalized: the CCR is an exact Kronecker delta and
 all quadrature weights are applied in integrals, never in the ladder
 operators.  The radial measure is r^2 dr in d=1 desk mode as well, so the
@@ -170,23 +172,3 @@ def number_projection(basis: FockBasis, cap: float) -> sp.csr_matrix:
     """Projection onto total field energy <= cap."""
     d = (basis.r <= cap + 1e-12).astype(complex)
     return sp.diags(d).tocsr()
-
-
-def dilation(basis: FockBasis, steps: int = 1) -> sp.csr_matrix:
-    """Grid-exact dilation: shifts every photon's radial index down by `steps`.
-
-    Scales H_f by rho^steps under conjugation.  Partial isometry: states
-    containing a j < steps photon map to 0; every other state keeps its
-    photon count, so its image is in the basis.  Refuses bases whose grid
-    is not closed under the shift.
-    """
-    modes = basis.modes
-    down = shift_index(modes, -steps)
-    if np.any((np.array([m.j for m in modes]) >= steps) & (down < 0)):
-        raise ConfigError("mode grid is not geometric: dilation refused")
-    # a photon of mode i moves to mode down[i], with the same occupation
-    moved = np.where((down >= 0)[:, None], basis.key_weights[down], 0)
-    col = np.flatnonzero(~np.any(basis.occ[:, down < 0] > 0, axis=1))
-    row = basis.lookup(basis.occ[col].astype(np.int64) @ moved)
-    return sp.csr_matrix((np.ones(len(col)), (row, col)),
-                         shape=(len(basis), len(basis)), dtype=complex)

@@ -17,11 +17,12 @@ import math
 
 import numpy as np
 
-from .model import ConfigError, ModelParams, chibar
+from .model import ConfigError, ModelParams, chi, chibar
 from .kernels import (KernelFamily, KernelGrid, polydisc_measure, rl_frame,
                       scale_transform, base_gradients)
 from . import wick
-from .firststep import initial_kernels, FirstStepError, spin_fock_decimation
+from .firststep import initial_kernels, FirstStepError
+from . import feshbach, oracle
 from .fockspace import FockBasis
 
 
@@ -264,18 +265,21 @@ def ground_state(params: ModelParams, energy: float,
                  basis: FockBasis | None = None):
     """Leading reconstruction of the fiber ground state on the matrix space.
 
-    Applies the first decimation's back-transport operator to the band
-    vacuum at the computed energy.  Depth-one truncation: corrections are
-    of the order of the post-decimation kernel norms.  Returns (vector,
-    residual, basis) with the residual |(H - E) psi| / |psi|.
+    Applies the first decimation's back-transport to the band vacuum at the
+    computed energy: the partition keeps the lower level with field energy
+    below rho0 (soft cutoff chi) and removes the upper level entirely, and
+    the reference is the diagonal of H(p) - energy.  Depth-one truncation:
+    corrections are of the order of the post-decimation kernel norms.
+    Returns (vector, residual, basis) with the residual |(H - E) psi| / |psi|.
     """
-    Hd, basis, res = spin_fock_decimation(params, energy, basis)
+    H, basis = oracle.build_fiber_hamiltonian(params, basis, z=energy)
+    chi_vec = np.concatenate([chi(basis.r, params.rho0), np.zeros(len(basis))])
     vac = np.zeros(2 * len(basis), dtype=complex)
     vac[basis.vacuum_index] = 1.0      # lower level block comes first
-    psi = res.Q @ vac
+    psi = feshbach.back_transport(H, chi_vec, vac)
     nrm = np.linalg.norm(psi)
     if nrm < 1e-300:
         raise FlowError("ground state reconstruction produced the zero vector")
     psi = psi / nrm
-    residual = float(np.linalg.norm(Hd @ psi))
+    residual = float(np.linalg.norm(H @ psi))
     return psi, residual, basis

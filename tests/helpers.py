@@ -1,17 +1,76 @@
-"""Fixtures and diagnostics only the tests use: planted Feshbach instances,
-isospectrality residuals, the effective mass of a sweep, the half-weighted
-kernel norm, the kernel dump reader and the polarization frame solver that
-the d=3 frame table of build_modes is checked against.  Import as
-`from helpers import`."""
+"""Fixtures and references only the tests use: the dense Feshbach map (the
+independent reference for feshbach.back_transport), planted Feshbach
+instances, isospectrality residuals, the Fock-space dilation (the reference
+for kernels.scale_transform), the effective mass of a sweep, the
+half-weighted kernel norm, the kernel dump reader and the polarization frame
+solver that the d=3 frame table of build_modes is checked against.  Import
+as `from helpers import`."""
 
 import json
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from dipolerg.model import ConfigError
 from dipolerg.kernels import (Kernel, KernelFamily, KernelGrid, _grid_json,
                               _masked_sup, _photon_factor)
-from dipolerg.feshbach import feshbach_map, _as_diag
+from dipolerg.feshbach import DecimationError, _MIN_MARGIN
+from dipolerg.fockspace import FockBasis, shift_index
+
+
+class DenseDecimation(NamedTuple):
+    F: np.ndarray            # decimated operator
+    Q: np.ndarray            # right isospectral factor (ker F -> ker H)
+    margin: float            # smallest singular value of the inverted block
+
+
+def feshbach_map(H: np.ndarray, T: np.ndarray, chi: np.ndarray) -> DenseDecimation:
+    """Dense Feshbach map of H = T + W with the soft partition chi.
+
+    T is diagonal in the working basis, so that it commutes with the
+    partition; both arrive as diagonal vectors.  Every n x n block is
+    formed and the off-band margin is a full SVD, under the same
+    _MIN_MARGIN guard as feshbach.back_transport.
+    """
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    chibar = np.sqrt(np.clip(1.0 - chi ** 2, 0.0, 1.0))
+    T = np.diag(np.asarray(T, dtype=complex))
+    W = H - T
+    supp = chibar > 1e-14
+    A_ss = (T + chibar[:, None] * W * chibar[None, :])[np.ix_(supp, supp)]
+    sv = np.linalg.svd(A_ss, compute_uv=False)
+    margin = float(sv.min()) if sv.size else np.inf
+    if margin < _MIN_MARGIN:
+        raise DecimationError(
+            f"off-band block margin {margin:.3e} below {_MIN_MARGIN:.3e}")
+    # B = H_chibar^{-1} chibar W chi  (supported on supp chibar)
+    B = np.zeros((n, n), dtype=complex)
+    B[supp] = np.linalg.solve(A_ss, (chibar[:, None] * W * chi[None, :])[supp])
+    F = T + chi[:, None] * W * chi[None, :] - (chi[:, None] * W) @ (chibar[:, None] * B)
+    Q = np.diag(chi).astype(complex) - chibar[:, None] * B
+    return DenseDecimation(F=F, Q=Q, margin=margin)
+
+
+def dilation(basis: FockBasis, steps: int = 1) -> sp.csr_matrix:
+    """Grid-exact dilation: shifts every photon's radial index down by `steps`.
+
+    Scales H_f by rho^steps under conjugation.  Partial isometry: states
+    containing a j < steps photon map to 0; every other state keeps its
+    photon count, so its image is in the basis.  Refuses bases whose grid
+    is not closed under the shift.
+    """
+    modes = basis.modes
+    down = shift_index(modes, -steps)
+    if np.any((np.array([m.j for m in modes]) >= steps) & (down < 0)):
+        raise ConfigError("mode grid is not geometric: dilation refused")
+    # a photon of mode i moves to mode down[i], with the same occupation
+    moved = np.where((down >= 0)[:, None], basis.key_weights[down], 0)
+    col = np.flatnonzero(~np.any(basis.occ[:, down < 0] > 0, axis=1))
+    row = basis.lookup(basis.occ[col].astype(np.int64) @ moved)
+    return sp.csr_matrix((np.ones(len(col)), (row, col)),
+                         shape=(len(basis), len(basis)), dtype=complex)
 
 
 def planted_instance(n: int, rng: np.random.Generator, *,
@@ -36,17 +95,15 @@ def planted_instance(n: int, rng: np.random.Generator, *,
     return H, t, chi, psi
 
 
-def isospectral_test(H: np.ndarray, T: np.ndarray, chi_d) -> dict:
+def isospectral_test(H: np.ndarray, T: np.ndarray, chi: np.ndarray) -> dict:
     """Residuals of the isospectrality identities for one instance.
 
     Returns kernel-transport residuals in both directions (via the smallest
     singular vectors of H and F) and, when H is invertible, the resolvent
     splitting residual |H^{-1} - chibar Hcb^{-1} chibar - Q F^{-1} Q#|.
     """
-    res = feshbach_map(H, T, chi_d)
+    res = feshbach_map(H, T, chi)
     H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
-    chi = _as_diag(chi_d, n)
     chibar = np.sqrt(np.clip(1.0 - chi ** 2, 0.0, 1.0))
     out = {"margin": res.margin}
 
@@ -69,9 +126,7 @@ def isospectral_test(H: np.ndarray, T: np.ndarray, chi_d) -> dict:
                                                * max(np.linalg.norm(H), 1.0), 1e-300))
     # resolvent splitting, only meaningful away from the kernel
     if s[-1] > 1e-8 and sf[-1] > 1e-8:
-        T_ = np.asarray(T, dtype=complex)
-        if T_.ndim == 1:
-            T_ = np.diag(T_)
+        T_ = np.diag(np.asarray(T, dtype=complex))
         W = H - T_
         Hcb = T_ + chibar[:, None] * W * chibar[None, :]
         supp = chibar > 1e-14

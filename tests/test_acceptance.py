@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from dipolerg.model import ModelParams
-from dipolerg.fockspace import FockBasis, dilation
+from dipolerg.fockspace import FockBasis
 from dipolerg.kernels import (KernelGrid, Kernel, KernelFamily,
                               assemble_operator, scale_transform, norm_sharp)
 from dipolerg.firststep import initial_kernels
 from dipolerg.rgflow import run_flow, extract_alpha_beta
 from dipolerg.oracle import ground_energy, pt2_energy
 from dipolerg.selfcheck import wick_reassembly_defect
-from helpers import effective_mass, isospectral_test, norm_half, planted_instance
+from helpers import (dilation, effective_mass, isospectral_test, norm_half,
+                     planted_instance)
 
 
 def test_free_theory_exactness():

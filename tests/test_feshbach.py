@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from dipolerg.model import ConfigError
-from dipolerg.feshbach import feshbach_map, DecimationError
-from helpers import isospectral_test, planted_instance
+from dipolerg.feshbach import DecimationError, _MIN_MARGIN, back_transport
+from helpers import feshbach_map, isospectral_test, planted_instance
 
 
 def test_decoupled_limit_is_restriction(rng):
@@ -50,21 +50,6 @@ def test_q_operators_shapes(rng):
     assert res.Q.shape == (9, 9)
 
 
-def test_rejects_nondiagonal_reference(rng):
-    H = rng.normal(size=(4, 4))
-    T = rng.normal(size=(4, 4))
-    with pytest.raises(ConfigError):
-        feshbach_map(H, T, np.ones(4) * 0.5)
-
-
-def test_rejects_bad_partition(rng):
-    H = np.eye(3)
-    with pytest.raises(ConfigError):
-        feshbach_map(H, np.ones(3), np.array([0.5, 2.0, 0.1]))
-    with pytest.raises(ConfigError):
-        feshbach_map(H, np.ones(3), np.ones(4) * 0.5)
-
-
 def test_singular_offband_block_raises():
     # T zero on supp(chibar) and W = 0 makes the off-band block singular
     t = np.array([0.01, 0.0, 0.0])
@@ -87,3 +72,53 @@ def test_hard_partition_is_schur_complement(rng):
     Hoo = H[np.ix_(~band, ~band)]
     schur = Hbb - Hbo @ np.linalg.solve(Hoo, Hob)
     np.testing.assert_allclose(res.F[np.ix_(band, band)], schur, atol=1e-11)
+
+
+# the sparse back-transport, against the dense reference; pytest's
+# filterwarnings = error also fails any of these on a solver warning
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_back_transport_matches_dense_reference(rng, n):
+    # back_transport's reference is the diagonal of H itself
+    H, _t, chi, _psi = planted_instance(n, rng)
+    Q = feshbach_map(H, np.diag(H), chi).Q
+    vecs = np.vstack([np.eye(n)[:2], rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))])
+    for v in vecs:
+        got = back_transport(sp.csr_matrix(H), chi, v)
+        assert np.max(np.abs(got - Q @ v)) <= 1e-12 * max(1.0, np.linalg.norm(Q @ v))
+
+
+def _hard_partition_with_offband_spectrum(rng, sv):
+    """H on one band row plus an off-band block with singular values sv:
+    with chi = (1, 0, ..., 0) the off-band block is H's lower-right corner."""
+    k = len(sv)
+    u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    w, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    H = rng.normal(size=(k + 1, k + 1)) + 1j * rng.normal(size=(k + 1, k + 1))
+    H[1:, 1:] = (u * np.asarray(sv)) @ w.conj().T
+    chi = np.zeros(k + 1)
+    chi[0] = 1.0
+    return H, chi
+
+
+def test_back_transport_singular_block_raises(rng):
+    # exactly singular: an all-zero off-band block, and a rank-deficient one
+    t = np.array([0.01, 0.0, 0.0, 0.0, 0.0])
+    chi = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(DecimationError):
+        back_transport(sp.diags(t), chi, np.ones(5))
+    H, chi = _hard_partition_with_offband_spectrum(rng, [2.0, 1.0, 0.5, 0.0])
+    with pytest.raises(DecimationError):
+        back_transport(sp.csr_matrix(H), chi, np.ones(5))
+
+
+def test_back_transport_margin_guard_matches_reference(rng):
+    # 0 < sigma_min < _MIN_MARGIN: the factor exists, the margin refuses it
+    near, _ = _hard_partition_with_offband_spectrum(rng, [2.0, 1.0, 0.5, 1e-2 * _MIN_MARGIN])
+    ok, chi = _hard_partition_with_offband_spectrum(rng, [2.0, 1.0, 0.5, 1e2 * _MIN_MARGIN])
+    v = np.ones(5)
+    for guard in (lambda H: back_transport(sp.csr_matrix(H), chi, v),
+                  lambda H: feshbach_map(H, np.diag(H), chi)):
+        with pytest.raises(DecimationError, match="margin"):
+            guard(near)
+        guard(ok)

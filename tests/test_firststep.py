@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z, rho_power
+from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z, chi, rho_power
 from dipolerg.kernels import KernelGrid, assemble_operator
-from dipolerg.fockspace import FockBasis, dilation, number_projection
+from dipolerg.fockspace import FockBasis, number_projection
 from dipolerg import firststep
-from dipolerg.firststep import (initial_kernels, spin_fock_decimation,
-                                TwoLevelResolventData, FirstStepError,
-                                first_step_admissible,
+from dipolerg.firststep import (initial_kernels, TwoLevelResolventData,
+                                FirstStepError, first_step_admissible,
                                 lambda_critical_estimate)
-from dipolerg.oracle import pt2_energy
+from dipolerg.oracle import build_fiber_hamiltonian, pt2_energy
 from dipolerg.rgflow import cheb_nodes
+from helpers import dilation, feshbach_map
 
 
 @pytest.fixture()
@@ -165,14 +165,16 @@ def test_two_level_resolvent_gap_guard():
 def matrix_first_step(params: ModelParams, z, basis: FockBasis | None = None):
     """Dense-route first decimation on the spin-Fock matrix representation.
 
-    Decimates H(p) - rho0*z with the soft partition (lower level only,
-    field content below the band edge), then rescales by conjugation with
-    the grid dilation.  Returns the rescaled lower-level block and the
-    basis, for comparison against assembling the kernel sequence into an
-    operator.
+    Decimates H(p) - rho0*z with the soft partition (lower level with field
+    content below the band edge; the upper level entirely off-band) against
+    the diagonal of H, then rescales by conjugation with the grid dilation.
+    Returns the rescaled lower-level block and the basis, for comparison
+    against assembling the kernel sequence into an operator.
     """
     steps = rho_power(params.rho0, params.rho)
-    _, basis, res = spin_fock_decimation(params, params.rho0 * complex(z), basis)
+    H, basis = build_fiber_hamiltonian(params, basis, z=params.rho0 * complex(z))
+    chi_vec = np.concatenate([chi(basis.r, params.rho0), np.zeros(len(basis))])
+    res = feshbach_map(H.toarray(), H.diagonal(), chi_vec)
     nf = len(basis)
     gamma = dilation(basis, steps=steps).toarray()
     F_hat = (gamma @ res.F[:nf, :nf] @ gamma.conj().T) / params.rho0

@@ -5,10 +5,9 @@ import pytest
 
 from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Y, SIGMA_Z
 from dipolerg.fockspace import (build_modes, shift_index, FockBasis,
-                                ladder, functional_calculus, number_projection,
-                                dilation)
+                                ladder, functional_calculus, number_projection)
 from dipolerg.selfcheck import _toy_grid
-from helpers import polarization
+from helpers import dilation, polarization
 
 
 @pytest.fixture()

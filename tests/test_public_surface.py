@@ -8,10 +8,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dipolerg"
-# the Fock-space Gamma_rho: the program rescales sampled kernels instead
-# (kernels.scale_transform), and test_scale_transformation_exactness checks
-# that rescale against it
-ALLOWED = {"fockspace.dilation"}
+ALLOWED = set()
 
 
 def _names(node):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from dipolerg import firststep, rgflow
-from dipolerg.model import ConfigError, ModelParams, SIGMA_X, SIGMA_Z
+from dipolerg import feshbach, firststep, rgflow
+from dipolerg.model import ConfigError, ModelParams, SIGMA_X, SIGMA_Z, chi
 from dipolerg.kernels import Kernel, KernelFamily, KernelGrid, scale_transform
 from dipolerg.firststep import initial_kernels
 from dipolerg.rgflow import (renormalize, FlowError, cheb_nodes, StageMap,
                              interpolate_family, run_flow, extract_alpha_beta,
                              ground_state, _band_margin, _lagrange_weights)
-from dipolerg.oracle import ground_energy
+from dipolerg.oracle import build_fiber_hamiltonian, ground_energy
+from helpers import feshbach_map
 
 
 @pytest.fixture()
@@ -179,6 +180,36 @@ def test_ground_state_reconstruction(small_params):
     assert np.isclose(np.linalg.norm(psi), 1.0)
     assert resid < 1e-5
     e0, vec, _b = ground_energy(small_params, return_vector=True)
+    assert abs(np.vdot(vec, psi)) > 0.9999
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2])
+def test_ground_state_matches_dense_reference(p):
+    # the benchmark's small grid: the sparse back-transport against the
+    # dense Feshbach map, at the oracle's energy
+    params = ModelParams(lam0=0.02, j_max=4, j_max_pair=4, p=p, p_star=p)
+    energy = ground_energy(params)
+    psi, resid, basis = ground_state(params, energy)
+    H, _ = build_fiber_hamiltonian(params, basis, z=energy)
+    chi_vec = np.concatenate([chi(basis.r, params.rho0), np.zeros(len(basis))])
+    vac = np.zeros(H.shape[0], dtype=complex)
+    vac[basis.vacuum_index] = 1.0
+    ref = feshbach_map(H.toarray(), H.diagonal(), chi_vec).Q @ vac
+    assert np.max(np.abs(feshbach.back_transport(H, chi_vec, vac) - ref)) <= 1e-12
+    ref = ref / np.linalg.norm(ref)
+    phase = np.vdot(ref, psi) / abs(np.vdot(ref, psi))
+    assert np.max(np.abs(psi - phase * ref)) <= 1e-12
+    ref_resid = np.linalg.norm(H.toarray() @ ref)
+    assert abs(resid - ref_resid) <= 1e-9 * ref_resid
+
+
+def test_ground_state_at_lanczos_size():
+    # dim 2660, the benchmark's oracle grid: the dense route did not fit here
+    params = ModelParams(lam0=0.02, j_max=8, j_max_pair=6)
+    e0, vec, basis = ground_energy(params, return_vector=True)
+    assert len(vec) == 2660
+    psi, resid, _ = ground_state(params, e0, basis)
+    assert resid <= 1e-5
     assert abs(np.vdot(vec, psi)) > 0.9999
 
 
