@@ -19,7 +19,7 @@ from .model import (ModelParams, ConfigError, parse_config_text, config_defaults
                     config_dump_text, params_from_config, apply_config_line)
 from .kernels import polydisc_measure, sequence_to_json
 from .firststep import initial_kernels, FirstStepError, lambda_critical_estimate
-from .rgflow import run_flow, FlowError, extract_alpha_beta
+from .rgflow import run_flow, FlowError, extract_alpha_beta, ground_state
 from . import oracle as oracle_mod
 
 EXIT_CONFIG = 1
@@ -204,14 +204,17 @@ def dispersion(config_path, sets, method, output):
 @click.option("--rel-tol", type=float, default=1e-3, callback=_tolerance)
 @click.option("--abs-tol", type=float, default=1e-8, callback=_tolerance)
 def validate(config_path, sets, rel_tol, abs_tol):
-    """Compare the flow against direct diagonalization at one momentum."""
+    """Compare the flow against direct diagonalization at one momentum, and
+    report the residual of the ground state reconstructed at the flow
+    energy (reported, not judged)."""
     params, cfg = _params(config_path, sets)
     e_flow = _run_flow(params, cfg).energy
     e_oracle = oracle_mod.ground_energy(params)
     diff = abs(e_flow - e_oracle)
     tol = max(rel_tol * abs(e_oracle), abs_tol * params.m)
     payload = {"energy_flow": e_flow, "energy_oracle": e_oracle,
-               "difference": diff, "tolerance": tol, "pass": bool(diff <= tol)}
+               "difference": diff, "tolerance": tol, "pass": bool(diff <= tol),
+               "ground_state_residual": ground_state(params, e_flow)[1]}
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
     if not payload["pass"]:
         sys.exit(EXIT_VALIDATION)

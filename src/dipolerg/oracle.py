@@ -5,6 +5,12 @@ mode grid the kernel engine uses, finds its ground energy by Lanczos from
 the free ground state, and provides the second-order perturbative energy
 in closed form.  This route shares only the mode grid with the
 renormalization flow; the two are compared, never mixed.
+
+Lanczos runs on G = P^dag H P + s I.  The shift s = ||H||_inf puts the
+Ritz value near ||H||, so ARPACK's relative stopping test sits at the
+rounding floor eps ||H|| instead of eps |E|, 1e4-1e5 times below it.  The
+gauge P = diag(i^N) makes G real for a real spin coupling, so ARPACK runs
+its real symmetric solver.
 """
 
 from __future__ import annotations
@@ -20,12 +26,19 @@ import scipy.sparse.linalg as spla
 from .model import ModelParams, ConfigError
 from .fockspace import FockBasis, build_modes, ladder
 
+# i^N for N % 4, exact: the gauge phases of ground_energy
+_PHASES = np.array([1, 1j, -1, -1j])
+
 
 def build_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
                             z: complex = 0.0):
     """Sparse H(p) - z on spin (x) Fock; kinetic zero point p^2/2m removed.
 
-    Spin index is the slow axis (block 0 = down level).  Returns (H, basis).
+    Spin index is the slow axis (block 0 = down level).  Assembled in one
+    pass from (row, col, value) triples: the diagonal, then per mode and
+    spin block the annihilator entries c g[s, t] b and their adjoints.  No
+    two triples share a position, and zero diagonal entries are dropped.
+    Returns (H, basis).
     """
     if basis is None:
         basis = FockBasis(build_modes(params), params.N_max)
@@ -34,14 +47,20 @@ def build_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
     m = params.m
     kin = np.einsum("sd,sd->s", basis.l, basis.l) / (2.0 * m) \
         - (basis.l @ p) / m + basis.r
-    diag = np.concatenate([kin, kin + params.omega0]) - z
-    H = sp.diags(diag.astype(complex)).tocsr()
+    diag = (np.concatenate([kin, kin + params.omega0]) - z).astype(complex)
+    at = np.flatnonzero(diag)
+    rows, cols, vals = [at], [at], [diag[at]]
     if params.lam0 != 0.0:
         for i, mode in enumerate(basis.modes):
             c = 1j * params.lam0 * math.sqrt(mode.weight * mode.k_abs)
-            b = ladder(basis, i)
-            term = sp.kron(sp.csr_matrix(mode.coupling), b, format="csr")
-            H = H + c * term + (c * term).conj().T
+            b = ladder(basis, i).tocoo()
+            for s, t in zip(*np.nonzero(mode.coupling)):
+                v = c * (mode.coupling[s, t] * b.data)
+                rows += [s * nf + b.row, t * nf + b.col]
+                cols += [t * nf + b.col, s * nf + b.row]
+                vals += [v, v.conj()]
+    H = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(2 * nf, 2 * nf))
     return H, basis
 
 
@@ -55,14 +74,36 @@ def ground_energy(params: ModelParams, basis: FockBasis | None = None,
     just above it.  At lam0 == 0, H is diagonal, the vacuum is an exact
     eigenvector (Lanczos from it stops with ARPACK error -9) and the
     lowest level is read off the diagonal.
+
+    Lanczos runs on G = P^dag H P + s I, not on H:
+    - the shift s = ||H||_inf bounds the spectral radius.  ARPACK stops
+      once a Ritz residual is below eps |theta|, and theta ~ E ~ -3e-5
+      would ask for a residual far below the rounding floor eps ||H||;
+      with theta = E + s ~ ||H|| it stops where rounding does.  The
+      Krylov space, and so the Ritz vector, does not depend on s.
+    - the gauge P = diag(i^N), N the photon count of a state, cancels the
+      i of the coupling: for a real spin coupling G is real, and ARPACK
+      runs its real symmetric solver.  A complex coupling (d=3, sigma_y)
+      keeps G complex.
+    The vector is returned as P v, in the physical gauge, and the energy
+    as its Rayleigh quotient with H.
     """
     H, basis = build_fiber_hamiltonian(params, basis)
-    vec = np.zeros(H.shape[0], dtype=complex)
     if params.lam0 == 0.0:
+        vec = np.zeros(H.shape[0], dtype=complex)
         vec[int(np.argmin(H.diagonal().real))] = 1.0
     else:
-        vec[basis.vacuum_index] = 1.0
-        vec = spla.eigsh(H, k=1, which="SA", v0=vec)[1][:, 0]
+        n_ph = np.tile(basis.occ.sum(axis=1).astype(np.int64), 2)
+        rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+        G = sp.csr_matrix((H.data * _PHASES[(n_ph[H.indices] - n_ph[rows]) % 4],
+                           H.indices, H.indptr), shape=H.shape)
+        if not np.any(G.data.imag):
+            G = G.real
+        shift = spla.norm(H, np.inf)
+        G = G + shift * sp.identity(H.shape[0], dtype=G.dtype, format="csr")
+        v0 = np.zeros(H.shape[0], dtype=G.dtype)
+        v0[basis.vacuum_index] = 1.0       # phase i^0 = 1
+        vec = _PHASES[n_ph % 4] * spla.eigsh(G, k=1, which="SA", v0=v0)[1][:, 0]
     # Rayleigh quotient: the Ritz value's last digits follow the Krylov path
     e0 = float(np.vdot(vec, H @ vec).real)
     return (e0, vec, basis) if return_vector else e0

@@ -2,21 +2,23 @@
 independent reference for feshbach.back_transport), planted Feshbach
 instances, isospectrality residuals, the Fock-space dilation (the reference
 for kernels.scale_transform), the effective mass of a sweep, the
-half-weighted kernel norm, the kernel dump reader and the polarization frame
-solver that the d=3 frame table of build_modes is checked against.  Import
-as `from helpers import`."""
+half-weighted kernel norm, the kernel dump reader, the polarization frame
+solver that the d=3 frame table of build_modes is checked against and the
+per-mode Kronecker assembly of the fiber Hamiltonian.  Import as
+`from helpers import`."""
 
 import json
+import math
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from dipolerg.model import ConfigError
+from dipolerg.model import ConfigError, ModelParams
 from dipolerg.kernels import (Kernel, KernelFamily, KernelGrid, _grid_json,
                               _masked_sup, _photon_factor)
 from dipolerg.feshbach import DecimationError, _MIN_MARGIN
-from dipolerg.fockspace import FockBasis, shift_index
+from dipolerg.fockspace import FockBasis, build_modes, ladder, shift_index
 
 
 class DenseDecimation(NamedTuple):
@@ -233,3 +235,22 @@ def polarization(k: np.ndarray, lam: int) -> np.ndarray:
         return e1
     e2 = np.cross(khat, e1)
     return e2 / np.linalg.norm(e2)
+
+
+def kron_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
+                           z: complex = 0.0):
+    """H(p) - z summed mode by mode as kron(g, c b) plus its adjoint: the
+    reference for oracle.build_fiber_hamiltonian's one-pass assembly.
+    Returns (H, basis)."""
+    if basis is None:
+        basis = FockBasis(build_modes(params), params.N_max)
+    m = params.m
+    kin = np.einsum("sd,sd->s", basis.l, basis.l) / (2.0 * m) \
+        - (basis.l @ params.p) / m + basis.r
+    diag = np.concatenate([kin, kin + params.omega0]) - z
+    H = sp.diags(diag.astype(complex)).tocsr()
+    for i, mode in enumerate(basis.modes):
+        c = 1j * params.lam0 * math.sqrt(mode.weight * mode.k_abs)
+        term = sp.kron(sp.csr_matrix(mode.coupling), ladder(basis, i), format="csr")
+        H = H + c * term + (c * term).conj().T
+    return H, basis

@@ -276,8 +276,11 @@ def test_validate_pass_and_fail(runner):
     assert out.exit_code == 0
     payload = json.loads(out.output)
     assert payload["pass"] is True
+    # the ground state at the flow energy; the same bound perfbench checks
+    assert payload["ground_state_residual"] <= 1e-5
     out = runner.invoke(main, args + ["--rel-tol", "1e-12", "--abs-tol", "1e-15"])
     assert out.exit_code == EXIT_VALIDATION
+    assert json.loads(out.output)["ground_state_residual"] <= 1e-5
 
 
 @pytest.mark.parametrize("args", [

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Z
+from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Y, SIGMA_Z
 from dipolerg.fockspace import FockBasis, build_modes
 from dipolerg.oracle import (build_fiber_hamiltonian, ground_energy, pt2_energy,
                              sweep_to_csv)
-from helpers import effective_mass
+from helpers import effective_mass, kron_fiber_hamiltonian
 
 
 @pytest.fixture()
@@ -19,6 +19,48 @@ def test_hamiltonian_hermitian(small_params):
     Hd = H.toarray()
     np.testing.assert_allclose(Hd, Hd.conj().T, atol=1e-13)
     assert Hd.shape == (2 * len(basis), 2 * len(basis))
+
+
+_COUPLINGS = {"sigma_x": dict(lam0=0.02, p=0.1, j_max=6),
+              "sigma_z": dict(lam0=0.02, p=0.1, j_max=6, spin_coupling=SIGMA_Z),
+              "mix": dict(lam0=0.02, p=0.1, j_max=6,
+                          spin_coupling=0.6 * SIGMA_X + 0.8 * SIGMA_Z),
+              "d3": dict(lam0=0.004, dim=3, j_max=1, N_max=2)}
+
+
+@pytest.mark.parametrize("name", sorted(_COUPLINGS))
+def test_one_pass_build_matches_kron_sum(name):
+    # same sparsity and the same entries as the per-mode sum; a sparse sum
+    # adds +0 to every entry, which turns a -0.0 part into +0.0, so the
+    # bits are compared after the same + 0.0
+    params = ModelParams(**_COUPLINGS[name])
+    ref, basis = kron_fiber_hamiltonian(params, z=1e-3)
+    H, _ = build_fiber_hamiltonian(params, basis, z=1e-3)
+    assert H.has_canonical_format and ref.has_canonical_format
+    np.testing.assert_array_equal(H.indptr, ref.indptr)
+    np.testing.assert_array_equal(H.indices, ref.indices)
+    np.testing.assert_array_equal((H.data + 0.0).view(np.uint64),
+                                  (ref.data + 0.0).view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(_COUPLINGS))
+def test_ground_vector_is_in_the_physical_gauge(name):
+    # Lanczos runs on P^dag H P with P = diag(i^N); a vector left in that
+    # gauge misses H's eigen-equation at O(lam0)
+    params = ModelParams(**_COUPLINGS[name])
+    e, vec, basis = ground_energy(params, return_vector=True)
+    H, _ = build_fiber_hamiltonian(params, basis)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(H @ vec - e * vec) <= 1e-10
+
+
+def test_sigma_y_takes_the_complex_route_to_the_sigma_x_energy():
+    # a spin rotation about z maps sigma_y to sigma_x, and so one fiber
+    # Hamiltonian to the other; in the gauge, sigma_y's G stays complex
+    kw = _COUPLINGS["sigma_x"]
+    e_x = ground_energy(ModelParams(**kw))
+    e_y = ground_energy(ModelParams(**{**kw, "spin_coupling": SIGMA_Y}))
+    assert e_y == pytest.approx(e_x, abs=1e-12)
 
 
 def test_decoupled_ground_energy_zero():
