@@ -4,6 +4,8 @@ Modes live on a rho-geometric radial grid (times angular nodes) so that the
 scale transformation is a shift of radial indices (shift_index), exact on
 the grid: the program applies it to sampled kernels, and the tests check
 that against the Fock-space dilation.
+The layer returns plain arrays, the per-state occupations, r and l of a
+basis and the (row, col, value) triples of a ladder, for callers to place.
 Discrete modes are unit-normalized: the CCR is an exact Kronecker delta and
 all quadrature weights are applied in integrals, never in the ladder
 operators.  The radial measure is r^2 dr in d=1 desk mode as well, so the
@@ -18,7 +20,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import ModelParams, ConfigError, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -95,7 +96,9 @@ class FockBasis:
     as they need, so a key never wraps.  Moving a photon into or out of
     mode i adds or subtracts key_weights[i], and lookup finds a key's basis
     position.  A key is exact only while every digit lies in 0..n_max, so
-    callers reject rows outside that range before the lookup.
+    callers reject rows outside that range before the lookup, which reads
+    a key row as one record of 8 * words bytes: sorting and searchsorted
+    compare records byte by byte, and equal records are equal keys.
     """
 
     def __init__(self, modes: list[Mode], n_max: int):
@@ -121,13 +124,13 @@ class FockBasis:
         self.key_weights = np.zeros((n_modes, n_modes // digits + 1), dtype=np.int64)
         self.key_weights[i, i // digits] = base ** (i % digits)
         self.keys = occ @ self.key_weights
-        self._key_dtype = np.dtype([(f"w{w}", np.int64) for w in range(self.keys.shape[1])])
+        self._record = np.dtype((np.void, self.keys.itemsize * self.keys.shape[1]))
         self._order = np.argsort(self._packed(self.keys))
         self._sorted = self._packed(self.keys)[self._order]
 
     def _packed(self, keys) -> np.ndarray:
-        # key rows (..., words) as one sortable record each, compared word by word
-        return np.ascontiguousarray(keys, dtype=np.int64).view(self._key_dtype)[..., 0]
+        # key rows (..., words) as one record of bytes each
+        return np.ascontiguousarray(keys, dtype=np.int64).view(self._record)[..., 0]
 
     def lookup(self, keys) -> np.ndarray:
         """Basis position of every key row (..., words); -1 where none."""
@@ -143,32 +146,15 @@ class FockBasis:
         return int(self.lookup(np.zeros(self.keys.shape[1], dtype=np.int64)))
 
 
-def ladder(basis: FockBasis, mode_index: int) -> sp.csr_matrix:
-    """Unit-normalized discrete annihilator on the truncated basis.
-
-    Maps |..n..> to sqrt(n)|..n-1..>; its adjoint is the creator.  Matrix
-    elements leaving the truncated basis are dropped.
+def ladder(basis: FockBasis, mode_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-normalized discrete annihilator on the truncated basis as
+    (row, col, val) triples, one per state col holding n > 0 photons of the
+    mode: <row| b |col> = val = sqrt(n), complex.  The basis holds every
+    state of at most n_max photons, so removing one gives a basis state and
+    no row is -1.  The creator is (col, row, conj(val)).
     """
     if not (0 <= mode_index < len(basis.modes)):
         raise ConfigError(f"unknown mode index {mode_index}")
     col = np.flatnonzero(basis.occ[:, mode_index])
     row = basis.lookup(basis.keys[col] - basis.key_weights[mode_index])
-    # <t| b |s> = sqrt(n)
-    return sp.csr_matrix((np.sqrt(basis.occ[col, mode_index]), (row, col)),
-                         shape=(len(basis), len(basis)), dtype=complex)
-
-
-def functional_calculus(f, basis: FockBasis) -> sp.csr_matrix:
-    """Diagonal operator f(H_f, P_f): entry f(sum |k_i|, sum k_i) per state."""
-    vals = np.asarray(f(basis.r, basis.l), dtype=complex)
-    if vals.shape != (len(basis),):
-        raise ConfigError("functional_calculus: f must map (r, l) arrays to scalars")
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError("functional_calculus: non-finite value")
-    return sp.diags(vals).tocsr()
-
-
-def number_projection(basis: FockBasis, cap: float) -> sp.csr_matrix:
-    """Projection onto total field energy <= cap."""
-    d = (basis.r <= cap + 1e-12).astype(complex)
-    return sp.diags(d).tocsr()
+    return row, col, np.sqrt(basis.occ[col, mode_index]).astype(complex)

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .model import ModelParams, ConfigError
 from . import fockspace
-from .fockspace import FockBasis, number_projection
+from .fockspace import FockBasis
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,7 @@ def assemble_operator(family: KernelFamily, basis: FockBasis) -> sp.csr_matrix:
     # one row per state, querying one point per axis: its own (r, l)
     points = [basis.r[:, None]] + [basis.l[:, a, None] for a in range(len(g.l_axes))]
     # under the energy cap; position -1 (no such state) reads the False appended
-    capped = np.append(number_projection(basis, 1.0).diagonal() != 0, False)
+    capped = np.append(basis.r <= 1.0 + 1e-12, False)
     photons = basis.occ.sum(axis=1)
     entries, terms = [], []
     for (m, n), stack in sorted(family.stacks.items()):

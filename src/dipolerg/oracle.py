@@ -36,9 +36,9 @@ def build_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
 
     Spin index is the slow axis (block 0 = down level).  Assembled in one
     pass from (row, col, value) triples: the diagonal, then per mode and
-    spin block the annihilator entries c g[s, t] b and their adjoints.  No
-    two triples share a position, and zero diagonal entries are dropped.
-    Returns (H, basis).
+    spin block (s, t) the triples of fockspace.ladder, moved into the block
+    and scaled to c g[s, t] val, and their adjoints.  No two triples share
+    a position, and zero diagonal entries are dropped.  Returns (H, basis).
     """
     if basis is None:
         basis = FockBasis(build_modes(params), params.N_max)
@@ -53,11 +53,11 @@ def build_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
     if params.lam0 != 0.0:
         for i, mode in enumerate(basis.modes):
             c = 1j * params.lam0 * math.sqrt(mode.weight * mode.k_abs)
-            b = ladder(basis, i).tocoo()
+            row, col, val = ladder(basis, i)
             for s, t in zip(*np.nonzero(mode.coupling)):
-                v = c * (mode.coupling[s, t] * b.data)
-                rows += [s * nf + b.row, t * nf + b.col]
-                cols += [t * nf + b.col, s * nf + b.row]
+                v = c * (mode.coupling[s, t] * val)
+                rows += [s * nf + row, t * nf + col]
+                cols += [t * nf + col, s * nf + row]
                 vals += [v, v.conj()]
     H = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(2 * nf, 2 * nf))

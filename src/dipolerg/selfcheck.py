@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .model import ModelParams, SIGMA_X, chi
-from .fockspace import Mode, FockBasis, functional_calculus
+from .fockspace import Mode, FockBasis
 from .kernels import Kernel, KernelFamily, KernelGrid, assemble_operator, rl_frame
 from . import wick
 
@@ -79,9 +79,8 @@ def wick_reassembly_defect(params: ModelParams | None = None) -> float:
                           params.p, [0.0], [{}])
     W = assemble_operator(seq_in, basis).toarray()
     # one row per basis state, each querying its own (r, l)
-    F = functional_calculus(
-        lambda r, l: _f_factor(r[:, None], [l[:, :1]])[0][:, 0, 0, 0], basis).toarray()
-    chi_d = functional_calculus(lambda r, l: chi(r, 1.0) + 0.0 * r, basis).toarray()
+    F = np.diag(_f_factor(basis.r[:, None], [basis.l[:, :1]])[0][:, 0, 0, 0].astype(complex))
+    chi_d = np.diag(chi(basis.r, 1.0).astype(complex))
     lhs = np.zeros_like(W)
     term = W.copy()
     for L in range(1, params.L_max + 1):

@@ -230,8 +230,9 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
     legs, then the internal lines.  Vertex v creates the legs it closes
     and annihilates the legs it opens.  queries[a] (rows, 2L + 1, n_a)
     holds query axis a of every slot (see _leg_sums), photons already
-    pulled through.  A row whose partial chain vanishes at every member is
-    dropped at once: no later vertex or resolvent is evaluated on it.  A
+    pulled through.  A row whose partial chain vanishes at every member
+    is dropped after the next resolvent (zero stays zero through it): no
+    later vertex is evaluated on it; after the last vertex it adds 0.  A
     chain carries its row <0| as a dict from spin level to a (rows, n_f,
     *base) array, holding only the levels its vertices reach: level t past
     vertex V is the sum, in ascending s, of level_s * V[s, t] over the
@@ -257,13 +258,12 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
             chain = {t: functools.reduce(np.add, (chain[s] * val[..., s, t]
                                                   for s in chain if pattern[s, t]))
                      for t in levels if any(pattern[s, t] for s in chain)}
-        rows, chain = _drop_zero_rows(rows, chain)
-        if v < spec.L - 1 and len(rows):
+        if v < spec.L - 1:
             rq, *lqs = [q[rows, 2 * v + 2] for q in queries]
             f = ctx.F_eval(rq, lqs, run)
             rows, chain = _drop_zero_rows(rows, {t: c * f[t] for t, c in chain.items()})
-        if not len(rows):
-            break
+            if not len(rows):
+                break
     return rows, chain[0]
 
 

@@ -3,8 +3,9 @@ independent reference for feshbach.back_transport), planted Feshbach
 instances, isospectrality residuals, the Fock-space dilation (the reference
 for kernels.scale_transform), the effective mass of a sweep, the
 half-weighted kernel norm, the kernel dump reader, the polarization frame
-solver that the d=3 frame table of build_modes is checked against and the
-per-mode Kronecker assembly of the fiber Hamiltonian.  Import as
+solver that the d=3 frame table of build_modes is checked against, the
+annihilator of fockspace.ladder as a sparse matrix and the per-mode
+Kronecker assembly of the fiber Hamiltonian.  Import as
 `from helpers import`."""
 
 import json
@@ -237,6 +238,13 @@ def polarization(k: np.ndarray, lam: int) -> np.ndarray:
     return e2 / np.linalg.norm(e2)
 
 
+def ladder_matrix(basis: FockBasis, mode_index: int) -> sp.csr_matrix:
+    """The annihilator of mode mode_index as a csr matrix, placed from the
+    (row, col, val) triples of fockspace.ladder."""
+    row, col, val = ladder(basis, mode_index)
+    return sp.csr_matrix((val, (row, col)), shape=(len(basis), len(basis)))
+
+
 def kron_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
                            z: complex = 0.0):
     """H(p) - z summed mode by mode as kron(g, c b) plus its adjoint: the
@@ -251,6 +259,6 @@ def kron_fiber_hamiltonian(params: ModelParams, basis: FockBasis | None = None,
     H = sp.diags(diag.astype(complex)).tocsr()
     for i, mode in enumerate(basis.modes):
         c = 1j * params.lam0 * math.sqrt(mode.weight * mode.k_abs)
-        term = sp.kron(sp.csr_matrix(mode.coupling), ladder(basis, i), format="csr")
+        term = sp.kron(sp.csr_matrix(mode.coupling), ladder_matrix(basis, i), format="csr")
         H = H + c * term + (c * term).conj().T
     return H, basis

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dipolerg.model import ModelParams, ConfigError, SIGMA_X, SIGMA_Y, SIGMA_Z
-from dipolerg.fockspace import (build_modes, shift_index, FockBasis,
-                                ladder, functional_calculus, number_projection)
+from dipolerg.fockspace import build_modes, shift_index, FockBasis, ladder
 from dipolerg.selfcheck import _toy_grid
-from helpers import dilation, polarization
+from helpers import dilation, ladder_matrix, polarization
 
 
 @pytest.fixture()
@@ -116,14 +115,14 @@ def test_basis_enumeration_and_order(modes):
 
 def test_ladder_ccr(modes):
     basis = FockBasis(modes[:3], 3)
-    b = ladder(basis, 0).toarray()
+    b = ladder_matrix(basis, 0).toarray()
     bd = b.conj().T
     comm = b @ bd - bd @ b
     # exact Kronecker delta away from the truncation boundary
     keep = np.array([sum(s) < basis.n_max for s in basis.states])
     np.testing.assert_allclose(comm[np.ix_(keep, keep)], np.eye(int(keep.sum())),
                                atol=1e-14)
-    b1 = ladder(basis, 1).toarray()
+    b1 = ladder_matrix(basis, 1).toarray()
     np.testing.assert_allclose(b @ b1 - b1 @ b, 0.0, atol=1e-14)
 
 
@@ -134,21 +133,14 @@ def test_ladder_rejects_bad_args(modes):
 
 
 def test_functional_calculus_matches_number_operator(modes):
+    # H_f = sum_i k_i b_i^dag b_i is diagonal, with entry r per state
     basis = FockBasis(modes[:4], 2)
-    hf = functional_calculus(lambda r, l: r.astype(complex), basis).toarray()
-    acc = np.zeros_like(hf)
+    acc = np.zeros((len(basis), len(basis)), dtype=complex)
     for i in range(4):
-        b = ladder(basis, i).toarray()
+        b = ladder_matrix(basis, i).toarray()
         bd = b.conj().T
         acc += basis.modes[i].k_abs * (bd @ b)
-    np.testing.assert_allclose(hf, acc, atol=1e-13)
-
-
-def test_number_projection_idempotent(modes):
-    basis = FockBasis(modes, 2)
-    P = number_projection(basis, 0.3).toarray()
-    np.testing.assert_allclose(P @ P, P, atol=1e-15)
-    assert P[basis.vacuum_index, basis.vacuum_index] == 1.0
+    np.testing.assert_allclose(np.diag(basis.r), acc, atol=1e-13)
 
 
 def test_dilation_partial_isometry(modes, small_params):
@@ -164,10 +156,8 @@ def test_dilation_scales_field_energy(modes, small_params):
     rho = small_params.rho
     basis = FockBasis(modes, 2)
     G = dilation(basis, steps=1).toarray()
-    f = functional_calculus(lambda r, l: (r + 0.5 * l[:, 0]).astype(complex), basis)
-    lhs = G @ f.toarray() @ G.conj().T
-    scaled = functional_calculus(
-        lambda r, l: (rho * r + 0.5 * rho * l[:, 0]).astype(complex), basis).toarray()
+    lhs = G @ np.diag(basis.r + 0.5 * basis.l[:, 0]) @ G.conj().T
+    scaled = np.diag(rho * basis.r + 0.5 * rho * basis.l[:, 0])
     rng_proj = G @ G.conj().T
     np.testing.assert_allclose(lhs, rng_proj @ scaled @ rng_proj, atol=1e-13)
 
@@ -201,17 +191,37 @@ def _dilation_per_state(basis, steps):
     return g
 
 
-@pytest.mark.parametrize("params,n_max,words", [
+_BASES = pytest.mark.parametrize("params,n_max,words", [
     (ModelParams(j_max=4), 3, 1),
     # 48 modes of base 3 need 76 bits: two key words
     (ModelParams(dim=3, j_max=3), 2, 2),
 ], ids=["d1", "d3-two-words"])
+
+
+@_BASES
+def test_ladder_rows_are_basis_states(params, n_max, words):
+    # removing a photon always gives a basis state: a lookup miss (-1) would
+    # place an entry on the last state
+    basis = FockBasis(build_modes(params), n_max)
+    assert basis.keys.shape[1] == words
+    for i in range(len(basis.modes)):
+        row, col, val = ladder(basis, i)
+        assert len(row) == len(col) == len(val) > 0
+        assert np.all(row >= 0)
+
+
+@_BASES
 def test_ladder_and_dilation_match_per_state_loops(params, n_max, words):
     basis = FockBasis(build_modes(params), n_max)
     assert basis.keys.shape[1] == words
     assert basis.lookup(basis.keys).tolist() == list(range(len(basis)))
     for i in range(len(basis.modes)):
-        assert np.array_equal(ladder(basis, i).toarray(), _ladder_per_state(basis, i))
+        ref = _ladder_per_state(basis, i)
+        row, col, val = ladder(basis, i)
+        # one triple per nonzero entry, each equal to it
+        assert val.dtype == complex and len(val) == np.count_nonzero(ref)
+        assert np.array_equal(val, ref[row, col])
+        assert np.array_equal(ladder_matrix(basis, i).toarray(), ref)
     for steps in (1, 2):
         assert np.array_equal(dilation(basis, steps).toarray(), _dilation_per_state(basis, steps))
 

@@ -13,7 +13,7 @@ from dipolerg.kernels import (interp_rows, KernelGrid, Kernel,
                               KernelFamily, symmetrize, norm_sharp,
                               polydisc_measure, scale_transform,
                               assemble_operator, sequence_to_json)
-from helpers import norm_half, sequence_from_json
+from helpers import ladder_matrix, norm_half, sequence_from_json
 
 
 def _one(grid, kernels, p=0.0, z=0.0, meta=None):
@@ -346,11 +346,10 @@ def _assemble_operator_per_tuple(seq, basis):
     the adjoints of the ladders taken, per kernel and photon tuple."""
     import itertools
     import scipy.sparse as sp
-    from dipolerg.fockspace import ladder, number_projection
     g = seq.grid
     points = [basis.r[:, None]] + [basis.l[:, a, None] for a in range(len(g.l_axes))]
     total = sp.csr_matrix((len(basis), len(basis)), dtype=complex)
-    b_ops = [ladder(basis, i) for i in range(len(g.modes))]
+    b_ops = [ladder_matrix(basis, i) for i in range(len(g.modes))]
     for (m, n), stack in sorted(seq.stacks.items()):
         ker = stack[0]
         for tup in itertools.product(range(ker.n_modes), repeat=m + n):
@@ -365,7 +364,8 @@ def _assemble_operator_per_tuple(seq, basis):
             for i in reversed(tup[:m]):
                 op = b_ops[i].conj().T @ op
             total = total + w * op
-    proj = number_projection(basis, 1.0)
+    # the projection onto total field energy <= 1
+    proj = sp.diags((basis.r <= 1.0 + 1e-12).astype(complex)).tocsr()
     return proj @ total @ proj
 
 

@@ -336,13 +336,12 @@ def test_photon_axes_end_at_last_live_image(monkeypatch, case):
 
 # --- one chain product rule ----------------------------------------------------
 
-# the spin levels a chain of n records carries at record k: the records are
-# taken after vertex 0, its resolvent, vertex 1, ..., the last vertex, which
-# computes level 0 only; a sigma_x vertex flips the level
+# the spin levels a chain carries past resolvent v, the one after vertex v:
+# a chain starts on level 0 and a sigma_x vertex flips the level
 _LEVELS = {
-    "sigma_z": lambda k, n: [0],
-    "sigma_x": lambda k, n: [0] if k == n - 1 else [(k // 2 + 1) % 2],
-    "mix:0.6,0.8": lambda k, n: [0] if k == n - 1 else [0, 1],
+    "sigma_z": lambda v: [0],
+    "sigma_x": lambda v: [(v + 1) % 2],
+    "mix:0.6,0.8": lambda v: [0, 1],
 }
 
 
@@ -351,22 +350,23 @@ def test_chains_carry_only_the_levels_their_vertices_reach(monkeypatch, coupling
     chains = []
     chain_rows, drop = wick._chain_rows, wick._drop_zero_rows
 
-    def rows_spy(*args):
-        chains.append([])
-        return chain_rows(*args)
+    def rows_spy(ctx, spec, *args):
+        chains.append((spec.L, []))
+        return chain_rows(ctx, spec, *args)
 
     def drop_spy(rows, chain):
-        chains[-1].append(sorted(chain))
+        chains[-1][1].append(sorted(chain))
         return drop(rows, chain)
 
     monkeypatch.setattr(wick, "_chain_rows", rows_spy)
     monkeypatch.setattr(wick, "_drop_zero_rows", drop_spy)
     initial_kernels(ModelParams(lam0=0.02, j_max=4, j_max_pair=3, n_z_samples=3,
                                 spin_coupling=coupling), [0.0])
-    # the first decimation drops no row, so every chain runs to its end
-    for chain in chains:
-        assert chain == [_LEVELS[coupling](k, len(chain)) for k in range(len(chain))]
-    assert any(len(chain) > 1 for chain in chains)
+    # the first decimation drops no row, so every chain runs to its end:
+    # rows are checked once past each of its L - 1 resolvents
+    for L, chain in chains:
+        assert chain == [_LEVELS[coupling](v) for v in range(L - 1)]
+    assert any(L > 1 for L, _ in chains)
 
 
 def test_vertices_return_spin_blocks_and_resolvents_spin_levels(monkeypatch):
