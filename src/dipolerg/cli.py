@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from .model import (ModelParams, ConfigError, parse_config_text, config_defaults,
-                    config_dump_text, params_from_config, apply_config_line)
+                    config_dump_text, apply_config_line)
 from .kernels import polydisc_measure, sequence_to_json
 from .firststep import initial_kernels, FirstStepError, lambda_critical_estimate
 from .rgflow import run_flow, FlowError, extract_alpha_beta, ground_state
@@ -44,11 +44,7 @@ def _params(config_path, sets) -> tuple[ModelParams, dict]:
         if "=" not in item.split("#", 1)[0]:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         apply_config_line(cfg, item, "--set")
-    return params_from_config(cfg), cfg
-
-
-def _run_flow(params: ModelParams, cfg: dict):
-    return run_flow(params, n_max=cfg["n_flow_max"], tol_factor=cfg["tol_factor"])
+    return ModelParams(**cfg), cfg
 
 
 def _tolerance(ctx, param, value: float) -> float:
@@ -146,8 +142,8 @@ def first_step(config_path, sets, z_value, dump_kernels):
 @with_common
 def flow_cmd(config_path, sets):
     """Run the full flow at the configured momentum; print the energy."""
-    params, cfg = _params(config_path, sets)
-    res = _run_flow(params, cfg)
+    params, _ = _params(config_path, sets)
+    res = run_flow(params)
     alpha, beta = extract_alpha_beta(res.final_family[len(res.z_nodes) // 2])
     payload = {
         "energy": res.energy,
@@ -185,11 +181,11 @@ def dispersion(config_path, sets, method, output):
     params, cfg = _params(config_path, sets)
     if cfg["p_star"] != config_defaults()["p_star"]:
         raise ConfigError("dispersion sets p_star = p at each sweep point; remove p_star")
-    pmax = cfg["p_sweep_max"] * params.m
-    p_values = np.linspace(-pmax, pmax, cfg["p_sweep_points"])
+    pmax = params.p_sweep_max * params.m
+    p_values = np.linspace(-pmax, pmax, params.p_sweep_points)
     energy = {"oracle": oracle_mod.ground_energy,
               "pt2": oracle_mod.pt2_energy,
-              "flow": lambda pp: _run_flow(pp, cfg).energy}[method]
+              "flow": lambda pp: run_flow(pp).energy}[method]
     energies = [energy(params.with_updates(p=pv, p_star=pv)) for pv in p_values]
     text = oracle_mod.sweep_to_csv(p_values, energies, method)
     if output:
@@ -207,8 +203,8 @@ def validate(config_path, sets, rel_tol, abs_tol):
     """Compare the flow against direct diagonalization at one momentum, and
     report the residual of the ground state reconstructed at the flow
     energy (reported, not judged)."""
-    params, cfg = _params(config_path, sets)
-    e_flow = _run_flow(params, cfg).energy
+    params, _ = _params(config_path, sets)
+    e_flow = run_flow(params).energy
     e_oracle = oracle_mod.ground_energy(params)
     diff = abs(e_flow - e_oracle)
     tol = max(rel_tol * abs(e_oracle), abs_tol * params.m)

@@ -5,9 +5,9 @@ smooth infrared cutoff profile chi and its complement, and the Pauli
 matrices.  Everything here is immutable after construction and safe
 to share across workers.
 
-The configuration keys are the ModelParams fields, each with its default
-and doc line, plus the run-control keys of _RUN_CONTROL (the flow's stage
-cap and tolerance, the dispersion sweep); params_from_config checks both.
+The configuration keys are the ModelParams fields, each with its default,
+doc line and rule: the physical and RG parameters, then the flow's stage
+cap and tolerance and the dispersion sweep.
 """
 
 from __future__ import annotations
@@ -110,6 +110,11 @@ class ModelParams:
     n_l_uniform: int = _key(4, "extra uniform |l|-grid nodes (d=1)")
     n_l_axis_d3: int = _key(3, "l-grid nodes per axis in d=3 validation mode (odd, >= 3)")
     n_z_samples: int = _key(9, "Chebyshev samples of the spectral parameter")
+    # run control: the flow's stop rule and the dispersion sweep
+    n_flow_max: int = _key(40, "max RG iterations")
+    tol_factor: float = _key(1e-10, "flow convergence tolerance, in units of mu")
+    p_sweep_max: float = _key(0.4, "dispersion sweep half-width, in units of m")
+    p_sweep_points: int = _key(9, "dispersion sweep point count (odd, symmetric)")
 
     def __post_init__(self):
         if self.dim not in (1, 3):
@@ -148,20 +153,26 @@ class ModelParams:
             raise ConfigError("gap parameter mu out of (0, 1/2]")
         if np.linalg.norm(self.p - self.p_star) >= mu * self.m:
             raise ConfigError("momentum must satisfy |p - p*| < mu*m")
-        # a negative j_max_pair would leave no mode carrying the pair kernels
+        # a negative j_max_pair would leave no mode carrying the pair kernels;
+        # the convergence criterion compares two stages
         lows = {"M_max": 1, "L_max": 1, "N_max": 1, "j_max": 1, "j_max_pair": 0,
-                "n_r_uniform": 0, "n_l_uniform": 0}
+                "n_r_uniform": 0, "n_l_uniform": 0, "n_flow_max": 2}
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
         # the flow reads its ledgers off the middle member, at z = 0 for odd counts
-        # only; an odd d=3 l-axis holds l = 0 too
-        for name in ("n_z_samples", "n_l_axis_d3"):
+        # only; an odd d=3 l-axis holds l = 0 too, and so does an odd sweep
+        for name in ("n_z_samples", "n_l_axis_d3", "p_sweep_points"):
             n = getattr(self, name)
             if n < 3 or n % 2 == 0:
                 raise ConfigError(f"{name} must be odd and >= 3, got {n}")
         if self.uv_cutoff <= 0.0:
             raise ConfigError("uv cutoff must be positive")
+        if self.tol_factor <= 0.0:
+            raise ConfigError("tol_factor must be > 0")
+        # each sweep point sets p_star = p, and |p_star| < m
+        if not (0.0 < self.p_sweep_max < 1.0):
+            raise ConfigError("p_sweep_max must lie in (0, 1)")
 
     @property
     def mu(self) -> float:
@@ -174,21 +185,8 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # configuration (plain-text key=value files; no env vars)
 
-# the keys ModelParams does not hold: default, doc line, rule and its text
-_RUN_CONTROL = {
-    "n_flow_max": (40, "max RG iterations", lambda v: v >= 2,
-                   "must be >= 2 (the convergence criterion compares two stages)"),
-    "tol_factor": (1e-10, "flow convergence tolerance, in units of mu",
-                   lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
-    "p_sweep_max": (0.4, "dispersion sweep half-width, in units of m",
-                    lambda v: 0.0 < v < 1.0,
-                    "must lie in (0, 1) (each sweep point sets p_star = p, and |p_star| < m)"),
-    "p_sweep_points": (9, "dispersion sweep point count (odd, symmetric)",
-                       lambda v: v >= 3 and v % 2 == 1, "must be odd and >= 3"),
-}
 # default and doc line of every key, in dump order
 _KEYS = {f.name: (f.default, f.metadata["doc"]) for f in dataclasses.fields(ModelParams)}
-_KEYS.update((key, spec[:2]) for key, spec in _RUN_CONTROL.items())
 
 
 def config_defaults() -> dict:
@@ -235,15 +233,6 @@ def _spin_matrix(tag: str) -> np.ndarray:
             raise ConfigError(f"bad spin coupling tag {tag!r}") from exc
         return a * SIGMA_X + b * SIGMA_Z
     raise ConfigError(f"bad spin coupling tag {tag!r}")
-
-
-def params_from_config(cfg: dict) -> ModelParams:
-    """The ModelParams of a full config, once its run-control keys pass
-    their rules."""
-    for key, (_default, _doc, rule, text) in _RUN_CONTROL.items():
-        if not rule(cfg[key]):
-            raise ConfigError(f"{key} {text}, got {cfg[key]}")
-    return ModelParams(**{f.name: cfg[f.name] for f in dataclasses.fields(ModelParams)})
 
 
 def config_dump_text(cfg: dict | None = None) -> str:

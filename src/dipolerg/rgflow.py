@@ -132,12 +132,14 @@ class StageMap:
     """Polynomial model of one stage's spectral reparameterization."""
     nodes: np.ndarray
     coef: np.ndarray       # polynomial fit, ascending powers
+    dcoef: np.ndarray      # its derivative, for the Newton steps of inverse
 
     @classmethod
     def fit(cls, nodes, values):
         deg = len(nodes) - 1
         coef = np.polynomial.polynomial.polyfit(nodes, values, deg)
-        return cls(nodes=np.asarray(nodes), coef=coef)
+        return cls(nodes=np.asarray(nodes), coef=coef,
+                   dcoef=np.polynomial.polynomial.polyder(coef))
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coef)
@@ -145,12 +147,11 @@ class StageMap:
     def inverse(self, target: complex, rho: float, tol: float) -> complex:
         """Solve E(z) = target by Newton from the contraction seed rho*target."""
         z = rho * target
-        dcoef = np.polynomial.polynomial.polyder(self.coef)
         for _ in range(60):
             f = np.polynomial.polynomial.polyval(z, self.coef) - target
             if abs(f) < tol:
                 break
-            df = np.polynomial.polynomial.polyval(z, dcoef)
+            df = np.polynomial.polynomial.polyval(z, self.dcoef)
             if abs(df) < 1e-300:
                 raise FlowError("spectral reparameterization has a flat spot")
             z = z - f / df
@@ -197,24 +198,20 @@ def _compose_chain(stage_maps: list[StageMap], rho: float, tol: float) -> comple
     return e
 
 
-def run_flow(params: ModelParams, n_max: int = 40,
-             tol_factor: float = 1e-10, z_half_width_frac: float = 0.45,
+def run_flow(params: ModelParams, z_half_width_frac: float = 0.45,
              min_stages: int = 2) -> FlowResult:
     """Iterate the flow from the first decimation until the energy chain
-    is Cauchy at tol_factor * mu.  Returns the composed ground energy in
-    physical units (rho0 times the limiting rescaled value).  Raises
-    FlowError when n_max stages pass without meeting the criterion, and
-    ConfigError when n_max leaves no stage at which it can be met or
-    tol_factor is not a finite positive number.
+    is Cauchy at params.tol_factor * mu.  Returns the composed ground
+    energy in physical units (rho0 times the limiting rescaled value).
+    Raises FlowError when params.n_flow_max stages pass without meeting
+    the criterion, and ConfigError when n_flow_max is below min_stages.
     """
-    if n_max < max(min_stages, 2):
-        raise ConfigError(f"n_max={n_max} is below the {max(min_stages, 2)} "
-                          "stages the convergence criterion needs")
-    if not 0.0 < tol_factor < math.inf:
-        raise ConfigError(f"tol_factor must be finite and > 0, got {tol_factor}")
+    n_max = params.n_flow_max
+    if n_max < min_stages:
+        raise ConfigError(f"n_flow_max={n_max} is below min_stages={min_stages}")
     mu = params.mu
     rho = params.rho
-    tol = tol_factor * mu
+    tol = params.tol_factor * mu
     nodes = cheb_nodes(params.n_z_samples, z_half_width_frac * mu)
     grid = KernelGrid(params)
     try:
@@ -270,13 +267,17 @@ def ground_state(params: ModelParams, energy: float,
     below rho0 (soft cutoff chi) and removes the upper level entirely, and
     the reference is the diagonal of H(p) - energy.  Depth-one truncation:
     corrections are of the order of the post-decimation kernel norms.
-    Returns (vector, residual, basis) with the residual |(H - E) psi| / |psi|.
+    Returns (vector, residual, basis) with the residual |(H - E) psi| / |psi|;
+    raises FlowError when the back-transport fails.
     """
     H, basis = oracle.build_fiber_hamiltonian(params, basis, z=energy)
     chi_vec = np.concatenate([chi(basis.r, params.rho0), np.zeros(len(basis))])
     vac = np.zeros(2 * len(basis), dtype=complex)
     vac[basis.vacuum_index] = 1.0      # lower level block comes first
-    psi = feshbach.back_transport(H, chi_vec, vac)
+    try:
+        psi = feshbach.back_transport(H, chi_vec, vac)
+    except feshbach.DecimationError as exc:
+        raise FlowError(f"ground state reconstruction failed: {exc}") from exc
     nrm = np.linalg.norm(psi)
     if nrm < 1e-300:
         raise FlowError("ground state reconstruction produced the zero vector")

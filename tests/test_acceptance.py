@@ -29,8 +29,8 @@ def test_free_theory_exactness():
     # machine precision: zero energy, unit kinetic slope, -p/m drift
     t0 = time.monotonic()
     for p in (0.0, 0.3, -0.3):
-        params = ModelParams(lam0=0.0, p=p, p_star=p, n_z_samples=5)
-        res = run_flow(params, n_max=30, min_stages=30)
+        params = ModelParams(lam0=0.0, p=p, p_star=p, n_z_samples=5, n_flow_max=30)
+        res = run_flow(params, min_stages=30)
         assert res.stages >= 30
         assert abs(res.energy) <= 1e-10
         seq = res.final_family[len(res.z_nodes) // 2]
@@ -115,8 +115,8 @@ def test_oracle_minus_pt2_is_fourth_order(lam_c):
 
 
 def test_flow_contracts_perturbation(lam_c):
-    params = ModelParams(lam0=lam_c / 10.0)
-    res = run_flow(params, min_stages=6, n_max=8)
+    params = ModelParams(lam0=lam_c / 10.0, n_flow_max=8)
+    res = run_flow(params, min_stages=6)
     eps = [led.eps for led in res.ledgers]
     assert len(eps) >= 6
     for n in range(2, len(eps) - 1):

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from dipolerg import cli, firststep, rgflow, selfcheck
+from dipolerg import cli, feshbach, firststep, rgflow, selfcheck
 from dipolerg.cli import main, EXIT_CONFIG, EXIT_FIRST_STEP, EXIT_FLOW, EXIT_VALIDATION
 from dipolerg.firststep import FirstStepError
 from dipolerg.kernels import polydisc_measure
@@ -281,6 +281,20 @@ def test_validate_pass_and_fail(runner):
     out = runner.invoke(main, args + ["--rel-tol", "1e-12", "--abs-tol", "1e-15"])
     assert out.exit_code == EXIT_VALIDATION
     assert json.loads(out.output)["ground_state_residual"] <= 1e-5
+
+
+def test_failed_ground_state_reconstruction_exits_3(runner, monkeypatch):
+    def fail(H, chi, v):
+        raise feshbach.DecimationError("off-band block is singular")
+
+    monkeypatch.setattr(feshbach, "back_transport", fail)
+    out = runner.invoke(main, ["validate", "--set", "lam0=0.004", "--set", "j_max=4",
+                               "--set", "j_max_pair=3", "--set", "n_z_samples=3"])
+    assert out.exit_code == EXIT_FLOW
+    assert isinstance(out.exception, SystemExit)     # no traceback
+    assert out.stdout == ""
+    assert out.stderr == ("error: ground state reconstruction failed: "
+                          "off-band block is singular\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -1,17 +1,15 @@
 import dataclasses
-import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dipolerg.model import (ModelParams, ConfigError, chi, chibar,
-                            parse_config_text, params_from_config,
-                            config_defaults, config_dump_text, rho_power,
+                            parse_config_text, config_defaults,
+                            config_dump_text, rho_power,
                             CHI_PLATEAU, CHI_SUPPORT, SIGMA_X, SIGMA_Z)
 from dipolerg.kernels import KernelGrid
-from dipolerg.rgflow import run_flow
 
 
 @given(st.floats(min_value=-2.0, max_value=4.0))
@@ -60,12 +58,23 @@ def test_params_rejects_negative_mass():
         ModelParams(m=-1.0)
 
 
-@pytest.mark.parametrize("name", ["n_r_uniform", "n_l_uniform"])
-def test_params_reject_negative_uniform_node_counts(name):
-    # numpy's linspace would reject them later, with a traceback
+@pytest.mark.parametrize("name, bad, edge", [
+    # numpy's linspace would reject negative node counts later, with a traceback
+    pytest.param("n_r_uniform", -2, 0, id="n_r_uniform"),
+    pytest.param("n_l_uniform", -2, 0, id="n_l_uniform"),
+    # the convergence criterion compares two stages
+    ("n_flow_max", 1, 2), ("n_flow_max", 0, 2),
+    # a tolerance of 0 or below is never met
+    ("tol_factor", 0.0, 1e-300), ("tol_factor", -1.0, 1e-300),
+    # each sweep point sets p_star = p, and |p_star| < m
+    ("p_sweep_max", 0.0, 0.999), ("p_sweep_max", 1.0, 0.999),
+])
+def test_params_reject_negative_uniform_node_counts(name, bad, edge):
+    # and every other count or tolerance outside its range, naming the key;
+    # `edge` is a value inside it
     with pytest.raises(ConfigError, match=name):
-        ModelParams(**{name: -2})
-    assert getattr(ModelParams(**{name: 0}), name) == 0
+        ModelParams(**{name: bad})
+    assert getattr(ModelParams(**{name: edge}), name) == edge
 
 
 def test_params_reject_a_negative_j_max_pair():
@@ -84,9 +93,12 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 @given(st.sampled_from(["m", "omega0", "lam0", "rho", "rho0", "xi", "uv_cutoff",
-                        "p", "p_star"]), _NON_FINITE)
+                        "p", "p_star", "tol_factor", "p_sweep_max"]), _NON_FINITE)
+@example("tol_factor", math.nan)
+@example("tol_factor", math.inf)
+@example("p_sweep_max", math.inf)
 def test_params_reject_non_finite_scalars(name, bad):
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
         ModelParams(**{name: bad})
 
 
@@ -105,11 +117,15 @@ def test_params_reject_non_finite_entries(name, i, bad, imag):
         ModelParams(**kw)
 
 
-@pytest.mark.parametrize("n", [1, 4])
-def test_params_reject_too_few_or_even_z_samples(n):
-    # the flow reads its ledgers off the middle node, at z = 0 for odd counts only
-    with pytest.raises(ConfigError, match="n_z_samples"):
-        ModelParams(n_z_samples=n)
+@pytest.mark.parametrize("name, n", [
+    pytest.param("n_z_samples", 1, id="1"), pytest.param("n_z_samples", 4, id="4"),
+    ("p_sweep_points", 4), ("p_sweep_points", 1),
+])
+def test_params_reject_too_few_or_even_z_samples(name, n):
+    # the flow reads its ledgers off the middle node, at z = 0 for odd counts
+    # only; the symmetric dispersion sweep shares the rule
+    with pytest.raises(ConfigError, match=name):
+        ModelParams(**{name: n})
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1, 4])
@@ -144,7 +160,7 @@ def test_config_roundtrip():
     text = config_dump_text(cfg)
     back = parse_config_text(text)
     assert back == cfg
-    params_from_config(back)
+    ModelParams(**back)
 
 
 def test_config_rejects_unknown_key():
@@ -155,14 +171,14 @@ def test_config_rejects_unknown_key():
 def test_config_spin_tags():
     cfg = config_defaults()
     cfg["spin_coupling"] = "sigma_z"
-    p = params_from_config(cfg)
+    p = ModelParams(**cfg)
     assert p.spin_coupling[0, 0] == pytest.approx(-1.0)
     cfg["spin_coupling"] = "mix:0.6,0.8"
-    p = params_from_config(cfg)
+    p = ModelParams(**cfg)
     assert p.spin_coupling[0, 1] == pytest.approx(0.6)
     cfg["spin_coupling"] = "bogus"
     with pytest.raises(ConfigError):
-        params_from_config(cfg)
+        ModelParams(**cfg)
 
 
 def test_mu_uses_reference_momentum():
@@ -171,13 +187,10 @@ def test_mu_uses_reference_momentum():
 
 
 def test_config_defaults_match_api_defaults():
-    # the ModelParams fields hold their own config defaults; the config
-    # repeats only run_flow's stage cap and tolerance
+    # every configuration key is a ModelParams field holding its own default
     cfg = config_defaults()
-    from_cfg = params_from_config(cfg)
+    assert list(cfg) == [f.name for f in dataclasses.fields(ModelParams)]
+    from_cfg = ModelParams(**cfg)
     default = ModelParams()
     for f in dataclasses.fields(ModelParams):
         assert np.array_equal(getattr(from_cfg, f.name), getattr(default, f.name)), f.name
-    flow_args = inspect.signature(run_flow).parameters
-    assert flow_args["n_max"].default == cfg["n_flow_max"]
-    assert flow_args["tol_factor"].default == cfg["tol_factor"]

@@ -139,19 +139,16 @@ _THREE_STAGE = dict(lam0=0.02, j_max=5, j_max_pair=1, n_z_samples=3,
                     n_r_uniform=4, n_l_uniform=2, L_max=2, spin_coupling=SIGMA_Z)
 
 
-def test_run_flow_raises_when_not_cauchy():
+def test_run_flow_raises_when_not_cauchy(monkeypatch):
     params = ModelParams(**_THREE_STAGE)
     with pytest.raises(FlowError, match="not Cauchy after 2 stages"):
-        run_flow(params, n_max=2)
-    assert run_flow(params, n_max=3).stages == 3
-    # too few stages for the criterion at all: rejected before any work
-    for n_max, min_stages in [(1, 2), (0, 2), (3, 4)]:
-        with pytest.raises(ConfigError):
-            run_flow(params, n_max=n_max, min_stages=min_stages)
-    # so is a tolerance never met (NaN, 0, -1) or always met (inf)
-    for tol_factor in [np.nan, 0.0, -1.0, np.inf]:
-        with pytest.raises(ConfigError, match="tol_factor"):
-            run_flow(params, tol_factor=tol_factor)
+        run_flow(params.with_updates(n_flow_max=2))
+    assert run_flow(params.with_updates(n_flow_max=3)).stages == 3
+    # a stage cap below the stages asked for: rejected before any work
+    # (ModelParams rejects caps below 2 and bad tolerances itself)
+    monkeypatch.setattr(rgflow, "initial_kernels", None)
+    with pytest.raises(ConfigError, match="n_flow_max"):
+        run_flow(params.with_updates(n_flow_max=3), min_stages=4)
 
 
 def test_run_flow_reports_first_step_failure():
