@@ -51,30 +51,32 @@ class TwoLevelResolventData:
         self._index = {}        # query row bytes -> table row
         self._table = None      # (lower, upper), each (capacity, members, n_r, n_l)
 
-    def __call__(self, rq, lqs, run=slice(None)):
-        """Lower and upper level on each row's (r, l) product grid at the members
-        in run (every member by default), each (rows, members, n_r, n_l): rq
-        has shape (rows, n_r), every l-query (rows, n_l)."""
+    def __call__(self, rq, lqs, run=slice(None), levels=(0, 1)):
+        """The levels in `levels` (0 lower, 1 upper) on each row's (r, l)
+        product grid at the members in run, each (rows, members, n_r, n_l):
+        rq has shape (rows, n_r), every l-query (rows, n_l).  A row is
+        evaluated, and its gaps checked, at both levels."""
         keys = [row.tobytes() for row in np.concatenate([rq, *lqs], axis=1)]
         # the first row of each distinct key not in the table
         fresh = {k: keys.index(k) for k in dict.fromkeys(keys) if k not in self._index}
         if fresh:
             first = list(fresh.values())
-            levels = self._evaluate(rq[first], [q[first] for q in lqs])
+            evaluated = self._evaluate(rq[first], [q[first] for q in lqs])
             if self._table is None:
-                cap = max(1, _TABLE_BYTES // (2 * levels[0][0].nbytes))
-                self._table = tuple(np.empty((cap,) + lv.shape[1:], complex) for lv in levels)
+                cap = max(1, _TABLE_BYTES // (2 * evaluated[0][0].nbytes))
+                self._table = tuple(np.empty((cap,) + lv.shape[1:], complex) for lv in evaluated)
             n0 = len(self._index)
             n = min(len(fresh), len(self._table[0]) - n0)
-            for table, lv in zip(self._table, levels):
+            for table, lv in zip(self._table, evaluated):
                 table[n0:n0 + n] = lv[:n]
             self._index.update(zip(list(fresh)[:n], range(n0, n0 + n)))
-        out = tuple(table[[self._index.get(k, 0) for k in keys], run] for table in self._table)
+        at = [self._index.get(k, 0) for k in keys]
+        out = tuple(self._table[t][at, run] for t in levels)
         spill = [i for i, k in enumerate(keys) if k not in self._index]
         if spill:           # rows a full table did not store: from their evaluation
             pos = dict(zip(fresh, range(len(fresh))))
-            for o, lv in zip(out, levels):
-                o[spill] = lv[[pos[keys[i]] for i in spill], run]
+            for o, t in zip(out, levels):
+                o[spill] = evaluated[t][[pos[keys[i]] for i in spill], run]
         return out
 
     def _evaluate(self, rq, lqs):

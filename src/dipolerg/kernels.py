@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,36 +30,50 @@ from .fockspace import FockBasis
 
 def _axis_weights(nodes: np.ndarray, q: np.ndarray):
     q = np.asarray(q, dtype=float)
-    n = len(nodes)
-    idx = np.clip(np.searchsorted(nodes, q), 1, n - 1)
-    x0 = nodes[idx - 1]
-    x1 = nodes[idx]
-    frac = np.clip((q - x0) / (x1 - x0), 0.0, 1.0)
+    lo = np.searchsorted(nodes[1:-1], q)        # q's cell, the end cells reaching outward
+    x0, x1 = nodes[lo], nodes[lo + 1]
+    # the bound first, as np.clip does: maximum(0.0, -0.0) keeps the -0.0
+    frac = np.minimum(np.maximum(0.0, (q - x0) / (x1 - x0)), 1.0)
     inside = (q >= nodes[0] - 1e-12) & (q <= nodes[-1] + 1e-12)
-    w1 = np.where(inside, frac, 0.0)
-    w0 = np.where(inside, 1.0 - frac, 0.0)
-    return idx - 1, idx, w0, w1
+    # complex, as every sampled kernel is: no cast in each product with a block
+    w1 = np.where(inside, frac, 0j)
+    w0 = np.where(inside, 1.0 - frac, 0j)
+    return lo, w0, w1
 
 
-def interp_rows(values: np.ndarray, nodes_list, queries_list) -> np.ndarray:
-    """Interpolate axes 1, 2, ... of `values` at per-row query vectors.
+def interp_rows(values: np.ndarray, nodes_list, queries_list, lead=None) -> np.ndarray:
+    """Interpolate the grid axes of `values` at per-row query vectors.
 
-    Row i of the result interpolates values[i] (a length-1 leading axis is
-    shared by every row) at queries_list[a][i] on axis a + 1, so the query
-    arrays have shape (rows, n_a) and the result (rows, n_0, n_1, ..., rest);
-    points outside a grid range evaluate to 0 (kernel support convention).
+    queries_list[a] (rows, n_a) holds each row's query vector on axis a.
+    `lead` indexes the axes in front of the grid: arrays broadcasting to
+    (rows, *mid, 1), by default row i reading values[i] (values[0] if that
+    axis has length 1).  The first axis is gathered with the lead, one
+    gather per corner, the later ones in place: the result is C-ordered
+    (rows, *mid, n_0, ..., rest).  Points outside a grid range evaluate to
+    0 (kernel support convention).
     """
-    out = values
-    for ax, (nodes, q) in enumerate(zip(nodes_list, queries_list), start=1):
-        i0, i1, w0, w1 = _axis_weights(np.asarray(nodes, dtype=float), q)
-        # row r reads row r of out, or the one row every row shares
-        r = np.arange(len(i0))[:, None] if len(out) > 1 else np.zeros((1, 1), dtype=int)
-        pre = (slice(None),) * (ax - 1)
-        # weights cast once, not buffer by buffer in each product with the block
-        shape, dtype = i0.shape + (1,) * (out.ndim - 2), np.promote_types(out.dtype, w0.dtype)
-        w0, w1 = w0.astype(dtype).reshape(shape), w1.astype(dtype).reshape(shape)
-        # the two index arrays' (rows, n) axes come first, then axes 1..ax-1
-        out = np.moveaxis(out[(r,) + pre + (i0,)] * w0 + out[(r,) + pre + (i1,)] * w1, 1, ax)
+    rows = len(queries_list[0])
+    if lead is None:
+        lead = (np.arange(rows)[:, None] if len(values) > 1 else np.zeros((1, 1), dtype=int),)
+    ax = max(map(np.ndim, lead)) - 1         # the first grid axis in the result
+    for a, (nodes, q) in enumerate(zip(nodes_list, queries_list)):
+        i0, w0, w1 = _axis_weights(np.asarray(nodes, dtype=float), q)
+        if not a:
+            i0 = i0.reshape((rows,) + (1,) * (ax - 1) + i0.shape[1:])
+            c0, c1 = values[lead + (i0,)], values[lead + (i0 + 1,)]
+        else:
+            # each row's lines along the axis, merged, read its nodes in one take
+            ax += 1
+            front, n, back = out.shape[:ax], out.shape[ax], out.shape[ax + 1:]
+            lines = math.prod(front[1:])
+            i0 = (np.arange(rows * lines) * n).reshape(rows, lines, 1) + i0[:, None]
+            flat = out.reshape(rows * lines * n, math.prod(back))
+            c0 = np.take(flat, i0, axis=0).reshape(front + (q.shape[1],) + back)
+            c1 = np.take(flat, i0 + 1, axis=0).reshape(c0.shape)
+        shape = (rows,) + (1,) * (ax - 1) + w0.shape[1:] + (1,) * (c0.ndim - ax - 1)
+        # in place: the corners are fresh copies, and a large temporary costs page faults
+        c0 *= w0.reshape(shape)
+        out = np.add(c0, np.multiply(c1, w1.reshape(shape), out=c1), out=c0)
     return out
 
 
@@ -192,26 +207,20 @@ class Kernel:
 
         ids has shape (rows, m + n), rq (rows, n_r) and every l-query
         (rows, n_l); the result has shape (rows, n_f, n_r, n_l, ..., 1, 1),
-        the scalar kernel's 1x1 spin block.  A row with a photon argument
-        beyond the first n_modes modes evaluates to 0.
+        the scalar kernel's 1x1 spin block, in C order.  A row with a photon
+        argument beyond the first n_modes modes evaluates to 0.  One gather
+        per corner reads each row's photon slice, members and r-corner.
         """
         values = self.values[run]
-        rq = np.asarray(rq, dtype=float)
         ids = np.asarray(ids, dtype=int)
-        ok = np.all(ids < self.n_modes, axis=1)
-        # (rows, members, base...) blocks at each row's photon arguments; a kernel
-        # without photon axes shares its one block with every row
-        blocks = np.moveaxis(values[(Ellipsis,) + tuple(ids[ok].T)], -1, 0) \
-            if self.m + self.n else values[None]
-        queries = [q[ok] for q in [rq] + [np.asarray(q, dtype=float) for q in l_queries]]
-        # members ride behind the interpolated axes, then come back in C
-        # order, which the chain's products and row sums run fastest on
-        vals = interp_rows(np.moveaxis(blocks, 1, -1), self.grid.base_axes, queries)
-        vals = np.ascontiguousarray(np.moveaxis(vals, -1, 1))
-        if not np.all(ok):
-            out = np.zeros((len(rq),) + vals.shape[1:], dtype=complex)
-            out[ok] = vals
-            vals = out
+        beyond = (ids >= self.n_modes).any(axis=1)       # read at mode 0, then zeroed
+        # the photon axes in front (a view), read at each row's ids, then the members
+        lead = (tuple(np.where(beyond, 0, ids.T)[:, :, None, None])
+                + (np.arange(len(values)).reshape(1, -1, 1),))
+        photons = tuple(range(1 + self.n_base_axes, values.ndim))
+        values = values.transpose(photons + tuple(range(values.ndim - len(photons))))
+        vals = interp_rows(values, self.grid.base_axes, [rq, *l_queries], lead)
+        vals[beyond] = 0.0
         return vals[..., None, None]
 
     def __getitem__(self, k) -> "Kernel":

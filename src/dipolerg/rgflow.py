@@ -42,8 +42,8 @@ def _band_denominator(family: KernelFamily):
     the monomials), and the squared cutoff complement sits on top of the
     interpolated symbol.  Raises FlowError near a zero of a symbol.
     """
-    def F_eval(rq, lqs, run=slice(None)):
-        # rq has shape (rows, n_r), every l-query (rows, n_l); the members in run
+    def F_eval(rq, lqs, run=slice(None), levels=(0,)):
+        # rq (rows, n_r), every l-query (rows, n_l); the members in run; one level
         rcol, l2, _ = rl_frame(rq, lqs, family=True)
         cb2 = chibar(rcol, family.grid.rho) ** 2
         inside = rcol <= 1.0 + 1e-12

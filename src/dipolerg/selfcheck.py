@@ -54,7 +54,7 @@ def _toy_kernels(grid, rng):
     return out
 
 
-def _f_factor(rq, lqs, run=slice(None)):
+def _f_factor(rq, lqs, run=slice(None), levels=(0,)):
     """Diagonal chain factor, analytic below the cap and zero above.
 
     rq has shape (rows, n_r), every l-query (rows, n_l); the result is one

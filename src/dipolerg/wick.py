@@ -161,14 +161,24 @@ def _leg_sums(modes, ends, L: int, k_abs, k_vec):
     external creator opens at -1, an external annihilator closes at L.
     Row i of `modes` (rows, legs) puts leg j, with ends[j] = (opened,
     closed), on mode modes[i, j]; the incidence depends on the ends only,
-    so one 0/1 product serves every row.  Returns the sums, shape
-    (rows, 2L + 1, 1 + dim), energy first.
+    so one 0/1 product, built once per leg layout, serves every row.
+    Returns the sums, shape (rows, 2L + 1, 1 + dim), energy first.
     """
+    modes = np.asarray(modes, dtype=int)
+    return (_incidence(tuple(map(tuple, ends)), L)[0]
+            @ np.concatenate([k_abs[modes][..., None], k_vec[modes]], axis=-1))
+
+
+@functools.lru_cache(maxsize=None)
+def _incidence(ends: tuple, L: int):
+    """The slots each leg spans, (2L + 1, legs), and each vertex's legs,
+    creators first; read-only, as every caller shares them."""
     opened, closed = np.array(ends, dtype=int).reshape(-1, 2).T
     slot = np.arange(2 * L + 1)[:, None]
     spans = (2 * opened + 1 < slot) & (slot < 2 * closed + 1)
-    modes = np.asarray(modes, dtype=int)
-    return spans @ np.concatenate([k_abs[modes][..., None], k_vec[modes]], axis=-1)
+    spans.flags.writeable = False
+    return spans, tuple(tuple(np.flatnonzero(closed == v)) + tuple(np.flatnonzero(opened == v))
+                        for v in range(L))
 
 
 @dataclasses.dataclass
@@ -187,11 +197,12 @@ class WickContext:
     vectors, (rows, n_f, *base, s, s), where n_f counts the members in run,
     or is 1 for a vertex that is the same at every member, and a grid axis
     has length 1 where the vertex is constant along it.  Resolvent
-    contract: F_eval(rq, lqs, run) takes the same stacked queries and
-    returns the diagonal resolvent factor at the members in run, masked to
-    its domain, as a tuple of s arrays (rows, n_f, *base), one per spin
-    level.  `scale` must be rho^k for an integer k (rho the grid's ratio):
-    the external photons then sit k shells up the grid (scaled_ids).
+    contract: F_eval(rq, lqs, run, levels) takes the same stacked queries
+    and the spin levels a chain carries, ascending, and returns the
+    diagonal resolvent factor at the members in run, masked to its domain,
+    one array (rows, n_f, *base) per level, in a tuple.  `scale` must be
+    rho^k for an integer k (rho the grid's ratio): the external photons
+    then sit k shells up the grid (scaled_ids).
     """
     grid: KernelGrid
     vertices: dict
@@ -222,17 +233,16 @@ def _drop_zero_rows(rows, chain):
     return (rows, chain) if np.all(live) else (rows[live], {t: c[live] for t, c in chain.items()})
 
 
-def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
+def _chain_rows(ctx: WickContext, spec: TermSpec, modes, cols, queries, run):
     """Values of a batch of same-shape chains over their (r, l) grids.
 
-    Row i of `modes` (rows, legs) puts leg j, with ends[j] = (opened,
-    closed), on the mode id its vertices see: the spec.M + spec.N external
-    legs, then the internal lines.  Vertex v creates the legs it closes
-    and annihilates the legs it opens.  queries[a] (rows, 2L + 1, n_a)
-    holds query axis a of every slot (see _leg_sums), photons already
-    pulled through.  A row whose partial chain vanishes at every member
-    is dropped after the next resolvent (zero stays zero through it): no
-    later vertex is evaluated on it; after the last vertex it adds 0.  A
+    Row i of `modes` (rows, legs) puts each leg on the mode id its vertices
+    see: the spec.M + spec.N external legs, then the internal lines, and
+    vertex v reads the legs cols[v] (see _incidence).  queries[a]
+    (rows, 2L + 1, n_a) holds query axis a of every slot (see _leg_sums),
+    photons already pulled through.  A row whose partial chain vanishes at every
+    member is dropped after the next resolvent (zero stays zero through it):
+    no later vertex is evaluated on it; after the last vertex it adds 0.  A
     chain carries its row <0| as a dict from spin level to a (rows, n_f,
     *base) array, holding only the levels its vertices reach: level t past
     vertex V is the sum, in ascending s, of level_s * V[s, t] over the
@@ -245,10 +255,8 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
     chain = None
     for v in range(spec.L):
         key = spec.vertex_kernel(v)
-        cols = ([j for j, (_, c) in enumerate(ends) if c == v]
-                + [j for j, (o, _) in enumerate(ends) if o == v])
         rq, *lqs = [q[rows, 2 * v + 1] for q in queries]
-        val = ctx.vertices[key].eval_product(modes[np.ix_(rows, cols)], rq, lqs, run)
+        val = ctx.vertices[key].eval_product(modes[rows[:, None], cols[v]], rq, lqs, run)
         pattern = ctx.spin_patterns[key]
         levels = range(1 if v == spec.L - 1 else len(pattern))
         if chain is None:
@@ -260,7 +268,7 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, ends, queries, run):
                      for t in levels if any(pattern[s, t] for s in chain)}
         if v < spec.L - 1:
             rq, *lqs = [q[rows, 2 * v + 2] for q in queries]
-            f = ctx.F_eval(rq, lqs, run)
+            f = dict(zip(chain, ctx.F_eval(rq, lqs, run, tuple(chain))))
             rows, chain = _drop_zero_rows(rows, {t: c * f[t] for t, c in chain.items()})
             if not len(rows):
                 break
@@ -284,6 +292,23 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
     g = ctx.grid
     shape = (1,) + g.base_shape + (n_ext,) * (M + N)
     per_L: dict[int, np.ndarray] = {}
+    ext = _tuples(range(n_ext), M + N)
+    # a rescaled external mode below the grid floor (-1) or on no vertex's
+    # support kills the term
+    keep = np.flatnonzero(np.all(np.isin(ctx.scaled_ids[ext], ctx.live_modes), axis=1))
+    nb = len(g.base_shape)
+    r_col, _, _ = rl_frame(g.r_nodes[None], g.l_axes)
+
+    def cutoff(legs):
+        return chi(r_col + g.k_abs[legs].sum(axis=1).reshape((-1,) + (1,) * nb), 1.0)
+
+    if len(keep):
+        # boundary cutoffs (slots 0, 2L): all external creators, resp. annihilators
+        boundary = cutoff(ext[keep, :M]) * cutoff(ext[keep, M:])
+        live = np.any(boundary, axis=tuple(range(1, nb + 1)))
+        keep, boundary = keep[live], boundary[live]
+    if not len(keep):      # zero, before any term shape is enumerated
+        return np.zeros(shape, dtype=complex), per_L
     scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
     shapes = []
     for spec in enumerate_term_specs(M, N, ctx.L_max, ctx.vertices):
@@ -311,22 +336,6 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
         shapes.append((spec, pref, ends, pairings, members))
     if not shapes:
         return np.zeros(shape, dtype=complex), per_L
-    ext = _tuples(range(n_ext), M + N)
-    # a rescaled external mode below the grid floor (-1) or on no vertex's
-    # support kills the term
-    keep = np.flatnonzero(np.all(np.isin(ctx.scaled_ids[ext], ctx.live_modes), axis=1))
-    nb = len(g.base_shape)
-    r_col, _, _ = rl_frame(g.r_nodes[None], g.l_axes)
-
-    def cutoff(legs):
-        return chi(r_col + g.k_abs[legs].sum(axis=1).reshape((-1,) + (1,) * nb), 1.0)
-
-    # boundary cutoffs (slots 0, 2L): all external creators, resp. annihilators
-    boundary = cutoff(ext[keep, :M]) * cutoff(ext[keep, M:])
-    live = np.any(boundary, axis=tuple(range(1, nb + 1)))
-    keep, boundary = keep[live], boundary[live]
-    if not len(keep):
-        return np.zeros(shape, dtype=complex), per_L
     ext = ext[keep]
     scaled = ctx.scaled_ids[ext]
     boundary = boundary[:, None]
@@ -348,18 +357,19 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
                 continue
             line_ends = [(a, c) for a, c, _ in pairing]
             line_sums = _leg_sums(lines, line_ends, spec.L, g.k_abs, g.k_vec)
+            line_wts = np.prod(g.weight[lines], axis=1)
+            _, cols = _incidence(tuple(ends + line_ends), spec.L)
             # row (j, t): line modes j, external tuple t
-            j_all = np.repeat(np.arange(len(lines)), len(keep))
-            t_all = np.tile(np.arange(len(keep)), len(lines))
+            j_all, t_all = np.divmod(np.arange(len(lines) * len(keep)), len(keep))
             for lo in range(0, len(t_all), chunk):
                 t_of, j_of = t_all[lo:lo + chunk], j_all[lo:lo + chunk]
                 queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
                 rows, vals = _chain_rows(ctx, spec,
                                          np.concatenate([scaled[t_of], lines[j_of]], axis=1),
-                                         ends + line_ends, queries, run)
+                                         cols, queries, run)
                 if not len(rows):
                     continue
-                wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]
+                wts = line_wts[j_of[rows]]
                 if acc is None:
                     acc = np.zeros((len(keep), vals.shape[1]) + g.base_shape, dtype=complex)
                 vals = wts.reshape((-1,) + (1,) * (nb + 1)) * vals

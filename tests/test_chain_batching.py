@@ -292,7 +292,7 @@ def photon_last_assemble_target(M, N, ctx, n_ext):
                 queries = [f[t_of] + line_sums[j_of, :, a, None] for a, f in enumerate(frame)]
                 rows, vals = wick._chain_rows(
                     ctx, spec, np.concatenate([ctx.scaled_ids[ext][t_of], lines[j_of]], axis=1),
-                    ends + line_ends, queries, run)
+                    wick._incidence(tuple(ends + line_ends), spec.L)[1], queries, run)
                 if not len(rows):
                     continue
                 wts = np.prod(g.weight[lines], axis=1)[j_of[rows]]

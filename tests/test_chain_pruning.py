@@ -34,9 +34,9 @@ def _count_chains(monkeypatch):
     shapes = []
     orig = wick._chain_rows
 
-    def counted(ctx, spec, modes, ends, queries, run):
+    def counted(ctx, spec, modes, cols, queries, run):
         shapes.extend([spec] * len(modes))
-        return orig(ctx, spec, modes, ends, queries, run)
+        return orig(ctx, spec, modes, cols, queries, run)
 
     monkeypatch.setattr(wick, "_chain_rows", counted)
     return shapes

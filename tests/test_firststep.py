@@ -142,6 +142,28 @@ def test_resolvent_table_evaluates_each_distinct_row_once(monkeypatch):
     assert np.array_equal(small.min_gap_high, fresh.min_gap_high)
 
 
+def test_resolvent_returns_the_levels_asked_for(monkeypatch):
+    # a chain asks only for the levels it carries; each comes out as in the
+    # call for both, and every query row is still evaluated (and its gaps
+    # checked) at both levels, also past a full table
+    params = ModelParams(lam0=0.02, j_max=5, j_max_pair=4)
+    grid = KernelGrid(params)
+    z_phys = params.rho0 * cheb_nodes(3, 0.45 * params.mu)
+    rq, lqs = _query_rows(params, grid, np.random.default_rng(5).permutation(np.arange(20) % 6))
+    both = TwoLevelResolventData(params, z_phys)(rq, lqs)
+    for cap in (None, 2):
+        if cap:
+            monkeypatch.setattr(firststep, "_TABLE_BYTES", cap * (both[0][0].nbytes * 2))
+        for levels in [(0,), (1,), (0, 1)]:
+            F = TwoLevelResolventData(params, z_phys)
+            out = F(rq, lqs, slice(None), levels)
+            assert isinstance(out, tuple) and len(out) == len(levels)
+            assert all(np.array_equal(o, both[t]) for o, t in zip(out, levels))
+            assert np.all(np.isfinite(F.min_gap_low)) and np.all(np.isfinite(F.min_gap_high))
+            run = F(rq, lqs, slice(1, 2), levels[-1:])
+            assert len(run) == 1 and np.array_equal(run[0], both[levels[-1]][:, 1:2])
+
+
 def test_resolvent_table_cap_changes_no_kernel(monkeypatch):
     params = ModelParams(lam0=0.02, j_max=5, j_max_pair=4, spin_coupling=SIGMA_Z)
     nodes = cheb_nodes(3, 0.45 * params.mu)

@@ -320,7 +320,8 @@ def _interp_rows_take_along_axis(values, nodes_list, queries_list):
     from dipolerg.kernels import _axis_weights
     out = values
     for ax, (nodes, q) in enumerate(zip(nodes_list, queries_list), start=1):
-        i0, i1, w0, w1 = _axis_weights(np.asarray(nodes, dtype=float), q)
+        i0, w0, w1 = _axis_weights(np.asarray(nodes, dtype=float), q)
+        i1 = i0 + 1
         shape = [len(i0)] + [1] * (out.ndim - 1)
         shape[ax] = i0.shape[1]
         a = np.take_along_axis(out, i0.reshape(shape), axis=ax)
@@ -339,6 +340,62 @@ def test_interp_rows_matches_take_along_axis(rng):
         out = interp_rows(vals, grid.base_axes, queries)
         assert out.shape == (rows, 6, 6, 6, 6, 3)
         assert np.array_equal(out, _interp_rows_take_along_axis(vals, grid.base_axes, queries))
+
+
+def _eval_product_blockwise(ker, ids, rq, lqs, run=slice(None)):
+    """Kernel.eval_product as it gathered before: each row's whole block of
+    members and base grid at its photon ids, the members moved last, each
+    axis interpolated (the take_along_axis reference), the members moved
+    back and the result copied to C order."""
+    values = ker.values[run]
+    ids = np.asarray(ids, dtype=int)
+    ok = np.all(ids < ker.n_modes, axis=1)
+    blocks = (np.moveaxis(values[(Ellipsis,) + tuple(ids[ok].T)], -1, 0)
+              if ker.m + ker.n else values[None])
+    queries = [np.asarray(q, dtype=float)[ok] for q in [rq, *lqs]]
+    vals = _interp_rows_take_along_axis(np.moveaxis(blocks, 1, -1), ker.grid.base_axes, queries)
+    vals = np.ascontiguousarray(np.moveaxis(vals, -1, 1))
+    out = np.zeros((len(ids),) + vals.shape[1:], dtype=complex)
+    out[ok] = vals
+    return out[..., None, None]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["family-run", "d3", "w00", "beyond-modes"])
+def test_eval_product_matches_blockwise_gather(case, rng):
+    # one gather per corner reads photon slice, members and r-corner at once;
+    # the old route copied each row's whole block first.  The numbers must be
+    # the same bits, zeros' signs included, and the result C-ordered
+    dim3 = case == "d3"
+    grid = KernelGrid(ModelParams(dim=3, j_max=2, n_l_axis_d3=5) if dim3
+                      else ModelParams(j_max=4, j_max_pair=3))
+    m, n = {"w00": (0, 0), "d3": (1, 1)}.get(case, (2, 1))
+    n_f, n_loc, rows = (1, 4, 6) if dim3 else (5, 3, 9)
+    shape = (n_f,) + grid.base_shape + (n_loc,) * (m + n)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    values[values.real < -1.5] = -0.0         # signed zeros pass through
+    ker = Kernel(m, n, grid, values)
+    # ids beyond the kernel's modes only where that path is the case
+    ids = rng.integers(0, n_loc + 2 * (case == "beyond-modes"), size=(rows, m + n))
+    if case == "beyond-modes":
+        ids[0] = 0
+        ids[1, -1] = n_loc
+    # queries off the grid, on nodes and outside it
+    rq = np.concatenate([rng.uniform(-0.2, 1.2, size=(rows, 5)),
+                         np.broadcast_to(grid.r_nodes[:3], (rows, 3))], axis=1)
+    lqs = [rng.uniform(-1.2, 1.2, size=(rows, 4)) for _ in grid.l_axes]
+    runs = [slice(None), slice(1, 4)] if case == "family-run" else [slice(None)]
+    for run in runs:
+        out = ker.eval_product(ids, rq, lqs, run)
+        ref = _eval_product_blockwise(ker, ids, rq, lqs, run)
+        assert out.shape == (rows, len(values[run]), 8) + (4,) * len(lqs) + (1, 1)
+        assert out.flags.c_contiguous
+        assert _same_bits(out, ref)
+    if case == "beyond-modes":
+        assert not np.any(out[1]) and np.any(out[0])
 
 
 def _assemble_operator_per_tuple(seq, basis):

@@ -263,6 +263,28 @@ def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
     assert not np.any(vals) and per_L == {}
 
 
+def test_target_without_live_tuple_evaluates_no_chain(monkeypatch):
+    # the self-check's toy modes have energy 0.45: three external creators
+    # (or annihilators) already pass the unit cap, so the boundary cutoff
+    # kills every tuple of a (3, n) target, which is zero before its term
+    # shapes are enumerated
+    from dipolerg.selfcheck import _f_factor, _toy_grid, _toy_kernels
+    grid = _toy_grid(ModelParams())
+    ctx = wick.WickContext(grid=grid, vertices=_toy_kernels(grid, np.random.default_rng(11)),
+                           L_max=3, scale=1.0, F_eval=_f_factor)
+    calls = []
+    for name in ("enumerate_term_specs", "_chain_rows"):
+        monkeypatch.setattr(wick, name, lambda *a, name=name: calls.append(name))
+    for m, n in [(3, 0), (3, 1), (0, 3)]:
+        vals, per_L = wick.assemble_target(m, n, ctx, 2)
+        assert vals.shape == (1,) + grid.base_shape + (2,) * (m + n)
+        assert not np.any(vals) and per_L == {}
+    assert calls == []
+    # a live target does reach them
+    monkeypatch.undo()
+    assert np.any(wick.assemble_target(2, 0, ctx, 2)[0])
+
+
 def test_series_ratio_decay_from_peak():
     assert series_ratio({1: 1.0, 2: 0.1, 3: 0.01}) == pytest.approx(0.1)
     # growth into a peak then decay: rate measured from the peak only
@@ -372,7 +394,8 @@ def test_chains_carry_only_the_levels_their_vertices_reach(monkeypatch, coupling
 def test_vertices_return_spin_blocks_and_resolvents_spin_levels(monkeypatch):
     # the three callers of the assembler (the first decimation, an RG step
     # and the self-check) keep one contract: with s the spin pattern's size,
-    # a vertex returns (rows, n_f or 1, ..., s, s) and a resolvent s levels
+    # a vertex returns (rows, n_f or 1, ..., s, s) and a resolvent the
+    # levels asked for, some of its s
     seen = set()
 
     def checked_vertex(cls):
@@ -397,9 +420,10 @@ def test_vertices_return_spin_blocks_and_resolvents_spin_levels(monkeypatch):
         (s,) = {len(pattern) for pattern in ctx.spin_patterns.values()}
         F_eval = ctx.F_eval
 
-        def checked_F(rq, lqs, run=slice(None)):
-            out = F_eval(rq, lqs, run)
-            assert isinstance(out, tuple) and len(out) == s
+        def checked_F(rq, lqs, run, levels):
+            out = F_eval(rq, lqs, run, levels)
+            assert list(levels) == sorted(set(levels)) and set(levels) <= set(range(s))
+            assert isinstance(out, tuple) and len(out) == len(levels)
             grid = (rq.shape[1],) + tuple(q.shape[1] for q in lqs)
             assert all(lv.shape[0] == len(rq) and lv.shape[2:] == grid for lv in out)
             seen.add(("resolvent", s))

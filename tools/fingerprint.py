@@ -10,9 +10,10 @@ a number is checked by diffing the output of the two trees.
 
 Covered: what `run_flow` returns (energy, energy chain, stages, ledgers,
 series ratios, z nodes, final stacks and metas) and the oracle energy on
-a fixed list of grids, the Wick self-check defect, and the stdout of five
-CLI commands on a small grid.  Values are pickled with a fixed protocol,
-so hashes compare across trees on one numpy and Python version.
+a fixed list of grids, the Wick self-check defect at chain depths 2, 3
+(the default) and 4, and the stdout of five CLI commands on a small
+grid.  Values are pickled with a fixed protocol, so hashes compare across
+trees on one numpy and Python version.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ GRIDS = {
     "d3": dict(lam0=0.004, dim=3, j_max=3, j_max_pair=2, N_max=2, n_z_samples=3),
     "default": dict(lam0=0.004),
 }
+
+# besides the default depth 3
+WICK_DEPTHS = (2, 4)
 
 CLI_SETS = ["lam0=0.004", "j_max=4", "j_max_pair=3", "n_z_samples=3", "p_sweep_points=3"]
 CLI_COMMANDS = {
@@ -72,6 +76,9 @@ def main() -> None:
         print(f"{_sha(_flow_outputs(params))}  run_flow {name}")
         print(f"{_sha(oracle.ground_energy(params))}  oracle {name}")
     print(f"{_sha(wick_reassembly_defect())}  wick_reassembly_defect")
+    for depth in WICK_DEPTHS:
+        defect = wick_reassembly_defect(ModelParams(L_max=depth))
+        print(f"{_sha(defect)}  wick_reassembly_defect L_max={depth}")
     runner = CliRunner()
     sets = [a for kv in CLI_SETS for a in ("--set", kv)]
     for name, args in CLI_COMMANDS.items():
