@@ -275,22 +275,21 @@ def _chain_rows(ctx: WickContext, spec: TermSpec, modes, cols, queries, run):
     return rows, chain[0]
 
 
-def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
+def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int, n_f: int):
     """Sum of all chain contributions to the (M, N) output kernel.
 
-    Returns (values, per_L): values has a family axis, the base-grid shape
-    and M+N photon axes over the first n_ext modes of the grid, in C order;
-    per_L maps chain length to each member's largest contribution (the
-    series-decay monitor).  Both family axes have length 1 when no
-    contribution depends on the member.  The result is NOT yet symmetrized
-    over the photon axes.  The chains of one term shape and pairing are one
-    batch over every live external tuple times every internal line-mode
-    assignment, each row added in order into its tuple's row of a
-    tuple-major sum; a shape whose magnitude bound falls below _PRUNE at
-    some members adds zeros there.
+    Returns (values, per_L) at the n_f members of the family: values has
+    shape (n_f, *base) followed by M+N photon axes over the first n_ext
+    modes of the grid, in C order; per_L maps chain length to each
+    member's largest contribution, shape (n_f,) (the series-decay monitor).
+    The result is NOT yet symmetrized over the photon axes.  The chains of
+    one term shape and pairing are one batch over every live external
+    tuple times every internal line-mode assignment, each row added in
+    order into its tuple's row of a tuple-major sum; a contribution that
+    is the same at every member broadcasts into that sum, and a shape whose
+    magnitude bound falls below _PRUNE at some members adds zeros there.
     """
     g = ctx.grid
-    shape = (1,) + g.base_shape + (n_ext,) * (M + N)
     per_L: dict[int, np.ndarray] = {}
     ext = _tuples(range(n_ext), M + N)
     # a rescaled external mode below the grid floor (-1) or on no vertex's
@@ -306,18 +305,20 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
         # boundary cutoffs (slots 0, 2L): all external creators, resp. annihilators
         boundary = cutoff(ext[keep, :M]) * cutoff(ext[keep, M:])
         live = np.any(boundary, axis=tuple(range(1, nb + 1)))
-        keep, boundary = keep[live], boundary[live]
-    if not len(keep):      # zero, before any term shape is enumerated
-        return np.zeros(shape, dtype=complex), per_L
+        keep, boundary = keep[live], boundary[live, None]
+    ext = ext[keep]
+    scaled = ctx.scaled_ids[ext]
     scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
-    shapes = []
-    for spec in enumerate_term_specs(M, N, ctx.L_max, ctx.vertices):
+    # tuple-major over the live tuples: row i is tuple keep[i]
+    out = np.zeros((len(keep), n_f) + g.base_shape, dtype=complex)
+    chunk = max(1, _CHUNK_POINTS // math.prod(g.base_shape))
+    # a target with no live tuple enumerates no term shape
+    for spec in enumerate_term_specs(M, N, ctx.L_max, ctx.vertices) if len(keep) else ():
         pairings = internal_pairings(spec)
-        if not pairings:
-            continue
         keys = [spec.vertex_kernel(v) for v in range(spec.L)]
         # the resolvent is diagonal: the vertices' spin patterns decide <0|chain|0>
-        if not functools.reduce(np.matmul, (ctx.spin_patterns[k] for k in keys))[0, 0]:
+        if not pairings or not functools.reduce(
+                np.matmul, (ctx.spin_patterns[k] for k in keys))[0, 0]:
             continue
         weight = combinatorial_weight(spec)
         members = np.ones(1, dtype=bool)      # the members whose bound passes
@@ -329,24 +330,13 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
             members = np.atleast_1d(bound >= _PRUNE)
             if not np.any(members):
                 continue
-        pref = (-1.0) ** (spec.L - 1) * weight * scale_pow
-        # (opened, closed) of each external leg, in tuple order
-        ends = ([(-1, v) for v in range(spec.L) for _ in range(spec.m[v])]
-                + [(v, spec.L) for v in range(spec.L) for _ in range(spec.n[v])])
-        shapes.append((spec, pref, ends, pairings, members))
-    if not shapes:
-        return np.zeros(shape, dtype=complex), per_L
-    ext = ext[keep]
-    scaled = ctx.scaled_ids[ext]
-    boundary = boundary[:, None]
-    # tuple-major over the live tuples: row i is tuple keep[i]
-    out = np.zeros((len(keep), 1) + g.base_shape, dtype=complex)
-    chunk = max(1, _CHUNK_POINTS // math.prod(g.base_shape))
-    for spec, pref, ends, pairings, members in shapes:
         # a shape pruned at some members is evaluated over the run of members
         # from the first to the last it passes at, and adds zeros elsewhere
         run = (slice(None) if np.all(members)
                else slice(*np.flatnonzero(members)[[0, -1]] + [0, 1]))
+        # (opened, closed) of each external leg, in tuple order
+        ends = ([(-1, v) for v in range(spec.L) for _ in range(spec.m[v])]
+                + [(v, spec.L) for v in range(spec.L) for _ in range(spec.n[v])])
         # external photons come in the rescaled frame, lines in the vertex frame
         sums = _leg_sums(ext, ends, spec.L, g.k_abs, g.k_vec)
         frame = [ctx.scale * (ax + sums[:, :, a, None]) for a, ax in enumerate(g.base_axes)]
@@ -384,16 +374,9 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
         if acc is None:
             continue
         # each tuple's contribution, in place; a tuple no chain reached adds 0
-        acc *= pref * boundary
+        acc *= (-1.0) ** (spec.L - 1) * weight * scale_pow * boundary
         if not np.all(members[run]):
             acc = acc * members[run].reshape((-1,) + (1,) * nb)
-        n_f = max(len(members), acc.shape[1])
-        if out.shape[1] < n_f:
-            # a contribution added so far is the same at every member
-            # (np.full writes every page now; the in-place add below would
-            # fault each lazily zeroed page twice, on the read and the write)
-            out = (np.repeat(out, n_f, axis=1) if per_L
-                   else np.full((len(out), n_f) + out.shape[2:], 0j))
         out[:, run] += acc
         mags = np.zeros(n_f)
         mags[run] = np.max(np.abs(acc), axis=(0,) + tuple(range(2, acc.ndim)))
@@ -403,7 +386,8 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int):
     full = np.zeros((n_ext ** (M + N),) + out.shape[1:], dtype=complex)
     full[keep] = out
     del out
-    return np.ascontiguousarray(np.moveaxis(full, 0, -1)).reshape((-1,) + shape[1:]), per_L
+    return (np.ascontiguousarray(np.moveaxis(full, 0, -1))
+            .reshape((n_f,) + g.base_shape + (n_ext,) * (M + N)), per_L)
 
 
 def series_ratio(per_L: dict) -> float:
@@ -427,8 +411,9 @@ def series_ratio(per_L: dict) -> float:
 def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
     """Every target kernel with m + n <= M_max at every family member.
 
-    w00_base has a leading family axis, one row per member, and the (0,0)
-    kernel is w00_base plus its closed chains.  The photon axes of every
+    w00_base has a leading family axis, one row per member: its length
+    n_f is the size every target is assembled at, and the (0,0) kernel is
+    w00_base plus its closed chains.  The photon axes of every
     other target end at the last mode whose rescaled image is live (a tuple
     with any other mode is exactly zero), at most every mode for m + n = 1
     and the grid's first n_pair modes for m + n >= 2.  Such a target is
@@ -448,14 +433,11 @@ def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
         # family holds the other targets of this total
         for m in sorted(range(total + 1), key=lambda m: max(m, total - m) <= 1):
             n = total - m
-            vals, per_L = assemble_target(m, n, ctx, n_ext)
-            per_L = {L: np.broadcast_to(v, n_f) for L, v in per_L.items()}
+            vals, per_L = assemble_target(m, n, ctx, n_ext, n_f)
             ratios = [max(r, series_ratio({L: float(v[k]) for L, v in per_L.items()}))
                       for k, r in enumerate(ratios)]
             if total == 0:
                 stacks[(0, 0)] = w00_base + vals
             elif np.any(vals):
-                vals = symmetrize(np.broadcast_to(vals, (n_f,) + vals.shape[1:]),
-                                  m, n, 2 + len(g.l_axes))
-                stacks[(m, n)] = np.ascontiguousarray(vals)
+                stacks[(m, n)] = symmetrize(vals, m, n, 2 + len(g.l_axes))
     return stacks, ratios

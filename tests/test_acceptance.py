@@ -87,18 +87,40 @@ def test_flow_matches_oracle_coarse_3d():
     assert abs(e_flow - e_oracle) <= tol
 
 
-@pytest.mark.parametrize("coupling, lam0, j_max, j_max_pair, bound", [
+def test_coarse_3d_energy_keeps_the_grid_symmetries():
+    # the upper level singles out z in spin space, so the symmetries of the
+    # model that the six-direction grid keeps are the quarter turns about z
+    # (taken with the spin) and p -> -p.  The flow keeps them bit for bit;
+    # the oracle's images of E(0.1 e_x) and E(0.1 e_z) were measured within
+    # 6.3e-16 relative, and the bound is about 3x that
+    def energies(p):
+        params = ModelParams(dim=3, j_max=3, j_max_pair=2, N_max=2, n_z_samples=3,
+                             lam0=0.004, p=p, p_star=p)
+        return run_flow(params).energy, ground_energy(params)
+
+    for p, images in [((0.1, 0, 0), [(0, 0.1, 0), (-0.1, 0, 0)]),
+                      ((0, 0, 0.1), [(0, 0, -0.1)])]:
+        e_flow, e_oracle = energies(p)
+        for image in images:
+            flow, oracle = energies(image)
+            assert flow == e_flow, image
+            assert abs(oracle - e_oracle) <= 2e-15 * abs(e_oracle), image
+
+
+@pytest.mark.parametrize("coupling, lam0, j_max, j_max_pair, bound, grid", [
     # measured relative gaps at L_max=4: 1.57e-9 (sigma_x) and 3.21e-6
     # (sigma_z), against 9.9e-6 and 8.9e-5 for pt2; bounds about 3x those
-    ("sigma_x", 0.004, 5, 4, 5e-9),
-    ("sigma_z", 0.02, 4, 3, 1e-5),
-])
+    ("sigma_x", 0.004, 5, 4, 5e-9, {}),
+    ("sigma_z", 0.02, 4, 3, 1e-5, {}),
+    # d=3 coarse grid at p = 0: measured gap 3.03e-8, against 1.72e-5 for pt2
+    ("sigma_x", 0.004, 3, 2, 1e-7, dict(dim=3, N_max=2)),
+], ids=["sigma_x-0.004-5-4-5e-09", "sigma_z-0.02-4-3-1e-05", "d3-sigma_x-0.004-3-2-1e-07"])
 def test_chain_depth_four_beats_perturbation_theory(coupling, lam0, j_max, j_max_pair,
-                                                    bound):
+                                                    bound, grid):
     # the flow's gap to the oracle is the first decimation's truncated chain
     # series: at L_max=4 the flow must beat second-order perturbation theory
     params = ModelParams(lam0=lam0, j_max=j_max, j_max_pair=j_max_pair, n_z_samples=3,
-                         L_max=4, spin_coupling=coupling)
+                         L_max=4, spin_coupling=coupling, **grid)
     e_oracle = ground_energy(params)
     gap = abs(run_flow(params).energy - e_oracle) / abs(e_oracle)
     assert gap <= bound

@@ -77,9 +77,10 @@ def _chain_value(ctx, spec, legs, frame, product):
     return chain[..., 0, 0] if spin else chain
 
 
-def reference_assemble_target(M, N, ctx, n_ext, product=np.matmul):
+def reference_assemble_target(M, N, ctx, n_ext, n_f, product=np.matmul):
     """The per-chain assembler (same signature and result as wick.assemble_target
     on a family of one)."""
+    assert n_f == 1
     g = ctx.grid
     ids = list(range(n_ext))
     nE = len(ids)
@@ -205,8 +206,8 @@ def test_wick_toy_matches_per_chain_loop():
     live = 0
     for total in range(7):
         for m in range(total + 1):
-            vals, per_L = wick.assemble_target(m, total - m, ctx, 2)
-            ref_vals, ref_per_L = reference_assemble_target(m, total - m, ctx, 2)
+            vals, per_L = wick.assemble_target(m, total - m, ctx, 2, 1)
+            ref_vals, ref_per_L = reference_assemble_target(m, total - m, ctx, 2, 1)
             assert np.array_equal(vals, ref_vals), (m, total - m)
             assert per_L.keys() == ref_per_L.keys()
             assert all(np.array_equal(per_L[L], ref_per_L[L]) for L in per_L)
@@ -230,14 +231,14 @@ def test_row_chunks_change_no_number(monkeypatch):
         _assert_same_sequence(a, b)
 
 
-def photon_last_assemble_target(M, N, ctx, n_ext):
+def photon_last_assemble_target(M, N, ctx, n_ext, n_f):
     """wick.assemble_target as it was before its sums were held tuple-major:
     the target photon-last over every tuple, each chain row scattered into
     its tuple with np.add.at and each shape's sums into the target likewise
     (np.add.at adds its rows one by one, in order)."""
     g = ctx.grid
     nb = len(g.base_shape)
-    out = np.zeros((1,) + g.base_shape + (n_ext,) * (M + N), dtype=complex)
+    out = np.zeros((n_f,) + g.base_shape + (n_ext,) * (M + N), dtype=complex)
     per_L = {}
     scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
     shapes = []
@@ -304,10 +305,6 @@ def photon_last_assemble_target(M, N, ctx, n_ext):
         acc *= pref * boundary
         if not np.all(members[run]):
             acc = acc * members[run].reshape((-1,) + (1,) * nb)
-        n_f = max(len(members), acc.shape[1])
-        if len(out) < n_f:
-            out = (np.repeat(out, n_f, axis=0) if per_L
-                   else np.full((n_f,) + out.shape[1:], 0j))
         flat_out = out.reshape(out.shape[:1 + nb] + (-1,))
         np.add.at(flat_out[run], (Ellipsis, keep), np.moveaxis(acc, 0, -1))
         mags = np.zeros(n_f)
@@ -324,13 +321,13 @@ def test_rows_spanning_chunks_add_in_row_order(monkeypatch):
     # sigma_z renormalize context has members and shapes pruned at some of them.
     checked = []
 
-    def compare(ctx, M_max):
+    def compare(ctx, M_max, n_f):
         monkeypatch.setattr(wick, "_CHUNK_POINTS", 7 * int(np.prod(ctx.grid.base_shape)))
         for total in range(1, M_max + 1):
             n_ext = len(ctx.grid.modes) if total <= 1 else ctx.grid.n_pair
             for m in range(total + 1):
-                vals, per_L = wick.assemble_target(m, total - m, ctx, n_ext)
-                ref, ref_per_L = photon_last_assemble_target(m, total - m, ctx, n_ext)
+                vals, per_L = wick.assemble_target(m, total - m, ctx, n_ext, n_f)
+                ref, ref_per_L = photon_last_assemble_target(m, total - m, ctx, n_ext, n_f)
                 assert vals.flags.c_contiguous
                 assert np.array_equal(vals, ref), (m, total - m)
                 assert per_L.keys() == ref_per_L.keys()
@@ -340,7 +337,8 @@ def test_rows_spanning_chunks_add_in_row_order(monkeypatch):
     grid = _toy_grid(ModelParams())
     toy = _toy_kernels(grid, np.random.default_rng(11))
     toy[(1, 1)].values[..., 0, 1] = 0.0
-    compare(wick.WickContext(grid=grid, vertices=toy, L_max=3, scale=1.0, F_eval=_f_factor), 4)
+    compare(wick.WickContext(grid=grid, vertices=toy, L_max=3, scale=1.0, F_eval=_f_factor),
+            4, 1)
     toy_live = sum(checked)
 
     params = ModelParams(lam0=0.02, j_max=5, j_max_pair=3, n_z_samples=3,
@@ -348,7 +346,7 @@ def test_rows_spanning_chunks_add_in_row_order(monkeypatch):
     original = wick._assemble_kernels
 
     def spy(ctx, M_max, w00_base):
-        compare(ctx, M_max)
+        compare(ctx, M_max, len(w00_base))
         return original(ctx, M_max, w00_base)
 
     family = initial_kernels(params, cheb_nodes(3, 0.45 * params.mu))

@@ -257,7 +257,7 @@ def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
     assert enumerate_term_specs(1, 1, ctx.L_max, ctx.vertices)
     calls = []
     monkeypatch.setattr(wick, "chi", lambda *a: calls.append(a) or 1.0)
-    vals, per_L = wick.assemble_target(1, 1, ctx, n)
+    vals, per_L = wick.assemble_target(1, 1, ctx, n, 1)
     assert calls == []
     assert vals.shape == (1,) + grid.base_shape + (n, n)
     assert not np.any(vals) and per_L == {}
@@ -276,13 +276,13 @@ def test_target_without_live_tuple_evaluates_no_chain(monkeypatch):
     for name in ("enumerate_term_specs", "_chain_rows"):
         monkeypatch.setattr(wick, name, lambda *a, name=name: calls.append(name))
     for m, n in [(3, 0), (3, 1), (0, 3)]:
-        vals, per_L = wick.assemble_target(m, n, ctx, 2)
+        vals, per_L = wick.assemble_target(m, n, ctx, 2, 1)
         assert vals.shape == (1,) + grid.base_shape + (2,) * (m + n)
         assert not np.any(vals) and per_L == {}
     assert calls == []
     # a live target does reach them
     monkeypatch.undo()
-    assert np.any(wick.assemble_target(2, 0, ctx, 2)[0])
+    assert np.any(wick.assemble_target(2, 0, ctx, 2, 1)[0])
 
 
 def test_series_ratio_decay_from_peak():
@@ -337,12 +337,11 @@ def test_photon_axes_end_at_last_live_image(monkeypatch, case):
         for total in range(1, M_max + 1):
             n_full = len(g.modes) if total <= 1 else g.n_pair
             for m in range(total + 1):
-                ref, _ = wick.assemble_target(m, total - m, ctx, n_full)
+                ref, _ = wick.assemble_target(m, total - m, ctx, n_full, len(w00_base))
                 if (m, total - m) not in stacks:
                     assert not np.any(ref)
                     continue
-                ref = symmetrize(np.broadcast_to(ref, (len(w00_base),) + ref.shape[1:]),
-                                 m, total - m, 2 + len(g.l_axes))
+                ref = symmetrize(ref, m, total - m, 2 + len(g.l_axes))
                 vals = stacks[(m, total - m)]
                 n_cut = vals.shape[-1]
                 assert imaged[n_cut - 1] and not np.any(imaged[n_cut:n_full])

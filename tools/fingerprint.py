@@ -41,6 +41,14 @@ GRIDS = {
                 spin_coupling="mix:0.6,0.8"),
     "d3": dict(lam0=0.004, dim=3, j_max=3, j_max_pair=2, N_max=2, n_z_samples=3),
     "default": dict(lam0=0.004),
+    # the one grid found where a nonzero target has no member-dependent
+    # contribution: sigma_z's first-step (1,0)/(0,1) targets at L_max=2
+    "sigz_L2": dict(lam0=0.02, j_max=4, j_max_pair=3, n_z_samples=3, L_max=2,
+                    spin_coupling="sigma_z"),
+    # the reduced chain-depth-4 grids
+    "sigx_L4": dict(lam0=0.004, j_max=5, j_max_pair=4, n_z_samples=5, L_max=4),
+    "sigz_L4": dict(lam0=0.02, j_max=4, j_max_pair=3, n_z_samples=5, L_max=4,
+                    spin_coupling="sigma_z"),
 }
 
 # besides the default depth 3
