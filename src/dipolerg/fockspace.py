@@ -90,7 +90,7 @@ def shift_index(modes: list[Mode], steps: int) -> np.ndarray:
 class FockBasis:
     """Occupation-number states over the discrete modes.
 
-    States are tuples of occupation numbers with total photons <= n_max.
+    A state is a row of occupation numbers occ, total photons <= n_max.
     Every state has an exact integer key, linear in its occupations: mode i
     is a digit of base n_max + 1, and the digits fill as many int64 words
     as they need, so a key never wraps.  Moving a photon into or out of
@@ -105,18 +105,21 @@ class FockBasis:
         self.modes = modes
         self.n_max = n_max
         n_modes = len(modes)
-        # every multiset of at most n_max modes; vacuum first, then by
-        # (photon count, energy) for reproducibility
-        self.states: list[tuple[int, ...]] = sorted(
-            (tuple(np.bincount(c, minlength=n_modes).tolist()) for k in range(n_max + 1)
-             for c in itertools.combinations_with_replacement(range(n_modes), k)),
-            key=lambda s: (sum(s), sum(n * modes[i].k_abs for i, n in enumerate(s)), s))
-        occ = np.array(self.states, dtype=np.int64).reshape(len(self.states), n_modes)
         k_abs = np.array([m.k_abs for m in modes])
-        kvecs = np.array([m.k for m in modes])  # (n_modes, d)
+        # every multiset of at most n_max modes: n_max picks, mode n_modes for none
+        picks = list(itertools.combinations_with_replacement(range(n_modes + 1), n_max))
+        occ = np.zeros((len(picks), n_modes + 1), dtype=np.int64)
+        np.add.at(occ, (np.arange(len(picks))[:, None], np.array(picks, dtype=np.int64)), 1)
+        occ = occ[:, :n_modes]
+        energy = np.zeros(len(occ))
+        for i in range(n_modes):                   # summed mode by mode, in order
+            energy = energy + occ[:, i] * k_abs[i]
+        # vacuum first, then by (photon count, energy, occupations) for
+        # reproducibility; lexsort's last key is its first
+        occ = occ[np.lexsort(tuple(occ.T[::-1]) + (energy, occ.sum(axis=1)))]
         self.occ = occ.astype(float)
         self.r = self.occ @ k_abs                  # total field energy per state
-        self.l = self.occ @ kvecs                  # total field momentum per state
+        self.l = self.occ @ np.array([m.k for m in modes])  # total field momentum per state
         base, digits = n_max + 1, 1
         while digits < 63 and base ** (digits + 1) <= 2 ** 63:
             digits += 1
@@ -139,7 +142,7 @@ class FockBasis:
         return np.where(self._sorted[pos] == q, self._order[pos], -1)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.occ)
 
     @property
     def vacuum_index(self) -> int:

@@ -6,7 +6,8 @@ sampled on a product grid: a radial r-grid containing the geometric nodes
 (so that the scale transformation is exact on the marginal content), an
 l-grid per component, and the discrete mode grid for photon arguments.
 Off-grid (r, l) evaluations use multilinear interpolation; photon arguments
-are always grid modes, so they index, never interpolate.
+are always grid modes, so they index, never interpolate.  Kernels are
+stored photon-major: each photon tuple's (r, l) samples are one block.
 """
 
 from __future__ import annotations
@@ -42,19 +43,17 @@ def _axis_weights(nodes: np.ndarray, q: np.ndarray):
 
 
 def interp_rows(values: np.ndarray, nodes_list, queries_list, lead=None) -> np.ndarray:
-    """Interpolate the grid axes of `values` at per-row query vectors.
+    """Interpolate the last (grid) axes of `values` at per-row query vectors.
 
     queries_list[a] (rows, n_a) holds each row's query vector on axis a.
     `lead` indexes the axes in front of the grid: arrays broadcasting to
-    (rows, *mid, 1), by default row i reading values[i] (values[0] if that
-    axis has length 1).  The first axis is gathered with the lead, one
-    gather per corner, the later ones in place: the result is C-ordered
-    (rows, *mid, n_0, ..., rest).  Points outside a grid range evaluate to
-    0 (kernel support convention).
+    (rows, *mid, 1), by default row i reading values[i].  The first axis is
+    gathered with the lead, one gather per corner, the later ones in place:
+    the result is C-ordered (rows, *mid, n_0, n_1, ...).  Points outside a
+    grid range evaluate to 0 (kernel support convention).
     """
     rows = len(queries_list[0])
-    if lead is None:
-        lead = (np.arange(rows)[:, None] if len(values) > 1 else np.zeros((1, 1), dtype=int),)
+    lead = (np.arange(rows)[:, None],) if lead is None else lead
     ax = max(map(np.ndim, lead)) - 1         # the first grid axis in the result
     for a, (nodes, q) in enumerate(zip(nodes_list, queries_list)):
         i0, w0, w1 = _axis_weights(np.asarray(nodes, dtype=float), q)
@@ -170,11 +169,11 @@ class KernelGrid:
 class Kernel:
     """One sampled kernel w_{m,n}, or its stack over a family.
 
-    values has shape (n_r, *l_shape, n_loc, ..., n_loc) with m+n trailing
-    photon axes over the first n_loc modes of the grid; photon arguments
-    beyond them evaluate to 0.  A stack puts a family axis in front, and
-    each method serves every member in one pass.  Only a stack is a chain
-    vertex (eval_product): a lone kernel enters as a family of one.
+    values has shape (n_loc, ..., n_loc, n_r, *l_shape): m+n photon axes
+    over the first n_loc modes of the grid, then the grid axes; photon
+    arguments beyond them evaluate to 0.  A stack puts a family axis in
+    front, and each method serves every member in one pass.  Only a stack
+    is a chain vertex (eval_product): a lone kernel enters as a family of one.
     """
 
     def __init__(self, m: int, n: int, grid: KernelGrid, values: np.ndarray):
@@ -182,9 +181,9 @@ class Kernel:
         self.n = n
         self.grid = grid
         values = np.asarray(values, dtype=complex)
-        n_loc = values.shape[-1] if m + n else 0
-        expect = grid.base_shape + (n_loc,) * (m + n)
-        self.stacked = values.ndim == len(expect) + 1
+        self.stacked = values.ndim == m + n + len(grid.base_shape) + 1
+        n_loc = values.shape[self.stacked] if m + n else 0
+        expect = (n_loc,) * (m + n) + grid.base_shape
         if values.shape[self.stacked:] != expect or n_loc > len(grid.modes):
             raise ConfigError(f"kernel array shape {values.shape}: expected {expect}, "
                               f"over at most {len(grid.modes)} modes")
@@ -200,7 +199,7 @@ class Kernel:
     def n_modes(self) -> int:
         """Number of grid modes the photon axes run over (every mode for a
         kernel without photon axes)."""
-        return self.values.shape[-1] if self.m + self.n else len(self.grid.modes)
+        return self.values.shape[self.stacked] if self.m + self.n else len(self.grid.modes)
 
     def eval_product(self, ids, rq, l_queries, run=slice(None)) -> np.ndarray:
         """Values of the stack's members in run on each row's (r, l) query grid.
@@ -209,16 +208,14 @@ class Kernel:
         (rows, n_l); the result has shape (rows, n_f, n_r, n_l, ..., 1, 1),
         the scalar kernel's 1x1 spin block, in C order.  A row with a photon
         argument beyond the first n_modes modes evaluates to 0.  One gather
-        per corner reads each row's photon slice, members and r-corner.
+        per corner reads each member's photon slice at a row's ids and
+        r-corner, a contiguous block of the l-grid.
         """
         values = self.values[run]
         ids = np.asarray(ids, dtype=int)
         beyond = (ids >= self.n_modes).any(axis=1)       # read at mode 0, then zeroed
-        # the photon axes in front (a view), read at each row's ids, then the members
-        lead = (tuple(np.where(beyond, 0, ids.T)[:, :, None, None])
-                + (np.arange(len(values)).reshape(1, -1, 1),))
-        photons = tuple(range(1 + self.n_base_axes, values.ndim))
-        values = values.transpose(photons + tuple(range(values.ndim - len(photons))))
+        lead = ((np.arange(len(values)).reshape(1, -1, 1),)
+                + tuple(np.where(beyond, 0, ids.T)[:, :, None, None]))
         vals = interp_rows(values, self.grid.base_axes, [rq, *l_queries], lead)
         vals[beyond] = 0.0
         return vals[..., None, None]
@@ -235,24 +232,24 @@ class Kernel:
 
     def live_modes(self) -> np.ndarray:
         """Modes on which some member's photon slice is not identically zero."""
-        nz = np.any(self.values != 0, axis=tuple(range(self.stacked + self.n_base_axes)))
-        live = np.zeros(self.n_modes, dtype=bool)
-        for a in range(nz.ndim):
-            live |= np.any(nz, axis=tuple(b for b in range(nz.ndim) if b != a))
-        return np.flatnonzero(live)
+        # the photon tuples with a non-zero sample, and every mode in one
+        nz = np.any(self.values != 0, axis=tuple(range(self.stacked)) + tuple(
+            range(self.values.ndim - self.n_base_axes, self.values.ndim)))
+        return np.unique(np.argwhere(nz))
 
     def spin_pattern(self) -> np.ndarray:
         """A scalar kernel is a 1x1 spin block."""
         return np.ones((1, 1), dtype=bool)
 
 
-def symmetrize(values: np.ndarray, m: int, n: int, n_base_axes: int) -> np.ndarray:
-    """Average over permutations of the m creation and n annihilation axes."""
+def symmetrize(values: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Average a stack over permutations of its m creation and n
+    annihilation axes, the axes after the family axis."""
     if m <= 1 and n <= 1:
         return values
-    nb = n_base_axes
-    perms = [tuple(range(nb)) + pm + pn for pm in itertools.permutations(range(nb, nb + m))
-             for pn in itertools.permutations(range(nb + m, nb + m + n))]
+    base = tuple(range(1 + m + n, values.ndim))
+    perms = [(0,) + pm + pn + base for pm in itertools.permutations(range(1, 1 + m))
+             for pn in itertools.permutations(range(1 + m, 1 + m + n))]
     acc = np.zeros(values.shape, dtype=values.dtype)
     for perm in perms:
         acc += np.transpose(values, perm)
@@ -282,7 +279,7 @@ class KernelFamily:
     """Kernel sequences at the spectral nodes zs, stored kernel by kernel.
 
     stacks[(m, n)] is kernel (m, n) of every member as one stacked Kernel,
-    (n_z, *base, photons), zero where a member lacks it; member k has
+    (n_z, photons, *base), zero where a member lacks it; member k has
     spectral parameter zs[k] and record metas[k], and all share the
     momentum p.  family[k] is member k as a family of one, its stacks
     views of row k; one kernel sequence is a family of one.
@@ -319,25 +316,20 @@ class KernelFamily:
 
 def _photon_factor(kernel: Kernel) -> np.ndarray:
     """Broadcastable product of |k_i|^{-1/2} over the photon axes."""
-    fac = np.ones((1,) * kernel.n_base_axes)
+    fac = np.ones(())
     for _ in range(kernel.m + kernel.n):
         fac = np.multiply.outer(fac, kernel.grid.k_abs[:kernel.n_modes] ** -0.5)
-    return fac
+    return fac.reshape(fac.shape + (1,) * kernel.n_base_axes)
 
 
 def _masked_sup(kernel: Kernel, arr: np.ndarray) -> float:
-    mask = kernel.grid.mask.reshape(kernel.grid.base_shape + (1,) * (kernel.m + kernel.n))
-    return float(np.max(np.where(mask, np.abs(arr), 0.0)))
+    return float(np.max(np.where(kernel.grid.mask, np.abs(arr), 0.0)))
 
 
 def base_gradients(kernel: Kernel):
     """Second-order derivatives of a kernel along r and each l axis."""
-    g = kernel.grid
-    vals = kernel.values
-    grads = [np.gradient(vals, g.r_nodes, axis=0, edge_order=2)]
-    for a, ax in enumerate(g.l_axes):
-        grads.append(np.gradient(vals, ax, axis=1 + a, edge_order=2))
-    return grads
+    return [np.gradient(kernel.values, nodes, axis=a - kernel.n_base_axes, edge_order=2)
+            for a, nodes in enumerate(kernel.grid.base_axes)]
 
 
 def norm_sharp(kernel: Kernel) -> float:
@@ -382,7 +374,7 @@ def polydisc_measure(family: KernelFamily) -> NormLedger:
 
 def scale_transform(stack: Kernel) -> np.ndarray:
     """s_rho(w)_{m,n}(r,l,K) = rho^{3(m+n)/2-1} w(rho r, rho l, rho K) for
-    every member of a kernel stack: shape (n_f, *base, photons).
+    every member of a kernel stack: shape (n_f, photons, *base).
 
     rho is the grid's geometric ratio.  Photon arguments shift one
     geometric step; the image on the infrared floor shell has no pre-image
@@ -390,14 +382,14 @@ def scale_transform(stack: Kernel) -> np.ndarray:
     """
     g = stack.grid
     rho = g.rho
-    n_f = len(stack.values)
-    # every member is a row querying the same rescaled (r, l) grid
-    queries = [np.broadcast_to(rho * ax, (n_f, len(ax))) for ax in g.base_axes]
-    vals = interp_rows(stack.values, g.base_axes, queries)
+    # every member's photon tuple is a row querying the same rescaled (r, l) grid
+    blocks = stack.values.reshape((-1,) + g.base_shape)
+    queries = [np.broadcast_to(rho * ax, (len(blocks), len(ax))) for ax in g.base_axes]
+    vals = interp_rows(blocks, g.base_axes, queries).reshape(stack.values.shape)
     # photon axis a of the image reads the source one shell further out
     loc = g.shift_up[:stack.n_modes]
     valid = (loc >= 0) & (loc < stack.n_modes)
-    for ax in range(1 + stack.n_base_axes, vals.ndim):
+    for ax in range(1, 1 + stack.m + stack.n):
         keep = valid.reshape((-1,) + (1,) * (vals.ndim - ax - 1))
         vals = np.where(keep, np.take(vals, np.where(valid, loc, 0), axis=ax), 0.0)
     # rho^(3(m+n)/2) / rho, not rho^(3(m+n)/2 - 1): the (0,0) image is then
@@ -441,8 +433,9 @@ def assemble_operator(family: KernelFamily, basis: FockBasis) -> sp.csr_matrix:
         row = basis.lookup(basis.keys[u, None] + steps[:, :m].sum(axis=1))
         col = basis.lookup(basis.keys[u, None] + steps[:, m:].sum(axis=1))
         t, i = np.nonzero((capped[row] & capped[col]).T)
-        flat = ker.values.reshape(ker.values.shape[:ker.n_base_axes] + (-1,))
-        val = interp_rows(flat[None], g.base_axes, [q[u] for q in points]
+        # every state u reads each tuple's block at its own (r, l)
+        val = interp_rows(ker.values.reshape((-1,) + g.base_shape), g.base_axes,
+                          [q[u] for q in points], (np.arange(len(tups))[None, :, None],)
                           ).reshape(len(u), len(tups))[i, t]
         # sqrt(n) of each leg as the chain meets it: annihilators join u first
         # to last, then creators last to first; n counts the legs so far
@@ -470,7 +463,7 @@ def _grid_json(grid: KernelGrid) -> dict:
 
 
 def sequence_to_json(family: KernelFamily) -> str:
-    """JSON dump of a family of one."""
+    """JSON dump of a family of one, each kernel's values photon-last in C order."""
     (z,), (meta,) = family.zs, family.metas
     payload = {
         "version": 1,
@@ -482,10 +475,11 @@ def sequence_to_json(family: KernelFamily) -> str:
             {
                 "m": m, "n": n,
                 "mode_ids": list(range(ker.n_modes)),
-                "re": ker.values.real.ravel().tolist(),
-                "im": ker.values.imag.ravel().tolist(),
+                "re": vals.real.ravel().tolist(),
+                "im": vals.imag.ravel().tolist(),
             }
             for (m, n), ker in sorted(family.stacks.items())
+            for vals in [np.moveaxis(ker.values[0], range(m + n), range(-(m + n), 0))]
         ],
     }
     return json.dumps(payload, sort_keys=True)

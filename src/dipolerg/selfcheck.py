@@ -45,11 +45,11 @@ def _toy_kernels(grid, rng):
         c = rng.normal(size=5) + 1j * rng.normal(size=5)
         r, _, pl = rl_frame(grid.r_nodes, grid.l_axes, [c[2]] * len(grid.l_axes))
         base = np.full(grid.base_shape, c[0], dtype=complex) + c[1] * r + pl
-        vals = np.zeros(grid.base_shape + (2,) * (m + n), dtype=complex)
+        vals = np.zeros((2,) * (m + n) + grid.base_shape, dtype=complex)
         for tup in itertools.product(range(2), repeat=m + n):
             phot = sum(c[3] + c[4] * k_signed[g] for g in tup[:m])
             phot = phot + sum(np.conj(c[3] + c[4] * k_signed[g]) for g in tup[m:])
-            vals[(Ellipsis,) + tup] = base + phot
+            vals[tup] = base + phot
         out[(m, n)] = Kernel(m, n, grid, vals[None])
     return out
 

@@ -190,13 +190,14 @@ class WickContext:
     block (1 x 1 for a scalar kernel), max_abs() bounds it per member, as
     F_max does |F_eval| (a context given F_max prunes), and live_modes()
     lists the modes it is not identically zero on.  A Kernel vertex is a
-    stack.  Vertex contract: eval_product(ids, rq, lqs, run) takes grid
-    mode positions ids (rows, a + b) (creators first), rq (rows, n_r), one
-    (rows, n_l) array per l-axis and the slice run of family members, and
-    returns each row's s x s block on the (r, l) product grid of its query
-    vectors, (rows, n_f, *base, s, s), where n_f counts the members in run,
-    or is 1 for a vertex that is the same at every member, and a grid axis
-    has length 1 where the vertex is constant along it.  Resolvent
+    stack, (n_f, photons, *base).  Vertex contract: eval_product(ids, rq,
+    lqs, run) takes grid mode positions ids (rows, a + b) (creators first),
+    rq (rows, n_r), one (rows, n_l) array per l-axis and the slice run of
+    family members, and returns each row's s x s block on the (r, l)
+    product grid of its query vectors, (rows, n_f, *base, s, s), where n_f
+    counts the members in run, or is 1 for a vertex that is the same at
+    every member, and a grid axis has length 1 where the vertex is
+    constant along it.  Resolvent
     contract: F_eval(rq, lqs, run, levels) takes the same stacked queries
     and the spin levels a chain carries, ascending, and returns the
     diagonal resolvent factor at the members in run, masked to its domain,
@@ -217,6 +218,8 @@ class WickContext:
         # a leg on a mode outside the union makes its chain exactly zero
         self.live_modes = tuple(sorted({int(x) for v in self.vertices.values()
                                         for x in v.live_modes()}))
+        # the modes whose rescaled image is live (none below the grid floor, -1)
+        self.imaged = np.isin(self.scaled_ids, self.live_modes)
         self.spin_patterns = {k: v.spin_pattern() for k, v in self.vertices.items()}
         self.max_abs = ({k: v.max_abs() for k, v in self.vertices.items()}
                         if self.F_max is not None else {})
@@ -279,47 +282,47 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int, n_f: int):
     """Sum of all chain contributions to the (M, N) output kernel.
 
     Returns (values, per_L) at the n_f members of the family: values has
-    shape (n_f, *base) followed by M+N photon axes over the first n_ext
-    modes of the grid, in C order; per_L maps chain length to each
-    member's largest contribution, shape (n_f,) (the series-decay monitor).
-    The result is NOT yet symmetrized over the photon axes.  The chains of
-    one term shape and pairing are one batch over every live external
-    tuple times every internal line-mode assignment, each row added in
-    order into its tuple's row of a tuple-major sum; a contribution that
-    is the same at every member broadcasts into that sum, and a shape whose
-    magnitude bound falls below _PRUNE at some members adds zeros there.
+    shape (n_f, n_ext, ..., n_ext, *base), M+N photon axes over the first
+    n_ext modes of the grid, in C order, or is None where no chain reaches
+    the target; per_L maps chain length to each member's largest
+    contribution, shape (n_f,) (the series-decay monitor).  The result is
+    NOT yet symmetrized over the photon axes.  The chains of one term shape
+    and pairing are one batch over every live external tuple times every
+    internal line-mode assignment, each row added in order into its tuple's
+    row of the shape's tuple-major sum, which adds into the target; a
+    contribution that is the same at every member broadcasts into that sum,
+    and a shape whose magnitude bound falls below _PRUNE at some members
+    adds zeros there.
     """
     g = ctx.grid
     per_L: dict[int, np.ndarray] = {}
     ext = _tuples(range(n_ext), M + N)
-    # a rescaled external mode below the grid floor (-1) or on no vertex's
-    # support kills the term
-    keep = np.flatnonzero(np.all(np.isin(ctx.scaled_ids[ext], ctx.live_modes), axis=1))
+    keep = np.flatnonzero(np.all(ctx.imaged[ext], axis=1))
+    # the resolvent is diagonal: the vertices' spin patterns decide <0|chain|0>
+    specs = [spec for spec in enumerate_term_specs(M, N, ctx.L_max, ctx.vertices)
+             if len(keep) and internal_pairings(spec) and functools.reduce(
+                 np.matmul, (ctx.spin_patterns[spec.vertex_kernel(v)]
+                             for v in range(spec.L)))[0, 0]]
+    if not specs:
+        return None, per_L
     nb = len(g.base_shape)
     r_col, _, _ = rl_frame(g.r_nodes[None], g.l_axes)
 
     def cutoff(legs):
         return chi(r_col + g.k_abs[legs].sum(axis=1).reshape((-1,) + (1,) * nb), 1.0)
 
-    if len(keep):
-        # boundary cutoffs (slots 0, 2L): all external creators, resp. annihilators
-        boundary = cutoff(ext[keep, :M]) * cutoff(ext[keep, M:])
-        live = np.any(boundary, axis=tuple(range(1, nb + 1)))
-        keep, boundary = keep[live], boundary[live, None]
+    # boundary cutoffs (slots 0, 2L): all external creators, resp. annihilators
+    boundary = cutoff(ext[keep, :M]) * cutoff(ext[keep, M:])
+    live = np.any(boundary, axis=tuple(range(1, nb + 1)))
+    keep, boundary = keep[live], boundary[live, None]
     ext = ext[keep]
     scaled = ctx.scaled_ids[ext]
     scale_pow = ctx.scale ** (1.5 * (M + N) - 1.0)
-    # tuple-major over the live tuples: row i is tuple keep[i]
-    out = np.zeros((len(keep), n_f) + g.base_shape, dtype=complex)
+    out = None
     chunk = max(1, _CHUNK_POINTS // math.prod(g.base_shape))
-    # a target with no live tuple enumerates no term shape
-    for spec in enumerate_term_specs(M, N, ctx.L_max, ctx.vertices) if len(keep) else ():
+    for spec in specs if len(keep) else ():
         pairings = internal_pairings(spec)
         keys = [spec.vertex_kernel(v) for v in range(spec.L)]
-        # the resolvent is diagonal: the vertices' spin patterns decide <0|chain|0>
-        if not pairings or not functools.reduce(
-                np.matmul, (ctx.spin_patterns[k] for k in keys))[0, 0]:
-            continue
         weight = combinatorial_weight(spec)
         members = np.ones(1, dtype=bool)      # the members whose bound passes
         if ctx.F_max is not None:
@@ -377,17 +380,14 @@ def assemble_target(M: int, N: int, ctx: WickContext, n_ext: int, n_f: int):
         acc *= (-1.0) ** (spec.L - 1) * weight * scale_pow * boundary
         if not np.all(members[run]):
             acc = acc * members[run].reshape((-1,) + (1,) * nb)
-        out[:, run] += acc
+        if out is None:
+            out = np.zeros((n_f, n_ext ** (M + N)) + g.base_shape, dtype=complex)
+        out[run, keep] += acc.swapaxes(0, 1)
         mags = np.zeros(n_f)
         mags[run] = np.max(np.abs(acc), axis=(0,) + tuple(range(2, acc.ndim)))
         per_L[spec.L] = np.maximum(per_L.get(spec.L, 0.0), mags)
-    # every tuple, then the photon axes last in C order: the one copy of the
-    # target, made once the live rows are freed
-    full = np.zeros((n_ext ** (M + N),) + out.shape[1:], dtype=complex)
-    full[keep] = out
-    del out
-    return (np.ascontiguousarray(np.moveaxis(full, 0, -1))
-            .reshape((n_f,) + g.base_shape + (n_ext,) * (M + N)), per_L)
+    shape = (n_f,) + (n_ext,) * (M + N) + g.base_shape
+    return (None if out is None else out.reshape(shape)), per_L
 
 
 def series_ratio(per_L: dict) -> float:
@@ -417,15 +417,16 @@ def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
     other target end at the last mode whose rescaled image is live (a tuple
     with any other mode is exactly zero), at most every mode for m + n = 1
     and the grid's first n_pair modes for m + n >= 2.  Such a target is
-    dropped when exactly zero at every member and otherwise symmetrized over
-    its photon axes.  Returns (stacks, ratios): stacks[(m, n)] has shape
-    (n_f, *base, photons), and ratios[k] is member k's worst series ratio.
+    dropped when no chain reaches it or it is exactly zero at every member,
+    and otherwise symmetrized over its photon axes.  Returns (stacks,
+    ratios): stacks[(m, n)] has shape (n_f, photons, *base), and ratios[k]
+    is member k's worst series ratio.
     """
     g = ctx.grid
     n_f = len(w00_base)
     stacks = {}
     ratios = [0.0] * n_f
-    imaged = np.flatnonzero(np.isin(ctx.scaled_ids, ctx.live_modes))
+    imaged = np.flatnonzero(ctx.imaged)
     for total in range(M_max + 1):
         n_max = len(g.modes) if total <= 1 else g.n_pair
         n_ext = int(imaged[imaged < n_max].max(initial=-1)) + 1
@@ -437,7 +438,8 @@ def _assemble_kernels(ctx: WickContext, M_max: int, w00_base: np.ndarray):
             ratios = [max(r, series_ratio({L: float(v[k]) for L, v in per_L.items()}))
                       for k, r in enumerate(ratios)]
             if total == 0:
-                stacks[(0, 0)] = w00_base + vals
-            elif np.any(vals):
-                stacks[(m, n)] = symmetrize(vals, m, n, 2 + len(g.l_axes))
+                # + 0.0 where no chain reaches: -0.0 in w00_base turns +0.0 either way
+                stacks[(0, 0)] = w00_base + (0.0 if vals is None else vals)
+            elif vals is not None and np.any(vals):
+                stacks[(m, n)] = symmetrize(vals, m, n)
     return stacks, ratios

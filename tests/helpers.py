@@ -200,9 +200,10 @@ def sequence_from_json(text: str, grid: KernelGrid) -> KernelFamily:
         # photon axes run over a prefix of the grid's modes
         if item["mode_ids"] != list(range(len(item["mode_ids"]))):
             raise ConfigError("kernel dump mode_ids must be 0..n-1")
+        # dumped photon-last, stored photon-major
         shape = grid.base_shape + (len(item["mode_ids"]),) * (m + n)
         vals = (np.asarray(item["re"]) + 1j * np.asarray(item["im"])).reshape(shape)
-        kernels[(m, n)] = vals[None]
+        kernels[(m, n)] = np.moveaxis(vals, range(-(m + n), 0), range(m + n))[None]
     z = complex(payload["z"][0], payload["z"][1])
     return KernelFamily(grid, kernels, payload["p"], [z], [payload.get("meta", {})])
 

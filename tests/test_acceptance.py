@@ -196,6 +196,8 @@ def test_operator_norm_bound_coarse_3d():
         m, n = shapes[trial % len(shapes)]
         full = grid.base_shape + (nmod,) * (m + n)
         vals = rng.normal(size=full) + 1j * rng.normal(size=full)
+        # drawn photon-last, stored photon-major
+        vals = np.moveaxis(vals, range(-(m + n), 0), range(m + n))
         ker = Kernel(m, n, grid, vals)
         seq = KernelFamily(grid, {(0, 0): zero00, (m, n): vals[None]}, 0.0, [0.0], [{}])
         op = assemble_operator(seq, basis)

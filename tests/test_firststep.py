@@ -66,7 +66,7 @@ def test_kernel_indices_and_symmetry(small_params):
     assert (2, 0) in seq.stacks
     # pair kernels are stored symmetrized
     k20 = seq.stacks[(2, 0)].values[0]
-    np.testing.assert_allclose(k20, np.swapaxes(k20, 2, 3), atol=1e-15)
+    np.testing.assert_allclose(k20, np.swapaxes(k20, 0, 1), atol=1e-15)
 
 
 def test_z_window_guard(small_params):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -108,7 +109,7 @@ def test_basis_enumeration_and_order(modes):
     # multichoose(4, 0..2) = 1 + 4 + 10
     assert len(basis) == 15
     assert basis.vacuum_index == 0
-    counts = [sum(s) for s in basis.states]
+    counts = basis.occ.sum(axis=1).tolist()
     assert counts == sorted(counts)
     np.testing.assert_allclose(basis.r, basis.occ @ [m.k_abs for m in modes[:4]])
 
@@ -119,7 +120,7 @@ def test_ladder_ccr(modes):
     bd = b.conj().T
     comm = b @ bd - bd @ b
     # exact Kronecker delta away from the truncation boundary
-    keep = np.array([sum(s) < basis.n_max for s in basis.states])
+    keep = basis.occ.sum(axis=1) < basis.n_max
     np.testing.assert_allclose(comm[np.ix_(keep, keep)], np.eye(int(keep.sum())),
                                atol=1e-14)
     b1 = ladder_matrix(basis, 1).toarray()
@@ -165,9 +166,10 @@ def test_dilation_scales_field_energy(modes, small_params):
 
 def _ladder_per_state(basis, mode_index):
     """ladder as a loop over the states, found by their occupation tuples."""
-    index = {s: i for i, s in enumerate(basis.states)}
+    states = [tuple(s) for s in basis.occ.astype(int).tolist()]
+    index = {s: i for i, s in enumerate(states)}
     b = np.zeros((len(basis), len(basis)), dtype=complex)
-    for i, s in enumerate(basis.states):
+    for i, s in enumerate(states):
         if s[mode_index]:
             t = list(s)
             t[mode_index] -= 1
@@ -177,10 +179,11 @@ def _ladder_per_state(basis, mode_index):
 
 def _dilation_per_state(basis, steps):
     """dilation as a loop over the states, moving each photon down by scan."""
-    index = {s: i for i, s in enumerate(basis.states)}
+    states = [tuple(s) for s in basis.occ.astype(int).tolist()]
+    index = {s: i for i, s in enumerate(states)}
     down = [_shifted_mode_index_scan(basis.modes, i, -steps) for i in range(len(basis.modes))]
     g = np.zeros((len(basis), len(basis)), dtype=complex)
-    for i, s in enumerate(basis.states):
+    for i, s in enumerate(states):
         if any(n and down[mi] < 0 for mi, n in enumerate(s)):
             continue
         t = [0] * len(s)
@@ -196,6 +199,17 @@ _BASES = pytest.mark.parametrize("params,n_max,words", [
     # 48 modes of base 3 need 76 bits: two key words
     (ModelParams(dim=3, j_max=3), 2, 2),
 ], ids=["d1", "d3-two-words"])
+
+
+@_BASES
+def test_basis_order_is_count_energy_occupations(params, n_max, words):
+    # a Python sort of the occupation tuples, each energy summed mode by mode
+    modes = build_modes(params)
+    states = sorted((tuple(np.bincount(c, minlength=len(modes)).tolist())
+                     for k in range(n_max + 1)
+                     for c in itertools.combinations_with_replacement(range(len(modes)), k)),
+                    key=lambda s: (sum(s), sum(n * modes[i].k_abs for i, n in enumerate(s)), s))
+    assert FockBasis(modes, n_max).occ.tolist() == [list(map(float, s)) for s in states]
 
 
 @_BASES
@@ -230,6 +244,6 @@ def test_lookup_finds_states_and_misses_the_rest(modes):
     basis = FockBasis(modes, 2)
     w = basis.key_weights
     one = basis.lookup(w[5])
-    assert basis.states[one] == tuple(int(i == 5) for i in range(len(modes)))
+    assert basis.occ[one].tolist() == [float(i == 5) for i in range(len(modes))]
     # three photons: one more than n_max allows
     assert basis.lookup(np.stack([w[0] + w[1] + w[2], 2 * w[3] + w[4]])).tolist() == [-1, -1]

@@ -66,6 +66,7 @@ def test_eval_product_rows_match_per_row_interpolation(grid, rng):
     ids = [0, 1, 2]
     vals = (rng.normal(size=grid.base_shape + (3, 3))
             + 1j * rng.normal(size=grid.base_shape + (3, 3)))
+    vals = np.moveaxis(vals, (2, 3), (0, 1))     # drawn photon-last, stored photon-major
     ker = Kernel(1, 1, grid, vals[None])
     assert ker.n_modes == 3
     rows = np.array([[ids[0], ids[2]], [ids[1], ids[1]], [ids[2], len(grid.modes) - 1]])
@@ -77,7 +78,7 @@ def test_eval_product_rows_match_per_row_interpolation(grid, rng):
     out = out[..., 0, 0]
     for i in range(2):
         loc = [ids.index(g) for g in rows[i]]
-        expect = interp_rows(vals[None, :, :, loc[0], loc[1]], grid.base_axes,
+        expect = interp_rows(vals[loc[0], loc[1]][None], grid.base_axes,
                              [rq[i, None], lq[i, None]])
         assert np.array_equal(out[i, 0], expect[0])
     assert not np.any(out[2])
@@ -143,21 +144,21 @@ def test_kernel_shape_validation(grid):
 
 
 def test_symmetrize_fixes_transposition(grid):
-    nb = 2
     nloc = 3
     rng = np.random.default_rng(5)
     vals = rng.normal(size=grid.base_shape + (nloc, nloc))
-    sym = symmetrize(vals, 2, 0, nb)
-    np.testing.assert_allclose(sym, np.swapaxes(sym, nb, nb + 1), atol=1e-15)
+    vals = np.moveaxis(vals, (2, 3), (0, 1))[None]      # a stack of one, photon-major
+    sym = symmetrize(vals, 2, 0)
+    np.testing.assert_allclose(sym, np.swapaxes(sym, 1, 2), atol=1e-15)
     # already symmetric input is untouched
-    np.testing.assert_allclose(symmetrize(sym, 2, 0, nb), sym, atol=1e-15)
+    np.testing.assert_allclose(symmetrize(sym, 2, 0), sym, atol=1e-15)
 
 
 def test_norm_half_handpicked(grid):
     # w(r,l,k) = k: sup of |k| * k^{-1/2} over modes = max sqrt(k) = 1
     nmod = len(grid.modes)
-    vals = np.broadcast_to(grid.k_abs.reshape(1, 1, nmod),
-                           grid.base_shape + (nmod,)).astype(complex)
+    vals = np.broadcast_to(grid.k_abs.reshape(nmod, 1, 1),
+                           (nmod,) + grid.base_shape).astype(complex)
     ker = Kernel(0, 1, grid, vals)
     assert norm_half(ker) == pytest.approx(1.0)
     with pytest.raises(ConfigError):
@@ -234,20 +235,21 @@ def test_family_members_are_views():
 def test_scale_transform_prefactor_and_shift(grid):
     # constant one-photon kernel: the value picks up exactly rho^{1/2}
     nmod = len(grid.modes)
-    vals = np.ones((1,) + grid.base_shape + (nmod,), dtype=complex)
+    vals = np.ones((1, nmod) + grid.base_shape, dtype=complex)
     out = scale_transform(Kernel(1, 0, grid, vals))
     assert out.shape == vals.shape
     rho = grid.rho
     # modes with a deeper copy keep the value, the IR floor shell is dropped
     for gid in range(nmod):
-        got = out[(0, 0) + tuple([grid.l0_idx[0]]) + (gid,)]
+        got = out[(0, gid, 0) + tuple([grid.l0_idx[0]])]
         if grid.shift_up[gid] >= 0:
             assert got == pytest.approx(rho ** 0.5, rel=1e-12)
     js = np.array([m.j for m in grid.modes])
     floor = js == grid.params.j_max
-    assert np.any(floor) and np.all(out[..., floor] == 0.0)
+    assert np.any(floor) and np.all(out[:, floor] == 0.0)
     # content on the top shell alone has no image: every image shell reads a deeper one
-    assert not np.any(scale_transform(Kernel(1, 0, grid, np.where(js == 0, vals, 0.0))))
+    top = np.where((js == 0)[:, None, None], vals, 0.0)
+    assert not np.any(scale_transform(Kernel(1, 0, grid, top)))
 
 
 def test_sequence_json_roundtrip(grid):
@@ -255,7 +257,7 @@ def test_sequence_json_roundtrip(grid):
     nmod = len(grid.modes)
     kernels = {
         (0, 0): rng.normal(size=grid.base_shape) + 1j * rng.normal(size=grid.base_shape),
-        (1, 1): rng.normal(size=grid.base_shape + (nmod, nmod)) + 0j,
+        (1, 1): np.moveaxis(rng.normal(size=grid.base_shape + (nmod, nmod)), (2, 3), (0, 1)) + 0j,
     }
     seq = _one(grid, kernels, p=0.1, z=0.02 + 0.001j, meta={"stage": 4})
     back = sequence_from_json(sequence_to_json(seq), grid)
@@ -266,10 +268,27 @@ def test_sequence_json_roundtrip(grid):
                                    seq.stacks[mn].values, atol=1e-14)
 
 
+def test_sequence_json_writes_photon_last_order(grid):
+    # the dump is byte for byte the one of photon-last arrays, (n_r, *l_shape,
+    # photons) in C order, whatever order Kernel.values stores them in
+    seq = initial_kernels(grid.params.with_updates(lam0=0.02), [0.01], grid=grid)
+    assert any(m + n >= 2 for m, n in seq.stacks)
+    text = sequence_to_json(seq)
+    payload = json.loads(text)
+    for item in payload["kernels"]:
+        m, n = item["m"], item["n"]
+        stored = seq.stacks[(m, n)].values[0]
+        last = np.empty(stored.shape[m + n:] + stored.shape[:m + n], dtype=complex)
+        for tup in np.ndindex(stored.shape[:m + n]):
+            last[(Ellipsis,) + tup] = stored[tup]
+        item["re"], item["im"] = last.real.ravel().tolist(), last.imag.ravel().tolist()
+    assert json.dumps(payload, sort_keys=True) == text
+
+
 def test_sequence_from_json_rejects_mode_ids_off_the_prefix(grid):
     nmod = len(grid.modes)
     seq = _one(grid, {(0, 0): np.zeros(grid.base_shape, complex),
-                      (1, 0): np.ones(grid.base_shape + (nmod,), complex)})
+                      (1, 0): np.ones((nmod,) + grid.base_shape, complex)})
     payload = json.loads(sequence_to_json(seq))
     assert [k["mode_ids"] for k in payload["kernels"]] == [list(range(nmod))] * 2
     payload["kernels"][1]["mode_ids"] = list(range(1, nmod + 1))
@@ -283,7 +302,7 @@ def test_sequence_from_json_rejects_another_grid(grid):
     assert other.base_shape == grid.base_shape and len(other.modes) == len(grid.modes)
     nmod = len(grid.modes)
     seq = _one(other, {(0, 0): np.zeros(grid.base_shape, complex),
-                       (1, 0): np.ones(grid.base_shape + (nmod,), complex)})
+                       (1, 0): np.ones((nmod,) + grid.base_shape, complex)})
     text = sequence_to_json(seq)
     sequence_from_json(text, other)
     with pytest.raises(ConfigError, match="another grid"):
@@ -297,6 +316,7 @@ def test_assemble_operator_hermitian_pair(grid):
     basis = FockBasis(grid.modes, 2)
     v01 = rng.normal(size=grid.base_shape + (nmod,)) \
         + 1j * rng.normal(size=grid.base_shape + (nmod,))
+    v01 = np.moveaxis(v01, -1, 0)                # drawn photon-last, stored photon-major
     v10 = np.conj(v01)
     seq = _one(grid, {(0, 0): np.zeros(grid.base_shape, complex), (0, 1): v01, (1, 0): v10})
     W = assemble_operator(seq, basis).toarray()
@@ -332,13 +352,14 @@ def _interp_rows_take_along_axis(values, nodes_list, queries_list):
 
 def test_interp_rows_matches_take_along_axis(rng):
     grid = KernelGrid(ModelParams(dim=3, j_max=2, n_l_axis_d3=5))
-    shape = grid.base_shape + (3,)
+    shape = grid.base_shape
     rows = 4
     values = rng.normal(size=(rows,) + shape) + 1j * rng.normal(size=(rows,) + shape)
     queries = [rng.uniform(-0.1, 1.1, size=(rows, 6)) for _ in grid.base_axes]
-    for vals in (values, values[:1]):          # per-row blocks, one shared block
-        out = interp_rows(vals, grid.base_axes, queries)
-        assert out.shape == (rows, 6, 6, 6, 6, 3)
+    # per-row blocks, one shared block
+    for vals, lead in ((values, None), (values[:1], (np.zeros((1, 1), dtype=int),))):
+        out = interp_rows(vals, grid.base_axes, queries, lead)
+        assert out.shape == (rows, 6, 6, 6, 6)
         assert np.array_equal(out, _interp_rows_take_along_axis(vals, grid.base_axes, queries))
 
 
@@ -350,7 +371,7 @@ def _eval_product_blockwise(ker, ids, rq, lqs, run=slice(None)):
     values = ker.values[run]
     ids = np.asarray(ids, dtype=int)
     ok = np.all(ids < ker.n_modes, axis=1)
-    blocks = (np.moveaxis(values[(Ellipsis,) + tuple(ids[ok].T)], -1, 0)
+    blocks = (np.moveaxis(values[(slice(None),) + tuple(ids[ok].T)], 1, 0)
               if ker.m + ker.n else values[None])
     queries = [np.asarray(q, dtype=float)[ok] for q in [rq, *lqs]]
     vals = _interp_rows_take_along_axis(np.moveaxis(blocks, 1, -1), ker.grid.base_axes, queries)
@@ -377,6 +398,8 @@ def test_eval_product_matches_blockwise_gather(case, rng):
     shape = (n_f,) + grid.base_shape + (n_loc,) * (m + n)
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     values[values.real < -1.5] = -0.0         # signed zeros pass through
+    # drawn photon-last, stored photon-major
+    values = np.moveaxis(values, range(-(m + n), 0), range(1, 1 + m + n))
     ker = Kernel(m, n, grid, values)
     # ids beyond the kernel's modes only where that path is the case
     ids = rng.integers(0, n_loc + 2 * (case == "beyond-modes"), size=(rows, m + n))
@@ -410,8 +433,8 @@ def _assemble_operator_per_tuple(seq, basis):
     for (m, n), stack in sorted(seq.stacks.items()):
         ker = stack[0]
         for tup in itertools.product(range(ker.n_modes), repeat=m + n):
-            diag = interp_rows(ker.values[(Ellipsis,) + tup][None], g.base_axes,
-                               points).reshape(len(basis))
+            diag = interp_rows(ker.values[tup][None], g.base_axes, points,
+                               (np.zeros((1, 1), dtype=int),)).reshape(len(basis))
             if not np.any(diag):
                 continue
             w = math.sqrt(float(np.prod(g.weight[list(tup)]))) if tup else 1.0
@@ -443,7 +466,8 @@ def test_assemble_operator_matches_per_tuple_loop(dim, rng):
         vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         if m + n:
             vals[..., 0] = 0.0            # a photon slice that is exactly zero
-        kernels[(m, n)] = vals
+        # drawn photon-last, stored photon-major
+        kernels[(m, n)] = np.moveaxis(vals, range(-(m + n), 0), range(m + n))
     seq = _one(grid, kernels)
     W = assemble_operator(seq, basis).toarray()
     assert np.any(W)

@@ -60,7 +60,7 @@ def test_interpolate_family_reproduces_nodes(small_params):
 def test_interpolate_family_union_of_indices(small_params):
     grid = KernelGrid(small_params)
     nmod = len(grid.modes)
-    one = np.ones(grid.base_shape + (nmod,), complex)
+    one = np.ones((nmod,) + grid.base_shape, complex)
     # the member at -0.1 has an exactly zero (1, 0) kernel
     stacks = {(0, 0): np.zeros((2,) + grid.base_shape, complex),
               (1, 0): np.stack([np.zeros_like(one), one])}

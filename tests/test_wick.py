@@ -246,11 +246,12 @@ def test_leg_sums_internal_line_spans_only_its_interior():
 
 
 def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
-    # every shape is pruned (zero vertices): no boundary cutoff is evaluated
+    # zero vertices have no live mode, so no tuple is live: no boundary
+    # cutoff is evaluated and the target has no array
     params = ModelParams(j_max=2, j_max_pair=1)
     grid = KernelGrid(params)
     n = len(grid.modes)
-    zero = {(a, b): Kernel(a, b, grid, np.zeros(grid.base_shape + (n,) * (a + b)))
+    zero = {(a, b): Kernel(a, b, grid, np.zeros((n,) * (a + b) + grid.base_shape))
             for (a, b) in [(1, 0), (0, 1), (1, 1)]}
     ctx = wick.WickContext(grid=grid, vertices=zero, L_max=3, scale=params.rho,
                            F_eval=None, F_max=1.0)
@@ -259,30 +260,49 @@ def test_target_without_live_shape_skips_tuple_loop(monkeypatch):
     monkeypatch.setattr(wick, "chi", lambda *a: calls.append(a) or 1.0)
     vals, per_L = wick.assemble_target(1, 1, ctx, n, 1)
     assert calls == []
-    assert vals.shape == (1,) + grid.base_shape + (n, n)
-    assert not np.any(vals) and per_L == {}
+    assert vals is None and per_L == {}
 
 
 def test_target_without_live_tuple_evaluates_no_chain(monkeypatch):
     # the self-check's toy modes have energy 0.45: three external creators
     # (or annihilators) already pass the unit cap, so the boundary cutoff
-    # kills every tuple of a (3, n) target, which is zero before its term
-    # shapes are enumerated
+    # kills every tuple of a (3, n) target, which evaluates no chain and
+    # has no array
     from dipolerg.selfcheck import _f_factor, _toy_grid, _toy_kernels
     grid = _toy_grid(ModelParams())
     ctx = wick.WickContext(grid=grid, vertices=_toy_kernels(grid, np.random.default_rng(11)),
                            L_max=3, scale=1.0, F_eval=_f_factor)
     calls = []
-    for name in ("enumerate_term_specs", "_chain_rows"):
+    for name in ("_leg_sums", "_chain_rows"):
         monkeypatch.setattr(wick, name, lambda *a, name=name: calls.append(name))
     for m, n in [(3, 0), (3, 1), (0, 3)]:
         vals, per_L = wick.assemble_target(m, n, ctx, 2, 1)
-        assert vals.shape == (1,) + grid.base_shape + (2,) * (m + n)
-        assert not np.any(vals) and per_L == {}
+        assert vals is None and per_L == {}
     assert calls == []
     # a live target does reach them
     monkeypatch.undo()
     assert np.any(wick.assemble_target(2, 0, ctx, 2, 1)[0])
+
+
+@pytest.mark.parametrize("case", ["sigma_x-odd", "no-modes"])
+def test_structurally_zero_target_has_no_array(monkeypatch, case):
+    # sigma_x's spin patterns close no odd chain, and n_ext = 0 leaves no
+    # tuple at all: the target evaluates no chain, no boundary cutoff and no
+    # resolvent, and returns no array (zero vertices, which leave no live
+    # tuple, are test_target_without_live_shape_skips_tuple_loop)
+    params = ModelParams(lam0=0.004, j_max=4, j_max_pair=4)
+    grid = KernelGrid(params)
+    vertices = {(1, 0): firststep._SpinVertex(-1.0, params, grid),
+                (0, 1): firststep._SpinVertex(1.0, params, grid)}
+    calls = []
+    ctx = wick.WickContext(grid=grid, vertices=vertices, L_max=3, scale=params.rho0,
+                           F_eval=lambda *a: calls.append("F_eval"))
+    for name in ("chi", "_chain_rows"):
+        monkeypatch.setattr(wick, name, lambda *a, name=name: calls.append(name))
+    M, N, n_ext = (1, 0, len(grid.modes)) if case == "sigma_x-odd" else (1, 1, 0)
+    assert enumerate_term_specs(M, N, ctx.L_max, ctx.vertices)
+    vals, per_L = wick.assemble_target(M, N, ctx, n_ext, 3)
+    assert vals is None and per_L == {} and calls == []
 
 
 def test_series_ratio_decay_from_peak():
@@ -339,15 +359,16 @@ def test_photon_axes_end_at_last_live_image(monkeypatch, case):
             for m in range(total + 1):
                 ref, _ = wick.assemble_target(m, total - m, ctx, n_full, len(w00_base))
                 if (m, total - m) not in stacks:
-                    assert not np.any(ref)
+                    assert ref is None or not np.any(ref)
                     continue
-                ref = symmetrize(ref, m, total - m, 2 + len(g.l_axes))
+                ref = symmetrize(ref, m, total - m)
                 vals = stacks[(m, total - m)]
-                n_cut = vals.shape[-1]
+                n_cut = vals.shape[1]
                 assert imaged[n_cut - 1] and not np.any(imaged[n_cut:n_full])
-                pad = [(0, 0)] * (vals.ndim - total) + [(0, n_full - n_cut)] * total
+                pad = ([(0, 0)] + [(0, n_full - n_cut)] * total
+                       + [(0, 0)] * (vals.ndim - 1 - total))
                 assert np.array_equal(np.pad(vals, pad), ref)
-        lengths.append({mn: v.shape[-1] for mn, v in stacks.items() if sum(mn)})
+        lengths.append({mn: v.shape[1] for mn, v in stacks.items() if sum(mn)})
         return stacks, ratios
 
     monkeypatch.setattr(wick, "_assemble_kernels", spy)

@@ -13,7 +13,10 @@ series ratios, z nodes, final stacks and metas) and the oracle energy on
 a fixed list of grids, the Wick self-check defect at chain depths 2, 3
 (the default) and 4, and the stdout of five CLI commands on a small
 grid.  Values are pickled with a fixed protocol, so hashes compare across
-trees on one numpy and Python version.
+trees on one numpy and Python version.  The final stacks enter as each
+member's `sequence_to_json` dump, whose order of values is fixed whatever
+order `Kernel.values` stores them in, so trees that store kernels in
+different layouts still compare.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from click.testing import CliRunner  # noqa: E402
 
 from dipolerg import oracle  # noqa: E402
 from dipolerg.cli import main as cli_main  # noqa: E402
+from dipolerg.kernels import sequence_to_json  # noqa: E402
 from dipolerg.model import ModelParams  # noqa: E402
 from dipolerg.rgflow import run_flow  # noqa: E402
 from dipolerg.selfcheck import wick_reassembly_defect  # noqa: E402
@@ -74,7 +78,7 @@ def _flow_outputs(params: ModelParams):
     family = res.final_family
     return (res.energy, res.e_chain, res.stages,
             [ledger.as_dict() for ledger in res.ledgers], res.series_ratios,
-            res.z_nodes, [(mn, family.stacks[mn].values) for mn in sorted(family.stacks)],
+            res.z_nodes, [sequence_to_json(family[k]) for k in range(len(family))],
             family.metas)
 
 
